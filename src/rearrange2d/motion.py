@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from . import grids
 from .grids import GridSpec
-from .world import Pose2, Rect, Scene, footprint_collides, segment_hits_rect
+from .world import Pose2, Scene, footprint_collides, inflate, segment_hits
 
 SIDES = ("N", "E", "S", "W")
 _SIDE_DIR = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
@@ -129,24 +129,6 @@ def _normalize_parts(footprint):
     return tuple(tuple(p) for p in footprint)
 
 
-def _inflated_obstacles(scene: Scene, parts, ignore):
-    """Per part, each live obstacle inflated by the part's half extents.
-
-    A part translating along a segment hits a body exactly when the part
-    center segment, shifted by the part offset, enters the inflated rect.
-    """
-    out = []
-    for dx, dy, w, h in parts:
-        rects = []
-        for body in scene.bodies:
-            if body.id in ignore:
-                continue
-            r = body.rect()
-            rects.append(Rect(r.xmin - w / 2, r.ymin - h / 2, r.xmax + w / 2, r.ymax + h / 2))
-        out.append((dx, dy, rects))
-    return out
-
-
 def sweep_clear(scene: Scene, parts, poses, ignore=frozenset()) -> bool:
     """Exact swept collision test for a footprint along a polyline.
 
@@ -160,16 +142,10 @@ def sweep_clear(scene: Scene, parts, poses, ignore=frozenset()) -> bool:
     for p in pts:
         if footprint_collides(scene, parts, p, ignore):
             return False
-    obstacles = _inflated_obstacles(scene, parts, ignore)
+    obstacles = inflate(scene, parts, ignore)
     for a, b in zip(pts, pts[1:]):
-        if a.dist(b) < 1e-12:
-            continue
-        for dx, dy, rects in obstacles:
-            a2 = Pose2(a.x + dx, a.y + dy)
-            b2 = Pose2(b.x + dx, b.y + dy)
-            for r in rects:
-                if segment_hits_rect(a2, b2, r):
-                    return False
+        if a.dist(b) >= 1e-12 and segment_hits(obstacles, a, b):
+            return False
     return True
 
 
@@ -202,20 +178,12 @@ def birrt(
     def blocked(p: Pose2) -> bool:
         return footprint_collides(scene, parts, p, ignore)
 
-    obstacles = _inflated_obstacles(scene, parts, ignore)
+    obstacles = inflate(scene, parts, ignore)
 
     def edge_free(a: Pose2, b: Pose2) -> bool:
         # endpoints are vetted by blocked(); the segment test is exact, so
         # workspace containment follows from endpoint containment
-        if blocked(b):
-            return False
-        for dx, dy, rects in obstacles:
-            a2 = Pose2(a.x + dx, a.y + dy)
-            b2 = Pose2(b.x + dx, b.y + dy)
-            for r in rects:
-                if segment_hits_rect(a2, b2, r):
-                    return False
-        return True
+        return not blocked(b) and not segment_hits(obstacles, a, b)
 
     if blocked(start) or blocked(goal):
         return None
@@ -521,13 +489,10 @@ def select_subgoals(
             raise SubgoalBlocked(k, pose)
         subgoals.append(Subgoal(pose, contact_point(side, pose, body.w, body.h), side, via))
         prev_side = side
-    if len(subgoals) == 1:
-        # zero-length path: the single subgoal is the endpoint
-        return subgoals
     return subgoals
 
 
-def _local_cp(sg: Subgoal, body) -> tuple[float, float]:
+def _local_cp(sg: Subgoal) -> tuple[float, float]:
     return (sg.contact_point.x - sg.object_pose.x, sg.contact_point.y - sg.object_pose.y)
 
 
@@ -566,7 +531,7 @@ def refine_subgoals(
         merged = False
         for k in range(1, len(out) - 1):
             a, b = out[k], out[k + 1]
-            ca, cb = _local_cp(a, body), _local_cp(b, body)
+            ca, cb = _local_cp(a), _local_cp(b)
             if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) >= epsilon:
                 continue
             poly = [out[k - 1].object_pose, *a.via, a.object_pose, *b.via, b.object_pose]

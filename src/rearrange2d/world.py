@@ -3,6 +3,25 @@
 All bodies are axis-aligned rectangles addressed by center pose.  The robot
 is a translating square; rotation is not modeled, so every collision test
 reduces to interval arithmetic on the two axes.
+
+Packed rows.  Each Body carries its bounds ``(xmin, ymin, xmax, ymax)``,
+computed once with ``rect_at``'s arithmetic; each Scene carries one row
+``(id, xmin, ymin, xmax, ymax)`` per body, in body order, rebuilt whenever a
+successor scene is made.  Every collision test runs on these rows through
+two loops that allocate no Rect or Pose2:
+
+- box overlap (``footprint_collides``; ``collides`` is its one-part case
+  that never ignores walls), and
+- the swept test (``segment_hits``): one Liang-Barsky clip of a part's
+  center segment against the rows grown by the part's half extents
+  (``inflate``); ``segment_hits_rect`` is its single-rect case.
+
+Contract kept by both loops, so planner decisions are reproducible bit for
+bit: interiors overlap iff ``min(maxes) - max(mins) > EPS`` on both axes,
+so flush contact is free; containment in the workspace tolerates EPS; the
+clip treats a segment parallel to an axis (``abs(p) < 1e-12``) as outside
+when ``q <= EPS``, and counts a hit only when the clipped parameter
+interval is longer than 1e-9, so grazing a boundary is free.
 """
 from __future__ import annotations
 
@@ -78,9 +97,19 @@ class Body:
     h: float
     kind: str
     pose: Pose2
+    # (xmin, ymin, xmax, ymax) at pose, with rect_at's arithmetic
+    bounds: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        x, y = self.pose.x, self.pose.y
+        object.__setattr__(
+            self, "bounds", (x - self.w / 2.0, y - self.h / 2.0, x + self.w / 2.0, y + self.h / 2.0)
+        )
 
     def rect(self, pose: Pose2 | None = None) -> Rect:
-        return rect_at(pose if pose is not None else self.pose, self.w, self.h)
+        if pose is None:
+            return Rect(*self.bounds)
+        return rect_at(pose, self.w, self.h)
 
     @property
     def area(self) -> float:
@@ -103,6 +132,11 @@ class Scene:
     bodies: tuple[Body, ...]
     goals: dict[str, Pose2] = field(default_factory=dict)
     rng_seed: int = 0
+    # (id, xmin, ymin, xmax, ymax) per body, in body order
+    rows: tuple[tuple[str, float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    wall_ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [b.id for b in self.bodies]
@@ -118,6 +152,13 @@ class Scene:
             if gid not in by_id or by_id[gid].kind != KIND_GOAL:
                 raise SceneError(f"goal assigned to non-goal body {gid!r}")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "rows", tuple((b.id, *b.bounds) for b in self.bodies))
+        object.__setattr__(self, "wall_ids", frozenset(b.id for b in self.bodies if b.kind == KIND_WALL))
+        ws = self.workspace
+        # Rect.contains_rect's bounds, loosened by EPS
+        object.__setattr__(
+            self, "_ws_loose", (ws.xmin - EPS, ws.ymin - EPS, ws.xmax + EPS, ws.ymax + EPS)
+        )
 
     # -- lookups ----------------------------------------------------------
 
@@ -199,60 +240,133 @@ def collides(scene: Scene, body_id: str, pose: Pose2, ignore=frozenset()) -> boo
     (walls cannot be ignored).
     """
     body = scene.body(body_id)
-    r = rect_at(pose, body.w, body.h)
-    if not scene.workspace.contains_rect(r):
-        return True
-    for other in scene.bodies:
-        if other.id == body_id:
-            continue
-        if other.kind != KIND_WALL and other.id in ignore:
-            continue
-        if rects_overlap(r, other.rect()):
-            return True
-    return False
+    skip = frozenset(ignore).difference(scene.wall_ids) | {body_id}
+    return footprint_collides(scene, ((0.0, 0.0, body.w, body.h),), pose, skip)
 
 
 def footprint_collides(scene: Scene, parts, pose: Pose2, ignore=frozenset()) -> bool:
     """Collision test for a rigid multi-rectangle footprint at a reference pose.
 
     parts: iterable of (dx, dy, w, h) offsets relative to the reference pose.
+    A part collides when it leaves the workspace or its interior overlaps
+    the row of a body not in ignore.
     """
+    wx0, wy0, wx1, wy1 = scene._ws_loose
+    rows = scene.rows
     for dx, dy, w, h in parts:
-        r = rect_at(Pose2(pose.x + dx, pose.y + dy), w, h)
-        if not scene.workspace.contains_rect(r):
+        cx = pose.x + dx
+        cy = pose.y + dy
+        x0 = cx - w / 2.0
+        y0 = cy - h / 2.0
+        x1 = cx + w / 2.0
+        y1 = cy + h / 2.0
+        if not (x0 >= wx0 and y0 >= wy0 and x1 <= wx1 and y1 <= wy1):
             return True
-        for other in scene.bodies:
-            if other.id in ignore:
-                continue
-            if rects_overlap(r, other.rect()):
+        # The four comparisons are implied by the EPS test (a float difference
+        # is positive only if its operands are ordered), so they only reject
+        # early; min/max are spelled out with the builtins' tie rules.
+        for bid, bx0, by0, bx1, by1 in rows:
+            if (
+                bx0 < x1 and x0 < bx1 and by0 < y1 and y0 < by1
+                and (bx1 if bx1 < x1 else x1) - (bx0 if bx0 > x0 else x0) > EPS
+                and (by1 if by1 < y1 else y1) - (by0 if by0 > y0 else y0) > EPS
+                and bid not in ignore
+            ):
                 return True
     return False
 
 
-def segment_hits_rect(a: Pose2, b: Pose2, r: Rect) -> bool:
-    """Does the segment a-b pass through the rect's interior?
+def inflate(scene: Scene, parts, ignore=frozenset()):
+    """Per part, (dx, dy, rects): each row not in ignore grown by the part's
+    half extents.
 
-    Liang-Barsky clip; boundary contact does not count as a hit, matching
-    the open-interval overlap convention used everywhere else.
+    A part translating along a segment hits a body exactly when the part
+    center segment, shifted by (dx, dy), enters the grown rect.
     """
-    t0, t1 = 0.0, 1.0
-    dx, dy = b.x - a.x, b.y - a.y
-    for p, q in (
-        (-dx, a.x - r.xmin),
-        (dx, r.xmax - a.x),
-        (-dy, a.y - r.ymin),
-        (dy, r.ymax - a.y),
-    ):
-        if abs(p) < 1e-12:
-            if q <= EPS:
-                return False
+    out = []
+    for dx, dy, w, h in parts:
+        hw, hh = w / 2, h / 2
+        rects = tuple(
+            (x0 - hw, y0 - hh, x1 + hw, y1 + hh)
+            for bid, x0, y0, x1, y1 in scene.rows
+            if bid not in ignore
+        )
+        out.append((dx, dy, rects))
+    return out
+
+
+def segment_hits(inflated, a: Pose2, b: Pose2) -> bool:
+    """Swept test: does any part moving from a to b enter a body's interior?
+
+    inflated comes from ``inflate``.
+    """
+    for dx, dy, rects in inflated:
+        if _clip_hits(a.x + dx, a.y + dy, b.x + dx, b.y + dy, rects):
+            return True
+    return False
+
+
+def segment_hits_rect(a: Pose2, b: Pose2, r: Rect) -> bool:
+    """Does the segment a-b pass through the rect's interior?"""
+    return _clip_hits(a.x, a.y, b.x, b.y, ((r.xmin, r.ymin, r.xmax, r.ymax),))
+
+
+def _clip_hits(ax: float, ay: float, bx: float, by: float, rects) -> bool:
+    """Liang-Barsky clip of segment (ax, ay)-(bx, by) against each rect.
+
+    True iff the segment passes through some rect's interior; boundary
+    contact does not count, matching the open-interval overlap convention.
+    Per rect the clip visits (p, q) = (-dx, ax - xmin), (dx, xmax - ax),
+    (-dy, ay - ymin), (dy, ymax - ay): p < 0 raises t0 to q / p, p > 0
+    lowers t1 to q / p, and |p| < 1e-12 rejects the rect when q <= EPS.
+    The sign tests depend on the segment alone, so they are made once.
+    """
+    dx = bx - ax
+    dy = by - ay
+    ndx = -dx
+    ndy = -dy
+    xflat = abs(ndx) < 1e-12
+    yflat = abs(ndy) < 1e-12
+    for x0, y0, x1, y1 in rects:
+        t0 = 0.0
+        t1 = 1.0
+        if xflat:
+            if ax - x0 <= EPS or x1 - ax <= EPS:
+                continue
+        elif ndx < 0:
+            t = (ax - x0) / ndx
+            if t > t0:
+                t0 = t
+            t = (x1 - ax) / dx
+            if t < t1:
+                t1 = t
         else:
-            t = q / p
-            if p < 0:
-                t0 = max(t0, t)
-            else:
-                t1 = min(t1, t)
-    return t1 - t0 > 1e-9
+            t = (ax - x0) / ndx
+            if t < t1:
+                t1 = t
+            t = (x1 - ax) / dx
+            if t > t0:
+                t0 = t
+        if yflat:
+            if ay - y0 <= EPS or y1 - ay <= EPS:
+                continue
+        elif ndy < 0:
+            t = (ay - y0) / ndy
+            if t > t0:
+                t0 = t
+            t = (y1 - ay) / dy
+            if t < t1:
+                t1 = t
+        else:
+            t = (ay - y0) / ndy
+            if t < t1:
+                t1 = t
+            t = (y1 - ay) / dy
+            if t > t0:
+                t0 = t
+        if t1 - t0 > 1e-9:
+            return True
+    return False
 
 
 def verify_placements(scene: Scene, tol: float) -> set[str]:

@@ -1,0 +1,298 @@
+"""Exact agreement of the packed collision kernel with the scalar reference.
+
+The reference functions below are the straightforward per-body loops the
+kernel replaced: one Rect per body and query, ``rects_overlap`` and
+``Rect.contains_rect`` for boxes, one Liang-Barsky call per inflated rect for
+segments.  The kernel must return *equal* booleans, not approximately equal
+ones, because every planner decision (and so every serialized result) rests
+on them.  Scenes and queries sit on a coarse lattice, nudged by multiples of
+EPS, so flush contacts, exact-EPS gaps, axis-parallel and zero-length
+segments are common rather than measure-zero.
+"""
+
+import random
+
+import pytest
+
+from rearrange2d.motion import compound_parts, sweep_clear
+from rearrange2d.world import (
+    EPS,
+    KIND_GOAL,
+    KIND_OBSTACLE,
+    KIND_ROBOT,
+    KIND_WALL,
+    Body,
+    Pose2,
+    Rect,
+    Scene,
+    collides,
+    footprint_collides,
+    inflate,
+    rect_at,
+    rects_overlap,
+    segment_hits,
+    segment_hits_rect,
+)
+
+# -- scalar reference -------------------------------------------------------
+
+
+def ref_collides(scene, body_id, pose, ignore=frozenset()):
+    body = scene.body(body_id)
+    r = rect_at(pose, body.w, body.h)
+    if not scene.workspace.contains_rect(r):
+        return True
+    for other in scene.bodies:
+        if other.id == body_id:
+            continue
+        if other.kind != KIND_WALL and other.id in ignore:
+            continue
+        if rects_overlap(r, rect_at(other.pose, other.w, other.h)):
+            return True
+    return False
+
+
+def ref_footprint_collides(scene, parts, pose, ignore=frozenset()):
+    for dx, dy, w, h in parts:
+        r = rect_at(Pose2(pose.x + dx, pose.y + dy), w, h)
+        if not scene.workspace.contains_rect(r):
+            return True
+        for other in scene.bodies:
+            if other.id in ignore:
+                continue
+            if rects_overlap(r, rect_at(other.pose, other.w, other.h)):
+                return True
+    return False
+
+
+def ref_segment_hits_rect(a, b, r):
+    t0, t1 = 0.0, 1.0
+    dx, dy = b.x - a.x, b.y - a.y
+    for p, q in (
+        (-dx, a.x - r.xmin),
+        (dx, r.xmax - a.x),
+        (-dy, a.y - r.ymin),
+        (dy, r.ymax - a.y),
+    ):
+        if abs(p) < 1e-12:
+            if q <= EPS:
+                return False
+        else:
+            t = q / p
+            if p < 0:
+                t0 = max(t0, t)
+            else:
+                t1 = min(t1, t)
+    return t1 - t0 > 1e-9
+
+
+def ref_inflated(scene, parts, ignore):
+    out = []
+    for dx, dy, w, h in parts:
+        rects = []
+        for body in scene.bodies:
+            if body.id in ignore:
+                continue
+            r = rect_at(body.pose, body.w, body.h)
+            rects.append(Rect(r.xmin - w / 2, r.ymin - h / 2, r.xmax + w / 2, r.ymax + h / 2))
+        out.append((dx, dy, rects))
+    return out
+
+
+def ref_segment_blocked(obstacles, a, b):
+    """The per-rect loop birrt's edge test and sweep_clear ran."""
+    for dx, dy, rects in obstacles:
+        a2 = Pose2(a.x + dx, a.y + dy)
+        b2 = Pose2(b.x + dx, b.y + dy)
+        for r in rects:
+            if ref_segment_hits_rect(a2, b2, r):
+                return True
+    return False
+
+
+def ref_sweep_clear(scene, parts, poses, ignore=frozenset()):
+    pts = list(poses)
+    if not pts:
+        return True
+    for p in pts:
+        if ref_footprint_collides(scene, parts, p, ignore):
+            return False
+    obstacles = ref_inflated(scene, parts, ignore)
+    for a, b in zip(pts, pts[1:]):
+        if a.dist(b) < 1e-12:
+            continue
+        if ref_segment_blocked(obstacles, a, b):
+            return False
+    return True
+
+
+# -- lattice fuzz inputs ----------------------------------------------------
+
+STEP = 0.25
+SIZES = (0.25, 0.5, 0.75, 1.0, 1.5)
+# EPS itself, dyadic steps just under and over EPS that lattice arithmetic
+# keeps exact, and a step under the clip's 1e-12 parallel threshold
+NUDGES = (0.0, 0.0, 0.0, EPS, -EPS, 2.0**-30, -(2.0**-30), 2.0**-29, 1e-13)
+WS = Rect(0.0, 0.0, 6.0, 6.0)
+
+
+def coord(rng, lo=-0.5, hi=6.5):
+    return rng.randint(int(lo / STEP), int(hi / STEP)) * STEP + rng.choice(NUDGES)
+
+
+def lattice_pose(rng):
+    return Pose2(coord(rng), coord(rng))
+
+
+def random_scene(rng):
+    bodies = [Body("robot", 0.5, 0.5, KIND_ROBOT, lattice_pose(rng))]
+    for i in range(rng.randint(1, 18)):
+        kind = rng.choice((KIND_WALL, KIND_OBSTACLE, KIND_GOAL))
+        bodies.append(Body(f"b{i}", rng.choice(SIZES), rng.choice(SIZES), kind, lattice_pose(rng)))
+    rng.shuffle(bodies)
+    return Scene(WS, tuple(bodies))
+
+
+def random_parts(rng):
+    ow, oh = rng.choice(SIZES), rng.choice(SIZES)
+    if rng.random() < 0.5:
+        return ((0.0, 0.0, ow, oh),)
+    return compound_parts(rng.choice("NESW"), ow, oh, 0.5)
+
+
+def random_ignore(rng, scene):
+    ids = [b.id for b in scene.bodies]
+    return frozenset(i for i in ids if rng.random() < 0.3)
+
+
+def random_segment(rng):
+    a = lattice_pose(rng)
+    roll = rng.random()
+    if roll < 0.15:
+        b = Pose2(a.x, a.y)
+    elif roll < 0.4:
+        b = Pose2(a.x, coord(rng))
+    elif roll < 0.65:
+        b = Pose2(coord(rng), a.y)
+    else:
+        b = lattice_pose(rng)
+    return a, b
+
+
+def rows_of(scene):
+    return tuple(
+        (b.id, r.xmin, r.ymin, r.xmax, r.ymax)
+        for b in scene.bodies
+        for r in (rect_at(b.pose, b.w, b.h),)
+    )
+
+
+# -- agreement --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_box_overlap_agrees_exactly(seed):
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(150):
+        scene = random_scene(rng)
+        for _ in range(10):
+            pose = lattice_pose(rng)
+            ignore = random_ignore(rng, scene)
+            bid = rng.choice(scene.bodies).id
+            got = collides(scene, bid, pose, ignore)
+            assert got == ref_collides(scene, bid, pose, ignore), (seed, bid, pose, ignore)
+            parts = random_parts(rng)
+            got_fp = footprint_collides(scene, parts, pose, ignore)
+            assert got_fp == ref_footprint_collides(scene, parts, pose, ignore), (seed, parts, pose)
+            outcomes += [got, got_fp]
+    # both answers occur often enough for the agreement to mean something
+    assert 0.2 < sum(outcomes) / len(outcomes) < 0.95
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_swept_test_agrees_exactly(seed):
+    rng = random.Random(100 + seed)
+    outcomes = []
+    for _ in range(100):
+        scene = random_scene(rng)
+        parts = random_parts(rng)
+        ignore = random_ignore(rng, scene)
+        obstacles = inflate(scene, parts, ignore)
+        expected_obstacles = ref_inflated(scene, parts, ignore)
+        for _ in range(10):
+            a, b = random_segment(rng)
+            got = segment_hits(obstacles, a, b)
+            assert got == ref_segment_blocked(expected_obstacles, a, b), (seed, parts, a, b)
+            outcomes.append(got)
+            poly = [a, b] + [lattice_pose(rng) for _ in range(rng.randint(0, 2))]
+            assert sweep_clear(scene, parts, poly, ignore) == ref_sweep_clear(
+                scene, parts, poly, ignore
+            ), (seed, parts, poly)
+    assert 0.2 < sum(outcomes) / len(outcomes) < 0.95
+
+
+def test_single_rect_clip_agrees_exactly():
+    rng = random.Random(11)
+    hits = 0
+    for _ in range(20000):
+        x0, y0 = coord(rng, 0.5, 3.0), coord(rng, 0.5, 3.0)
+        r = Rect(x0, y0, x0 + 2 * rng.choice(SIZES), y0 + 2 * rng.choice(SIZES))
+        a, b = random_segment(rng)
+        got = segment_hits_rect(a, b, r)
+        assert got == ref_segment_hits_rect(a, b, r), (a, b, r)
+        hits += got
+    assert 0.1 < hits / 20000 < 0.9
+
+
+def test_clip_boundary_cases_agree():
+    r = Rect(0.0, 0.0, 1.0, 1.0)
+    cases = [
+        (Pose2(EPS, -1.0), Pose2(EPS, 2.0)),                # q == EPS on a flat axis
+        (Pose2(-1.0, EPS), Pose2(2.0, EPS)),
+        (Pose2(2.0**-29, -1.0), Pose2(2.0**-29, 2.0)),      # just over EPS
+        (Pose2(2.0**-31, -1.0), Pose2(2.0**-31 + 1e-13, 2.0)),  # below the parallel threshold
+        (Pose2(1.0 - 2.0**-30, 0.5), Pose2(1.0 - 2.0**-30, 0.5)),
+        (Pose2(-1.0, -1.0), Pose2(2.0, 2.0)),
+        (Pose2(0.0, 1.0), Pose2(1.0, 0.0)),
+    ]
+    for a, b in cases:
+        for s, e in ((a, b), (b, a)):
+            assert segment_hits_rect(s, e, r) == ref_segment_hits_rect(s, e, r), (s, e)
+
+
+def test_collides_never_ignores_walls():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        scene = random_scene(rng)
+        walls = [b for b in scene.bodies if b.kind == KIND_WALL]
+        if not walls:
+            continue
+        w = rng.choice(walls)
+        ignore = frozenset(b.id for b in scene.bodies)
+        # the robot placed onto a wall it is told to ignore still collides
+        assert collides(scene, "robot", w.pose, ignore)
+        assert ref_collides(scene, "robot", w.pose, ignore)
+        checked += 1
+    assert checked > 100
+
+
+def test_rows_track_bodies_through_successors():
+    rng = random.Random(3)
+    for _ in range(200):
+        scene = random_scene(rng)
+        assert scene.rows == rows_of(scene)
+        for b in scene.bodies:
+            r = rect_at(b.pose, b.w, b.h)
+            assert b.bounds == (r.xmin, r.ymin, r.xmax, r.ymax)
+        moved_id = rng.choice(scene.bodies).id
+        moved = scene.with_pose(moved_id, lattice_pose(rng))
+        assert moved.rows == rows_of(moved)
+        assert moved.rows != scene.rows or moved.body(moved_id).pose == scene.body(moved_id).pose
+        drop = [b.id for b in scene.bodies if b.kind != KIND_ROBOT and rng.random() < 0.4]
+        assert scene.without(drop).rows == rows_of(scene.without(drop))
+        keep = rng.choice([None] + [b.id for b in scene.bodies])
+        statics = scene.statics_only(keep=keep)
+        assert statics.rows == rows_of(statics)
+        assert scene.rows == rows_of(scene)
