@@ -78,12 +78,10 @@ def _cmd_bench(args) -> int:
         print(f"{name} seed={seed}: {status} ({dt:.1f}s)", file=sys.stderr)
 
     rows = bench.run_suite(names, seeds, cfg, progress=progress)
-    text = bench.rows_to_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        bench.write_csv(rows, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(bench.rows_to_csv(rows))
     bad = sum(1 for r in rows if r.result.status != "success")
     return 0 if bad == 0 else 1
 

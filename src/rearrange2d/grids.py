@@ -1,16 +1,15 @@
 """Raster transforms over the scene: occupancy, reachability, clearance.
 
 The workspace is discretized into a fixed grid (64x64 by default).  Arrays
-are indexed [iy, ix]; cell sets use (ix, iy) tuples.  Cell values follow
-the convention: occupancy 0 = blocked, alpha_m = free, beta_m = task cell;
-reachability alpha_r = reachable, beta_r = not.
+are indexed [iy, ix]; cell sets use (ix, iy) tuples.  Cell values are the
+fixed constants below: occupancy 0 = blocked, ALPHA_M = free, BETA_M = task
+cell; reachability ALPHA_R = reachable, BETA_R = not.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -85,7 +84,7 @@ class OccupancyMatrix:
 
 @dataclass
 class ReachabilityMatrix:
-    cells: np.ndarray      # (ny, nx) float, alpha_r / beta_r
+    cells: np.ndarray      # (ny, nx) float, ALPHA_R / BETA_R
     spec: GridSpec
     degenerate: bool = False
 
@@ -110,18 +109,12 @@ def occupancy_mask(scene: Scene, spec: GridSpec, exclude=frozenset()) -> np.ndar
     return occ
 
 
-def rasterize_gom(
-    scene: Scene,
-    task_cells,
-    spec: GridSpec | None = None,
-    alpha_m: float = ALPHA_M,
-    beta_m: float = BETA_M,
-) -> OccupancyMatrix:
-    """Global occupancy: 0 on occupied cells, alpha_m free, beta_m on free task cells."""
+def rasterize_gom(scene: Scene, task_cells, spec: GridSpec | None = None) -> OccupancyMatrix:
+    """Global occupancy: 0 on occupied cells, ALPHA_M free, BETA_M on free task cells."""
     if spec is None:
         spec = GridSpec.from_scene(scene)
     occ = occupancy_mask(scene, spec)
-    cells = np.where(occ, 0.0, alpha_m)
+    cells = np.where(occ, 0.0, ALPHA_M)
     clamped = 0
     for c in task_cells:
         if not spec.in_bounds(c):
@@ -129,7 +122,7 @@ def rasterize_gom(
             continue
         ix, iy = c
         if not occ[iy, ix]:
-            cells[iy, ix] = beta_m
+            cells[iy, ix] = BETA_M
     return OccupancyMatrix(cells, spec.resolution, spec.origin, spec, clamped)
 
 
@@ -187,40 +180,23 @@ def fit_mask_parts(scene: Scene, spec: GridSpec, parts, ignore=frozenset()) -> n
     return free
 
 
-def reachability(
-    scene: Scene,
-    gom: OccupancyMatrix,
-    alpha_r: float = ALPHA_R,
-    beta_r: float = BETA_R,
-) -> ReachabilityMatrix:
+def reachability(scene: Scene, gom: OccupancyMatrix) -> ReachabilityMatrix:
     """Flood fill (4-connected) over cells where the robot footprint fits."""
     spec = gom.spec
     robot = scene.robot
     free = fit_mask(scene, spec, robot.w, robot.h)
     rc0 = spec.cell_of(robot.pose)
-    cells = np.full((spec.ny, spec.nx), beta_r)
+    cells = np.full((spec.ny, spec.nx), BETA_R)
     # the pose right after a place is flush against the object, which the
     # cell-center fit test rejects; seed from the nearest free cell
     rc = snap_to_free(free, rc0, radius=2)
     if rc is None:
-        cells[rc0[1], rc0[0]] = alpha_r
+        cells[rc0[1], rc0[0]] = ALPHA_R
         return ReachabilityMatrix(cells, spec, degenerate=True)
     labels, _ = ndimage.label(free)  # default structure is 4-connected
-    cells[labels == labels[rc[1], rc[0]]] = alpha_r
-    cells[rc0[1], rc0[0]] = alpha_r
+    cells[labels == labels[rc[1], rc[0]]] = ALPHA_R
+    cells[rc0[1], rc0[0]] = ALPHA_R
     return ReachabilityMatrix(cells, spec)
-
-
-def reachable_mask(scene: Scene, spec: GridSpec, w: float, h: float, seed: Pose2, ignore=frozenset()) -> np.ndarray:
-    """Boolean mask of cells reachable by a w x h footprint from seed (4-connected)."""
-    free = fit_mask(scene, spec, w, h, ignore)
-    sc = snap_to_free(free, spec.cell_of(seed), radius=2)
-    out = np.zeros_like(free)
-    if sc is None:
-        return out
-    labels, _ = ndimage.label(free)
-    out[labels == labels[sc[1], sc[0]]] = True
-    return out
 
 
 def edt(local: np.ndarray) -> ClearanceMap:
@@ -238,14 +214,14 @@ def edt(local: np.ndarray) -> ClearanceMap:
     return ClearanceMap(ndimage.distance_transform_edt(padded)[1:-1, 1:-1])
 
 
-def swept_cells(spec: GridSpec, parts, poses, step: float | None = None) -> list[tuple[int, int]]:
+def swept_cells(spec: GridSpec, parts, poses) -> list[tuple[int, int]]:
     """Cells covered by a multi-rect footprint swept along a polyline.
 
-    parts: (dx, dy, w, h) offsets from the reference pose.  Returns cells
+    parts: (dx, dy, w, h) offsets from the reference pose.  The footprint
+    is stamped at intervals of half the smaller cell side.  Returns cells
     ordered by first coverage along the sweep.
     """
-    if step is None:
-        step = 0.5 * min(spec.cell_w, spec.cell_h)
+    step = 0.5 * min(spec.cell_w, spec.cell_h)
     seen: dict[tuple[int, int], int] = {}
     order = 0
 
@@ -274,7 +250,6 @@ def swept_cells(spec: GridSpec, parts, poses, step: float | None = None) -> list
 
 
 NEIGH4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
-NEIGH8 = NEIGH4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def snap_to_free(free: np.ndarray, cell: tuple[int, int], radius: int = 1) -> tuple[int, int] | None:
@@ -305,59 +280,27 @@ def grid_connected(free: np.ndarray, a: tuple[int, int], b: tuple[int, int]) -> 
     return labels[a[1], a[0]] == labels[b[1], b[0]]
 
 
-def grid_path(free: np.ndarray, a, b, diag: bool = False) -> list[tuple[int, int]] | None:
-    """Shortest cell path a -> b; BFS when diag is False, Dijkstra otherwise."""
+def grid_path(free: np.ndarray, a, b) -> list[tuple[int, int]] | None:
+    """Shortest 4-connected cell path a -> b (BFS)."""
     a = snap_to_free(free, a, radius=2)
     b = snap_to_free(free, b, radius=2)
     if a is None or b is None:
         return None
     ny, nx = free.shape
     prev: dict[tuple[int, int], tuple[int, int] | None] = {a: None}
-    if not diag:
-        q = deque([a])
-        while q:
-            cur = q.popleft()
-            if cur == b:
-                break
-            for dx, dy in NEIGH4:
-                nxt = (cur[0] + dx, cur[1] + dy)
-                if 0 <= nxt[0] < nx and 0 <= nxt[1] < ny and free[nxt[1], nxt[0]] and nxt not in prev:
-                    prev[nxt] = cur
-                    q.append(nxt)
-    else:
-        dist = {a: 0.0}
-        heap = [(0.0, a)]
-        while heap:
-            d, cur = heapq.heappop(heap)
-            if cur == b:
-                break
-            if d > dist.get(cur, math.inf):
-                continue
-            for dx, dy in NEIGH8:
-                nxt = (cur[0] + dx, cur[1] + dy)
-                if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny and free[nxt[1], nxt[0]]):
-                    continue
-                if dx and dy:
-                    # no corner cutting through blocked orthogonal neighbors
-                    if not (free[cur[1], cur[0] + dx] and free[cur[1] + dy, cur[0]]):
-                        continue
-                    nd = d + math.sqrt(2.0)
-                else:
-                    nd = d + 1.0
-                if nd < dist.get(nxt, math.inf) - 1e-12:
-                    dist[nxt] = nd
-                    prev[nxt] = cur
-                    heapq.heappush(heap, (nd, nxt))
+    q = deque([a])
+    while q:
+        cur = q.popleft()
+        if cur == b:
+            break
+        for dx, dy in NEIGH4:
+            nxt = (cur[0] + dx, cur[1] + dy)
+            if 0 <= nxt[0] < nx and 0 <= nxt[1] < ny and free[nxt[1], nxt[0]] and nxt not in prev:
+                prev[nxt] = cur
+                q.append(nxt)
     if b not in prev:
         return None
     path = [b]
     while prev[path[-1]] is not None:
         path.append(prev[path[-1]])
     return path[::-1]
-
-
-def grid_path_length(spec: GridSpec, path) -> float:
-    total = 0.0
-    for c, n in zip(path, path[1:]):
-        total += math.hypot((n[0] - c[0]) * spec.cell_w, (n[1] - c[1]) * spec.cell_h)
-    return total

@@ -41,12 +41,14 @@ class TaskTrajectory:
     cells: tuple[tuple[int, int], ...]     # ordered by first contact
 
 
-def pick_task(scene: Scene, object_id: str, robot_goal: Pose2, seed: int, spec: GridSpec) -> TaskTrajectory:
+def pick_task(
+    scene: Scene, object_id: str, robot_goal: Pose2, seed: int, spec: GridSpec, max_iters: int = 5000
+) -> TaskTrajectory:
     """Route the robot would take to the grasp with every movable ignored."""
     statics = scene.statics_only()
     robot = scene.robot
     path = motion.birrt(
-        statics, (robot.w, robot.h), robot.pose, robot_goal, seed,
+        statics, (robot.w, robot.h), robot.pose, robot_goal, seed, max_iters,
         ignore=frozenset({robot.id}), spec=spec,
     )
     wps = path.waypoints if path is not None else (robot.pose, robot_goal)
@@ -179,10 +181,11 @@ def weight_objects(scene: Scene, ids) -> dict[str, float]:
     return {oid: a / top for oid, a in sorted(areas.items())}
 
 
-def decay_weight(weights: dict[str, float], oid: str, factor: float = 0.5, floor: float = 0.05) -> dict[str, float]:
+def decay_weight(weights: dict[str, float], oid: str) -> dict[str, float]:
+    """Halve oid's budget weight, down to a floor of 0.05."""
     out = dict(weights)
     if oid in out:
-        out[oid] = max(out[oid] * factor, floor)
+        out[oid] = max(out[oid] * 0.5, 0.05)
     return out
 
 
@@ -194,13 +197,12 @@ def gen_relocation_points(
     spec: GridSpec | None = None,
     clearance_min: float = 2.0,
     avoid_cells=frozenset(),
-    window_scale: float = 1.5,
-    retry_scale: float = 3.0,
 ) -> list[Pose2]:
     """Up to k collision-free parking poses near the object, widest
     clearance first.
 
-    Candidates come from a window around the object (retried larger once),
+    Candidates come from a window reaching 1.5 object sides out from the
+    object's center (retried once at 3 sides),
     must keep clearance_min cells from anything occupied, stay off the
     avoid cells and off every other goal footprint, and survive an exact
     collision check.
@@ -237,9 +239,9 @@ def gen_relocation_points(
                 found.append((-float(clearance[iy, ix]), iy, ix))
         return found
 
-    cands = window_candidates(window_scale)
+    cands = window_candidates(1.5)
     if not cands:
-        cands = window_candidates(retry_scale)
+        cands = window_candidates(3.0)
     cands.sort()
     return [spec.center((ix, iy)) for _, iy, ix in cands[:k]]
 

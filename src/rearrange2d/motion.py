@@ -19,6 +19,11 @@ from .world import Pose2, Scene, footprint_collides, inflate, segment_hits
 SIDES = ("N", "E", "S", "W")
 _SIDE_DIR = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
 
+# share of Bi-RRT samples aimed at the other tree's root
+GOAL_BIAS = 0.1
+# random shortcut tries that smooth each Bi-RRT path
+SHORTCUT_ATTEMPTS = 100
+
 
 def robot_parts(scene: Scene):
     rs = scene.robot.w
@@ -158,22 +163,21 @@ def birrt(
     max_iters: int = 5000,
     *,
     ignore=frozenset(),
-    step: float | None = None,
-    goal_bias: float = 0.1,
-    shortcut_attempts: int = 100,
     spec: GridSpec | None = None,
-    precheck: bool = True,
 ) -> Path | None:
     """Bi-directional RRT over a translating footprint, with shortcut smoothing.
 
-    Deterministic for a fixed seed.  A grid connectivity precheck rejects
-    disconnected queries quickly; if sampling exhausts max_iters while the
-    grid still shows a route, the grid path is used as a fallback so narrow
-    but feasible corridors do not read as infeasible.
+    Deterministic for a fixed seed.  The tuning is fixed: each extension
+    moves at most half the robot side, GOAL_BIAS of the samples are the
+    other tree's root, and SHORTCUT_ATTEMPTS random shortcuts smooth the
+    result.  A grid connectivity precheck on spec (built from the scene
+    when None) rejects disconnected queries quickly; if sampling exhausts
+    max_iters while the grid still shows a route, the grid path is used
+    as a fallback so narrow but feasible corridors do not read as
+    infeasible.
     """
     parts = _normalize_parts(footprint)
-    if step is None:
-        step = 0.5 * scene.robot.w
+    step = 0.5 * scene.robot.w
 
     def blocked(p: Pose2) -> bool:
         return footprint_collides(scene, parts, p, ignore)
@@ -192,13 +196,11 @@ def birrt(
     if edge_free(start, goal):
         return Path((start, goal))
 
-    free = None
-    if precheck or spec is not None:
-        if spec is None:
-            spec = GridSpec.from_scene(scene)
-        free = grids.fit_mask_parts(scene, spec, parts, ignore)
-        if precheck and not grids.grid_connected(free, spec.cell_of(start), spec.cell_of(goal)):
-            return None
+    if spec is None:
+        spec = GridSpec.from_scene(scene)
+    free = grids.fit_mask_parts(scene, spec, parts, ignore)
+    if not grids.grid_connected(free, spec.cell_of(start), spec.cell_of(goal)):
+        return None
 
     rng = random.Random(seed)
     ws = scene.workspace
@@ -242,7 +244,7 @@ def birrt(
     bridge = None  # (index in ta, index in tb)
     swapped = False
     for _ in range(max_iters):
-        if rng.random() < goal_bias:
+        if rng.random() < GOAL_BIAS:
             q = tb_nodes[0] if not swapped else ta_nodes[0]
         else:
             q = Pose2(rng.uniform(ws.xmin, ws.xmax), rng.uniform(ws.ymin, ws.ymax))
@@ -258,8 +260,6 @@ def birrt(
 
     if bridge is None:
         # sampling failed; fall back to the grid route when one exists
-        if free is None:
-            return None
         cells = grids.grid_path(free, spec.cell_of(start), spec.cell_of(goal))
         if cells is None:
             return None
@@ -290,7 +290,7 @@ def birrt(
             waypoints[-1] = goal
         waypoints[0] = start
 
-    for _ in range(shortcut_attempts):
+    for _ in range(SHORTCUT_ATTEMPTS):
         if len(waypoints) <= 2:
             break
         i = rng.randrange(0, len(waypoints) - 1)
@@ -308,9 +308,7 @@ def grasp_pose(object_pose: Pose2, side: str, ow: float, oh: float, rs: float) -
     return Pose2(object_pose.x + dx, object_pose.y + dy)
 
 
-def solve_pick_config(
-    scene: Scene, object_id: str, preferred_side: str | None = None, ignore=frozenset()
-) -> Subgoal | None:
+def solve_pick_config(scene: Scene, object_id: str, preferred_side: str | None = None) -> Subgoal | None:
     """Pick a grasp side whose flush robot pose is collision-free.
 
     Sides are tried in order of proximity to the robot's current position
@@ -326,7 +324,7 @@ def solve_pick_config(
         order = [preferred_side] + [s for s in order if s != preferred_side]
     for side in order:
         gp = grasp_pose(body.pose, side, body.w, body.h, robot.w)
-        if not footprint_collides(scene, robot_parts(scene), gp, ignore | {robot.id}):
+        if not footprint_collides(scene, robot_parts(scene), gp, frozenset({robot.id})):
             return Subgoal(body.pose, contact_point(side, body.pose, body.w, body.h), side)
     return None
 
@@ -338,8 +336,6 @@ def plan_object_path(
     seed: int,
     *,
     max_iters: int = 5000,
-    step: float | None = None,
-    shortcut_attempts: int = 100,
     spec: GridSpec | None = None,
 ) -> ObjectPath | None:
     """Plan the object footprint alone against statics (auxiliary scene)."""
@@ -355,8 +351,6 @@ def plan_object_path(
         seed,
         max_iters,
         ignore=frozenset({object_id, aux.robot.id}),
-        step=step if step is not None else 0.5 * scene.robot.w,
-        shortcut_attempts=shortcut_attempts,
         spec=spec,
     )
     if path is None:
@@ -548,11 +542,9 @@ def plan_pick_place(
     scene: Scene,
     object_id: str,
     subgoals: list[Subgoal],
-    robot_start: Pose2 | None = None,
     seed: int = 0,
     *,
     max_iters: int = 5000,
-    shortcut_attempts: int = 100,
     spec: GridSpec | None = None,
     purpose: str = "goal",
 ) -> tuple[MotionPlan, Scene]:
@@ -567,10 +559,8 @@ def plan_pick_place(
     body = scene.body(object_id)
     robot = scene.robot
     rs = robot.w
-    if robot_start is None:
-        robot_start = robot.pose
     cur_scene = scene
-    cur_robot = robot_start
+    cur_robot = robot.pose
     pairs: list[PickPlacePair] = []
 
     for k in range(1, len(subgoals)):
@@ -611,8 +601,6 @@ def plan_pick_place(
                     _mix_seed(seed, k, side, 1),
                     max_iters,
                     ignore=ignore,
-                    step=0.5 * rs,
-                    shortcut_attempts=shortcut_attempts,
                     spec=spec,
                 )
                 if free_leg is None:
@@ -627,7 +615,6 @@ def plan_pick_place(
                 _mix_seed(seed, k, side, 0),
                 max_iters,
                 ignore=frozenset({robot.id}),
-                shortcut_attempts=shortcut_attempts,
                 spec=spec,
             )
             if pick is None:

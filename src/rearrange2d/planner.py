@@ -25,24 +25,17 @@ class ConfigError(ValueError):
     pass
 
 
-_OPTIONAL_FLOATS = {"tol", "delta_min", "delta_max", "epsilon", "rrt_step"}
+_OPTIONAL_FLOATS = {"tol", "delta_min", "delta_max", "epsilon"}
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
     grid_n: int = 64
-    alpha_m: float = 1.0
-    beta_m: float = 3.0
-    alpha_r: float = 1.0
-    beta_r: float = 0.0
     kappa: float = 2.0
     delta_min: float | None = None      # default 0.5 x robot side
     delta_max: float | None = None      # default 4 x robot side
     epsilon: float | None = None        # default 0.5 x robot side
-    rrt_step: float | None = None       # default 0.5 x robot side
-    rrt_goal_bias: float = 0.1
     rrt_max_iters: int = 5000
-    rrt_shortcut_attempts: int = 100
     c0: float = 25.0
     k_max: int = 4
     beam_width: int = 5
@@ -210,8 +203,7 @@ def gen_motion_plan(
                 subgoals = motion.refine_subgoals(subgoals, cur, eps, object_id=object_id)
             plan, after = motion.plan_pick_place(
                 cur, object_id, subgoals, seed=_mix_seed(seed, "pp", object_id, guard),
-                max_iters=cfg.rrt_max_iters, shortcut_attempts=cfg.rrt_shortcut_attempts,
-                spec=spec,
+                max_iters=cfg.rrt_max_iters, spec=spec,
             )
             plans.append(plan)
             return GenPlanOutcome(True, tuple(plans), after, failures, relocation_searches, tuple(relocated))
@@ -220,7 +212,9 @@ def gen_motion_plan(
         except InfeasibleLeg as e:
             failures += 1
             if e.kind == "pick":
-                task = pick_task(cur, object_id, e.goal, _mix_seed(seed, "task", guard), spec)
+                task = pick_task(
+                    cur, object_id, e.goal, _mix_seed(seed, "task", guard), spec, cfg.rrt_max_iters,
+                )
             else:
                 task = place_task(cur, object_id, mu.waypoints, spec)
             res = search_relocations(
@@ -438,14 +432,12 @@ def serialize_result(result: PlanResult) -> dict:
     }
 
 
-def replay_plans(scene: Scene, plans, tol: float | None = None) -> tuple[list[str], Scene]:
+def replay_plans(scene: Scene, plans) -> tuple[list[str], Scene]:
     """Re-execute plans against the world model and report violations.
 
     Checks robot pose continuity across legs, the rigid grasp offset
     during transport, and exact swept collision-freedom of every leg.
     """
-    if tol is None:
-        tol = default_tolerance(scene)
     cur = scene
     robot = scene.robot
     rs = robot.w

@@ -280,17 +280,6 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
         removed.append(e)
 
 
-def to_dot(graph: DependencyGraph) -> str:
-    lines = ["digraph precedence {"]
-    for v in graph.vertices:
-        lines.append(f'  "{v}";')
-    for e in graph.edges:
-        style = "dashed" if e.strength == WEAK else "solid"
-        lines.append(f'  "{e.src}" -> "{e.dst}" [style={style}, label="{e.strength}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class CostMatrix:
     """Open-path costs: start[j] from the robot's pose to object j, and

@@ -106,10 +106,8 @@ class Body:
             self, "bounds", (x - self.w / 2.0, y - self.h / 2.0, x + self.w / 2.0, y + self.h / 2.0)
         )
 
-    def rect(self, pose: Pose2 | None = None) -> Rect:
-        if pose is None:
-            return Rect(*self.bounds)
-        return rect_at(pose, self.w, self.h)
+    def rect(self) -> Rect:
+        return Rect(*self.bounds)
 
     @property
     def area(self) -> float:

@@ -1,8 +1,12 @@
+import csv
+import io
+
 import pytest
 
-from rearrange2d import bench, render
+from rearrange2d import bench, cli, render
 from rearrange2d.bench import (
     BUILTIN_SCENES,
+    CSV_FIELDS,
     SUITES,
     BenchError,
     gen_m_block,
@@ -123,6 +127,16 @@ class TestRunSuite:
         # still produces seed-specific results
         rows = run_suite(["m_block_2"], [0, 1], PlannerConfig(seed=99))
         assert all(r.result.status == "success" for r in rows)
+
+    def test_cli_bench_to_stdout(self, capsys):
+        assert cli.main(["bench", "--suite", "four_blocks", "--seeds", "2"]) == 0
+        reader = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert tuple(next(reader)) == CSV_FIELDS
+        rows = list(reader)
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            ("four_blocks", "0", "success"),
+            ("four_blocks", "1", "success"),
+        ]
 
 
 class TestRender:

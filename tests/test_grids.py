@@ -16,11 +16,9 @@ from rearrange2d.grids import (
     fit_mask_parts,
     grid_connected,
     grid_path,
-    grid_path_length,
     occupancy_mask,
     rasterize_gom,
     reachability,
-    reachable_mask,
     snap_to_free,
     swept_cells,
 )
@@ -219,16 +217,6 @@ class TestReachability:
         # the robot's own cell is still marked reachable
         assert reach.cells[iy, ix] == ALPHA_R
 
-    def test_reachable_mask_seeded(self, walled_scene):
-        spec = GridSpec.from_scene(walled_scene)
-        m = reachable_mask(walled_scene, spec, 0.4, 0.4, Pose2(2.0, 5.0))
-        ix, iy = spec.cell_of(Pose2(8.0, 5.0))
-        assert m[iy, ix]
-        sealed = _sealed_robot_scene()
-        spec2 = GridSpec.from_scene(sealed)
-        m2 = reachable_mask(sealed, spec2, 0.4, 0.4, sealed.robot.pose)
-        assert not m2.any()
-
 
 def _brute_edt(occ):
     ny, nx = occ.shape
@@ -379,64 +367,9 @@ class TestGridPath:
         assert path is not None
         assert path[0] in {(1, 0), (0, 1)}
 
-    def test_diagonal_paths_cost_no_more_than_bfs(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            free = rng.random((10, 10)) > 0.25
-            free[0, 0] = free[9, 9] = True
-            p4 = grid_path(free, (0, 0), (9, 9))
-            p8 = grid_path(free, (0, 0), (9, 9), diag=True)
-            if p4 is None:
-                continue
-            assert p8 is not None
-            c4 = sum(math.hypot(u[0] - v[0], u[1] - v[1]) for u, v in zip(p4, p4[1:]))
-            c8 = sum(math.hypot(u[0] - v[0], u[1] - v[1]) for u, v in zip(p8, p8[1:]))
-            assert c8 <= c4 + 1e-9
-            for u, v in zip(p8, p8[1:]):
-                assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
-                assert free[v[1], v[0]]
-
-    def test_diagonal_never_cuts_blocked_corner(self):
-        free = np.array(
-            [
-                [1, 0, 1],
-                [0, 1, 1],
-                [1, 1, 1],
-            ],
-            dtype=bool,
-        )
-        # (0,0) -> (1,1) diagonally would slip between two blocked cells
-        path = grid_path(free, (0, 0), (2, 2), diag=True)
-        assert path is None or all(
-            not (
-                abs(u[0] - v[0]) == 1
-                and abs(u[1] - v[1]) == 1
-                and not (free[u[1], v[0]] and free[v[1], u[0]])
-            )
-            for u, v in zip(path, path[1:])
-        )
-        # with one orthogonal neighbor open the diagonal is allowed
-        free2 = np.array(
-            [
-                [1, 1, 1],
-                [0, 1, 1],
-                [1, 1, 1],
-            ],
-            dtype=bool,
-        )
-        path2 = grid_path(free2, (0, 0), (2, 2), diag=True)
-        assert path2 is not None
-
     def test_grid_connected(self):
         free = np.ones((6, 6), dtype=bool)
         free[:, 3] = False
         assert not grid_connected(free, (0, 0), (5, 5))
         free[0, 3] = True
         assert grid_connected(free, (0, 0), (5, 5))
-
-    def test_path_length(self, spec64):
-        cells = [(0, 0), (1, 0), (1, 1)]
-        expect = spec64.center((0, 0)).dist(spec64.center((1, 0))) + spec64.center(
-            (1, 0)
-        ).dist(spec64.center((1, 1)))
-        assert grid_path_length(spec64, cells) == pytest.approx(expect)

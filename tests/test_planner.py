@@ -1,9 +1,14 @@
 import dataclasses
+import inspect
 import json
+import re
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
-from rearrange2d import cli, scenario
+import rearrange2d
+from rearrange2d import bench, cli, motion, scenario
 from rearrange2d.grids import GridSpec
 from rearrange2d.motion import MotionPlan, Path, PickPlacePair, Subgoal
 from rearrange2d.planner import (
@@ -88,6 +93,62 @@ class TestPlannerConfig:
         f.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             PlannerConfig.from_layers(file=str(f))
+
+
+REMOVED_KEYS = (
+    "alpha_m",
+    "beta_m",
+    "alpha_r",
+    "beta_r",
+    "rrt_step",
+    "rrt_goal_bias",
+    "rrt_shortcut_attempts",
+)
+
+
+class TestConfigLiveness:
+    def test_every_field_is_read(self):
+        src = FilePath(rearrange2d.__file__).parent
+        read = set()
+        for f in src.glob("*.py"):
+            read.update(re.findall(r"\bcfg\.(\w+)", f.read_text(encoding="utf-8")))
+        names = [f.name for f in dataclasses.fields(PlannerConfig)]
+        assert len(names) == 27
+        assert [n for n in names if n not in read] == []
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, key, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            PlannerConfig().merged({key: 1})
+        with pytest.raises(ConfigError, match="unknown config key"):
+            PlannerConfig.from_layers(env={f"REARRANGE2D_{key.upper()}": "1"})
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({key: 1}))
+        with pytest.raises(ConfigError, match="unknown config key"):
+            PlannerConfig.from_layers(file=str(f), env={})
+        path = tmp_path / "scene.json"
+        scenario.save_scene(bench.make_scene("four_blocks"), path)
+        assert cli.main(["plan", str(path), "--set", f"{key}=1"]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_every_birrt_call_gets_rrt_max_iters(monkeypatch):
+    # every caller looks birrt up on the motion module at call time, so the
+    # spy sees them all; it records the calling function and max_iters
+    orig = motion.birrt
+    sig = inspect.signature(orig)
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((sys._getframe(1).f_code.co_name, bound.arguments["max_iters"]))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(motion, "birrt", spy)
+    plan_rearrangement(bench.make_scene("m_block_12", 1), PlannerConfig(seed=1, rrt_max_iters=4999))
+    assert "pick_task" in {caller for caller, _ in calls}
+    assert {iters for _, iters in calls} == {4999}
 
 
 def _toy_plan():
