@@ -10,7 +10,10 @@ be lazily upgraded from straight-line to planned path lengths.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -130,58 +133,111 @@ def build_dependency_graph(
     return DependencyGraph(unplaced, tuple(sorted(edges)), paths)
 
 
+def _ranked_pairs(graph: DependencyGraph):
+    """Vertex names in string order, each name's rank in that order, and the
+    parallel edges of each ordered pair of ranks, in graph.edges order.  A
+    pair (a, b) is keyed by its id a * n + b, so ids sort like the pairs."""
+    names = sorted(set(graph.vertices))
+    rank = {v: i for i, v in enumerate(names)}
+    n = len(names)
+    pairs: dict[int, list[Edge]] = {}
+    for e in graph.edges:
+        if e.src in rank and e.dst in rank:
+            pairs.setdefault(rank[e.src] * n + rank[e.dst], []).append(e)
+    return names, rank, pairs
+
+
+def _adjacency(n: int, pairs) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for p in sorted(pairs):
+        adj[p // n].append(p % n)
+    return adj
+
+
+def _simple_cycles(adj: list[list[int]], starts) -> Iterator[tuple[int, ...]]:
+    """Johnson's elementary-circuit search over ranked vertices; yields each
+    cycle as the ids (a * n + b) of its vertex pairs, from its start on.
+
+    From each start s, in the given order, it follows adj[v] in list order
+    and enters only vertices that rank above s, so each cycle comes out once,
+    from its lowest vertex, in the order a plain simple-path DFS reports it.
+    Blocking skips a vertex only while every path from it back to s crosses
+    the current path, i.e. only subtrees that hold no cycle through s.
+    """
+    n = len(adj)
+    for s in starts:
+        blocked = [False] * n
+        waiting: list[set[int]] = [set() for _ in range(n)]   # Johnson's B-lists
+        blocked[s] = True
+        path = [s]
+        hops: list[int] = []
+        nbrs = [iter(adj[s])]
+        found = [False]
+        while nbrs:
+            v = path[-1]
+            for w in nbrs[-1]:
+                if w == s:
+                    yield (*hops, v * n + s)
+                    found[-1] = True
+                elif w > s and not blocked[w]:
+                    blocked[w] = True
+                    path.append(w)
+                    hops.append(v * n + w)
+                    nbrs.append(iter(adj[w]))
+                    found.append(False)
+                    break
+            else:
+                nbrs.pop()
+                path.pop()
+                if path:
+                    hops.pop()
+                if found.pop():
+                    if found:
+                        found[-1] = True
+                    thaw = [v]
+                    while thaw:
+                        u = thaw.pop()
+                        if blocked[u]:
+                            blocked[u] = False
+                            thaw.extend(waiting[u])
+                            waiting[u].clear()
+                else:
+                    for w in adj[v]:
+                        waiting[w].add(v)
+
+
+def _first_cycles(adj, starts, cap: int) -> tuple[list[tuple[int, ...]], bool]:
+    """The cycles of _simple_cycles up to the cap-th (the first, for cap <= 0)
+    and whether that cut the list."""
+    limit = max(cap, 1)
+    cycles = list(islice(_simple_cycles(adj, starts), limit))
+    return cycles, len(cycles) == limit
+
+
 def enumerate_cycles(graph: DependencyGraph, cap: int = 10000) -> CycleLedger:
     """All simple directed cycles, each reported once with its smallest
     vertex first.  Parallel edges between the same ordered pair collapse
-    for enumeration but are all attached to the reported cycle."""
-    pair_edges: dict[tuple[str, str], list[Edge]] = {}
-    for e in graph.edges:
-        pair_edges.setdefault((e.src, e.dst), []).append(e)
-    adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for (s, d) in sorted(pair_edges):
-        if s in adj and d in adj:
-            adj[s].append(d)
+    for enumeration but are all attached to the reported cycle.
 
-    cycles: list[Cycle] = []
-    truncated = False
-
-    def attach(path: tuple[str, ...]) -> Cycle:
-        es: list[Edge] = []
-        for k in range(len(path)):
-            es.extend(pair_edges[(path[k], path[(k + 1) % len(path)])])
-        return Cycle(path, tuple(es))
-
-    for s in graph.vertices:
-        if truncated:
-            break
-        stack = [(s, iter(adj[s]))]
-        onpath = {s}
-        path = [s]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == s:
-                    cycles.append(attach(tuple(path)))
-                    if len(cycles) >= cap:
-                        truncated = True
-                        stack = []
-                        advanced = True
-                        break
-                    continue
-                if w <= s or w in onpath:
-                    continue
-                stack.append((w, iter(adj[w])))
-                onpath.add(w)
-                path.append(w)
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                onpath.discard(v)
-                if path:
-                    path.pop()
-    return CycleLedger(tuple(cycles), truncated)
+    Order contract: starts run in graph.vertices order; from each vertex
+    the search tries its successors in sorted (src, dst) order; a start s
+    only visits vertices that sort above it, so a cycle is found from its
+    smallest vertex.  Enumeration stops at the cap-th cycle of this call
+    (truncated is then set, even when no cycle was left; cap <= 0 stops
+    at the first).
+    """
+    names, rank, pairs = _ranked_pairs(graph)
+    n = len(names)
+    cycles, truncated = _first_cycles(
+        _adjacency(n, pairs), [rank[v] for v in graph.vertices], cap
+    )
+    return CycleLedger(
+        tuple(
+            Cycle(tuple(names[p // n] for p in c), tuple(e for p in c for e in pairs[p]))
+            for c in cycles
+        ),
+        truncated,
+    )
 
 
 def topo_order(vertices, edges) -> list[str] | None:
@@ -211,29 +267,60 @@ def topo_order(vertices, edges) -> list[str] | None:
 class BreakResult:
     graph: DependencyGraph
     removed: tuple[Edge, ...]
-    ledgers: tuple[CycleLedger, ...]
 
 
 def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False) -> BreakResult:
     """Delete edges until acyclic, most-contested first.
 
-    Normally cycle frequencies are recomputed after each removal; greedy
-    mode keeps the frequencies from the first enumeration (cheaper, can
-    remove more edges than needed).  Ties prefer weak edges, then sources
-    shedding the least net out-degree, then lexicographic order.
-    """
-    cur = graph
-    removed: list[Edge] = []
-    ledgers: list[CycleLedger] = []
+    An edge's frequency is the number of enumerated cycles through its
+    ordered vertex pair.  Cycles come in enumerate_cycles' order (starts in
+    graph.vertices order, successors in sorted (src, dst) order, a start
+    only visiting vertices that sort above it), and cap applies to each
+    enumeration on its own.  Normally frequencies are recomputed after each
+    removal; greedy mode keeps the frequencies from the first enumeration
+    (cheaper, can remove more edges than needed).  Ties prefer weak edges,
+    then sources shedding the least net out-degree, then lexicographic
+    order.
 
-    def pick(freq: dict[Edge, int], edges) -> Edge:
-        out_deg: dict[str, int] = {}
-        in_deg: dict[str, int] = {}
-        for e in edges:
-            out_deg[e.src] = out_deg.get(e.src, 0) + 1
-            in_deg[e.dst] = in_deg.get(e.dst, 0) + 1
+    Recomputing does not always mean enumerating again.  Removing an edge
+    whose pair keeps a parallel twin leaves every cycle in place; only that
+    edge's own frequency goes.  Removing a pair's last edge leaves exactly
+    the cycles that avoid the pair, so after an untruncated enumeration
+    those are subtracted from the list and the list stays complete.  After
+    a truncated one the smaller graph's first cap cycles include cycles
+    beyond the old cut, which no list holds, so the live graph is
+    enumerated again.
+    """
+    names, rank, live = _ranked_pairs(graph)
+    n = len(names)
+    starts = [rank[v] for v in graph.vertices]
+    out_deg: dict[str, int] = {}
+    in_deg: dict[str, int] = {}
+    for e in graph.edges:
+        out_deg[e.src] = out_deg.get(e.src, 0) + 1
+        in_deg[e.dst] = in_deg.get(e.dst, 0) + 1
+    removed: list[Edge] = []
+    cycles: list[tuple[int, ...]] = []   # vertex pair ids of each cycle
+    count: Counter[int] = Counter()       # cycles through each pair id
+
+    def enumerate_live() -> bool:
+        found, truncated = _first_cycles(_adjacency(n, live), starts, cap)
+        cycles[:] = found
+        count.clear()
+        count.update(chain.from_iterable(found))
+        return truncated
+
+    def frequencies() -> dict[Edge, int]:
+        freq: dict[Edge, int] = {}
+        for p, k in count.items():
+            if k:
+                for e in live[p]:
+                    freq[e] = freq.get(e, 0) + k
+        return freq
+
+    def pick(freq: dict[Edge, int]) -> Edge:
         return min(
-            (e for e in freq),
+            freq,
             key=lambda e: (
                 -freq[e],
                 0 if e.strength == WEAK else 1,
@@ -242,42 +329,50 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
             ),
         )
 
-    if greedy:
-        ledger = enumerate_cycles(cur, cap)
-        ledgers.append(ledger)
-        freq: dict[Edge, int] = {}
-        for c in ledger.cycles:
-            for e in c.edges:
-                freq[e] = freq.get(e, 0) + 1
-        while topo_order(cur.vertices, cur.edges) is None:
-            live = {e: f for e, f in freq.items() if e in cur.edges}
-            if not live:
-                # stale frequencies exhausted (truncation); fall back
-                rest = break_cycles(cur, cap, greedy=False)
-                return BreakResult(
-                    rest.graph,
-                    tuple(removed) + rest.removed,
-                    tuple(ledgers) + rest.ledgers,
-                )
-            e = pick(live, cur.edges)
-            cur = cur.without_edge(e)
-            removed.append(e)
-        return BreakResult(cur, tuple(removed), tuple(ledgers))
-
-    while True:
-        ledger = enumerate_cycles(cur, cap)
-        ledgers.append(ledger)
-        if not ledger.cycles:
-            if topo_order(cur.vertices, cur.edges) is None:
-                raise RuntimeError("cycle enumeration missed a cycle")
-            return BreakResult(cur, tuple(removed), tuple(ledgers))
-        freq = {}
-        for c in ledger.cycles:
-            for e in c.edges:
-                freq[e] = freq.get(e, 0) + 1
-        e = pick(freq, cur.edges)
-        cur = cur.without_edge(e)
+    def remove(e: Edge) -> int | None:
+        """Drop every copy of e; its pair id if that left the pair empty."""
+        p = rank[e.src] * n + rank[e.dst]
+        rest = [x for x in live[p] if x != e]
+        copies = len(live[p]) - len(rest)
+        out_deg[e.src] -= copies
+        in_deg[e.dst] -= copies
         removed.append(e)
+        if rest:
+            live[p] = rest
+            return None
+        del live[p]
+        return p
+
+    def kept() -> tuple[Edge, ...]:
+        dropped = set(removed)
+        return tuple(x for x in graph.edges if x not in dropped)
+
+    truncated = enumerate_live()
+    if greedy:
+        freq = frequencies()
+        while topo_order(graph.vertices, kept()) is None:
+            stale = {e: f for e, f in freq.items() if e not in removed}
+            if not stale:
+                # stale frequencies exhausted (truncation); fall back
+                truncated = enumerate_live()
+                break
+            remove(pick(stale))
+        else:
+            return BreakResult(DependencyGraph(graph.vertices, kept(), graph.paths), tuple(removed))
+
+    while cycles:
+        p = remove(pick(frequencies()))
+        if p is None:
+            continue   # a parallel twin keeps the pair and every cycle
+        if truncated:
+            truncated = enumerate_live()
+            continue
+        count.subtract(Counter(chain.from_iterable(h for h in cycles if p in h)))
+        cycles[:] = [h for h in cycles if p not in h]
+    edges = kept()
+    if topo_order(graph.vertices, edges) is None:
+        raise RuntimeError("cycle enumeration missed a cycle")
+    return BreakResult(DependencyGraph(graph.vertices, edges, graph.paths), tuple(removed))
 
 
 @dataclass

@@ -29,7 +29,7 @@ from rearrange2d.sequencer import (
     solve_patsp,
     topo_order,
 )
-from rearrange2d.world import Pose2, default_tolerance, verify_placements
+from rearrange2d.world import default_tolerance, verify_placements
 
 DESK_SUITE = bench.SUITES["desk"]
 SEEDS = range(10)

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from rearrange2d import bench, cli, render
+from rearrange2d import cli, render
 from rearrange2d.bench import (
     BUILTIN_SCENES,
     CSV_FIELDS,

@@ -1,0 +1,285 @@
+"""Exact agreement of the cycle enumerator and cycle breaking with a reference.
+
+The reference functions below are the plain simple-path DFS and the
+rebuild-everything removal loop that the ranked Johnson enumerator and the
+counting ``break_cycles`` replaced.  Both must agree *exactly*: the same
+cycles in the same order (so ``cap`` cuts at the same cycle), the same
+``truncated`` flag, the same removed edges in the same order and the same
+remaining graph, because the removed edges decide the precedence every
+placement sequence honours.
+"""
+
+import random
+from dataclasses import dataclass
+
+import pytest
+
+from rearrange2d import sequencer
+from rearrange2d.sequencer import (
+    STRONG,
+    WEAK,
+    Cycle,
+    CycleLedger,
+    DependencyGraph,
+    Edge,
+    break_cycles,
+    enumerate_cycles,
+    topo_order,
+)
+
+# -- reference --------------------------------------------------------------
+
+
+def ref_enumerate_cycles(graph: DependencyGraph, cap: int = 10000) -> CycleLedger:
+    """All simple directed cycles, each reported once with its smallest
+    vertex first.  Parallel edges between the same ordered pair collapse
+    for enumeration but are all attached to the reported cycle."""
+    pair_edges: dict[tuple[str, str], list[Edge]] = {}
+    for e in graph.edges:
+        pair_edges.setdefault((e.src, e.dst), []).append(e)
+    adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for (s, d) in sorted(pair_edges):
+        if s in adj and d in adj:
+            adj[s].append(d)
+
+    cycles: list[Cycle] = []
+    truncated = False
+
+    def attach(path: tuple[str, ...]) -> Cycle:
+        es: list[Edge] = []
+        for k in range(len(path)):
+            es.extend(pair_edges[(path[k], path[(k + 1) % len(path)])])
+        return Cycle(path, tuple(es))
+
+    for s in graph.vertices:
+        if truncated:
+            break
+        stack = [(s, iter(adj[s]))]
+        onpath = {s}
+        path = [s]
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w == s:
+                    cycles.append(attach(tuple(path)))
+                    if len(cycles) >= cap:
+                        truncated = True
+                        stack = []
+                        advanced = True
+                        break
+                    continue
+                if w <= s or w in onpath:
+                    continue
+                stack.append((w, iter(adj[w])))
+                onpath.add(w)
+                path.append(w)
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+                onpath.discard(v)
+                if path:
+                    path.pop()
+    return CycleLedger(tuple(cycles), truncated)
+
+
+@dataclass(frozen=True)
+class RefBreakResult:
+    graph: DependencyGraph
+    removed: tuple[Edge, ...]
+    ledgers: tuple[CycleLedger, ...]
+
+
+def ref_break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False) -> RefBreakResult:
+    """Delete edges until acyclic, most-contested first.
+
+    Normally cycle frequencies are recomputed after each removal; greedy
+    mode keeps the frequencies from the first enumeration (cheaper, can
+    remove more edges than needed).  Ties prefer weak edges, then sources
+    shedding the least net out-degree, then lexicographic order.
+    """
+    cur = graph
+    removed: list[Edge] = []
+    ledgers: list[CycleLedger] = []
+
+    def pick(freq: dict[Edge, int], edges) -> Edge:
+        out_deg: dict[str, int] = {}
+        in_deg: dict[str, int] = {}
+        for e in edges:
+            out_deg[e.src] = out_deg.get(e.src, 0) + 1
+            in_deg[e.dst] = in_deg.get(e.dst, 0) + 1
+        return min(
+            (e for e in freq),
+            key=lambda e: (
+                -freq[e],
+                0 if e.strength == WEAK else 1,
+                out_deg.get(e.src, 0) - in_deg.get(e.src, 0),
+                e,
+            ),
+        )
+
+    if greedy:
+        ledger = ref_enumerate_cycles(cur, cap)
+        ledgers.append(ledger)
+        freq: dict[Edge, int] = {}
+        for c in ledger.cycles:
+            for e in c.edges:
+                freq[e] = freq.get(e, 0) + 1
+        while topo_order(cur.vertices, cur.edges) is None:
+            live = {e: f for e, f in freq.items() if e in cur.edges}
+            if not live:
+                # stale frequencies exhausted (truncation); fall back
+                rest = ref_break_cycles(cur, cap, greedy=False)
+                return RefBreakResult(
+                    rest.graph,
+                    tuple(removed) + rest.removed,
+                    tuple(ledgers) + rest.ledgers,
+                )
+            e = pick(live, cur.edges)
+            cur = cur.without_edge(e)
+            removed.append(e)
+        return RefBreakResult(cur, tuple(removed), tuple(ledgers))
+
+    while True:
+        ledger = ref_enumerate_cycles(cur, cap)
+        ledgers.append(ledger)
+        if not ledger.cycles:
+            if topo_order(cur.vertices, cur.edges) is None:
+                raise RuntimeError("cycle enumeration missed a cycle")
+            return RefBreakResult(cur, tuple(removed), tuple(ledgers))
+        freq = {}
+        for c in ledger.cycles:
+            for e in c.edges:
+                freq[e] = freq.get(e, 0) + 1
+        e = pick(freq, cur.edges)
+        cur = cur.without_edge(e)
+        removed.append(e)
+
+
+# -- inputs -----------------------------------------------------------------
+
+CAPS = (3, 10, 50, 10000)
+
+
+def random_digraph(rng: random.Random) -> DependencyGraph:
+    """2-9 vertices named so string order differs from numeric order, given
+    in shuffled order; weak, strong and parallel weak+strong edges, edges
+    listed in a shuffled order."""
+    n = rng.randint(2, 9)
+    verts = [f"o{i}" for i in rng.sample(range(1, 16), n)]
+    rng.shuffle(verts)
+    p = rng.choice((0.15, 0.25, 0.35, 0.5))
+    edges = []
+    for a in verts:
+        for b in verts:
+            if a == b or rng.random() >= p:
+                continue
+            r = rng.random()
+            if r < 0.2:
+                edges += [Edge(a, b, WEAK), Edge(a, b, STRONG)]
+            else:
+                edges.append(Edge(a, b, WEAK if r < 0.6 else STRONG))
+    if rng.random() < 0.5:
+        edges.sort()
+    else:
+        rng.shuffle(edges)
+    return DependencyGraph(tuple(verts), tuple(edges))
+
+
+def complete_digraph(n: int) -> DependencyGraph:
+    verts = tuple(f"v{i}" for i in range(n))
+    return DependencyGraph(verts, tuple(Edge(a, b, WEAK) for a in verts for b in verts if a != b))
+
+
+# -- agreement --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_enumeration_agrees_exactly(seed):
+    rng = random.Random(7100 + seed)
+    for _ in range(60):
+        g = random_digraph(rng)
+        for cap in CAPS:
+            got = enumerate_cycles(g, cap)
+            want = ref_enumerate_cycles(g, cap)
+            assert got.truncated == want.truncated
+            assert got.cycles == want.cycles   # vertices and attached edges, in order
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_break_cycles_agrees_exactly(seed, greedy):
+    rng = random.Random(7300 + seed)
+    for _ in range(40):
+        g = random_digraph(rng)
+        for cap in CAPS:
+            got = break_cycles(g, cap, greedy=greedy)
+            want = ref_break_cycles(g, cap, greedy=greedy)
+            assert got.removed == want.removed
+            assert got.graph.edges == want.graph.edges
+            assert got.graph.vertices == g.vertices
+
+
+def test_dense_graphs_agree_under_truncation():
+    # complete digraphs hold far more cycles than the caps, so every cap cuts
+    # the list and the cut must fall on the same cycle
+    for n in (5, 6, 7):
+        g = complete_digraph(n)
+        for cap in (3, 10, 50, 400):
+            assert enumerate_cycles(g, cap) == ref_enumerate_cycles(g, cap)
+            for greedy in (False, True):
+                got = break_cycles(g, cap, greedy=greedy)
+                want = ref_break_cycles(g, cap, greedy=greedy)
+                assert (got.removed, got.graph.edges) == (want.removed, want.graph.edges)
+
+
+# -- enumeration count ------------------------------------------------------
+
+
+def _count_enumerations(monkeypatch) -> list[int]:
+    calls = [0]
+    inner = sequencer._simple_cycles
+
+    def spy(adj, starts):
+        calls[0] += 1
+        return inner(adj, starts)
+
+    monkeypatch.setattr(sequencer, "_simple_cycles", spy)
+    return calls
+
+
+def test_complete_enumeration_is_never_repeated(monkeypatch):
+    g = complete_digraph(5)   # 84 cycles
+    want = ref_break_cycles(g)
+    assert len(want.removed) >= 4 and not want.ledgers[0].truncated
+    calls = _count_enumerations(monkeypatch)
+    got = break_cycles(g)
+    assert calls[0] == 1
+    assert got.removed == want.removed
+
+
+def test_truncated_enumeration_is_repeated(monkeypatch):
+    g = complete_digraph(5)
+    want = ref_break_cycles(g, cap=10)
+    assert want.ledgers[0].truncated
+    calls = _count_enumerations(monkeypatch)
+    got = break_cycles(g, cap=10)
+    assert calls[0] > 1
+    assert got.removed == want.removed
+
+
+def test_parallel_twin_removal_keeps_the_cycles(monkeypatch):
+    # removing one of two parallel edges leaves the pair, so even a truncated
+    # list stays valid and is not enumerated again
+    verts = ("a", "b", "c")
+    g = DependencyGraph(verts, (
+        Edge("a", "b", STRONG), Edge("a", "b", WEAK),
+        Edge("b", "a", STRONG), Edge("b", "c", STRONG), Edge("c", "a", STRONG),
+    ))
+    want = ref_break_cycles(g, cap=1)
+    calls = _count_enumerations(monkeypatch)
+    got = break_cycles(g, cap=1)
+    assert got.removed == want.removed
+    assert got.removed[0] == Edge("a", "b", WEAK)
+    assert calls[0] == len(want.ledgers) - 1

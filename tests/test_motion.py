@@ -1,11 +1,7 @@
-import math
-
 import pytest
 
 from rearrange2d import motion
-from rearrange2d.grids import GridSpec
 from rearrange2d.motion import (
-    SIDES,
     InfeasibleLeg,
     ObjectPath,
     Path,

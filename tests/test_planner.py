@@ -9,11 +9,9 @@ import pytest
 
 import rearrange2d
 from rearrange2d import bench, cli, motion, scenario
-from rearrange2d.grids import GridSpec
 from rearrange2d.motion import MotionPlan, Path, PickPlacePair, Subgoal
 from rearrange2d.planner import (
     ConfigError,
-    Metrics,
     PlannerConfig,
     count_metrics,
     gen_motion_plan,

@@ -1,10 +1,8 @@
-import math
-
 import pytest
 
 from rearrange2d import guided_search as gs
 from rearrange2d.grids import GridSpec, rasterize_gom, reachability
-from rearrange2d.world import Pose2, Rect, collides, rect_at, rects_overlap
+from rearrange2d.world import Pose2, collides, rect_at, rects_overlap
 
 from conftest import goal_obj, obstacle, robot, scene, wall
 

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,11 +7,9 @@ from rearrange2d.world import (
     KIND_GOAL,
     KIND_OBSTACLE,
     KIND_ROBOT,
-    KIND_WALL,
     Body,
     Pose2,
     Rect,
-    Scene,
     SceneError,
     collides,
     default_tolerance,
@@ -23,7 +20,7 @@ from rearrange2d.world import (
     verify_placements,
 )
 
-from conftest import goal_obj, obstacle, robot, scene, wall
+from conftest import goal_obj, obstacle, robot, scene
 
 
 def test_pose_dist():
