@@ -4,17 +4,35 @@ The workspace is discretized into a fixed grid (64x64 by default).  Arrays
 are indexed [iy, ix]; cell sets use (ix, iy) tuples.  Cell values are the
 fixed constants below: occupancy 0 = blocked, ALPHA_M = free, BETA_M = task
 cell; reachability ALPHA_R = reachable, BETA_R = not.
+
+Memo.  Each GridSpec carries a memo (``GridSpec.memo``, excluded from
+comparison and hashing) that holds the rasters computed on it, so a raster
+is built once per spec.  ``plan_rearrangement`` builds one spec per call,
+so an entry lives exactly as long as that call; the memo is never shared
+between specs and never module-global.  Entries are keyed by the inputs
+the computation reads, never by a Scene or an object's identity:
+
+- a part's fit mask (``_part_fit``) by the workspace, the part
+  ``(dx, dy, w, h)`` and the bounds of every body that is neither the
+  robot nor ignored; ``fit_mask_parts``' combined mask by the same with
+  all parts;
+- component labels by the mask's shape, dtype and bytes;
+- ``swept_cells`` by the parts and the poses;
+- ``static_clearance`` by the wall bounds alone.
+
+Cached arrays are read-only (writing to one raises); cached cell lists are
+handed out as fresh lists.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .world import EPS, Pose2, Rect, Scene, KIND_ROBOT
+from .world import EPS, Pose2, Rect, Scene, KIND_ROBOT, KIND_WALL
 
 ALPHA_M = 1.0
 BETA_M = 3.0
@@ -31,6 +49,8 @@ class GridSpec:
     ny: int
     cell_w: float
     cell_h: float
+    # rasters computed on this spec, keyed by their inputs (module docstring)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_scene(cls, scene: Scene, n: int = DEFAULT_GRID_N) -> "GridSpec":
@@ -126,10 +146,27 @@ def rasterize_gom(scene: Scene, task_cells, spec: GridSpec | None = None) -> Occ
     return OccupancyMatrix(cells, spec.resolution, spec.origin, spec, clamped)
 
 
-def _part_fit(scene: Scene, spec: GridSpec, dx: float, dy: float, w: float, h: float, ignore) -> np.ndarray:
+def _memoized(memo: dict, key, build, *args):
+    """memo[key], computed by build(*args) on a miss; arrays are stored read-only."""
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    val = build(*args)
+    if isinstance(val, np.ndarray):
+        val.flags.writeable = False
+    memo[key] = val
+    return val
+
+
+def _obstacle_bounds(scene: Scene, ignore) -> tuple:
+    """Bounds of the bodies a fit mask is tested against: all but the robot and ignore."""
+    return tuple(b.bounds for b in scene.bodies if b.kind != KIND_ROBOT and b.id not in ignore)
+
+
+def _part_mask(spec: GridSpec, ws: Rect, obstacles, dx: float, dy: float, w: float, h: float) -> np.ndarray:
     """Reference cells whose center puts one offset part collision-free."""
     free = np.zeros((spec.ny, spec.nx), dtype=bool)
-    ws = scene.workspace
     # reference centers keeping the part inside the workspace
     x0 = ws.xmin + w / 2.0 - dx - EPS
     x1 = ws.xmax - w / 2.0 - dx + EPS
@@ -144,15 +181,12 @@ def _part_fit(scene: Scene, spec: GridSpec, dx: float, dy: float, w: float, h: f
     if ix0 > ix1 or iy0 > iy1:
         return free
     free[iy0 : iy1 + 1, ix0 : ix1 + 1] = True
-    for b in scene.bodies:
-        if b.kind == KIND_ROBOT or b.id in ignore:
-            continue
-        r = b.rect()
+    for xmin, ymin, xmax, ymax in obstacles:
         # colliding reference centers: open interval inflated by half-extents
-        bx0 = int(math.floor((r.xmin - w / 2.0 - dx - spec.origin.x) / spec.cell_w - 0.5 + 1e-9)) + 1
-        bx1 = int(math.ceil((r.xmax + w / 2.0 - dx - spec.origin.x) / spec.cell_w - 0.5 - 1e-9)) - 1
-        by0 = int(math.floor((r.ymin - h / 2.0 - dy - spec.origin.y) / spec.cell_h - 0.5 + 1e-9)) + 1
-        by1 = int(math.ceil((r.ymax + h / 2.0 - dy - spec.origin.y) / spec.cell_h - 0.5 - 1e-9)) - 1
+        bx0 = int(math.floor((xmin - w / 2.0 - dx - spec.origin.x) / spec.cell_w - 0.5 + 1e-9)) + 1
+        bx1 = int(math.ceil((xmax + w / 2.0 - dx - spec.origin.x) / spec.cell_w - 0.5 - 1e-9)) - 1
+        by0 = int(math.floor((ymin - h / 2.0 - dy - spec.origin.y) / spec.cell_h - 0.5 + 1e-9)) + 1
+        by1 = int(math.ceil((ymax + h / 2.0 - dy - spec.origin.y) / spec.cell_h - 0.5 - 1e-9)) - 1
         bx0, bx1 = max(bx0, 0), min(bx1, spec.nx - 1)
         by0, by1 = max(by0, 0), min(by1, spec.ny - 1)
         if bx0 <= bx1 and by0 <= by1:
@@ -160,24 +194,36 @@ def _part_fit(scene: Scene, spec: GridSpec, dx: float, dy: float, w: float, h: f
     return free
 
 
+def _part_fit(spec: GridSpec, ws: Rect, obstacles, part) -> np.ndarray:
+    """_part_mask through the spec's memo; part is (dx, dy, w, h)."""
+    return _memoized(spec.memo, ("part", ws, part, obstacles), _part_mask, spec, ws, obstacles, *part)
+
+
 def fit_mask(scene: Scene, spec: GridSpec, w: float, h: float, ignore=frozenset()) -> np.ndarray:
     """Cells whose center admits a w x h footprint collision-free.
 
     Exact interval geometry against body rectangles (not a rasterized
     dilation), so narrow passages keep their true sub-cell width.
+    Read-only, shared through the spec's memo.
     """
-    return _part_fit(scene, spec, 0.0, 0.0, w, h, ignore)
+    return _part_fit(spec, scene.workspace, _obstacle_bounds(scene, ignore), (0.0, 0.0, w, h))
 
 
 def fit_mask_parts(scene: Scene, spec: GridSpec, parts, ignore=frozenset()) -> np.ndarray:
     """fit_mask for a multi-rect footprint: all parts must fit at once."""
-    free = None
-    for dx, dy, w, h in parts:
-        m = _part_fit(scene, spec, dx, dy, w, h, ignore)
-        free = m if free is None else (free & m)
-    if free is None:
+    parts = tuple(map(tuple, parts))
+    if not parts:
         raise ValueError("empty footprint")
-    return free
+    ws = scene.workspace
+    obstacles = _obstacle_bounds(scene, ignore)
+
+    def combine():
+        free = _part_fit(spec, ws, obstacles, parts[0])
+        for part in parts[1:]:
+            free = free & _part_fit(spec, ws, obstacles, part)
+        return free
+
+    return _memoized(spec.memo, ("parts", ws, parts, obstacles), combine)
 
 
 def reachability(scene: Scene, gom: OccupancyMatrix) -> ReachabilityMatrix:
@@ -193,7 +239,7 @@ def reachability(scene: Scene, gom: OccupancyMatrix) -> ReachabilityMatrix:
     if rc is None:
         cells[rc0[1], rc0[0]] = ALPHA_R
         return ReachabilityMatrix(cells, spec, degenerate=True)
-    labels, _ = ndimage.label(free)  # default structure is 4-connected
+    labels = component_labels(free, spec)
     cells[labels == labels[rc[1], rc[0]]] = ALPHA_R
     cells[rc0[1], rc0[0]] = ALPHA_R
     return ReachabilityMatrix(cells, spec)
@@ -214,13 +260,32 @@ def edt(local: np.ndarray) -> ClearanceMap:
     return ClearanceMap(ndimage.distance_transform_edt(padded)[1:-1, 1:-1])
 
 
+def static_clearance(scene: Scene, spec: GridSpec) -> np.ndarray:
+    """Distance (workspace units) from each cell to the nearest wall cell.
+
+    Read-only, shared through the spec's memo by wall bounds.
+    """
+    walls = tuple(b.bounds for b in scene.bodies if b.kind == KIND_WALL)
+    return _memoized(
+        spec.memo, ("clearance", walls),
+        lambda: edt(occupancy_mask(scene.statics_only(), spec)).cells * spec.resolution,
+    )
+
+
 def swept_cells(spec: GridSpec, parts, poses) -> list[tuple[int, int]]:
     """Cells covered by a multi-rect footprint swept along a polyline.
 
     parts: (dx, dy, w, h) offsets from the reference pose.  The footprint
     is stamped at intervals of half the smaller cell side.  Returns cells
-    ordered by first coverage along the sweep.
+    ordered by first coverage along the sweep, as a fresh list of the
+    spec's memoized cells.
     """
+    parts = tuple(map(tuple, parts))
+    pts = tuple(poses)
+    return list(_memoized(spec.memo, ("swept", parts, pts), _swept_cells, spec, parts, pts))
+
+
+def _swept_cells(spec: GridSpec, parts, pts) -> tuple[tuple[int, int], ...]:
     step = 0.5 * min(spec.cell_w, spec.cell_h)
     seen: dict[tuple[int, int], int] = {}
     order = 0
@@ -236,9 +301,8 @@ def swept_cells(spec: GridSpec, parts, poses) -> list[tuple[int, int]]:
                         seen[(ix, iy)] = order
                         order += 1
 
-    pts = list(poses)
     if not pts:
-        return []
+        return ()
     stamp(pts[0])
     for a, b in zip(pts, pts[1:]):
         d = a.dist(b)
@@ -246,7 +310,7 @@ def swept_cells(spec: GridSpec, parts, poses) -> list[tuple[int, int]]:
         for k in range(1, n + 1):
             t = k / n
             stamp(Pose2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t))
-    return sorted(seen, key=seen.get)
+    return tuple(sorted(seen, key=seen.get))
 
 
 NEIGH4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -270,13 +334,27 @@ def snap_to_free(free: np.ndarray, cell: tuple[int, int], radius: int = 1) -> tu
     return best
 
 
-def grid_connected(free: np.ndarray, a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """4-connected reachability between two cells over the free mask."""
+def component_labels(free: np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
+    """4-connected component labels of the free mask (0 on blocked cells).
+
+    Read-only, shared through spec's memo by the mask's content when spec
+    is given.
+    """
+    memo = spec.memo if spec is not None else {}
+    # ndimage.label's default structure is 4-connected
+    return _memoized(memo, ("labels", free.shape, free.dtype.str, free.tobytes()), lambda: ndimage.label(free)[0])
+
+
+def grid_connected(
+    free: np.ndarray, a: tuple[int, int], b: tuple[int, int], spec: GridSpec | None = None
+) -> bool:
+    """4-connected reachability between two cells over the free mask;
+    spec, when given, lends its memo to the component labels."""
     a = snap_to_free(free, a, radius=2)
     b = snap_to_free(free, b, radius=2)
     if a is None or b is None:
         return False
-    labels, _ = ndimage.label(free)
+    labels = component_labels(free, spec)
     return labels[a[1], a[0]] == labels[b[1], b[0]]
 
 

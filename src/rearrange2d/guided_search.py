@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 
 from . import grids, motion
@@ -110,7 +111,7 @@ def task_feasible(scene: Scene, task: TaskTrajectory, removed=frozenset(), spec:
     robot = test.robot
     if task.kind == "pick":
         free = grids.fit_mask(test, spec, robot.w, robot.h, frozenset({robot.id}))
-        return grids.grid_connected(free, spec.cell_of(robot.pose), spec.cell_of(task.waypoints[-1]))
+        return grids.grid_connected(free, spec.cell_of(robot.pose), spec.cell_of(task.waypoints[-1]), spec)
     body = test.body(task.object_id)
     ignore = frozenset({task.object_id, robot.id})
     rs = robot.w
@@ -124,7 +125,7 @@ def task_feasible(scene: Scene, task: TaskTrajectory, removed=frozenset(), spec:
         if k == 0:
             gp = grasp_pose(a, side, body.w, body.h, rs)
             free = grids.fit_mask(test, spec, rs, rs, frozenset({robot.id, task.object_id}))
-            if not grids.grid_connected(free, spec.cell_of(robot.pose), spec.cell_of(gp)):
+            if not grids.grid_connected(free, spec.cell_of(robot.pose), spec.cell_of(gp), spec):
                 return False
         prev_side = side
     return True
@@ -334,11 +335,14 @@ def search_relocations(
     cardinality_cap: int = 4,
     literal_exploration: bool = False,
     rrt_max_iters: int = 5000,
+    deadline: float | None = None,
 ) -> RelocationSearchResult:
     """Beam search over relocations until the task becomes feasible.
 
     skip_count selects which minimal critical subset seeds the search, so
     successive calls after outer-loop failures try different blockers.
+    Once time.monotonic() passes deadline, no further iteration starts and
+    the search fails with reason "timeout".
     """
     if spec is None:
         spec = GridSpec.from_scene(scene)
@@ -375,12 +379,16 @@ def search_relocations(
         b = s.body(oid)
         for side in SIDES:
             gp = grasp_pose(b.pose, side, b.w, b.h, robot.w)
-            if grids.grid_connected(free, rc, spec.cell_of(gp)):
+            if grids.grid_connected(free, rc, spec.cell_of(gp), spec):
                 return True
         return False
 
+    reason, iterations = "iteration limit", iteration_limit
     for it in range(1, iteration_limit + 1):
         if not open_ids:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            reason, iterations = "timeout", it - 1
             break
         nid = max(
             open_ids,
@@ -459,7 +467,7 @@ def search_relocations(
                     trace["expanded"].append({"iteration": it, "object": extra, "counts": dict(counts)})
                 stall = 0
 
-    trace["iterations"] = iteration_limit
+    trace["iterations"] = iterations
     trace["nodes"] = len(nodes)
     trace["final_crit"] = list(crit)
-    return RelocationSearchResult(False, scene, (), tuple(crit), iteration_limit, failed, trace, reason="iteration limit")
+    return RelocationSearchResult(False, scene, (), tuple(crit), iterations, failed, trace, reason=reason)

@@ -199,7 +199,7 @@ def birrt(
     if spec is None:
         spec = GridSpec.from_scene(scene)
     free = grids.fit_mask_parts(scene, spec, parts, ignore)
-    if not grids.grid_connected(free, spec.cell_of(start), spec.cell_of(goal)):
+    if not grids.grid_connected(free, spec.cell_of(start), spec.cell_of(goal), spec):
         return None
 
     rng = random.Random(seed)
@@ -436,8 +436,7 @@ def select_subgoals(
         spec = GridSpec.from_scene(scene)
     body = scene.body(mu.object_id)
     statics = scene.statics_only()
-    occ = grids.occupancy_mask(statics, spec)
-    clearance = grids.edt(occ).cells * spec.resolution
+    clearance = grids.static_clearance(scene, spec)
 
     pts = list(mu.waypoints)
     arcs = [0.0]

@@ -165,12 +165,14 @@ def gen_motion_plan(
     cfg: PlannerConfig,
     seed: int,
     spec: GridSpec | None = None,
+    deadline: float | None = None,
 ) -> GenPlanOutcome:
     """Plan the full transport of one goal object in the current scene.
 
     Blocked legs trigger the relocation search; each exhausted search is
     retried with the next alternative critical subset until
-    alt_crit_limit runs out.
+    alt_crit_limit runs out.  Once time.monotonic() passes deadline, no
+    further attempt starts and the outcome fails with reason "timeout".
     """
     if spec is None:
         spec = GridSpec.from_scene(scene, cfg.grid_n)
@@ -191,6 +193,8 @@ def gen_motion_plan(
     skip = 0
     guard = 0
     while True:
+        if deadline is not None and time.monotonic() > deadline:
+            return GenPlanOutcome(False, (), scene, failures, relocation_searches, reason="timeout")
         guard += 1
         if guard > 2 * cfg.alt_crit_limit + 4:
             return GenPlanOutcome(False, (), scene, failures, relocation_searches, reason="relocation loop guard")
@@ -224,8 +228,11 @@ def gen_motion_plan(
                 iteration_limit=cfg.relocation_iteration_limit, clearance_min=cfg.clearance_min,
                 stall_limit=cfg.stall_limit, cardinality_cap=cfg.cardinality_cap,
                 literal_exploration=cfg.literal_exploration, rrt_max_iters=cfg.rrt_max_iters,
+                deadline=deadline,
             )
             relocation_searches += 1
+            if res.reason == "timeout":
+                return GenPlanOutcome(False, (), scene, failures, relocation_searches, reason="timeout")
             if res.success:
                 cur = res.scene
                 plans.extend(res.plans)
@@ -280,6 +287,8 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
     if cfg is None:
         cfg = PlannerConfig()
     t0 = time.monotonic()
+    deadline = t0 + cfg.time_limit
+    # one spec per call: its memo (grids module docstring) lives as long as the call
     spec = GridSpec.from_scene(scene, cfg.grid_n)
     tol = cfg.tol if cfg.tol is not None else default_tolerance(scene)
     goal_ids = sorted(scene.goals)
@@ -291,7 +300,7 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
     cur = scene
 
     def out_of_time() -> bool:
-        return time.monotonic() - t0 > cfg.time_limit
+        return time.monotonic() > deadline
 
     def finish(status: str) -> PlanResult:
         m = count_metrics(executed, failures=replan_failures, regenerations=regen_count)
@@ -358,9 +367,11 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
             if oid in placed:
                 continue
             outcome = gen_motion_plan(
-                cur, oid, cfg, _mix_seed(cfg.seed, "obj", iters, oid), spec,
+                cur, oid, cfg, _mix_seed(cfg.seed, "obj", iters, oid), spec, deadline,
             )
             replan_failures += outcome.failures
+            if outcome.reason == "timeout":
+                return finish("timeout")
             if outcome.success:
                 executed.extend(outcome.plans)
                 cur = outcome.scene

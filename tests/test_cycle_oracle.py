@@ -9,6 +9,7 @@ remaining graph, because the removed edges decide the precedence every
 placement sequence honours.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -283,3 +284,57 @@ def test_parallel_twin_removal_keeps_the_cycles(monkeypatch):
     assert got.removed == want.removed
     assert got.removed[0] == Edge("a", "b", WEAK)
     assert calls[0] == len(want.ledgers) - 1
+
+
+# -- properties of the raw search -------------------------------------------
+
+
+def looped_digraph(rng: random.Random) -> DependencyGraph:
+    """1-8 vertices in shuffled order, with self-loops and parallel pairs."""
+    n = rng.randint(1, 8)
+    verts = [f"v{i}" for i in rng.sample(range(10, 30), n)]
+    rng.shuffle(verts)
+    p = rng.choice((0.2, 0.35, 0.5))
+    edges = []
+    for a in verts:
+        for b in verts:
+            if rng.random() >= (0.3 if a == b else p):
+                continue
+            edges.append(Edge(a, b, WEAK))
+            if rng.random() < 0.3:
+                edges.append(Edge(a, b, STRONG))
+    rng.shuffle(edges)
+    return DependencyGraph(tuple(verts), tuple(edges))
+
+
+def brute_force_cycles(n: int, pairs) -> set[tuple[int, ...]]:
+    """Every simple cycle as its vertex tuple, lowest vertex first."""
+    out = set()
+    for k in range(1, n + 1):
+        for perm in itertools.permutations(range(n), k):
+            if perm[0] == min(perm) and all(
+                perm[i] * n + perm[(i + 1) % k] in pairs for i in range(k)
+            ):
+                out.add(perm)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_simple_cycles_are_simple_real_and_start_lowest(seed):
+    rng = random.Random(9400 + seed)
+    for _ in range(40):
+        g = looped_digraph(rng)
+        names, rank, pairs = sequencer._ranked_pairs(g)
+        n = len(names)
+        starts = [rank[v] for v in g.vertices]
+        found = []
+        for hops in sequencer._simple_cycles(sequencer._adjacency(n, pairs), starts):
+            assert all(p in pairs for p in hops), "a hop with no edge"
+            verts = tuple(p // n for p in hops)
+            assert all(hops[i] % n == verts[(i + 1) % len(verts)] for i in range(len(hops)))
+            assert len(set(verts)) == len(verts), "a repeated vertex"
+            assert verts[0] == min(verts), "not started at its lowest vertex"
+            found.append(verts)
+        assert len(set(found)) == len(found), "a cycle reported twice"
+        if n <= 6:
+            assert set(found) == brute_force_cycles(n, pairs)

@@ -8,7 +8,9 @@ from pathlib import Path as FilePath
 import pytest
 
 import rearrange2d
-from rearrange2d import bench, cli, motion, scenario
+from rearrange2d import bench, cli, guided_search, motion, planner, scenario
+from rearrange2d.guided_search import RelocationSearchResult
+from rearrange2d.grids import GridSpec
 from rearrange2d.motion import MotionPlan, Path, PickPlacePair, Subgoal
 from rearrange2d.planner import (
     ConfigError,
@@ -204,6 +206,109 @@ class TestGenMotionPlan:
         out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0)
         assert not out.success
         assert out.reason == "no route past the walls"
+
+
+def _gap_scene():
+    """g1 must pass a one-object gap in a wall that b1 blocks."""
+    return scene(
+        [
+            robot(2.0, 5.0),
+            wall("wn", 5.0, 7.9, 0.4, 4.2),
+            wall("ws", 5.0, 2.1, 0.4, 4.2),
+            goal_obj("g1", 3.0, 5.0),
+            obstacle("b1", 5.0, 5.0),
+        ],
+        {"g1": Pose2(8.0, 5.0)},
+    )
+
+
+class FakeClock:
+    """Stands in for the time module: monotonic() reads now, which tests set."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    c = FakeClock()
+    monkeypatch.setattr(planner, "time", c)
+    monkeypatch.setattr(guided_search, "time", c)
+    return c
+
+
+def _failing_relocations(monkeypatch, clock, step):
+    """Every relocation plan fails and moves the clock on by step; returns
+    the list of attempted targets."""
+    tried = []
+
+    def plan_relocation(scene, object_id, target, seed, **kwargs):
+        tried.append(target)
+        clock.now += step
+        return None
+
+    monkeypatch.setattr(guided_search, "plan_relocation", plan_relocation)
+    return tried
+
+
+class TestDeadline:
+    def _search(self, deadline):
+        sc = _gap_scene()
+        spec = GridSpec.from_scene(sc)
+        task = guided_search.place_task(sc, "g1", (Pose2(3, 5), Pose2(8, 5)), spec)
+        return guided_search.search_relocations(sc, task, seed=0, spec=spec, deadline=deadline)
+
+    def test_search_stops_at_deadline(self, monkeypatch, clock):
+        tried = _failing_relocations(monkeypatch, clock, 1.0)
+        res = self._search(deadline=0.5)
+        assert not res.success
+        assert res.reason == "timeout"
+        assert res.iterations == 1
+        first_iteration = len(tried)
+        assert first_iteration >= 1
+        # without a deadline the same search runs on to its iteration limit
+        res = self._search(deadline=None)
+        assert res.reason == "iteration limit"
+        assert len(tried) - first_iteration > first_iteration
+
+    def test_no_iteration_after_the_deadline(self, monkeypatch, clock):
+        tried = _failing_relocations(monkeypatch, clock, 1.0)
+        clock.now = 1.0
+        res = self._search(deadline=0.5)
+        assert res.reason == "timeout"
+        assert res.iterations == 0
+        assert tried == []
+
+    def test_retry_loop_stops_at_deadline(self, monkeypatch, clock):
+        sc = _gap_scene()
+        searches = []
+
+        def search(scene, task, skip_count=0, **kwargs):
+            searches.append(skip_count)
+            clock.now += 1.0
+            return RelocationSearchResult(False, scene, reason="iteration limit")
+
+        monkeypatch.setattr(planner, "search_relocations", search)
+        cfg = PlannerConfig()
+        out = gen_motion_plan(sc, "g1", cfg, seed=0, deadline=0.5)
+        assert out.reason == "timeout"
+        assert searches == [0]
+        # without a deadline every alternative critical subset is tried
+        searches.clear()
+        out = gen_motion_plan(sc, "g1", cfg, seed=0)
+        assert out.reason == "relocation search exhausted"
+        assert searches == list(range(cfg.alt_crit_limit))
+
+    def test_plan_returns_timeout_mid_search(self, monkeypatch, clock):
+        tried = _failing_relocations(monkeypatch, clock, 200.0)
+        res = plan_rearrangement(_gap_scene(), PlannerConfig(time_limit=120.0))
+        assert res.status == "timeout"
+        # the first failed relocation plan passes the deadline, so the search
+        # ends with its first iteration and nothing is retried after it
+        assert 1 <= len(tried) <= PlannerConfig().k_max
 
 
 class TestPlanRearrangement:
