@@ -45,7 +45,6 @@ from .sequencer import (
     PlacementSequence,
     break_cycles,
     build_dependency_graph,
-    enumerate_cycles,
     lazy_refine,
     solve_patsp,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "PlacementSequence",
     "break_cycles",
     "build_dependency_graph",
-    "enumerate_cycles",
     "lazy_refine",
     "solve_patsp",
     "RelocationSearchResult",

@@ -11,6 +11,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from . import grids
 from .grids import GridSpec
@@ -154,6 +155,16 @@ def sweep_clear(scene: Scene, parts, poses, ignore=frozenset()) -> bool:
     return True
 
 
+def _nearest(pts, q: Pose2) -> tuple[int, float]:
+    """Index of the first of the packed (x, y) points nearest q, and its
+    distance.  math.dist and math.hypot share one norm, so each distance is
+    the double Pose2.dist gives; min keeps the first minimum, and so does
+    index."""
+    ds = list(map(math.dist, pts, repeat((q.x, q.y), len(pts))))
+    d = min(ds)
+    return ds.index(d), d
+
+
 def birrt(
     scene: Scene,
     footprint,
@@ -174,7 +185,15 @@ def birrt(
     when None) rejects disconnected queries quickly; if sampling exhausts
     max_iters while the grid still shows a route, the grid path is used
     as a fallback so narrow but feasible corridors do not read as
-    infeasible.
+    infeasible; that route, like a sampled one, ends at goal itself.
+
+    Each tree keeps its node coordinates packed beside the nodes, so the
+    nearest-node scan is one _nearest pass.  The scan is exact: every
+    distance is the double Pose2.dist gives, and ties go to the lowest node
+    index.  A connect step scans once and then updates its nearest node
+    incrementally: the target is fixed and each step adds the tree's last
+    node, which is nearer only when its distance is strictly smaller.  So
+    the path is the one a per-step Pose2.dist loop with a strict < finds.
     """
     parts = _normalize_parts(footprint)
     step = 0.5 * scene.robot.w
@@ -205,56 +224,55 @@ def birrt(
     rng = random.Random(seed)
     ws = scene.workspace
 
-    ta_nodes, ta_parent = [start], [-1]
-    tb_nodes, tb_parent = [goal], [-1]
+    # a tree is its nodes, their packed (x, y) coordinates and parent indices
+    ta = ([start], [(start.x, start.y)], [-1])
+    tb = ([goal], [(goal.x, goal.y)], [-1])
 
-    def nearest(nodes, q):
-        best, best_d = 0, nodes[0].dist(q)
-        for i in range(1, len(nodes)):
-            d = nodes[i].dist(q)
-            if d < best_d:
-                best, best_d = i, d
-        return best
-
-    def extend(nodes, parents, q):
-        """One step from the nearest node toward q; returns new index or -1."""
-        i = nearest(nodes, q)
-        a = nodes[i]
-        d = a.dist(q)
+    def grow(tree, q, i, d):
+        """One step from node i, at distance d, toward q; new index or -1."""
         if d < 1e-12:
             return -1
+        nodes, pts, parents = tree
+        a = nodes[i]
         t = min(1.0, step / d)
         b = Pose2(a.x + (q.x - a.x) * t, a.y + (q.y - a.y) * t)
         if not edge_free(a, b):
             return -1
         nodes.append(b)
+        pts.append((b.x, b.y))
         parents.append(i)
         return len(nodes) - 1
 
-    def connect(nodes, parents, q):
+    def connect(tree, q):
+        # q stays fixed and each step adds one node, the last, so the nearest
+        # node after a step is that node if strictly closer (a step toward q
+        # always ends closer), else unchanged
+        i, d = _nearest(tree[1], q)
         last = -1
         while True:
-            i = extend(nodes, parents, q)
-            if i < 0:
+            j = grow(tree, q, i, d)
+            if j < 0:
                 return last
-            last = i
-            if nodes[i].dist(q) < 1e-9:
-                return i
+            last = j
+            dj = tree[0][j].dist(q)
+            if dj < 1e-9:
+                return j
+            if dj < d:
+                i, d = j, dj
 
     bridge = None  # (index in ta, index in tb)
     swapped = False
     for _ in range(max_iters):
+        a, b = (tb, ta) if swapped else (ta, tb)
         if rng.random() < GOAL_BIAS:
-            q = tb_nodes[0] if not swapped else ta_nodes[0]
+            q = b[0][0]
         else:
             q = Pose2(rng.uniform(ws.xmin, ws.xmax), rng.uniform(ws.ymin, ws.ymax))
-        a_nodes, a_par = (ta_nodes, ta_parent) if not swapped else (tb_nodes, tb_parent)
-        b_nodes, b_par = (tb_nodes, tb_parent) if not swapped else (ta_nodes, ta_parent)
-        i = extend(a_nodes, a_par, q)
+        i = grow(a, q, *_nearest(a[1], q))
         if i >= 0:
-            j = connect(b_nodes, b_par, a_nodes[i])
-            if j >= 0 and b_nodes[j].dist(a_nodes[i]) < 1e-9:
-                bridge = (i, j) if not swapped else (j, i)
+            j = connect(b, a[0][i])
+            if j >= 0 and b[0][j].dist(a[0][i]) < 1e-9:
+                bridge = (j, i) if swapped else (i, j)
                 break
         swapped = not swapped
 
@@ -263,28 +281,28 @@ def birrt(
         cells = grids.grid_path(free, spec.cell_of(start), spec.cell_of(goal))
         if cells is None:
             return None
-        wps = [start] + [spec.center(c) for c in cells] + [goal]
-        dedup = [wps[0]]
-        for p in wps[1:]:
-            if p.dist(dedup[-1]) > 1e-12:
-                dedup.append(p)
-        if len(dedup) < 2:
-            dedup.append(goal)
-        for a, b in zip(dedup, dedup[1:]):
-            if not edge_free(a, b):
+        waypoints = [start]
+        for p in map(spec.center, cells):
+            if p.dist(waypoints[-1]) > 1e-12:
+                waypoints.append(p)
+        # end at goal itself: a last cell center within 1e-12 of it gives way
+        if len(waypoints) > 1 and goal.dist(waypoints[-1]) <= 1e-12:
+            waypoints.pop()
+        waypoints.append(goal)
+        for p, r in zip(waypoints, waypoints[1:]):
+            if not edge_free(p, r):
                 return None
-        waypoints = dedup
     else:
         ia, ib = bridge
         left = []
         while ia >= 0:
-            left.append(ta_nodes[ia])
-            ia = ta_parent[ia]
+            left.append(ta[0][ia])
+            ia = ta[2][ia]
         left.reverse()
         right = []
         while ib >= 0:
-            right.append(tb_nodes[ib])
-            ib = tb_parent[ib]
+            right.append(tb[0][ib])
+            ib = tb[2][ib]
         waypoints = left + right
         if waypoints[-1] is not goal:
             waypoints[-1] = goal

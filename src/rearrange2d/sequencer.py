@@ -37,18 +37,6 @@ class Edge:
     strength: str   # WEAK or STRONG; src is ordered before dst
 
 
-@dataclass(frozen=True)
-class Cycle:
-    vertices: tuple[str, ...]           # rotation fixed: smallest vertex first
-    edges: tuple[Edge, ...]             # all parallel edges along the hops
-
-
-@dataclass(frozen=True)
-class CycleLedger:
-    cycles: tuple[Cycle, ...]
-    truncated: bool = False
-
-
 @dataclass
 class DependencyGraph:
     vertices: tuple[str, ...]
@@ -214,32 +202,6 @@ def _first_cycles(adj, starts, cap: int) -> tuple[list[tuple[int, ...]], bool]:
     return cycles, len(cycles) == limit
 
 
-def enumerate_cycles(graph: DependencyGraph, cap: int = 10000) -> CycleLedger:
-    """All simple directed cycles, each reported once with its smallest
-    vertex first.  Parallel edges between the same ordered pair collapse
-    for enumeration but are all attached to the reported cycle.
-
-    Order contract: starts run in graph.vertices order; from each vertex
-    the search tries its successors in sorted (src, dst) order; a start s
-    only visits vertices that sort above it, so a cycle is found from its
-    smallest vertex.  Enumeration stops at the cap-th cycle of this call
-    (truncated is then set, even when no cycle was left; cap <= 0 stops
-    at the first).
-    """
-    names, rank, pairs = _ranked_pairs(graph)
-    n = len(names)
-    cycles, truncated = _first_cycles(
-        _adjacency(n, pairs), [rank[v] for v in graph.vertices], cap
-    )
-    return CycleLedger(
-        tuple(
-            Cycle(tuple(names[p // n] for p in c), tuple(e for p in c for e in pairs[p]))
-            for c in cycles
-        ),
-        truncated,
-    )
-
-
 def topo_order(vertices, edges) -> list[str] | None:
     """Kahn's algorithm with lexicographic tie-breaking; None if cyclic."""
     indeg = {v: 0 for v in vertices}
@@ -273,13 +235,14 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
     """Delete edges until acyclic, most-contested first.
 
     An edge's frequency is the number of enumerated cycles through its
-    ordered vertex pair.  Cycles come in enumerate_cycles' order (starts in
-    graph.vertices order, successors in sorted (src, dst) order, a start
-    only visiting vertices that sort above it), and cap applies to each
-    enumeration on its own.  Normally frequencies are recomputed after each
-    removal; greedy mode keeps the frequencies from the first enumeration
-    (cheaper, can remove more edges than needed).  Ties prefer weak edges,
-    then sources shedding the least net out-degree, then lexicographic
+    ordered vertex pair.  Each cycle is found once, from its smallest
+    vertex: starts run in graph.vertices order, successors in sorted
+    (src, dst) order, and a start only visits vertices that sort above it.
+    Each enumeration stops at its own cap-th cycle (at the first for
+    cap <= 0).  Normally frequencies are recomputed after each removal;
+    greedy mode keeps the frequencies from the first enumeration (cheaper,
+    can remove more edges than needed).  Ties prefer weak edges, then
+    sources shedding the least net out-degree, then lexicographic
     order.
 
     Recomputing does not always mean enumerating again.  Removing an edge

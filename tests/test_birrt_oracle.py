@@ -1,0 +1,475 @@
+"""Exact agreement of the Bi-RRT with its per-node Pose2.dist reference.
+
+``ref_birrt`` below is ``motion.birrt`` as it was before its trees kept
+packed coordinates: it scans every node with ``Pose2.dist`` in a strict
+``<`` loop and rescans the whole tree at every connect step.  The packed
+scan and the incremental connect must give the same answer bit for bit:
+``None`` in both, or equal ``Path.waypoints`` (Pose2 equality compares the
+doubles exactly).  The queries come from real planning calls on desk,
+relocation and scale scenes, from random robot, compound and object
+queries with ignore sets, from budgets small enough that sampling gives
+up and the grid route is taken, and from lattice scenes with dyadic
+coordinates.
+
+Uniform samples practically never lie at exactly the same distance from
+two tree nodes (no such scan among the 10K of the dyadic lattice queries
+below), so one test swaps in a random.Random whose samples sit on a coarse
+lattice, where scans tie often.  The first-index tie rule is also pinned
+on ``motion._nearest`` directly, against the old loop, on tie-heavy
+inputs.
+
+The reference keeps one known defect: when the last grid cell center lies
+within 1e-12 of the goal, its grid route ends at that center.
+``test_grid_route_ends_at_goal_itself`` pins the fix; no other query here
+reaches that case.
+"""
+
+import math
+import random
+
+import pytest
+
+from rearrange2d import grids, motion, planner
+from rearrange2d.bench import make_scene
+from rearrange2d.grids import GridSpec
+from rearrange2d.motion import (
+    GOAL_BIAS,
+    SHORTCUT_ATTEMPTS,
+    Path,
+    _normalize_parts,
+    compound_parts,
+)
+from rearrange2d.world import Pose2, Rect, Scene, footprint_collides, inflate, segment_hits
+
+from conftest import obstacle, robot, scene, wall
+
+# -- reference --------------------------------------------------------------
+
+
+def ref_birrt(
+    scene: Scene,
+    footprint,
+    start: Pose2,
+    goal: Pose2,
+    seed: int,
+    max_iters: int = 5000,
+    *,
+    ignore=frozenset(),
+    spec: GridSpec | None = None,
+) -> Path | None:
+    """Bi-directional RRT over a translating footprint, with shortcut smoothing.
+
+    Deterministic for a fixed seed.  The tuning is fixed: each extension
+    moves at most half the robot side, GOAL_BIAS of the samples are the
+    other tree's root, and SHORTCUT_ATTEMPTS random shortcuts smooth the
+    result.  A grid connectivity precheck on spec (built from the scene
+    when None) rejects disconnected queries quickly; if sampling exhausts
+    max_iters while the grid still shows a route, the grid path is used
+    as a fallback so narrow but feasible corridors do not read as
+    infeasible.
+    """
+    parts = _normalize_parts(footprint)
+    step = 0.5 * scene.robot.w
+
+    def blocked(p: Pose2) -> bool:
+        return footprint_collides(scene, parts, p, ignore)
+
+    obstacles = inflate(scene, parts, ignore)
+
+    def edge_free(a: Pose2, b: Pose2) -> bool:
+        # endpoints are vetted by blocked(); the segment test is exact, so
+        # workspace containment follows from endpoint containment
+        return not blocked(b) and not segment_hits(obstacles, a, b)
+
+    if blocked(start) or blocked(goal):
+        return None
+    if start.dist(goal) < 1e-12:
+        return Path((start, goal))
+    if edge_free(start, goal):
+        return Path((start, goal))
+
+    if spec is None:
+        spec = GridSpec.from_scene(scene)
+    free = grids.fit_mask_parts(scene, spec, parts, ignore)
+    if not grids.grid_connected(free, spec.cell_of(start), spec.cell_of(goal), spec):
+        return None
+
+    rng = random.Random(seed)
+    ws = scene.workspace
+
+    ta_nodes, ta_parent = [start], [-1]
+    tb_nodes, tb_parent = [goal], [-1]
+
+    def nearest(nodes, q):
+        best, best_d = 0, nodes[0].dist(q)
+        for i in range(1, len(nodes)):
+            d = nodes[i].dist(q)
+            if d < best_d:
+                best, best_d = i, d
+        return best
+
+    def extend(nodes, parents, q):
+        """One step from the nearest node toward q; returns new index or -1."""
+        i = nearest(nodes, q)
+        a = nodes[i]
+        d = a.dist(q)
+        if d < 1e-12:
+            return -1
+        t = min(1.0, step / d)
+        b = Pose2(a.x + (q.x - a.x) * t, a.y + (q.y - a.y) * t)
+        if not edge_free(a, b):
+            return -1
+        nodes.append(b)
+        parents.append(i)
+        return len(nodes) - 1
+
+    def connect(nodes, parents, q):
+        last = -1
+        while True:
+            i = extend(nodes, parents, q)
+            if i < 0:
+                return last
+            last = i
+            if nodes[i].dist(q) < 1e-9:
+                return i
+
+    bridge = None  # (index in ta, index in tb)
+    swapped = False
+    for _ in range(max_iters):
+        if rng.random() < GOAL_BIAS:
+            q = tb_nodes[0] if not swapped else ta_nodes[0]
+        else:
+            q = Pose2(rng.uniform(ws.xmin, ws.xmax), rng.uniform(ws.ymin, ws.ymax))
+        a_nodes, a_par = (ta_nodes, ta_parent) if not swapped else (tb_nodes, tb_parent)
+        b_nodes, b_par = (tb_nodes, tb_parent) if not swapped else (ta_nodes, ta_parent)
+        i = extend(a_nodes, a_par, q)
+        if i >= 0:
+            j = connect(b_nodes, b_par, a_nodes[i])
+            if j >= 0 and b_nodes[j].dist(a_nodes[i]) < 1e-9:
+                bridge = (i, j) if not swapped else (j, i)
+                break
+        swapped = not swapped
+
+    if bridge is None:
+        # sampling failed; fall back to the grid route when one exists
+        cells = grids.grid_path(free, spec.cell_of(start), spec.cell_of(goal))
+        if cells is None:
+            return None
+        wps = [start] + [spec.center(c) for c in cells] + [goal]
+        dedup = [wps[0]]
+        for p in wps[1:]:
+            if p.dist(dedup[-1]) > 1e-12:
+                dedup.append(p)
+        if len(dedup) < 2:
+            dedup.append(goal)
+        for a, b in zip(dedup, dedup[1:]):
+            if not edge_free(a, b):
+                return None
+        waypoints = dedup
+    else:
+        ia, ib = bridge
+        left = []
+        while ia >= 0:
+            left.append(ta_nodes[ia])
+            ia = ta_parent[ia]
+        left.reverse()
+        right = []
+        while ib >= 0:
+            right.append(tb_nodes[ib])
+            ib = tb_parent[ib]
+        waypoints = left + right
+        if waypoints[-1] is not goal:
+            waypoints[-1] = goal
+        waypoints[0] = start
+
+    for _ in range(SHORTCUT_ATTEMPTS):
+        if len(waypoints) <= 2:
+            break
+        i = rng.randrange(0, len(waypoints) - 1)
+        j = rng.randrange(0, len(waypoints) - 1)
+        if abs(i - j) < 2:
+            continue
+        i, j = min(i, j), max(i, j)
+        if edge_free(waypoints[i], waypoints[j]):
+            waypoints = waypoints[: i + 1] + waypoints[j:]
+    return Path(tuple(waypoints))
+
+
+def ref_nearest(pts, q: Pose2) -> tuple[int, float]:
+    """The reference's scan over the same points, with its distance."""
+    nodes = [Pose2(x, y) for x, y in pts]
+    best, best_d = 0, nodes[0].dist(q)
+    for i in range(1, len(nodes)):
+        d = nodes[i].dist(q)
+        if d < best_d:
+            best, best_d = i, d
+    return best, best_d
+
+
+# -- helpers ----------------------------------------------------------------
+
+
+def waypoints(path):
+    return None if path is None else path.waypoints
+
+
+class FallbackCounter:
+    """Counts birrt calls that end sampling and ask for the grid route."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        inner = grids.grid_path
+
+        def spy(*args, **kwargs):
+            self.count += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(grids, "grid_path", spy)
+
+
+def assert_agrees(sc, footprint, start, goal, seed, max_iters, ignore, spec=None):
+    got = motion.birrt(sc, footprint, start, goal, seed, max_iters, ignore=ignore, spec=spec)
+    want = ref_birrt(sc, footprint, start, goal, seed, max_iters, ignore=ignore, spec=spec)
+    assert waypoints(got) == waypoints(want), (footprint, start, goal, seed, max_iters, ignore)
+    return got
+
+
+def random_pose(rng, ws: Rect) -> Pose2:
+    return Pose2(rng.uniform(ws.xmin, ws.xmax), rng.uniform(ws.ymin, ws.ymax))
+
+
+# -- planning queries -------------------------------------------------------
+
+# (scenario, scene seed): desk, relocation and scale instances of the
+# benchmark; nested_blockers@0 has three queries that exhaust 5000 samples
+PLANNED = [
+    ("four_blocks", 0),
+    ("narrow_room", 1),
+    ("triple_swap", 2),
+    ("doorway", 0),
+    ("nested_blockers", 0),
+    ("swap_pocket", 3),
+    ("m_block_12", 2),
+]
+
+
+@pytest.mark.parametrize("name,seed", PLANNED)
+def test_planning_queries_match_reference(monkeypatch, name, seed):
+    calls = []
+    inner = motion.birrt
+
+    def record(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(motion, "birrt", record)
+    cfg = planner.PlannerConfig().merged({"seed": seed}, "test")
+    result = planner.plan_rearrangement(make_scene(name, seed), cfg)
+    assert result.status == "success"
+    monkeypatch.undo()
+
+    fallbacks = FallbackCounter(monkeypatch)
+    for args, kwargs, out in calls:
+        assert waypoints(out) == waypoints(ref_birrt(*args, **kwargs))
+    assert calls
+    if name == "nested_blockers":
+        assert fallbacks.count >= 3
+
+
+# -- random queries ---------------------------------------------------------
+
+
+def random_queries(sc: Scene, rng: random.Random, n: int):
+    """Robot, compound (object + robot) and object-alone queries between
+    random poses, each with the ignore set its planner call would use."""
+    ws = sc.workspace
+    rid = sc.robot.id
+    rs = sc.robot.w
+    movables = sorted(sc.movables, key=lambda b: b.id)
+    for k in range(n):
+        start, goal = random_pose(rng, ws), random_pose(rng, ws)
+        kind = k % 3
+        if kind == 0 or not movables:
+            yield sc, (rs, rs), start, goal, frozenset({rid})
+            continue
+        body = rng.choice(movables)
+        if kind == 1:
+            parts = compound_parts(rng.choice(motion.SIDES), body.w, body.h, rs)
+            yield sc, parts, start, goal, frozenset({body.id, rid})
+        else:
+            aux = sc.statics_only(keep=body.id)
+            yield aux, (body.w, body.h), start, goal, frozenset({body.id, rid})
+
+
+@pytest.mark.parametrize("name", ["four_blocks", "narrow_room", "doorway", "nested_blockers", "m_block_12"])
+def test_random_queries_match_reference(name):
+    rng = random.Random(f"birrt-{name}")
+    sc = make_scene(name, 1)
+    spec = GridSpec.from_scene(sc)
+    found = lost = 0
+    for qsc, fp, start, goal, ignore in random_queries(sc, rng, 45):
+        max_iters = rng.choice((0, 2, 10, 60, 400))
+        got = assert_agrees(qsc, fp, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
+        found += got is not None
+        lost += got is None
+    assert found and lost
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 3, 8, 20])
+def test_exhausted_queries_take_the_grid_route(monkeypatch, max_iters):
+    # across the door of doorway, with and without the obstacle parked in it
+    sc = make_scene("doorway", 0)
+    spec = GridSpec.from_scene(sc)
+    fallbacks = FallbackCounter(monkeypatch)
+    rs = sc.robot.w
+    found = 0
+    for k, q in enumerate([sc, sc.without({"b1"})]):
+        for seed in range(6):
+            for start, goal in [(Pose2(1.0, 2.0), Pose2(8.0, 8.0)), (Pose2(8.0, 2.0), Pose2(1.5, 7.5))]:
+                got = assert_agrees(q, (rs, rs), start, goal, 97 * seed + k, max_iters, frozenset({"robot"}), spec)
+                found += got is not None
+    assert found
+    assert fallbacks.count
+
+
+# -- lattice scenes ---------------------------------------------------------
+
+
+def lattice_scene(rng: random.Random) -> Scene:
+    """Walls and obstacles on a quarter-unit lattice in an 8x8 workspace, a
+    robot of side 0.5, so extension steps are 0.25 and every body bound,
+    root and axis-aligned step is an exact dyadic double."""
+    bodies = [robot(1.0, 1.0, 0.5), wall("w_mid", 4.0, rng.choice((3.0, 4.0, 5.0)), 0.5, 5.0)]
+    for k in range(rng.randint(1, 4)):
+        bodies.append(wall(f"w{k}", rng.randrange(4, 29) / 4, rng.randrange(4, 29) / 4, 0.25 * rng.randint(1, 6), 0.25 * rng.randint(1, 6)))
+    for k in range(rng.randint(0, 3)):
+        bodies.append(obstacle(f"b{k}", rng.randrange(4, 29) / 4, rng.randrange(4, 29) / 4, 0.5, 0.5))
+    return scene(bodies, ws=Rect(0.0, 0.0, 8.0, 8.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_queries_match_reference(seed):
+    rng = random.Random(5100 + seed)
+    found = 0
+    for _ in range(8):
+        sc = lattice_scene(rng)
+        obstacles = frozenset(b.id for b in sc.movables)
+        for _ in range(6):
+            # same row or column half the time, so steps run along the lattice
+            start = Pose2(rng.randrange(2, 30) / 4, rng.randrange(2, 30) / 4)
+            goal = Pose2(rng.randrange(2, 30) / 4, start.y if rng.random() < 0.5 else rng.randrange(2, 30) / 4)
+            ignore = frozenset({"robot"}) | (obstacles if rng.random() < 0.3 else frozenset())
+            got = assert_agrees(sc, (0.5, 0.5), start, goal, rng.randrange(2**32), rng.choice((5, 50, 300)), ignore)
+            found += got is not None
+    assert found
+
+
+class LatticeRandom(random.Random):
+    """random.Random whose uniform draws land on a 1/16 grid of the range.
+    On an 8x8 workspace the samples are then multiples of 0.5, a step that
+    reaches its sample puts a node on them, and a sample often lies at the
+    same distance from two nodes."""
+
+    def uniform(self, a, b):
+        return a + (b - a) * self.randrange(0, 17) / 16
+
+
+def test_lattice_samples_tie_inside_birrt(monkeypatch):
+    # both implementations draw from random.Random, so they see the same
+    # lattice samples; a robot of side 1.5 (step 0.75) must go round a wall
+    monkeypatch.setattr(random, "Random", LatticeRandom)
+    ties = [0]
+    inner = motion._nearest
+
+    def spy(pts, q):
+        i, d = inner(pts, q)
+        ties[0] += sum(1 for p in pts if math.dist(p, (q.x, q.y)) == d) > 1
+        return i, d
+
+    monkeypatch.setattr(motion, "_nearest", spy)
+    rng = random.Random(1)
+    side, h = 1.5, 0.75
+    for seed in range(200):
+        wy = 3.0 if rng.random() < 0.5 else 5.0
+        sc = scene([robot(1.0, 1.0, side), wall("w", 4.0, wy, 1.0, 6.0)], ws=Rect(0.0, 0.0, 8.0, 8.0))
+        start = Pose2(rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
+        goal = Pose2(8.0 - rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
+        assert assert_agrees(sc, (side, side), start, goal, seed, 200, frozenset({"robot"})) is not None
+    assert ties[0] > 100
+
+
+# -- the scan itself --------------------------------------------------------
+
+
+def tie_heavy(rng: random.Random):
+    """Points on a coarse dyadic lattice around q: duplicates, mirror images
+    and equal-radius points, so the minimum is often shared."""
+    qx, qy = rng.randrange(-8, 9) / 4, rng.randrange(-8, 9) / 4
+    pts = []
+    for _ in range(rng.randint(1, 60)):
+        r = rng.random()
+        if r < 0.3 and pts:
+            pts.append(rng.choice(pts))                       # duplicate node
+        elif r < 0.6:
+            dx, dy = rng.randrange(-3, 4) / 4, rng.randrange(-3, 4) / 4
+            sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+            pts.append((qx + sx * dx, qy + sy * dy))          # mirror images
+        elif r < 0.8:
+            dx, dy = rng.choice(((0.75, 1.0), (1.0, 0.75), (1.25, 0.0), (0.0, 1.25), (0.6, 0.8)))
+            pts.append((qx + rng.choice((-1, 1)) * dx, qy + rng.choice((-1, 1)) * dy))   # radius 1.25
+        else:
+            pts.append((rng.randrange(-16, 17) / 4, rng.randrange(-16, 17) / 4))
+    return pts, Pose2(qx, qy)
+
+
+def test_nearest_matches_the_loop_on_ties():
+    rng = random.Random(6200)
+    tied = 0
+    for _ in range(3000):
+        pts, q = tie_heavy(rng)
+        got = motion._nearest(pts, q)
+        want = ref_nearest(pts, q)
+        assert got == want, (pts, q)
+        tied += sum(1 for x, y in pts if Pose2(x, y).dist(q) == want[1]) > 1
+    assert tied > 1000
+
+
+def test_nearest_distances_are_pose_dist_doubles():
+    # magnitudes from 1e-9 to 1e6, negative and integer coordinates: every
+    # distance must be the double Pose2.dist gives, not merely close to it
+    rng = random.Random(6300)
+    for _ in range(2000):
+        scale = 10.0 ** rng.randint(-9, 6)
+        pts = [(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.2:
+            pts.append((rng.randint(-50, 50), rng.randint(-50, 50)))
+        q = Pose2(rng.uniform(-1, 1) * scale, rng.randint(-50, 50) if rng.random() < 0.2 else rng.uniform(-1, 1) * scale)
+        for k in range(len(pts)):
+            i, d = motion._nearest(pts[k:k + 1], q)
+            assert (i, d) == (0, Pose2(*pts[k]).dist(q))
+        assert motion._nearest(pts, q) == ref_nearest(pts, q)
+
+
+# -- grid route endpoint ----------------------------------------------------
+
+
+def test_grid_route_ends_at_goal_itself():
+    # a wall between start and goal forces a route; max_iters=0 sends it to
+    # the grid at once, and the goal sits 5e-13 off its cell center, so the
+    # center and the goal are within the 1e-12 dedup distance
+    sc = scene([robot(1.0, 5.0), wall("w", 5.0, 5.0, 0.5, 4.0)])
+    spec = GridSpec.from_scene(sc)
+    center = spec.center(spec.cell_of(Pose2(8.0, 5.0)))
+    goal = Pose2(center.x + 5e-13, center.y)
+    assert goal != center and goal.dist(center) <= 1e-12
+    start = Pose2(1.0, 5.0)
+    path = motion.birrt(sc, (0.4, 0.4), start, goal, 3, 0, ignore=frozenset({"robot"}), spec=spec)
+    assert path is not None
+    assert path.waypoints[0] == start
+    assert path.waypoints[-1] == goal
+    assert motion.sweep_clear(sc, ((0.0, 0.0, 0.4, 0.4),), path.waypoints, frozenset({"robot"}))
+    # the reference ended the same route at the cell center
+    old = ref_birrt(sc, (0.4, 0.4), start, goal, 3, 0, ignore=frozenset({"robot"}), spec=spec)
+    assert old.waypoints[-1] == center
+    assert path.waypoints[:-1] == old.waypoints[:-1]

@@ -1,7 +1,9 @@
 """Exact agreement of the cycle enumerator and cycle breaking with a reference.
 
-The reference functions below are the plain simple-path DFS and the
-rebuild-everything removal loop that the ranked Johnson enumerator and the
+``enumerate_cycles`` below reads the ranked Johnson enumerator that
+``break_cycles`` runs (``sequencer._first_cycles``) back as named cycles.
+The reference functions are the plain simple-path DFS and the
+rebuild-everything removal loop that the Johnson enumerator and the
 counting ``break_cycles`` replaced.  Both must agree *exactly*: the same
 cycles in the same order (so ``cap`` cuts at the same cycle), the same
 ``truncated`` flag, the same removed edges in the same order and the same
@@ -19,14 +21,52 @@ from rearrange2d import sequencer
 from rearrange2d.sequencer import (
     STRONG,
     WEAK,
-    Cycle,
-    CycleLedger,
     DependencyGraph,
     Edge,
     break_cycles,
-    enumerate_cycles,
     topo_order,
 )
+
+
+@dataclass(frozen=True)
+class Cycle:
+    vertices: tuple[str, ...]           # rotation fixed: smallest vertex first
+    edges: tuple[Edge, ...]             # all parallel edges along the hops
+
+
+@dataclass(frozen=True)
+class CycleLedger:
+    cycles: tuple[Cycle, ...]
+    truncated: bool = False
+
+
+# -- enumerator under test --------------------------------------------------
+
+
+def enumerate_cycles(graph: DependencyGraph, cap: int = 10000) -> CycleLedger:
+    """The cycles break_cycles enumerates, as named cycles.
+
+    Order contract: starts run in graph.vertices order; from each vertex
+    the search tries its successors in sorted (src, dst) order; a start s
+    only visits vertices that sort above it, so a cycle is found from its
+    smallest vertex.  Enumeration stops at the cap-th cycle of this call
+    (truncated is then set, even when no cycle was left; cap <= 0 stops
+    at the first).  Parallel edges between the same ordered pair collapse
+    for enumeration but are all attached to the reported cycle.
+    """
+    names, rank, pairs = sequencer._ranked_pairs(graph)
+    n = len(names)
+    cycles, truncated = sequencer._first_cycles(
+        sequencer._adjacency(n, pairs), [rank[v] for v in graph.vertices], cap
+    )
+    return CycleLedger(
+        tuple(
+            Cycle(tuple(names[p // n] for p in c), tuple(e for p in c for e in pairs[p]))
+            for c in cycles
+        ),
+        truncated,
+    )
+
 
 # -- reference --------------------------------------------------------------
 

@@ -16,7 +16,6 @@ from rearrange2d.sequencer import (
     SequencerCaches,
     break_cycles,
     build_dependency_graph,
-    enumerate_cycles,
     lazy_refine,
     path_crosses_rect,
     solve_patsp,
@@ -25,6 +24,7 @@ from rearrange2d.sequencer import (
 from rearrange2d.world import Pose2, Rect
 
 from conftest import goal_obj, robot, scene, wall
+from test_cycle_oracle import enumerate_cycles
 
 
 class TestPathCrossesRect:
