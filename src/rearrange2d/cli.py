@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import bench, render, scenario
-from .planner import ConfigError, PlannerConfig, plan_rearrangement, serialize_result
+from .planner import ConfigError, PlannerConfig, parse_overrides, plan_rearrangement, serialize_result
 from .scenario import ScenarioError
 
 
@@ -29,16 +29,13 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> PlannerConfig:
-    cli: dict = {}
+    items = []
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
-        key = key.strip()
-        try:
-            cli[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            cli[key] = raw.strip()
+        items.append((key.strip(), raw, f"--set {item}"))
+    cli = parse_overrides(items)
     if args.seed is not None:
         cli["seed"] = args.seed
     return PlannerConfig.from_layers(file=args.config, cli=cli)

@@ -1,7 +1,9 @@
 """Raster transforms over the scene: occupancy, reachability, clearance.
 
-The workspace is discretized into a fixed grid (64x64 by default).  Arrays
-are indexed [iy, ix]; cell sets use (ix, iy) tuples.  Cell values are the
+The workspace is discretized into a fixed grid, a GridSpec.  Every raster
+function takes the caller's spec and none builds one: ``plan_rearrangement``
+builds the only spec of a planning call, grid_n cells a side.  Arrays are
+indexed [iy, ix]; cell sets use (ix, iy) tuples.  Cell values are the
 fixed constants below: occupancy 0 = blocked, ALPHA_M = free, BETA_M = task
 cell; reachability ALPHA_R = reachable, BETA_R = not.
 
@@ -129,10 +131,8 @@ def occupancy_mask(scene: Scene, spec: GridSpec, exclude=frozenset()) -> np.ndar
     return occ
 
 
-def rasterize_gom(scene: Scene, task_cells, spec: GridSpec | None = None) -> OccupancyMatrix:
+def rasterize_gom(scene: Scene, task_cells, spec: GridSpec) -> OccupancyMatrix:
     """Global occupancy: 0 on occupied cells, ALPHA_M free, BETA_M on free task cells."""
-    if spec is None:
-        spec = GridSpec.from_scene(scene)
     occ = occupancy_mask(scene, spec)
     cells = np.where(occ, 0.0, ALPHA_M)
     clamped = 0
@@ -334,22 +334,18 @@ def snap_to_free(free: np.ndarray, cell: tuple[int, int], radius: int = 1) -> tu
     return best
 
 
-def component_labels(free: np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
+def component_labels(free: np.ndarray, spec: GridSpec) -> np.ndarray:
     """4-connected component labels of the free mask (0 on blocked cells).
 
-    Read-only, shared through spec's memo by the mask's content when spec
-    is given.
+    Read-only, shared through spec's memo by the mask's content.
     """
-    memo = spec.memo if spec is not None else {}
     # ndimage.label's default structure is 4-connected
-    return _memoized(memo, ("labels", free.shape, free.dtype.str, free.tobytes()), lambda: ndimage.label(free)[0])
+    return _memoized(spec.memo, ("labels", free.shape, free.dtype.str, free.tobytes()), lambda: ndimage.label(free)[0])
 
 
-def grid_connected(
-    free: np.ndarray, a: tuple[int, int], b: tuple[int, int], spec: GridSpec | None = None
-) -> bool:
+def grid_connected(free: np.ndarray, a: tuple[int, int], b: tuple[int, int], spec: GridSpec) -> bool:
     """4-connected reachability between two cells over the free mask;
-    spec, when given, lends its memo to the component labels."""
+    spec lends its memo to the component labels."""
     a = snap_to_free(free, a, radius=2)
     b = snap_to_free(free, b, radius=2)
     if a is None or b is None:

@@ -98,15 +98,13 @@ def find_colliding(scene: Scene, task: TaskTrajectory, spec: GridSpec) -> list[s
     return [oid for _, oid in hits]
 
 
-def task_feasible(scene: Scene, task: TaskTrajectory, removed=frozenset(), spec: GridSpec | None = None) -> bool:
+def task_feasible(scene: Scene, task: TaskTrajectory, removed, spec: GridSpec) -> bool:
     """Would the task go through if the removed objects vanished?
 
     Deterministic check: grid connectivity for the robot leg of a pick,
     segment-wise grasp side assignment (plus robot access to the first
     grasp) for a place.
     """
-    if spec is None:
-        spec = GridSpec.from_scene(scene)
     test = scene.without(tuple(removed)) if removed else scene
     robot = test.robot
     if task.kind == "pick":
@@ -137,7 +135,7 @@ def select_critical(
     colliders,
     skip_count: int = 0,
     *,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
     cardinality_cap: int = 4,
 ) -> tuple[str, ...] | None:
     """Smallest collider subsets whose removal unblocks the task, in
@@ -145,8 +143,6 @@ def select_critical(
     feasible subsets are passed over.  Beyond the cardinality cap only
     growing prefixes of the collider list are considered."""
     colliders = list(colliders)
-    if spec is None:
-        spec = GridSpec.from_scene(scene)
     seen = 0
     for size in range(1, min(cardinality_cap, len(colliders)) + 1):
         for combo in itertools.combinations(colliders, size):
@@ -169,9 +165,7 @@ def score_scene(gom, reach) -> float:
     return float((gom.cells * reach.cells).sum())
 
 
-def score_node(s_scene: float, visits: int, c0: float, literal: bool = False) -> float:
-    if literal:
-        return s_scene + c0 * math.sqrt(visits)
+def score_node(s_scene: float, visits: int, c0: float) -> float:
     return s_scene + c0 / math.sqrt(1.0 + visits)
 
 
@@ -195,7 +189,7 @@ def gen_relocation_points(
     object_id: str,
     k: int,
     *,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
     clearance_min: float = 2.0,
     avoid_cells=frozenset(),
 ) -> list[Pose2]:
@@ -208,8 +202,6 @@ def gen_relocation_points(
     avoid cells and off every other goal footprint, and survive an exact
     collision check.
     """
-    if spec is None:
-        spec = GridSpec.from_scene(scene)
     body = scene.body(object_id)
     occ = grids.occupancy_mask(scene, spec, exclude=frozenset({object_id}))
     clearance = grids.edt(occ).cells
@@ -261,7 +253,7 @@ def expand_crit(scene: Scene, crit, counts: dict[str, int]) -> str | None:
 
 
 def plan_relocation(
-    scene: Scene, object_id: str, target: Pose2, seed: int, *, spec: GridSpec | None = None,
+    scene: Scene, object_id: str, target: Pose2, seed: int, *, spec: GridSpec,
     rrt_max_iters: int = 5000,
 ) -> tuple[MotionPlan, Scene] | None:
     """One pick and one place moving object_id to target, or None."""
@@ -325,7 +317,7 @@ def search_relocations(
     skip_count: int = 0,
     *,
     seed: int = 0,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
     c0: float = 25.0,
     k_max: int = 4,
     beam_width: int = 5,
@@ -333,7 +325,6 @@ def search_relocations(
     clearance_min: float = 2.0,
     stall_limit: int = 2,
     cardinality_cap: int = 4,
-    literal_exploration: bool = False,
     rrt_max_iters: int = 5000,
     deadline: float | None = None,
 ) -> RelocationSearchResult:
@@ -344,8 +335,6 @@ def search_relocations(
     Once time.monotonic() passes deadline, no further iteration starts and
     the search fails with reason "timeout".
     """
-    if spec is None:
-        spec = GridSpec.from_scene(scene)
     colliders = find_colliding(scene, task, spec)
     trace: dict = {"colliders": list(colliders), "expanded": [], "candidates": 0, "failed_plans": 0}
     if not colliders:
@@ -392,7 +381,7 @@ def search_relocations(
             break
         nid = max(
             open_ids,
-            key=lambda i: (score_node(nodes[i].s_scene, nodes[i].visits, c0, literal_exploration), -i),
+            key=lambda i: (score_node(nodes[i].s_scene, nodes[i].visits, c0), -i),
         )
         node = nodes[nid]
         node.visits += 1

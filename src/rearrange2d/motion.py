@@ -174,18 +174,18 @@ def birrt(
     max_iters: int = 5000,
     *,
     ignore=frozenset(),
-    spec: GridSpec | None = None,
+    spec: GridSpec,
 ) -> Path | None:
     """Bi-directional RRT over a translating footprint, with shortcut smoothing.
 
     Deterministic for a fixed seed.  The tuning is fixed: each extension
     moves at most half the robot side, GOAL_BIAS of the samples are the
     other tree's root, and SHORTCUT_ATTEMPTS random shortcuts smooth the
-    result.  A grid connectivity precheck on spec (built from the scene
-    when None) rejects disconnected queries quickly; if sampling exhausts
-    max_iters while the grid still shows a route, the grid path is used
-    as a fallback so narrow but feasible corridors do not read as
-    infeasible; that route, like a sampled one, ends at goal itself.
+    result.  A grid connectivity precheck on spec rejects disconnected
+    queries quickly; if sampling exhausts max_iters while the grid still
+    shows a route, the grid path is used as a fallback so narrow but
+    feasible corridors do not read as infeasible; that route, like a
+    sampled one, ends at goal itself.
 
     Each tree keeps its node coordinates packed beside the nodes, so the
     nearest-node scan is one _nearest pass.  The scan is exact: every
@@ -215,8 +215,6 @@ def birrt(
     if edge_free(start, goal):
         return Path((start, goal))
 
-    if spec is None:
-        spec = GridSpec.from_scene(scene)
     free = grids.fit_mask_parts(scene, spec, parts, ignore)
     if not grids.grid_connected(free, spec.cell_of(start), spec.cell_of(goal), spec):
         return None
@@ -354,7 +352,7 @@ def plan_object_path(
     seed: int,
     *,
     max_iters: int = 5000,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
 ) -> ObjectPath | None:
     """Plan the object footprint alone against statics (auxiliary scene)."""
     if not scene.workspace.contains_point(target):
@@ -434,7 +432,7 @@ def select_subgoals(
     kappa: float = 2.0,
     delta_min: float | None = None,
     delta_max: float | None = None,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
 ) -> list[Subgoal]:
     """Sample subgoals along mu, densely where static clearance is low.
 
@@ -450,8 +448,6 @@ def select_subgoals(
         delta_min = 0.5 * rs
     if delta_max is None:
         delta_max = 4.0 * rs
-    if spec is None:
-        spec = GridSpec.from_scene(scene)
     body = scene.body(mu.object_id)
     statics = scene.statics_only()
     clearance = grids.static_clearance(scene, spec)
@@ -512,7 +508,7 @@ def refine_subgoals(
     scene: Scene,
     epsilon: float,
     *,
-    object_id: str | None = None,
+    object_id: str,
 ) -> list[Subgoal]:
     """Merge consecutive legs whose contact points (object frame) are
     within epsilon, when the combined sweep stays collision-free.
@@ -524,14 +520,6 @@ def refine_subgoals(
         raise ValueError("epsilon must be positive")
     if len(subgoals) <= 2:
         return list(subgoals)
-    if object_id is None:
-        # infer from any movable at the first subgoal pose
-        for b in scene.movables:
-            if b.pose.dist(subgoals[0].object_pose) < 1e-9:
-                object_id = b.id
-                break
-    if object_id is None:
-        raise ValueError("cannot infer the transported object")
     body = scene.body(object_id)
     rs = scene.robot.w
     ignore = frozenset({object_id, scene.robot.id})
@@ -562,7 +550,7 @@ def plan_pick_place(
     seed: int = 0,
     *,
     max_iters: int = 5000,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
     purpose: str = "goal",
 ) -> tuple[MotionPlan, Scene]:
     """Chain pick and place legs through the subgoal list.

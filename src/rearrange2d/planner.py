@@ -26,6 +26,10 @@ class ConfigError(ValueError):
 
 
 _OPTIONAL_FLOATS = {"tol", "delta_min", "delta_max", "epsilon"}
+# ranges the planner needs: a zero divisor or grid size divides by zero, and
+# a delta_min of 0 or less can stall subgoal sampling on a zero step
+_AT_LEAST_ONE = ("grid_n", "skip_max_divisor")
+_POSITIVE_WHEN_SET = ("tol", "epsilon", "delta_min")
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,18 @@ class PlannerConfig:
     seed: int = 0
     refine: bool = True
     random_sequence: bool = False
-    euclidean_only: bool = False
-    static_sequence: bool = False
     greedy_cycles: bool = False
-    literal_exploration: bool = False
+
+    def __post_init__(self):
+        # merged builds every layered config, so this one check covers them all
+        for name in _AT_LEAST_ONE:
+            v = getattr(self, name)
+            if not v >= 1:
+                raise ConfigError(f"config key {name!r} must be at least 1, got {v!r}")
+        for name in _POSITIVE_WHEN_SET:
+            v = getattr(self, name)
+            if v is not None and not v > 0:
+                raise ConfigError(f"config key {name!r} must be positive when set, got {v!r}")
 
     def merged(self, overrides, source: str = "override") -> "PlannerConfig":
         """New config with overrides applied; unknown keys are an error."""
@@ -83,14 +95,11 @@ class PlannerConfig:
             cfg = cfg.merged(data, f"file {file}")
         environ = os.environ if env is None else env
         prefix = "REARRANGE2D_"
-        env_over = {}
-        for key, raw in environ.items():
-            if not key.startswith(prefix):
-                continue
-            name = key[len(prefix) :].lower()
-            if name not in {f.name for f in fields(cls)}:
-                raise ConfigError(f"unknown config key {name!r} from environment {key}")
-            env_over[name] = _parse_env(name, raw, key)
+        env_over = parse_overrides(
+            (key[len(prefix) :].lower(), raw, f"environment {key}")
+            for key, raw in environ.items()
+            if key.startswith(prefix)
+        )
         if env_over:
             cfg = cfg.merged(env_over, "environment")
         if cli:
@@ -129,7 +138,21 @@ def _coerce(name: str, value, source: str):
     raise ConfigError(f"config key {name!r} from {source}: bad value {value!r}")
 
 
-def _parse_env(name: str, raw: str, key: str):
+def parse_overrides(items) -> dict:
+    """Typed config overrides from (key, raw string, source) triples.
+
+    The one string parser: the environment and --set both go through it,
+    so a string means the same in either.  Unknown keys are an error.
+    """
+    out = {}
+    for name, raw, source in items:
+        if name not in _FIELD_TYPE:
+            raise ConfigError(f"unknown config key {name!r} from {source}")
+        out[name] = _parse_value(name, raw, source)
+    return out
+
+
+def _parse_value(name: str, raw: str, source: str):
     kind = _FIELD_TYPE[name]
     s = raw.strip().lower()
     try:
@@ -145,7 +168,7 @@ def _parse_env(name: str, raw: str, key: str):
             return int(raw)
         return float(raw)
     except ValueError as e:
-        raise ConfigError(f"environment {key}: cannot parse {raw!r}") from e
+        raise ConfigError(f"config key {name!r} from {source}: cannot parse {raw!r}") from e
 
 
 @dataclass
@@ -164,7 +187,7 @@ def gen_motion_plan(
     object_id: str,
     cfg: PlannerConfig,
     seed: int,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
     deadline: float | None = None,
 ) -> GenPlanOutcome:
     """Plan the full transport of one goal object in the current scene.
@@ -174,8 +197,6 @@ def gen_motion_plan(
     alt_crit_limit runs out.  Once time.monotonic() passes deadline, no
     further attempt starts and the outcome fails with reason "timeout".
     """
-    if spec is None:
-        spec = GridSpec.from_scene(scene, cfg.grid_n)
     rs = scene.robot.w
     eps = cfg.epsilon if cfg.epsilon is not None else 0.5 * rs
     mu = motion.plan_object_path(
@@ -227,8 +248,7 @@ def gen_motion_plan(
                 spec=spec, c0=cfg.c0, k_max=cfg.k_max, beam_width=cfg.beam_width,
                 iteration_limit=cfg.relocation_iteration_limit, clearance_min=cfg.clearance_min,
                 stall_limit=cfg.stall_limit, cardinality_cap=cfg.cardinality_cap,
-                literal_exploration=cfg.literal_exploration, rrt_max_iters=cfg.rrt_max_iters,
-                deadline=deadline,
+                rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
             )
             relocation_searches += 1
             if res.reason == "timeout":
@@ -324,8 +344,6 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
             broke = sequencer.break_cycles(graph, cfg.cycle_cap, greedy=cfg.greedy_cycles)
             precedence = [(e.src, e.dst) for e in broke.graph.edges]
             costs = CostMatrix.euclidean(s, broke.graph.vertices)
-            if cfg.euclidean_only:
-                return sequencer.solve_patsp(costs, precedence)
             refined, _ = sequencer.lazy_refine(
                 costs, s, cfg.seed, precedence=precedence, rounds=cfg.lazy_rounds,
                 spec=spec, caches=caches, rrt_max_iters=cfg.rrt_max_iters,
@@ -396,7 +414,7 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
             if skip > skip_max:
                 regen = True
                 skip = 0
-        if regen and not cfg.static_sequence:
+        if regen:
             regen_count += 1
             try:
                 seq = gen_sequence(cur, unplaced, regen_count)

@@ -43,9 +43,6 @@ class DependencyGraph:
     edges: tuple[Edge, ...]
     paths: dict[str, ObjectPath] = field(default_factory=dict)
 
-    def without_edge(self, e: Edge) -> "DependencyGraph":
-        return DependencyGraph(self.vertices, tuple(x for x in self.edges if x != e), self.paths)
-
 
 def path_crosses_rect(mu: ObjectPath, footprint_rect: Rect, w: float, h: float) -> bool:
     """Does a w x h footprint moving along mu overlap footprint_rect?
@@ -75,7 +72,7 @@ def build_dependency_graph(
     unplaced=None,
     tol: float | None = None,
     seed: int = 0,
-    spec: GridSpec | None = None,
+    spec: GridSpec,
     rrt_max_iters: int = 5000,
 ) -> DependencyGraph:
     """Precedence edges among the goal objects still away from their goals.
@@ -522,8 +519,8 @@ def lazy_refine(
     *,
     precedence=(),
     rounds: int = 5,
-    spec: GridSpec | None = None,
-    caches: SequencerCaches | None = None,
+    spec: GridSpec,
+    caches: SequencerCaches,
     rrt_max_iters: int = 5000,
 ) -> tuple[PlacementSequence, int]:
     """Upgrade the incumbent order's legs to planned robot path lengths,
@@ -534,8 +531,6 @@ def lazy_refine(
     incumbent survives with every leg upgraded it is optimal under costs
     at least as large as any competitor's true costs.
     """
-    if caches is None:
-        caches = SequencerCaches()
     statics = scene.statics_only()
     robot = scene.robot
     rparts = (robot.w, robot.h)

@@ -227,7 +227,7 @@ class FallbackCounter:
         monkeypatch.setattr(grids, "grid_path", spy)
 
 
-def assert_agrees(sc, footprint, start, goal, seed, max_iters, ignore, spec=None):
+def assert_agrees(sc, footprint, start, goal, seed, max_iters, ignore, spec):
     got = motion.birrt(sc, footprint, start, goal, seed, max_iters, ignore=ignore, spec=spec)
     want = ref_birrt(sc, footprint, start, goal, seed, max_iters, ignore=ignore, spec=spec)
     assert waypoints(got) == waypoints(want), (footprint, start, goal, seed, max_iters, ignore)
@@ -360,7 +360,10 @@ def test_lattice_queries_match_reference(seed):
             start = Pose2(rng.randrange(2, 30) / 4, rng.randrange(2, 30) / 4)
             goal = Pose2(rng.randrange(2, 30) / 4, start.y if rng.random() < 0.5 else rng.randrange(2, 30) / 4)
             ignore = frozenset({"robot"}) | (obstacles if rng.random() < 0.3 else frozenset())
-            got = assert_agrees(sc, (0.5, 0.5), start, goal, rng.randrange(2**32), rng.choice((5, 50, 300)), ignore)
+            got = assert_agrees(
+                sc, (0.5, 0.5), start, goal, rng.randrange(2**32), rng.choice((5, 50, 300)), ignore,
+                GridSpec.from_scene(sc),
+            )
             found += got is not None
     assert found
 
@@ -395,7 +398,8 @@ def test_lattice_samples_tie_inside_birrt(monkeypatch):
         sc = scene([robot(1.0, 1.0, side), wall("w", 4.0, wy, 1.0, 6.0)], ws=Rect(0.0, 0.0, 8.0, 8.0))
         start = Pose2(rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
         goal = Pose2(8.0 - rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
-        assert assert_agrees(sc, (side, side), start, goal, seed, 200, frozenset({"robot"})) is not None
+        spec = GridSpec.from_scene(sc)
+        assert assert_agrees(sc, (side, side), start, goal, seed, 200, frozenset({"robot"}), spec) is not None
     assert ties[0] > 100
 
 

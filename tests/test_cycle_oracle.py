@@ -125,6 +125,10 @@ def ref_enumerate_cycles(graph: DependencyGraph, cap: int = 10000) -> CycleLedge
     return CycleLedger(tuple(cycles), truncated)
 
 
+def without_edge(graph: DependencyGraph, e: Edge) -> DependencyGraph:
+    return DependencyGraph(graph.vertices, tuple(x for x in graph.edges if x != e), graph.paths)
+
+
 @dataclass(frozen=True)
 class RefBreakResult:
     graph: DependencyGraph
@@ -178,7 +182,7 @@ def ref_break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = Fa
                     tuple(ledgers) + rest.ledgers,
                 )
             e = pick(live, cur.edges)
-            cur = cur.without_edge(e)
+            cur = without_edge(cur, e)
             removed.append(e)
         return RefBreakResult(cur, tuple(removed), tuple(ledgers))
 
@@ -194,7 +198,7 @@ def ref_break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = Fa
             for e in c.edges:
                 freq[e] = freq.get(e, 0) + 1
         e = pick(freq, cur.edges)
-        cur = cur.without_edge(e)
+        cur = without_edge(cur, e)
         removed.append(e)
 
 

@@ -18,6 +18,7 @@ import pytest
 from scipy import ndimage
 
 from rearrange2d import grids
+from rearrange2d.bench import make_scene
 from rearrange2d.grids import (
     GridSpec,
     component_labels,
@@ -28,7 +29,7 @@ from rearrange2d.grids import (
     swept_cells,
 )
 from rearrange2d.motion import compound_parts
-from rearrange2d.planner import plan_rearrangement
+from rearrange2d.planner import PlannerConfig, plan_rearrangement
 from rearrange2d.world import EPS, KIND_ROBOT, Pose2, Rect
 
 from conftest import goal_obj, obstacle, robot, scene, wall
@@ -305,3 +306,30 @@ def test_no_entry_outlives_its_planning_call(monkeypatch):
     assert first.status == second.status == "success"
     assert per_call > 0
     assert built[0] == 2 * per_call
+
+
+@pytest.mark.parametrize("name,seed", [("m_block_8", 1), ("m_block_12", 2), ("nested_blockers", 0), ("swap_pocket", 3)])
+def test_grid_n_reaches_every_raster(monkeypatch, name, seed):
+    # make_scene first: gen_m_block vets its scenes on a spec of its own
+    sc = make_scene(name, seed)
+    specs, shapes = [], set()
+    init = GridSpec.__init__
+
+    def spec_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        specs.append(self)
+
+    def shape_of(inner):
+        def spy(*args, **kwargs):
+            spec = next(a for a in (*args, *kwargs.values()) if isinstance(a, GridSpec))
+            shapes.add((spec.nx, spec.ny))
+            return inner(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(GridSpec, "__init__", spec_init)
+    monkeypatch.setattr(grids, "_part_mask", shape_of(grids._part_mask))
+    monkeypatch.setattr(grids, "occupancy_mask", shape_of(grids.occupancy_mask))
+    plan_rearrangement(sc, PlannerConfig(grid_n=32, seed=seed))
+    assert len(specs) == 1
+    assert shapes == {(32, 32)}

@@ -368,8 +368,9 @@ class TestGridPath:
         assert path[0] in {(1, 0), (0, 1)}
 
     def test_grid_connected(self):
+        spec = GridSpec(Pose2(0.0, 0.0), 6, 6, 1.0, 1.0)
         free = np.ones((6, 6), dtype=bool)
         free[:, 3] = False
-        assert not grid_connected(free, (0, 0), (5, 5))
+        assert not grid_connected(free, (0, 0), (5, 5), spec)
         free[0, 3] = True
-        assert grid_connected(free, (0, 0), (5, 5))
+        assert grid_connected(free, (0, 0), (5, 5), spec)

@@ -5,7 +5,6 @@ from rearrange2d.motion import (
     InfeasibleLeg,
     ObjectPath,
     Path,
-    Subgoal,
     SubgoalBlocked,
     birrt,
     compound_parts,
@@ -19,6 +18,7 @@ from rearrange2d.motion import (
     solve_pick_config,
     sweep_clear,
 )
+from rearrange2d.grids import GridSpec
 from rearrange2d.world import Pose2, footprint_collides
 
 from conftest import goal_obj, obstacle, robot, scene, wall
@@ -108,13 +108,16 @@ class TestSweepClear:
 class TestBirrt:
     def test_straight_shot(self, empty_scene):
         a, b = Pose2(1, 1), Pose2(8, 8)
-        p = birrt(empty_scene, (0.4, 0.4), a, b, 0, ignore=frozenset({"robot"}))
+        p = birrt(
+            empty_scene, (0.4, 0.4), a, b, 0,
+            ignore=frozenset({"robot"}), spec=GridSpec.from_scene(empty_scene),
+        )
         assert p is not None
         assert p.waypoints == (a, b)
 
     def test_deterministic(self, walled_scene):
         a, b = Pose2(2, 2), Pose2(8, 2)
-        kw = dict(ignore=frozenset({"robot", "g1"}))
+        kw = dict(ignore=frozenset({"robot", "g1"}), spec=GridSpec.from_scene(walled_scene))
         p1 = birrt(walled_scene, (0.4, 0.4), a, b, 7, **kw)
         p2 = birrt(walled_scene, (0.4, 0.4), a, b, 7, **kw)
         assert p1 is not None
@@ -122,19 +125,28 @@ class TestBirrt:
 
     def test_endpoints_exact(self, walled_scene):
         a, b = Pose2(2, 2), Pose2(8, 2)
-        p = birrt(walled_scene, (0.4, 0.4), a, b, 7, ignore=frozenset({"robot", "g1"}))
+        p = birrt(
+            walled_scene, (0.4, 0.4), a, b, 7,
+            ignore=frozenset({"robot", "g1"}), spec=GridSpec.from_scene(walled_scene),
+        )
         assert p.waypoints[0] == a and p.waypoints[-1] == b
 
     def test_path_is_collision_free(self, walled_scene):
         a, b = Pose2(2, 2), Pose2(8, 2)
-        p = birrt(walled_scene, (0.4, 0.4), a, b, 7, ignore=frozenset({"robot", "g1"}))
+        p = birrt(
+            walled_scene, (0.4, 0.4), a, b, 7,
+            ignore=frozenset({"robot", "g1"}), spec=GridSpec.from_scene(walled_scene),
+        )
         assert sweep_clear(
             walled_scene, ((0.0, 0.0, 0.4, 0.4),), p.waypoints, frozenset({"robot", "g1"})
         )
 
     def test_disconnected_returns_none(self):
         sc = scene([robot(1, 5), wall("bar", 5, 5, 0.4, 10.0)])
-        p = birrt(sc, (0.4, 0.4), Pose2(1, 5), Pose2(9, 5), 0, ignore=frozenset({"robot"}))
+        p = birrt(
+            sc, (0.4, 0.4), Pose2(1, 5), Pose2(9, 5), 0,
+            ignore=frozenset({"robot"}), spec=GridSpec.from_scene(sc),
+        )
         assert p is None
 
     def test_narrow_corridor(self):
@@ -146,14 +158,18 @@ class TestBirrt:
                 wall("bot", 5, 2.5, 0.4, 5.0),
             ]
         )
-        p = birrt(sc, (0.4, 0.4), Pose2(1, 5), Pose2(9, 5), 3, ignore=frozenset({"robot"}))
+        p = birrt(
+            sc, (0.4, 0.4), Pose2(1, 5), Pose2(9, 5), 3,
+            ignore=frozenset({"robot"}), spec=GridSpec.from_scene(sc),
+        )
         assert p is not None
         assert sweep_clear(sc, ((0.0, 0.0, 0.4, 0.4),), p.waypoints, frozenset({"robot"}))
 
     def test_ignore_respected(self, simple_scene):
         a, b = Pose2(2, 6), Pose2(9, 6)
         p = birrt(
-            simple_scene, (0.4, 0.4), a, b, 0, ignore=frozenset({"robot", "b1"})
+            simple_scene, (0.4, 0.4), a, b, 0,
+            ignore=frozenset({"robot", "b1"}), spec=GridSpec.from_scene(simple_scene),
         )
         assert p.waypoints == (a, b)
 
@@ -161,7 +177,7 @@ class TestBirrt:
         # start colliding with an obstacle that is not ignored
         p = birrt(
             simple_scene, (0.4, 0.4), Pose2(6, 6), Pose2(9, 9), 0,
-            ignore=frozenset({"robot"}),
+            ignore=frozenset({"robot"}), spec=GridSpec.from_scene(simple_scene),
         )
         assert p is None
 
@@ -207,22 +223,22 @@ class TestSolvePickConfig:
 
 class TestPlanObjectPath:
     def test_straight(self, simple_scene):
-        mu = plan_object_path(simple_scene, "g1", Pose2(8, 8), 0)
+        mu = plan_object_path(simple_scene, "g1", Pose2(8, 8), 0, spec=GridSpec.from_scene(simple_scene))
         assert mu is not None
         assert mu.object_id == "g1"
         assert mu.waypoints[0] == Pose2(3, 3)
         assert mu.waypoints[-1] == Pose2(8, 8)
 
     def test_target_outside_workspace(self, simple_scene):
-        assert plan_object_path(simple_scene, "g1", Pose2(11, 5), 0) is None
+        assert plan_object_path(simple_scene, "g1", Pose2(11, 5), 0, spec=GridSpec.from_scene(simple_scene)) is None
 
     def test_movables_are_transparent(self, simple_scene):
         # b1 sits on the straight line; the object path still goes straight
-        mu = plan_object_path(simple_scene, "g1", Pose2(9, 9), 0)
+        mu = plan_object_path(simple_scene, "g1", Pose2(9, 9), 0, spec=GridSpec.from_scene(simple_scene))
         assert len(mu.waypoints) == 2
 
     def test_routes_around_walls(self, walled_scene):
-        mu = plan_object_path(walled_scene, "g1", Pose2(8, 8), 1)
+        mu = plan_object_path(walled_scene, "g1", Pose2(8, 8), 1, spec=GridSpec.from_scene(walled_scene))
         assert mu is not None
         # must clear the divider: some waypoint above the wall top
         assert max(p.y for p in mu.waypoints) > 8.0 - 0.3
@@ -236,7 +252,7 @@ class TestSelectSubgoals:
 
     def test_endpoints_and_spacing(self):
         sc, mu = self._straight()
-        sgs = select_subgoals(mu, sc)
+        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
         assert sgs[0].object_pose == Pose2(1, 5)
         assert sgs[-1].object_pose == Pose2(9, 5)
         rs = 0.4
@@ -252,14 +268,14 @@ class TestSelectSubgoals:
             [robot(1, 4), goal_obj("o", 1, 5), wall("w", 5, 6.0, 8.0, 0.6)],
             {"o": Pose2(9, 5)},
         )
-        n_open = len(select_subgoals(mu, open_sc))
-        n_wall = len(select_subgoals(mu, near))
+        n_open = len(select_subgoals(mu, open_sc, spec=GridSpec.from_scene(open_sc)))
+        n_wall = len(select_subgoals(mu, near, spec=GridSpec.from_scene(near)))
         assert n_wall > n_open
 
     def test_via_points_cover_bends(self):
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(5, 9)})
         mu = ObjectPath("o", (Pose2(1, 5), Pose2(5, 5), Pose2(5, 9)))
-        sgs = select_subgoals(mu, sc)
+        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
         seq = [sgs[0].object_pose]
         for sg in sgs[1:]:
             seq.extend(sg.via)
@@ -284,23 +300,23 @@ class TestSelectSubgoals:
         )
         mu = ObjectPath("o", (Pose2(cx, cx), Pose2(cx, 8.0)))
         with pytest.raises(SubgoalBlocked) as ei:
-            select_subgoals(mu, sc)
+            select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
         assert ei.value.leg == 0
 
     def test_empty_path_rejected(self, empty_scene):
         with pytest.raises(ValueError):
-            select_subgoals(ObjectPath("o", ()), empty_scene)
+            select_subgoals(ObjectPath("o", ()), empty_scene, spec=GridSpec.from_scene(empty_scene))
 
 
 class TestRefineSubgoals:
     def test_requires_positive_epsilon(self, empty_scene):
         with pytest.raises(ValueError):
-            refine_subgoals([], empty_scene, 0.0)
+            refine_subgoals([], empty_scene, 0.0, object_id="o")
 
     def test_straight_line_merges_to_two(self):
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(9, 5)})
         mu = ObjectPath("o", (Pose2(1, 5), Pose2(9, 5)))
-        sgs = select_subgoals(mu, sc)
+        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
         assert len(sgs) > 2
         out = refine_subgoals(sgs, sc, 0.1, object_id="o")
         assert len(out) == 2
@@ -316,7 +332,7 @@ class TestRefineSubgoals:
         # differing contact points nothing merges
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(9, 5)})
         mu = ObjectPath("o", (Pose2(1, 5), Pose2(9, 5)))
-        sgs = select_subgoals(mu, sc)
+        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
         sides = {sg.grasp_side for sg in sgs[1:]}
         if len(sides) == 1:
             out = refine_subgoals(sgs, sc, 1e-6, object_id="o")
@@ -324,23 +340,14 @@ class TestRefineSubgoals:
         short = refine_subgoals(sgs[:2], sc, 0.1, object_id="o")
         assert short == sgs[:2]
 
-    def test_unknown_object_rejected(self, empty_scene):
-        sgs = [
-            Subgoal(Pose2(1, 1), Pose2(1.3, 1), "E"),
-            Subgoal(Pose2(2, 1), Pose2(2.3, 1), "E"),
-            Subgoal(Pose2(3, 1), Pose2(3.3, 1), "E"),
-        ]
-        with pytest.raises(ValueError):
-            refine_subgoals(sgs, empty_scene, 0.1)
-
 
 class TestPlanPickPlace:
     def _plan(self, seed=0):
         sc = scene([robot(1, 5), goal_obj("o", 3, 5)], {"o": Pose2(7, 5)})
         mu = ObjectPath("o", (Pose2(3, 5), Pose2(7, 5)))
-        sgs = select_subgoals(mu, sc)
+        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
         sgs = refine_subgoals(sgs, sc, 0.25 * sc.robot.w, object_id="o")
-        return sc, plan_pick_place(sc, "o", sgs, seed=seed)
+        return sc, plan_pick_place(sc, "o", sgs, seed=seed, spec=GridSpec.from_scene(sc))
 
     def test_reaches_target(self):
         sc, (plan, final) = self._plan()
@@ -377,7 +384,7 @@ class TestPlanPickPlace:
 
     def test_no_subgoals_rejected(self, simple_scene):
         with pytest.raises(ValueError):
-            plan_pick_place(simple_scene, "b1", [])
+            plan_pick_place(simple_scene, "b1", [], spec=GridSpec.from_scene(simple_scene))
 
     def test_blocked_corridor_raises_infeasible(self):
         sc = scene(
@@ -391,9 +398,9 @@ class TestPlanPickPlace:
             {"o": Pose2(7.5, 5)},
         )
         mu = ObjectPath("o", (Pose2(2.5, 5), Pose2(7.5, 5)))
-        sgs = select_subgoals(mu, sc)
+        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
         with pytest.raises(InfeasibleLeg) as ei:
-            plan_pick_place(sc, "o", sgs)
+            plan_pick_place(sc, "o", sgs, spec=GridSpec.from_scene(sc))
         assert ei.value.object_id == "o"
         assert ei.value.kind in ("pick", "place")
 

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
 import sys
 from pathlib import Path as FilePath
@@ -95,6 +96,78 @@ class TestPlannerConfig:
             PlannerConfig.from_layers(file=str(f))
 
 
+# (key, values out of range, a value in range)
+RANGE_RULES = [
+    ("grid_n", (0, -3), 1),
+    ("skip_max_divisor", (0, -1), 1),
+    ("tol", (0.0, -1.0), 1e-3),
+    ("epsilon", (0.0, -0.5), 1e-3),
+    ("delta_min", (0.0, -1.0), 1e-3),
+]
+
+
+@pytest.mark.parametrize("key,bad,good", RANGE_RULES, ids=[r[0] for r in RANGE_RULES])
+def test_out_of_range_value_is_a_config_error(key, bad, good, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    scenario.save_scene(bench.make_scene("four_blocks"), path)
+    for v in bad:
+        with pytest.raises(ConfigError, match=key):
+            PlannerConfig(**{key: v})
+        with pytest.raises(ConfigError, match=key):
+            PlannerConfig().merged({key: v})
+        with pytest.raises(ConfigError, match=key):
+            PlannerConfig.from_layers(env={f"REARRANGE2D_{key.upper()}": str(v)})
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({key: v}))
+        with pytest.raises(ConfigError, match=key):
+            PlannerConfig.from_layers(file=str(f), env={})
+        # before the rule these ended in a traceback (exit 1) or, for
+        # delta_min with kappa=0, in a subgoal loop that never ended
+        assert cli.main(["plan", str(path), "--set", "kappa=0", "--set", f"{key}={v}"]) == 2
+        assert key in capsys.readouterr().err
+    assert getattr(PlannerConfig(**{key: good}), key) == good
+
+
+# (key, string, value) as the environment and --set must both read it
+STRINGS = [
+    ("refine", "yes", True),
+    ("refine", "OFF", False),
+    ("refine", "1", True),
+    ("random_sequence", "true", True),
+    ("tol", "none", None),
+    ("tol", "null", None),
+    ("tol", " 0.25 ", 0.25),
+    ("grid_n", "32", 32),
+    ("c0", "30", 30.0),
+    ("seed", "7", 7),
+]
+BAD_STRINGS = [("refine", "maybe"), ("seed", "1.5"), ("grid_n", "32.0"), ("c0", "fast"), ("tol", "[]")]
+
+
+def _set_config(key, raw):
+    args = cli.build_parser().parse_args(["plan", "scene.json", "--set", f"{key}={raw}"])
+    return cli._build_config(args)
+
+
+@pytest.mark.parametrize("key,raw,value", STRINGS)
+def test_string_layers_read_alike(monkeypatch, key, raw, value):
+    # --set sits on top of the real environment; keep it out of the comparison
+    for name in [k for k in os.environ if k.startswith("REARRANGE2D_")]:
+        monkeypatch.delenv(name)
+    from_env = PlannerConfig.from_layers(env={f"REARRANGE2D_{key.upper()}": raw})
+    from_set = _set_config(key, raw)
+    assert from_env == from_set
+    assert getattr(from_set, key) == value
+
+
+@pytest.mark.parametrize("key,raw", BAD_STRINGS)
+def test_string_layers_reject_alike(key, raw):
+    with pytest.raises(ConfigError, match=key):
+        PlannerConfig.from_layers(env={f"REARRANGE2D_{key.upper()}": raw})
+    with pytest.raises(ConfigError, match=key):
+        _set_config(key, raw)
+
+
 REMOVED_KEYS = (
     "alpha_m",
     "beta_m",
@@ -103,6 +176,9 @@ REMOVED_KEYS = (
     "rrt_step",
     "rrt_goal_bias",
     "rrt_shortcut_attempts",
+    "literal_exploration",
+    "euclidean_only",
+    "static_sequence",
 )
 
 
@@ -113,7 +189,7 @@ class TestConfigLiveness:
         for f in src.glob("*.py"):
             read.update(re.findall(r"\bcfg\.(\w+)", f.read_text(encoding="utf-8")))
         names = [f.name for f in dataclasses.fields(PlannerConfig)]
-        assert len(names) == 27
+        assert len(names) == 24
         assert [n for n in names if n not in read] == []
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -174,7 +250,7 @@ class TestGenMotionPlan:
             [robot(1, 1), goal_obj("g1", 3, 3), obstacle("b1", 6, 2)],
             {"g1": Pose2(8.0, 8.0)},
         )
-        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0)
+        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
         assert out.success
         assert out.scene.body("g1").pose == Pose2(8.0, 8.0)
         assert out.relocated == ()
@@ -191,7 +267,7 @@ class TestGenMotionPlan:
             ],
             {"g1": Pose2(8.0, 5.0)},
         )
-        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0)
+        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
         assert out.success
         assert "b1" in out.relocated
         assert out.plans[-1].object_id == "g1"
@@ -203,7 +279,7 @@ class TestGenMotionPlan:
             [robot(1, 5), goal_obj("g1", 3, 5), wall("bar", 6, 5, 0.4, 10.0)],
             {"g1": Pose2(8, 5)},
         )
-        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0)
+        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
         assert not out.success
         assert out.reason == "no route past the walls"
 
@@ -293,12 +369,12 @@ class TestDeadline:
 
         monkeypatch.setattr(planner, "search_relocations", search)
         cfg = PlannerConfig()
-        out = gen_motion_plan(sc, "g1", cfg, seed=0, deadline=0.5)
+        out = gen_motion_plan(sc, "g1", cfg, seed=0, spec=GridSpec.from_scene(sc), deadline=0.5)
         assert out.reason == "timeout"
         assert searches == [0]
         # without a deadline every alternative critical subset is tried
         searches.clear()
-        out = gen_motion_plan(sc, "g1", cfg, seed=0)
+        out = gen_motion_plan(sc, "g1", cfg, seed=0, spec=GridSpec.from_scene(sc))
         assert out.reason == "relocation search exhausted"
         assert searches == list(range(cfg.alt_crit_limit))
 
@@ -343,9 +419,7 @@ class TestPlanRearrangement:
         res = plan_rearrangement(simple_scene, PlannerConfig(time_limit=0.0))
         assert res.status == "timeout"
 
-    @pytest.mark.parametrize(
-        "flag", ["random_sequence", "static_sequence", "euclidean_only"]
-    )
+    @pytest.mark.parametrize("flag", ["random_sequence"])
     def test_sequencer_variants_still_solve(self, flag):
         sc = scene(
             [robot(1, 1), goal_obj("a", 3, 3), goal_obj("b", 3, 7)],

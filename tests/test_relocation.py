@@ -156,8 +156,6 @@ class TestScores:
     def test_score_node(self):
         assert gs.score_node(10.0, 0, 25.0) == pytest.approx(35.0)
         assert gs.score_node(10.0, 3, 25.0) == pytest.approx(10.0 + 25.0 / 2.0)
-        assert gs.score_node(10.0, 4, 25.0, literal=True) == pytest.approx(60.0)
-        assert gs.score_node(10.0, 0, 25.0, literal=True) == pytest.approx(10.0)
 
     def test_weight_objects(self):
         sc = scene(
@@ -275,7 +273,7 @@ class TestPlanRelocation:
                 wall("wt", cx, cx + 0.65, 1.8, 0.5),
             ]
         )
-        assert gs.plan_relocation(sc, "o", Pose2(8, 8), 0) is None
+        assert gs.plan_relocation(sc, "o", Pose2(8, 8), 0, spec=GridSpec.from_scene(sc)) is None
 
 
 class TestSearchRelocations:

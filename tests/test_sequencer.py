@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from rearrange2d.grids import GridSpec
 from rearrange2d.motion import ObjectPath
 from rearrange2d.sequencer import (
     STRONG,
@@ -50,7 +51,7 @@ class TestBuildDependencyGraph:
             [robot(1, 5), goal_obj("a", 3, 5), goal_obj("b", 5, 5)],
             {"a": Pose2(7, 5), "b": Pose2(5, 8)},
         )
-        g = build_dependency_graph(sc)
+        g = build_dependency_graph(sc, spec=GridSpec.from_scene(sc))
         assert g.vertices == ("a", "b")
         assert Edge("b", "a", WEAK) in g.edges
         assert all(e.strength == WEAK for e in g.edges)
@@ -61,7 +62,7 @@ class TestBuildDependencyGraph:
             [robot(1, 5), goal_obj("a", 3, 5), goal_obj("c", 8, 2)],
             {"a": Pose2(7, 5), "c": Pose2(5, 5)},
         )
-        g = build_dependency_graph(sc)
+        g = build_dependency_graph(sc, spec=GridSpec.from_scene(sc))
         assert g.edges == (Edge("a", "c", STRONG),)
 
     def test_placed_objects_excluded(self):
@@ -69,7 +70,7 @@ class TestBuildDependencyGraph:
             [robot(1, 1), goal_obj("a", 3, 5), goal_obj("b", 8, 8)],
             {"a": Pose2(7, 5), "b": Pose2(8, 8)},
         )
-        g = build_dependency_graph(sc)
+        g = build_dependency_graph(sc, spec=GridSpec.from_scene(sc))
         assert g.vertices == ("a",)
 
     def test_no_route_raises(self):
@@ -78,12 +79,7 @@ class TestBuildDependencyGraph:
             {"a": Pose2(8, 5)},
         )
         with pytest.raises(SequenceInfeasible):
-            build_dependency_graph(sc)
-
-    def test_without_edge(self):
-        g = DependencyGraph(("a", "b"), (Edge("a", "b", WEAK), Edge("b", "a", STRONG)))
-        g2 = g.without_edge(Edge("a", "b", WEAK))
-        assert g2.edges == (Edge("b", "a", STRONG),)
+            build_dependency_graph(sc, spec=GridSpec.from_scene(sc))
 
 
 def _random_digraph(rng, n, p):
@@ -351,7 +347,9 @@ class TestLazyRefine:
         sc = self._two_goal_scene()
         costs = CostMatrix.euclidean(sc, ("a", "b"))
         base = solve_patsp(costs)
-        refined, rounds = lazy_refine(costs, sc, seed=0)
+        refined, rounds = lazy_refine(
+            costs, sc, seed=0, spec=GridSpec.from_scene(sc), caches=SequencerCaches()
+        )
         assert refined.order == base.order
         # straight legs stay straight, so the upgraded costs match euclid
         assert refined.cost == pytest.approx(base.cost)
@@ -361,7 +359,9 @@ class TestLazyRefine:
         sc = self._two_goal_scene(with_wall=True)
         costs = CostMatrix.euclidean(sc, ("a", "b"))
         euclid = CostMatrix.euclidean(sc, ("a", "b"))
-        refined, _ = lazy_refine(costs, sc, seed=0)
+        refined, _ = lazy_refine(
+            costs, sc, seed=0, spec=GridSpec.from_scene(sc), caches=SequencerCaches()
+        )
         assert (costs.start + 1e-9 >= euclid.start).all()
         mask = np.isfinite(costs.between)
         assert (costs.between[mask] + 1e-9 >= euclid.between[mask]).all()
@@ -371,21 +371,36 @@ class TestLazyRefine:
     def test_cache_reuse(self):
         sc = self._two_goal_scene(with_wall=True)
         caches = SequencerCaches()
-        lazy_refine(CostMatrix.euclidean(sc, ("a", "b")), sc, seed=0, caches=caches)
+        lazy_refine(
+            CostMatrix.euclidean(sc, ("a", "b")), sc, seed=0,
+            spec=GridSpec.from_scene(sc), caches=caches,
+        )
         misses = caches.misses
         assert misses > 0
-        lazy_refine(CostMatrix.euclidean(sc, ("a", "b")), sc, seed=0, caches=caches)
+        lazy_refine(
+            CostMatrix.euclidean(sc, ("a", "b")), sc, seed=0,
+            spec=GridSpec.from_scene(sc), caches=caches,
+        )
         assert caches.misses == misses
         assert caches.hits > 0
 
     def test_deterministic(self):
         sc = self._two_goal_scene(with_wall=True)
-        r1, _ = lazy_refine(CostMatrix.euclidean(sc, ("a", "b")), sc, seed=9)
-        r2, _ = lazy_refine(CostMatrix.euclidean(sc, ("a", "b")), sc, seed=9)
+        r1, _ = lazy_refine(
+            CostMatrix.euclidean(sc, ("a", "b")), sc, seed=9,
+            spec=GridSpec.from_scene(sc), caches=SequencerCaches(),
+        )
+        r2, _ = lazy_refine(
+            CostMatrix.euclidean(sc, ("a", "b")), sc, seed=9,
+            spec=GridSpec.from_scene(sc), caches=SequencerCaches(),
+        )
         assert r1 == r2
 
     def test_precedence_respected(self):
         sc = self._two_goal_scene()
         costs = CostMatrix.euclidean(sc, ("a", "b"))
-        refined, _ = lazy_refine(costs, sc, seed=0, precedence=(("b", "a"),))
+        refined, _ = lazy_refine(
+            costs, sc, seed=0, precedence=(("b", "a"),),
+            spec=GridSpec.from_scene(sc), caches=SequencerCaches(),
+        )
         assert refined.order == ("b", "a")
