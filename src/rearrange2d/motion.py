@@ -15,7 +15,15 @@ from itertools import repeat
 
 from . import grids
 from .grids import GridSpec
-from .world import Pose2, Scene, footprint_collides, inflate, segment_hits
+from .world import (
+    Pose2,
+    Scene,
+    footprint_collides,
+    footprint_collides_xy,
+    inflate,
+    segment_hits,
+    segment_hits_xy,
+)
 
 SIDES = ("N", "E", "S", "W")
 _SIDE_DIR = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
@@ -155,12 +163,12 @@ def sweep_clear(scene: Scene, parts, poses, ignore=frozenset()) -> bool:
     return True
 
 
-def _nearest(pts, q: Pose2) -> tuple[int, float]:
-    """Index of the first of the packed (x, y) points nearest q, and its
-    distance.  math.dist and math.hypot share one norm, so each distance is
-    the double Pose2.dist gives; min keeps the first minimum, and so does
-    index."""
-    ds = list(map(math.dist, pts, repeat((q.x, q.y), len(pts))))
+def _nearest(pts, q: tuple[float, float]) -> tuple[int, float]:
+    """Index of the first of the packed (x, y) points nearest the point q,
+    and its distance.  math.dist and math.hypot share one norm, so each
+    distance is the double Pose2.dist gives; min keeps the first minimum,
+    and so does index."""
+    ds = list(map(math.dist, pts, repeat(q, len(pts))))
     d = min(ds)
     return ds.index(d), d
 
@@ -187,32 +195,35 @@ def birrt(
     feasible corridors do not read as infeasible; that route, like a
     sampled one, ends at goal itself.
 
-    Each tree keeps its node coordinates packed beside the nodes, so the
-    nearest-node scan is one _nearest pass.  The scan is exact: every
-    distance is the double Pose2.dist gives, and ties go to the lowest node
-    index.  A connect step scans once and then updates its nearest node
-    incrementally: the target is fixed and each step adds the tree's last
-    node, which is nearer only when its distance is strictly smaller.  So
-    the path is the one a per-step Pose2.dist loop with a strict < finds.
+    Samples, tree nodes and waypoints are plain (x, y) tuples, tested with
+    the collision kernel's point-level entries: a tree holds only its
+    packed points and their parent indices, and Pose2 objects are built
+    only for the returned path, whose ends are the caller's start and goal
+    objects.  The nearest-node scan is one _nearest pass and is exact:
+    every distance is the double Pose2.dist gives (math.dist), and ties go
+    to the lowest node index.  A connect step scans once and then updates
+    its nearest node incrementally: the target is fixed and each step adds
+    the tree's last node, which is nearer only when its distance is
+    strictly smaller.  So the path is the one a per-step Pose2.dist loop
+    with a strict < finds.
     """
     parts = _normalize_parts(footprint)
     step = 0.5 * scene.robot.w
-
-    def blocked(p: Pose2) -> bool:
-        return footprint_collides(scene, parts, p, ignore)
-
     obstacles = inflate(scene, parts, ignore)
 
-    def edge_free(a: Pose2, b: Pose2) -> bool:
-        # endpoints are vetted by blocked(); the segment test is exact, so
+    def edge_free(ax, ay, bx, by) -> bool:
+        # a is always a point already tested; the segment test is exact, so
         # workspace containment follows from endpoint containment
-        return not blocked(b) and not segment_hits(obstacles, a, b)
+        return not footprint_collides_xy(scene, parts, bx, by, ignore) and not segment_hits_xy(
+            obstacles, ax, ay, bx, by
+        )
 
-    if blocked(start) or blocked(goal):
+    sx, sy, gx, gy = start.x, start.y, goal.x, goal.y
+    if footprint_collides_xy(scene, parts, sx, sy, ignore) or footprint_collides_xy(
+        scene, parts, gx, gy, ignore
+    ):
         return None
-    if start.dist(goal) < 1e-12:
-        return Path((start, goal))
-    if edge_free(start, goal):
+    if start.dist(goal) < 1e-12 or edge_free(sx, sy, gx, gy):
         return Path((start, goal))
 
     free = grids.fit_mask_parts(scene, spec, parts, ignore)
@@ -220,39 +231,41 @@ def birrt(
         return None
 
     rng = random.Random(seed)
+    uniform = rng.uniform
     ws = scene.workspace
 
-    # a tree is its nodes, their packed (x, y) coordinates and parent indices
-    ta = ([start], [(start.x, start.y)], [-1])
-    tb = ([goal], [(goal.x, goal.y)], [-1])
+    # a tree is its packed (x, y) points and their parent indices
+    ta = ([(sx, sy)], [-1])
+    tb = ([(gx, gy)], [-1])
 
     def grow(tree, q, i, d):
         """One step from node i, at distance d, toward q; new index or -1."""
         if d < 1e-12:
             return -1
-        nodes, pts, parents = tree
-        a = nodes[i]
+        pts, parents = tree
+        ax, ay = pts[i]
+        qx, qy = q
         t = min(1.0, step / d)
-        b = Pose2(a.x + (q.x - a.x) * t, a.y + (q.y - a.y) * t)
-        if not edge_free(a, b):
+        bx = ax + (qx - ax) * t
+        by = ay + (qy - ay) * t
+        if not edge_free(ax, ay, bx, by):
             return -1
-        nodes.append(b)
-        pts.append((b.x, b.y))
+        pts.append((bx, by))
         parents.append(i)
-        return len(nodes) - 1
+        return len(pts) - 1
 
     def connect(tree, q):
         # q stays fixed and each step adds one node, the last, so the nearest
         # node after a step is that node if strictly closer (a step toward q
         # always ends closer), else unchanged
-        i, d = _nearest(tree[1], q)
+        i, d = _nearest(tree[0], q)
         last = -1
         while True:
             j = grow(tree, q, i, d)
             if j < 0:
                 return last
             last = j
-            dj = tree[0][j].dist(q)
+            dj = math.dist(tree[0][j], q)
             if dj < 1e-9:
                 return j
             if dj < d:
@@ -265,11 +278,12 @@ def birrt(
         if rng.random() < GOAL_BIAS:
             q = b[0][0]
         else:
-            q = Pose2(rng.uniform(ws.xmin, ws.xmax), rng.uniform(ws.ymin, ws.ymax))
-        i = grow(a, q, *_nearest(a[1], q))
+            q = (uniform(ws.xmin, ws.xmax), uniform(ws.ymin, ws.ymax))
+        i = grow(a, q, *_nearest(a[0], q))
         if i >= 0:
-            j = connect(b, a[0][i])
-            if j >= 0 and b[0][j].dist(a[0][i]) < 1e-9:
+            p = a[0][i]
+            j = connect(b, p)
+            if j >= 0 and math.dist(b[0][j], p) < 1e-9:
                 bridge = (j, i) if swapped else (i, j)
                 break
         swapped = not swapped
@@ -279,33 +293,34 @@ def birrt(
         cells = grids.grid_path(free, spec.cell_of(start), spec.cell_of(goal))
         if cells is None:
             return None
-        waypoints = [start]
-        for p in map(spec.center, cells):
-            if p.dist(waypoints[-1]) > 1e-12:
+        waypoints = [(sx, sy)]
+        for cell in cells:
+            c = spec.center(cell)
+            p = (c.x, c.y)
+            if math.dist(p, waypoints[-1]) > 1e-12:
                 waypoints.append(p)
         # end at goal itself: a last cell center within 1e-12 of it gives way
-        if len(waypoints) > 1 and goal.dist(waypoints[-1]) <= 1e-12:
+        if len(waypoints) > 1 and math.dist((gx, gy), waypoints[-1]) <= 1e-12:
             waypoints.pop()
-        waypoints.append(goal)
-        for p, r in zip(waypoints, waypoints[1:]):
-            if not edge_free(p, r):
+        waypoints.append((gx, gy))
+        for (ax, ay), (bx, by) in zip(waypoints, waypoints[1:]):
+            if not edge_free(ax, ay, bx, by):
                 return None
     else:
         ia, ib = bridge
         left = []
         while ia >= 0:
             left.append(ta[0][ia])
-            ia = ta[2][ia]
+            ia = ta[1][ia]
         left.reverse()
         right = []
         while ib >= 0:
             right.append(tb[0][ib])
-            ib = tb[2][ib]
+            ib = tb[1][ib]
         waypoints = left + right
-        if waypoints[-1] is not goal:
-            waypoints[-1] = goal
-        waypoints[0] = start
 
+    # waypoints run from the start point to the goal point, and shortcuts
+    # keep both ends
     for _ in range(SHORTCUT_ATTEMPTS):
         if len(waypoints) <= 2:
             break
@@ -314,9 +329,9 @@ def birrt(
         if abs(i - j) < 2:
             continue
         i, j = min(i, j), max(i, j)
-        if edge_free(waypoints[i], waypoints[j]):
+        if edge_free(*waypoints[i], *waypoints[j]):
             waypoints = waypoints[: i + 1] + waypoints[j:]
-    return Path(tuple(waypoints))
+    return Path((start, *[Pose2(x, y) for x, y in waypoints[1:-1]], goal))
 
 
 def grasp_pose(object_pose: Pose2, side: str, ow: float, oh: float, rs: float) -> Pose2:

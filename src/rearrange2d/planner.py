@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import random
 import time
@@ -69,6 +70,10 @@ class PlannerConfig:
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ConfigError(f"config key {name!r} must be positive when set, got {v!r}")
+        # t0 + nan is a deadline no time passes, so NaN would mean no limit;
+        # 0 or less (time out at once) and inf (never) are meant as given
+        if math.isnan(self.time_limit):
+            raise ConfigError(f"config key 'time_limit' must be a number, got {self.time_limit!r}")
 
     def merged(self, overrides, source: str = "override") -> "PlannerConfig":
         """New config with overrides applied; unknown keys are an error."""

@@ -10,11 +10,16 @@ computed once with ``rect_at``'s arithmetic; each Scene carries one row
 successor scene is made.  Every collision test runs on these rows through
 two loops that allocate no Rect or Pose2:
 
-- box overlap (``footprint_collides``; ``collides`` is its one-part case
+- box overlap (``footprint_collides_xy``; ``collides`` is its one-part case
   that never ignores walls), and
-- the swept test (``segment_hits``): one Liang-Barsky clip of a part's
+- the swept test (``segment_hits_xy``): one Liang-Barsky clip of a part's
   center segment against the rows grown by the part's half extents
   (``inflate``); ``segment_hits_rect`` is its single-rect case.
+
+The ``_xy`` entry points take plain coordinates, so a caller that keeps
+its points as floats (``motion.birrt``) builds no Pose2 to ask;
+``footprint_collides`` and ``segment_hits`` are their Pose2 forms and
+delegate to them.
 
 Contract kept by both loops, so planner decisions are reproducible bit for
 bit: interiors overlap iff ``min(maxes) - max(mins) > EPS`` on both axes,
@@ -249,11 +254,16 @@ def footprint_collides(scene: Scene, parts, pose: Pose2, ignore=frozenset()) -> 
     A part collides when it leaves the workspace or its interior overlaps
     the row of a body not in ignore.
     """
+    return footprint_collides_xy(scene, parts, pose.x, pose.y, ignore)
+
+
+def footprint_collides_xy(scene: Scene, parts, x: float, y: float, ignore=frozenset()) -> bool:
+    """``footprint_collides`` with the reference pose given as x, y."""
     wx0, wy0, wx1, wy1 = scene._ws_loose
     rows = scene.rows
     for dx, dy, w, h in parts:
-        cx = pose.x + dx
-        cy = pose.y + dy
+        cx = x + dx
+        cy = y + dy
         x0 = cx - w / 2.0
         y0 = cy - h / 2.0
         x1 = cx + w / 2.0
@@ -298,8 +308,13 @@ def segment_hits(inflated, a: Pose2, b: Pose2) -> bool:
 
     inflated comes from ``inflate``.
     """
+    return segment_hits_xy(inflated, a.x, a.y, b.x, b.y)
+
+
+def segment_hits_xy(inflated, ax: float, ay: float, bx: float, by: float) -> bool:
+    """``segment_hits`` with the segment given as (ax, ay)-(bx, by)."""
     for dx, dy, rects in inflated:
-        if _clip_hits(a.x + dx, a.y + dy, b.x + dx, b.y + dy, rects):
+        if _clip_hits(ax + dx, ay + dy, bx + dx, by + dy, rects):
             return True
     return False
 

@@ -387,7 +387,7 @@ def test_lattice_samples_tie_inside_birrt(monkeypatch):
 
     def spy(pts, q):
         i, d = inner(pts, q)
-        ties[0] += sum(1 for p in pts if math.dist(p, (q.x, q.y)) == d) > 1
+        ties[0] += sum(1 for p in pts if math.dist(p, q) == d) > 1
         return i, d
 
     monkeypatch.setattr(motion, "_nearest", spy)
@@ -432,7 +432,7 @@ def test_nearest_matches_the_loop_on_ties():
     tied = 0
     for _ in range(3000):
         pts, q = tie_heavy(rng)
-        got = motion._nearest(pts, q)
+        got = motion._nearest(pts, (q.x, q.y))
         want = ref_nearest(pts, q)
         assert got == want, (pts, q)
         tied += sum(1 for x, y in pts if Pose2(x, y).dist(q) == want[1]) > 1
@@ -450,9 +450,9 @@ def test_nearest_distances_are_pose_dist_doubles():
             pts.append((rng.randint(-50, 50), rng.randint(-50, 50)))
         q = Pose2(rng.uniform(-1, 1) * scale, rng.randint(-50, 50) if rng.random() < 0.2 else rng.uniform(-1, 1) * scale)
         for k in range(len(pts)):
-            i, d = motion._nearest(pts[k:k + 1], q)
+            i, d = motion._nearest(pts[k:k + 1], (q.x, q.y))
             assert (i, d) == (0, Pose2(*pts[k]).dist(q))
-        assert motion._nearest(pts, q) == ref_nearest(pts, q)
+        assert motion._nearest(pts, (q.x, q.y)) == ref_nearest(pts, q)
 
 
 # -- grid route endpoint ----------------------------------------------------

@@ -7,7 +7,10 @@ segments.  The kernel must return *equal* booleans, not approximately equal
 ones, because every planner decision (and so every serialized result) rests
 on them.  Scenes and queries sit on a coarse lattice, nudged by multiples of
 EPS, so flush contacts, exact-EPS gaps, axis-parallel and zero-length
-segments are common rather than measure-zero.
+segments are common rather than measure-zero.  The point-level entries
+(``footprint_collides_xy``, ``segment_hits_xy``) are checked on the same
+inputs, and on tables of flush, EPS-grazing, compound-footprint and
+wall-ignoring cases whose answers are pinned as well.
 """
 
 import random
@@ -27,11 +30,13 @@ from rearrange2d.world import (
     Scene,
     collides,
     footprint_collides,
+    footprint_collides_xy,
     inflate,
     rect_at,
     rects_overlap,
     segment_hits,
     segment_hits_rect,
+    segment_hits_xy,
 )
 
 # -- scalar reference -------------------------------------------------------
@@ -205,6 +210,7 @@ def test_box_overlap_agrees_exactly(seed):
             parts = random_parts(rng)
             got_fp = footprint_collides(scene, parts, pose, ignore)
             assert got_fp == ref_footprint_collides(scene, parts, pose, ignore), (seed, parts, pose)
+            assert footprint_collides_xy(scene, parts, pose.x, pose.y, ignore) == got_fp
             outcomes += [got, got_fp]
     # both answers occur often enough for the agreement to mean something
     assert 0.2 < sum(outcomes) / len(outcomes) < 0.95
@@ -224,12 +230,86 @@ def test_swept_test_agrees_exactly(seed):
             a, b = random_segment(rng)
             got = segment_hits(obstacles, a, b)
             assert got == ref_segment_blocked(expected_obstacles, a, b), (seed, parts, a, b)
+            assert segment_hits_xy(obstacles, a.x, a.y, b.x, b.y) == got
             outcomes.append(got)
             poly = [a, b] + [lattice_pose(rng) for _ in range(rng.randint(0, 2))]
             assert sweep_clear(scene, parts, poly, ignore) == ref_sweep_clear(
                 scene, parts, poly, ignore
             ), (seed, parts, poly)
     assert 0.2 < sum(outcomes) / len(outcomes) < 0.95
+
+
+# a wall spanning [2.5, 3.5] on both axes and an obstacle spanning
+# [2.5, 3.5] x [4.75, 5.25]; offsets of 2**-30 (under EPS) and 2**-29
+# (over it) are exact on this lattice
+EDGE_SCENE = Scene(
+    WS,
+    (
+        Body("robot", 0.5, 0.5, KIND_ROBOT, Pose2(5.5, 0.5)),
+        Body("w", 1.0, 1.0, KIND_WALL, Pose2(3.0, 3.0)),
+        Body("o", 1.0, 0.5, KIND_OBSTACLE, Pose2(3.0, 5.0)),
+    ),
+)
+SQUARE = ((0.0, 0.0, 0.5, 0.5),)
+# a 0.5 object with the 0.5 robot flush on its east face
+PAIR = compound_parts("E", 0.5, 0.5, 0.5)
+UNDER, OVER = 2.0**-30, 2.0**-29
+ROBOT = frozenset({"robot"})
+WALL_TOO = frozenset({"robot", "w"})
+
+# (parts, x, y, ignore, collides)
+POINT_CASES = [
+    (SQUARE, 3.75, 3.0, ROBOT, False),                  # flush with the wall
+    (SQUARE, 3.75 - UNDER, 3.0, ROBOT, False),          # overlap under EPS
+    (SQUARE, 3.75 - OVER, 3.0, ROBOT, True),
+    (SQUARE, 3.0, 4.5, ROBOT, False),                   # flush between both
+    (SQUARE, 3.0, 4.5 + OVER, ROBOT, True),
+    (SQUARE, 0.25 - UNDER, 1.0, ROBOT, False),          # workspace edge, EPS slack
+    (SQUARE, 0.25 - OVER, 1.0, ROBOT, True),
+    (PAIR, 1.75, 3.0, ROBOT, False),                    # robot part flush with the wall
+    (PAIR, 1.75 + UNDER, 3.0, ROBOT, False),
+    (PAIR, 1.75 + OVER, 3.0, ROBOT, True),
+    (PAIR, 2.5, 4.5, ROBOT, False),                     # both parts flush under the obstacle
+    (PAIR, 2.5, 4.5 + OVER, ROBOT, True),
+    (PAIR, 5.25 + UNDER, 1.0, ROBOT, False),            # robot part at the workspace edge
+    (PAIR, 5.25 + OVER, 1.0, ROBOT, True),
+    (SQUARE, 3.0, 3.0, WALL_TOO, False),                # inside an ignored wall
+    (PAIR, 2.5, 3.0, WALL_TOO, False),
+    (PAIR, 2.5, 3.0, frozenset({"robot", "o"}), True),
+    (PAIR, 2.5, 4.5 + OVER, WALL_TOO, True),            # the obstacle still counts
+]
+
+# (parts, a, b, ignore, hits)
+SEGMENT_CASES = [
+    (SQUARE, (1.0, 3.75), (5.0, 3.75), ROBOT, False),   # slides flush over the wall
+    (SQUARE, (1.0, 3.75 - UNDER), (5.0, 3.75 - UNDER), ROBOT, False),
+    (SQUARE, (1.0, 3.75 - OVER), (5.0, 3.75 - OVER), ROBOT, True),
+    (SQUARE, (3.25, 4.25), (4.25, 3.25), ROBOT, False),  # touches a grown corner only
+    (SQUARE, (3.25, 4.25 - OVER), (4.25, 3.25 - OVER), ROBOT, True),
+    (SQUARE, (1.0, 1.0), (5.0, 5.0), WALL_TOO, False),  # through an ignored wall
+    (SQUARE, (1.0, 1.0), (5.0, 5.0), ROBOT, True),
+    (PAIR, (0.75, 3.0), (1.75, 3.0), ROBOT, False),     # robot part stops flush
+    (PAIR, (0.75, 3.0), (1.75 + UNDER, 3.0), ROBOT, False),
+    (PAIR, (0.75, 3.0), (1.75 + OVER, 3.0), ROBOT, True),
+    (PAIR, (0.75, 3.0), (4.25, 3.0), WALL_TOO, False),
+    (PAIR, (0.75, 4.5), (4.25, 4.5), WALL_TOO, False),  # both parts flush under the obstacle
+    (PAIR, (0.75, 4.5 + OVER), (4.25, 4.5 + OVER), WALL_TOO, True),
+]
+
+
+@pytest.mark.parametrize("parts,x,y,ignore,expected", POINT_CASES)
+def test_point_entry_edge_cases(parts, x, y, ignore, expected):
+    got = footprint_collides_xy(EDGE_SCENE, parts, x, y, ignore)
+    assert got == ref_footprint_collides(EDGE_SCENE, parts, Pose2(x, y), ignore) == expected
+    assert footprint_collides(EDGE_SCENE, parts, Pose2(x, y), ignore) == got
+
+
+@pytest.mark.parametrize("parts,a,b,ignore,expected", SEGMENT_CASES)
+def test_segment_entry_edge_cases(parts, a, b, ignore, expected):
+    got = segment_hits_xy(inflate(EDGE_SCENE, parts, ignore), *a, *b)
+    pa, pb = Pose2(*a), Pose2(*b)
+    assert got == ref_segment_blocked(ref_inflated(EDGE_SCENE, parts, ignore), pa, pb) == expected
+    assert segment_hits(inflate(EDGE_SCENE, parts, ignore), pa, pb) == got
 
 
 def test_single_rect_clip_agrees_exactly():

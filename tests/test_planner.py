@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import sys
@@ -103,6 +104,7 @@ RANGE_RULES = [
     ("tol", (0.0, -1.0), 1e-3),
     ("epsilon", (0.0, -0.5), 1e-3),
     ("delta_min", (0.0, -1.0), 1e-3),
+    ("time_limit", (math.nan,), 0.0),
 ]
 
 
@@ -121,8 +123,9 @@ def test_out_of_range_value_is_a_config_error(key, bad, good, tmp_path, capsys):
         f.write_text(json.dumps({key: v}))
         with pytest.raises(ConfigError, match=key):
             PlannerConfig.from_layers(file=str(f), env={})
-        # before the rule these ended in a traceback (exit 1) or, for
-        # delta_min with kappa=0, in a subgoal loop that never ended
+        # before the rule these ended in a traceback (exit 1), for
+        # delta_min with kappa=0 in a subgoal loop that never ended, and
+        # for a NaN time_limit in a run with no time limit
         assert cli.main(["plan", str(path), "--set", "kappa=0", "--set", f"{key}={v}"]) == 2
         assert key in capsys.readouterr().err
     assert getattr(PlannerConfig(**{key: good}), key) == good
@@ -418,6 +421,11 @@ class TestPlanRearrangement:
     def test_timeout(self, simple_scene):
         res = plan_rearrangement(simple_scene, PlannerConfig(time_limit=0.0))
         assert res.status == "timeout"
+
+    @pytest.mark.parametrize("limit,status", [(-1.0, "timeout"), (math.inf, "success")])
+    def test_time_limit_keeps_negative_and_inf(self, simple_scene, limit, status):
+        res = plan_rearrangement(simple_scene, PlannerConfig(time_limit=limit))
+        assert res.status == status
 
     @pytest.mark.parametrize("flag", ["random_sequence"])
     def test_sequencer_variants_still_solve(self, flag):
