@@ -311,6 +311,25 @@ def _intent_route(scene: Scene, object_id: str, target: Pose2, spec: GridSpec):
     return (b.pose,) + mids + (target,)
 
 
+def reachable_sides(scene: Scene, object_id: str, spec: GridSpec) -> bool:
+    """Whether the robot can reach some grasp pose of the object over the
+    grid: grids.grid_connected from the robot cell to a grasp cell, with
+    the robot cell snapped once for all four sides."""
+    robot = scene.robot
+    free = grids.fit_mask(scene, spec, robot.w, robot.h, frozenset({robot.id}))
+    rc = grids.snap_to_free(free, spec.cell_of(robot.pose), radius=2)
+    if rc is None:
+        return False
+    labels = grids.component_labels(free, spec)
+    b = scene.body(object_id)
+    for side in SIDES:
+        gp = grasp_pose(b.pose, side, b.w, b.h, robot.w)
+        gc = grids.snap_to_free(free, spec.cell_of(gp), radius=2)
+        if gc is not None and labels[gc[1], gc[0]] == labels[rc[1], rc[0]]:
+            return True
+    return False
+
+
 def search_relocations(
     scene: Scene,
     task: TaskTrajectory,
@@ -361,17 +380,6 @@ def search_relocations(
     stall = 0
     failed = 0
 
-    def reachable_sides(s: Scene, oid: str) -> bool:
-        robot = s.robot
-        free = grids.fit_mask(s, spec, robot.w, robot.h, frozenset({robot.id}))
-        rc = spec.cell_of(robot.pose)
-        b = s.body(oid)
-        for side in SIDES:
-            gp = grasp_pose(b.pose, side, b.w, b.h, robot.w)
-            if grids.grid_connected(free, rc, spec.cell_of(gp), spec):
-                return True
-        return False
-
     reason, iterations = "iteration limit", iteration_limit
     for it in range(1, iteration_limit + 1):
         if not open_ids:
@@ -388,7 +396,7 @@ def search_relocations(
         improved = False
 
         for oid in list(crit):
-            if not node.scene.has_body(oid) or not reachable_sides(node.scene, oid):
+            if not node.scene.has_body(oid) or not reachable_sides(node.scene, oid, spec):
                 continue
             budget = max(1, math.ceil(weights.get(oid, 1.0) * k_max))
             points = gen_relocation_points(

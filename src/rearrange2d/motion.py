@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, replace
 from itertools import repeat
 
+import numpy as np
+
 from . import grids
 from .grids import GridSpec
 from .world import (
@@ -32,6 +34,15 @@ _SIDE_DIR = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0
 GOAL_BIAS = 0.1
 # random shortcut tries that smooth each Bi-RRT path
 SHORTCUT_ATTEMPTS = 100
+# Bi-RRT nearest-node lookahead: plain scans for the first LOOKAHEAD_WARMUP
+# iterations, then blocks of LOOKAHEAD_BLOCK samples doubling up to
+# LOOKAHEAD_BLOCK_MAX, and shorter where one block pass would exceed
+# LOOKAHEAD_CELLS (query, node) pairs; short calls grow their trees fast
+# and would pay for blocks whose new nodes they scan anyway
+LOOKAHEAD_WARMUP = 256
+LOOKAHEAD_BLOCK = 64
+LOOKAHEAD_BLOCK_MAX = 1024
+LOOKAHEAD_CELLS = 1 << 18
 
 
 def robot_parts(scene: Scene):
@@ -173,6 +184,45 @@ def _nearest(pts, q: tuple[float, float]) -> tuple[int, float]:
     return ds.index(d), d
 
 
+def _block_nearest(pts, qs) -> list[int]:
+    """For each query of qs, the index _nearest(pts, q) gives, or -1 where
+    the squared distances cannot tell.
+
+    One numpy pass over (queries x points).  The differences are the ones
+    math.dist takes, and the squared sums are within a few ulps of exact,
+    so when every other point's squared distance exceeds the row's minimum
+    by the 1e-12 relative margin (plus an absolute 1e-300 for underflow),
+    that point is the unique nearest under math.dist too.  Rows with a
+    second point inside the margin are ambiguous: -1.
+    """
+    if not qs:
+        return []
+    p = np.array(pts, dtype=float)
+    q = np.array(qs, dtype=float)
+    dx = q[:, :1] - p[:, 0]
+    dy = q[:, 1:] - p[:, 1]
+    d2 = dx * dx + dy * dy
+    near = d2.argmin(axis=1)
+    bound = d2.min(axis=1) * (1.0 + 1e-12) + 1e-300
+    ambiguous = np.count_nonzero(d2 <= bound[:, None], axis=1) > 1
+    return np.where(ambiguous, -1, near).tolist()
+
+
+def _nearest_since(pts, q, row: int, n0: int) -> tuple[int, float]:
+    """_nearest(pts, q), given row, what _block_nearest gave q when pts held
+    its first n0 points.  Points are only appended, so one appended since
+    wins only when strictly closer than the row's point, which keeps ties
+    at the lowest index; an ambiguous row takes the full scan."""
+    if row < 0:
+        return _nearest(pts, q)
+    d = math.dist(pts[row], q)
+    for j in range(n0, len(pts)):
+        dj = math.dist(pts[j], q)
+        if dj < d:
+            row, d = j, dj
+    return row, d
+
+
 def birrt(
     scene: Scene,
     footprint,
@@ -206,6 +256,24 @@ def birrt(
     the tree's last node, which is nearer only when its distance is
     strictly smaller.  So the path is the one a per-step Pose2.dist loop
     with a strict < finds.
+
+    Past LOOKAHEAD_WARMUP iterations the extend step's scans are answered
+    a block at a time, with the same result.  The sample stream does not
+    depend on the trees: each iteration draws rng.random() and, unless
+    goal-biased, two uniform draws; a goal-biased sample is the other
+    tree's root, which never changes; and the trees swap every iteration.
+    So a block's samples, and the tree each one queries, are drawn ahead
+    through the same rng methods (a random.Random subclass still drives
+    them), and _block_nearest finds each query's nearest node among the
+    nodes each tree has when the block starts.  Trees only grow by
+    appending, so at query time a node appended since then wins only when
+    its exact distance is strictly smaller than that node's (the strict <
+    keeps ties at the lowest index).  A row whose squared distances leave
+    a second node within _block_nearest's margin of the minimum is
+    ambiguous and takes the full _nearest scan.  On a bridge inside a
+    block, the generator is rewound to the block's start and exactly the
+    consumed iterations are drawn again, so shortcut smoothing sees the
+    state per-iteration draws leave.
     """
     parts = _normalize_parts(footprint)
     step = 0.5 * scene.robot.w
@@ -271,22 +339,55 @@ def birrt(
             if dj < d:
                 i, d = j, dj
 
-    bridge = None  # (index in ta, index in tb)
-    swapped = False
-    for _ in range(max_iters):
-        a, b = (tb, ta) if swapped else (ta, tb)
+    # iteration k extends trees[k & 1]; a goal-biased sample is the other
+    # tree's root
+    trees = (ta, tb)
+    roots = (tb[0][0], ta[0][0])
+
+    def draw(k):
+        """Iteration k's sample; the draws never depend on the trees."""
         if rng.random() < GOAL_BIAS:
-            q = b[0][0]
-        else:
-            q = (uniform(ws.xmin, ws.xmax), uniform(ws.ymin, ws.ymax))
-        i = grow(a, q, *_nearest(a[0], q))
+            return roots[k & 1]
+        return (uniform(ws.xmin, ws.xmax), uniform(ws.ymin, ws.ymax))
+
+    def iterate(k, q, i, d):
+        """Iteration k: extend its tree from node i, at distance d, toward q,
+        then connect the other tree to the new node; the bridge or None."""
+        a, b = trees[k & 1], trees[1 - (k & 1)]
+        i = grow(a, q, i, d)
         if i >= 0:
             p = a[0][i]
             j = connect(b, p)
             if j >= 0 and math.dist(b[0][j], p) < 1e-9:
-                bridge = (j, i) if swapped else (i, j)
+                return (j, i) if k & 1 else (i, j)
+        return None
+
+    bridge = None  # (index in ta, index in tb)
+    k = 0
+    warm = min(max_iters, LOOKAHEAD_WARMUP)
+    while k < warm and bridge is None:
+        q = draw(k)
+        bridge = iterate(k, q, *_nearest(trees[k & 1][0], q))
+        k += 1
+    size = LOOKAHEAD_BLOCK
+    while k < max_iters and bridge is None:
+        n0 = (len(ta[0]), len(tb[0]))
+        n = min(size, max_iters - k, max(1, LOOKAHEAD_CELLS // max(n0)))
+        size = min(2 * size, LOOKAHEAD_BLOCK_MAX)
+        state = rng.getstate()
+        qs = [draw(k + o) for o in range(n)]
+        # block offset o queries trees[(k + o) & 1], as row o >> 1
+        rows = (_block_nearest(ta[0], qs[k & 1::2]), _block_nearest(tb[0], qs[1 - (k & 1)::2]))
+        for o, q in enumerate(qs):
+            t = (k + o) & 1
+            bridge = iterate(k + o, q, *_nearest_since(trees[t][0], q, rows[t][o >> 1], n0[t]))
+            if bridge is not None:
+                # leave the generator where per-iteration draws would
+                rng.setstate(state)
+                for r in range(o + 1):
+                    draw(k + r)
                 break
-        swapped = not swapped
+        k += n
 
     if bridge is None:
         # sampling failed; fall back to the grid route when one exists

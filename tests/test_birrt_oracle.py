@@ -403,6 +403,260 @@ def test_lattice_samples_tie_inside_birrt(monkeypatch):
     assert ties[0] > 100
 
 
+def test_lattice_samples_tie_inside_blocks(monkeypatch):
+    # queries through a 1.75 gap in a wall, for a robot of side 1.5, run
+    # past the warm-up; lattice samples then leave a second node within
+    # the margin of a block row's minimum, and such rows take the full scan
+    monkeypatch.setattr(random, "Random", LatticeRandom)
+    rows = BlockRows(monkeypatch)
+    side, h = 1.5, 0.75
+    sc = scene([robot(h, h, side), wall("wn", 4.0, 6.4375, 1.0, 3.125), wall("ws", 4.0, 1.5625, 1.0, 3.125)],
+               ws=Rect(0.0, 0.0, 8.0, 8.0))
+    spec = GridSpec.from_scene(sc)
+    for seed in range(12):
+        assert_agrees(sc, (side, side), Pose2(h, h), Pose2(8.0 - h, 8.0 - h), seed, 3000, frozenset({"robot"}), spec)
+    assert rows.total > 1000
+    assert rows.ambiguous > 20
+
+
+# -- lookahead blocks -------------------------------------------------------
+
+
+class BlockRows:
+    """Counts the rows motion._block_nearest answers, the ambiguous ones,
+    and the length of each block (its two calls, one per tree)."""
+
+    def __init__(self, monkeypatch):
+        self.total = self.ambiguous = 0
+        self.calls = []
+        inner = motion._block_nearest
+
+        def spy(pts, qs):
+            out = inner(pts, qs)
+            self.total += len(out)
+            self.ambiguous += out.count(-1)
+            self.calls.append(len(qs))
+            return out
+
+        monkeypatch.setattr(motion, "_block_nearest", spy)
+
+    def take_blocks(self) -> list[int]:
+        """Lengths of the blocks since the last take."""
+        calls, self.calls = self.calls, []
+        return [a + b for a, b in zip(calls[::2], calls[1::2])]
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """Makes random.Random a generator that counts its draws: every random()
+    call (uniform draws through it) and every uniform() call.  The counts
+    travel with getstate and setstate, so a rewound generator counts as if
+    the rewound draws were never made; each randrange call (shortcut
+    smoothing) marks the counts it finds.  Returns the list of generators
+    made."""
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, x=None):
+            self.draws = self.uniforms = 0
+            self.marks = []
+            super().__init__(x)
+            made.append(self)
+
+        def random(self):
+            self.draws += 1
+            return super().random()
+
+        def uniform(self, a, b):
+            self.uniforms += 1
+            return super().uniform(a, b)
+
+        def randrange(self, *args):
+            self.marks.append((self.draws, self.uniforms))
+            return super().randrange(*args)
+
+        def getstate(self):
+            return super().getstate(), self.draws, self.uniforms
+
+        def setstate(self, state):
+            inner, self.draws, self.uniforms = state
+            super().setstate(inner)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    return made
+
+
+def assert_counts_agree(made, sc, footprint, start, goal, seed, max_iters, ignore, spec):
+    """assert_agrees, and the same draws from both generators: when the
+    sampling loop ends (at the first smoothing draw, else at the end of the
+    call) and in all.  Returns the path and the iterations run (0 when the
+    call drew nothing)."""
+    n = len(made)
+    got = assert_agrees(sc, footprint, start, goal, seed, max_iters, ignore, spec)
+    if len(made) == n:
+        return got, 0
+    assert len(made) == n + 2
+    counts = []
+    for rng in made[n:]:
+        draws, uniforms = rng.marks[0] if rng.marks else (rng.draws, rng.uniforms)
+        counts.append((draws - uniforms, draws, uniforms, rng.marks, rng.draws, rng.uniforms))
+    assert counts[0] == counts[1], (seed, max_iters)
+    return got, counts[0][0]
+
+
+def door_scene(thickness: float = 3.0, gap: float = 0.6) -> Scene:
+    """A wall across x = 5 with a gap at y = 5, for a robot of side 0.4.
+    Through the default 0.6 gap in a 3-unit wall, Bi-RRT queries from (2, 2)
+    to (8, 8) take from tens to thousands of iterations (seeds 6, 7, 12 and
+    16 more than 3000)."""
+    h = 5.0 - gap / 2
+    return scene([robot(2.0, 2.0), wall("wn", 5.0, 10.0 - h / 2, thickness, h), wall("ws", 5.0, h / 2, thickness, h)])
+
+
+def block_starts(count: int) -> list[int]:
+    """The iterations at which the first count lookahead blocks start, for
+    trees small enough that no block is cut short."""
+    starts, k, size = [], motion.LOOKAHEAD_WARMUP, motion.LOOKAHEAD_BLOCK
+    while len(starts) < count:
+        starts.append(k)
+        k += size
+        size = min(2 * size, motion.LOOKAHEAD_BLOCK_MAX)
+    return starts
+
+
+@pytest.fixture
+def dense_lookahead(monkeypatch):
+    """Blocks from the third iteration on, of 1, 2, 4 and then 8 samples,
+    cut short once a tree passes 48 nodes: every lookahead path is taken
+    within a few dozen iterations."""
+    monkeypatch.setattr(motion, "LOOKAHEAD_WARMUP", 2)
+    monkeypatch.setattr(motion, "LOOKAHEAD_BLOCK", 1)
+    monkeypatch.setattr(motion, "LOOKAHEAD_BLOCK_MAX", 8)
+    monkeypatch.setattr(motion, "LOOKAHEAD_CELLS", 384)
+
+
+def test_max_iters_around_block_boundaries(monkeypatch, counting):
+    # budgets just below, at and just above the warm-up length and the
+    # first three block ends; the four door queries run past all of them,
+    # so each call ends its last block where max_iters cuts it, takes the
+    # grid route and smooths it from the generator's state there
+    sc = door_scene()
+    spec = GridSpec.from_scene(sc)
+    rows = BlockRows(monkeypatch)
+    fallbacks = FallbackCounter(monkeypatch)
+    budgets = [b + e for b in block_starts(4) for e in (-1, 0, 1)]
+    for max_iters in budgets:
+        for seed in (6, 7, 12, 16):
+            _, iterations = assert_counts_agree(
+                counting, sc, (0.4, 0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), seed, max_iters,
+                frozenset({"robot"}), spec,
+            )
+            assert iterations == max_iters
+    assert fallbacks.count == 2 * 4 * len(budgets)
+    assert rows.total
+
+
+def test_bridge_at_every_block_offset(monkeypatch, counting, dense_lookahead):
+    # each bridge found inside a block rewinds the generator to the block's
+    # start and redraws the iterations used; an offset of n - 1 ends the
+    # query exactly at the end of its block
+    rows = BlockRows(monkeypatch)
+    sc = door_scene(0.4, 0.8)
+    spec = GridSpec.from_scene(sc)
+    rng = random.Random(7700)
+    offsets = set()
+    cut = False
+    full = motion.LOOKAHEAD_BLOCK_MAX
+    for seed in range(80):
+        start = Pose2(rng.uniform(0.5, 3.0), rng.uniform(0.5, 9.5))
+        goal = Pose2(rng.uniform(7.0, 9.5), rng.uniform(0.5, 9.5))
+        rows.take_blocks()
+        _, iterations = assert_counts_agree(counting, sc, (0.4, 0.4), start, goal, seed, 300, frozenset({"robot"}), spec)
+        blocks = rows.take_blocks()
+        k = motion.LOOKAHEAD_WARMUP + sum(blocks[:-1])
+        if iterations < 300 and blocks and iterations > k:
+            offsets.add((blocks[-1], iterations - 1 - k))
+        # past the 1, 2, 4 ramp, a block shorter than full was cut short
+        # by the cell bound
+        cut |= any(n < full for n in blocks[3:-1])
+    assert {(full, o) for o in range(full)} <= offsets
+    assert cut
+
+
+@pytest.mark.parametrize("name,seed", [("nested_blockers", 0), ("m_block_12", 2)])
+def test_planning_queries_match_reference_in_blocks(monkeypatch, dense_lookahead, name, seed):
+    calls = []
+    inner = motion.birrt
+
+    def record(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(motion, "birrt", record)
+    rows = BlockRows(monkeypatch)
+    cfg = planner.PlannerConfig().merged({"seed": seed}, "test")
+    planner.plan_rearrangement(make_scene(name, seed), cfg)
+    monkeypatch.setattr(motion, "birrt", inner)
+    for args, kwargs, out in calls:
+        assert waypoints(out) == waypoints(ref_birrt(*args, **kwargs))
+    assert rows.total > 1000
+
+
+def test_lattice_samples_tie_inside_dense_blocks(monkeypatch, dense_lookahead):
+    # the scenes of test_lattice_samples_tie_inside_birrt, answered in
+    # blocks almost from the start, where block rows tie often
+    monkeypatch.setattr(random, "Random", LatticeRandom)
+    rows = BlockRows(monkeypatch)
+    rng = random.Random(2)
+    side, h = 1.5, 0.75
+    for seed in range(200):
+        wy = 3.0 if rng.random() < 0.5 else 5.0
+        sc = scene([robot(1.0, 1.0, side), wall("w", 4.0, wy, 1.0, 6.0)], ws=Rect(0.0, 0.0, 8.0, 8.0))
+        start = Pose2(rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
+        goal = Pose2(8.0 - rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
+        assert_agrees(sc, (side, side), start, goal, seed, 200, frozenset({"robot"}), GridSpec.from_scene(sc))
+    assert rows.ambiguous > 50
+
+
+def near_ties(rng: random.Random):
+    """Points at almost the same distance from q (on one circle, rounded to
+    doubles), so the squared sums can order them otherwise than math.dist."""
+    qx, qy = rng.uniform(-5, 5), rng.uniform(-5, 5)
+    r = rng.uniform(0.1, 5)
+    pts = []
+    for _ in range(rng.randint(2, 12)):
+        t = rng.uniform(0, 2 * math.pi)
+        pts.append((qx + r * math.cos(t), qy + r * math.sin(t)))
+    if rng.random() < 0.3:
+        pts.append(rng.choice(pts))
+    return pts, (qx, qy)
+
+
+def test_block_rows_are_exact_or_ambiguous():
+    # every unambiguous row is _nearest's index; the inputs include rows
+    # whose smallest squared sum is not at that index, so an argmin with
+    # no margin would be wrong
+    rng = random.Random(6400)
+    misordered = ambiguous = 0
+    for _ in range(300):
+        pts, q = near_ties(rng)
+        qs = [q] + [(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(rng.randint(0, 3))]
+        rows = motion._block_nearest(pts, qs)
+        assert len(rows) == len(qs)
+        for row, p in zip(rows, qs):
+            want = motion._nearest(pts, p)[0]
+            if row < 0:
+                ambiguous += 1
+            else:
+                assert row == want, (pts, p)
+            d2 = [(x - p[0]) * (x - p[0]) + (y - p[1]) * (y - p[1]) for x, y in pts]
+            misordered += d2.index(min(d2)) != want
+    assert misordered > 10
+    assert ambiguous > misordered
+    assert motion._block_nearest([(0.0, 0.0)], []) == []
+
+
 # -- the scan itself --------------------------------------------------------
 
 
@@ -453,6 +707,23 @@ def test_nearest_distances_are_pose_dist_doubles():
             i, d = motion._nearest(pts[k:k + 1], (q.x, q.y))
             assert (i, d) == (0, Pose2(*pts[k]).dist(q))
         assert motion._nearest(pts, (q.x, q.y)) == ref_nearest(pts, q)
+
+
+def test_nearest_since_matches_the_loop_on_ties():
+    # points appended after the block row was computed, on tie-heavy
+    # inputs: duplicates and equal-radius points on both sides of the cut
+    rng = random.Random(6500)
+    tied_across = 0
+    for _ in range(3000):
+        pts, q = tie_heavy(rng)
+        q = (q.x, q.y)
+        n0 = rng.randint(1, len(pts))
+        row = motion._block_nearest(pts[:n0], [q])[0]
+        want = ref_nearest(pts, Pose2(*q))
+        assert motion._nearest_since(pts, q, row, n0) == want, (pts, q, n0)
+        if row >= 0:
+            tied_across += any(math.dist(p, q) == want[1] for p in pts[n0:])
+    assert tied_across > 100
 
 
 # -- grid route endpoint ----------------------------------------------------

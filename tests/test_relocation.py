@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from rearrange2d import grids
 from rearrange2d import guided_search as gs
 from rearrange2d.grids import GridSpec, rasterize_gom, reachability
+from rearrange2d.motion import SIDES, grasp_pose
 from rearrange2d.world import Pose2, collides, rect_at, rects_overlap
 
 from conftest import goal_obj, obstacle, robot, scene, wall
@@ -319,3 +323,55 @@ class TestSearchRelocations:
         assert r1.success == r2.success
         assert [p.object_id for p in r1.plans] == [p.object_id for p in r2.plans]
         assert r1.scene.body("b1").pose == r2.scene.body("b1").pose
+
+
+def _flush_scene(rng: random.Random):
+    """Walls and objects on a 0.25 lattice, with the robot flush against one
+    side of one object (as it is right after a place)."""
+    snap = lambda v: round(v * 4) / 4  # noqa: E731
+    bodies = []
+    for i in range(rng.randint(0, 3)):
+        vertical = rng.random() < 0.5
+        w, h = (0.5, snap(rng.uniform(1.0, 6.0))) if vertical else (snap(rng.uniform(1.0, 6.0)), 0.5)
+        bodies.append(wall(f"w{i}", snap(rng.uniform(1, 9)), snap(rng.uniform(1, 9)), w, h))
+    for i in range(rng.randint(1, 8)):
+        x, y = snap(rng.uniform(1.0, 9.0)), snap(rng.uniform(1.0, 9.0))
+        w, h = snap(rng.uniform(0.25, 1.25)), snap(rng.uniform(0.25, 1.25))
+        make = goal_obj if rng.random() < 0.5 else obstacle
+        bodies.append(make(f"o{i}", x, y, w, h))
+    b = rng.choice(bodies[-1:] + [x for x in bodies if x.id.startswith("o")])
+    rs = rng.choice((0.4, 0.5, 0.75))
+    p = grasp_pose(b.pose, rng.choice(SIDES), b.w, b.h, rs)
+    return scene([robot(p.x, p.y, rs)] + bodies)
+
+
+def _ref_reachable_sides(sc, oid, spec):
+    """The per-side form: one grid_connected call, and one snap of the
+    robot cell, per grasp side."""
+    robot = sc.robot
+    free = grids.fit_mask(sc, spec, robot.w, robot.h, frozenset({robot.id}))
+    rc = spec.cell_of(robot.pose)
+    b = sc.body(oid)
+    return any(
+        grids.grid_connected(free, rc, spec.cell_of(grasp_pose(b.pose, side, b.w, b.h, robot.w)), spec)
+        for side in SIDES
+    )
+
+
+def test_reachable_sides_matches_per_side_grid_connected():
+    rng = random.Random(7400)
+    verdicts = []
+    own_cell_blocked = 0
+    for _ in range(160):
+        sc = _flush_scene(rng)
+        spec = GridSpec.from_scene(sc, rng.choice((16, 32, 64)))
+        robot = sc.robot
+        free = grids.fit_mask(sc, spec, robot.w, robot.h, frozenset({robot.id}))
+        rx, ry = spec.cell_of(robot.pose)
+        own_cell_blocked += not free[ry, rx]
+        for b in sc.movables:
+            want = _ref_reachable_sides(sc, b.id, spec)
+            assert gs.reachable_sides(sc, b.id, spec) == want, b.id
+            verdicts.append(want)
+    assert own_cell_blocked >= 40
+    assert True in verdicts and False in verdicts
