@@ -18,10 +18,7 @@ from .world import (
     verify_placements,
 )
 from .grids import (
-    ClearanceMap,
     GridSpec,
-    OccupancyMatrix,
-    ReachabilityMatrix,
     edt,
     rasterize_gom,
     reachability,
@@ -83,10 +80,7 @@ __all__ = [
     "default_tolerance",
     "rect_at",
     "verify_placements",
-    "ClearanceMap",
     "GridSpec",
-    "OccupancyMatrix",
-    "ReachabilityMatrix",
     "edt",
     "rasterize_gom",
     "reachability",

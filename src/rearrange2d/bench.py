@@ -53,7 +53,7 @@ def _obstacle(oid: str, x: float, y: float, side: float = OBJ_SIDE) -> Body:
     return Body(oid, side, side, KIND_OBSTACLE, Pose2(x, y))
 
 
-def four_blocks(seed: int = 0) -> Scene:
+def four_blocks() -> Scene:
     """Four objects clustered at the center, goals in the corners."""
     bodies = (
         _goal_obj("o1", 4.4, 4.4),
@@ -68,7 +68,7 @@ def four_blocks(seed: int = 0) -> Scene:
         "o3": Pose2(1.5, 8.5),
         "o4": Pose2(8.5, 8.5),
     }
-    return Scene(WORKSPACE, bodies, goals, rng_seed=seed)
+    return Scene(WORKSPACE, bodies, goals)
 
 
 def _door_walls() -> tuple[Body, Body]:
@@ -79,23 +79,23 @@ def _door_walls() -> tuple[Body, Body]:
     )
 
 
-def narrow_room(seed: int = 0) -> Scene:
+def narrow_room() -> Scene:
     """One object through a door barely wider than it."""
     bodies = _door_walls() + (_goal_obj("o1", 2.0, 5.0), _robot(8.0, 2.0))
-    return Scene(WORKSPACE, bodies, {"o1": Pose2(8.0, 5.0)}, rng_seed=seed)
+    return Scene(WORKSPACE, bodies, {"o1": Pose2(8.0, 5.0)})
 
 
-def doorway(seed: int = 0) -> Scene:
+def doorway() -> Scene:
     """narrow_room with a loose obstacle parked in the door."""
     bodies = _door_walls() + (
         _goal_obj("o1", 2.0, 5.0),
         _obstacle("b1", 4.0, 5.0),
         _robot(8.0, 2.0),
     )
-    return Scene(WORKSPACE, bodies, {"o1": Pose2(8.0, 5.0)}, rng_seed=seed)
+    return Scene(WORKSPACE, bodies, {"o1": Pose2(8.0, 5.0)})
 
 
-def swap_pocket(seed: int = 0) -> Scene:
+def swap_pocket() -> Scene:
     """Two objects must swap ends of a corridor; the only spare space is a
     pocket off the corridor, so one of them has to wait inside it."""
     bodies = (
@@ -108,10 +108,10 @@ def swap_pocket(seed: int = 0) -> Scene:
         _robot(1.0, 5.0),
     )
     goals = {"o1": Pose2(6.4, 5.0), "o2": Pose2(3.6, 5.0)}
-    return Scene(WORKSPACE, bodies, goals, rng_seed=seed)
+    return Scene(WORKSPACE, bodies, goals)
 
 
-def triple_swap(seed: int = 0) -> Scene:
+def triple_swap() -> Scene:
     """Three objects rotate positions: every goal is someone's start."""
     a, b, c = Pose2(3.5, 5.0), Pose2(6.5, 5.0), Pose2(5.0, 7.6)
     bodies = (
@@ -121,10 +121,10 @@ def triple_swap(seed: int = 0) -> Scene:
         _robot(5.0, 2.0),
     )
     goals = {"o1": b, "o2": c, "o3": a}
-    return Scene(WORKSPACE, bodies, goals, rng_seed=seed)
+    return Scene(WORKSPACE, bodies, goals)
 
 
-def nested_blockers(seed: int = 0) -> Scene:
+def nested_blockers() -> Scene:
     """A corridor under two slabs with a single shaft between them.  One
     blocker sits on the route, the other plugs the shaft the first one
     must be parked in."""
@@ -136,10 +136,10 @@ def nested_blockers(seed: int = 0) -> Scene:
         _obstacle("b2", 5.0, 1.55),
         _robot(0.6, 0.3),
     )
-    return Scene(WORKSPACE, bodies, {"o1": Pose2(8.8, 0.8)}, rng_seed=seed)
+    return Scene(WORKSPACE, bodies, {"o1": Pose2(8.8, 0.8)})
 
 
-def detour_pocket(seed: int = 0) -> Scene:
+def detour_pocket() -> Scene:
     """Straight-line costs prefer serving the far object first; true robot
     paths around the pocket walls prefer the opposite order."""
     bodies = (
@@ -151,7 +151,7 @@ def detour_pocket(seed: int = 0) -> Scene:
         _robot(5.6, 1.2),
     )
     goals = {"box_a": Pose2(5.6, 5.2), "box_b": Pose2(1.6, 5.2)}
-    return Scene(WORKSPACE, bodies, goals, rng_seed=seed)
+    return Scene(WORKSPACE, bodies, goals)
 
 
 _M_BLOCK_WALLS = (
@@ -224,9 +224,7 @@ def gen_m_block(m: int, seed: int = 0, max_tries: int = 10000) -> Scene:
     bodies = tuple(
         _goal_obj(f"o{i + 1}", starts[i].x, starts[i].y) for i in range(m)
     ) + (_M_BLOCK_WALLS + (robot,))
-    scene = Scene(
-        WORKSPACE, bodies, {f"o{i + 1}": goals[i] for i in range(m)}, rng_seed=seed
-    )
+    scene = Scene(WORKSPACE, bodies, {f"o{i + 1}": goals[i] for i in range(m)})
 
     # every object must have a statics-only route; resample on failure by
     # bumping the seed so callers still get a scene for any (m, seed)
@@ -271,9 +269,10 @@ SUITES = {
 
 
 def make_scene(name: str, seed: int = 0) -> Scene:
-    """Scene by name; m_block_<M> names route to the generator."""
+    """Scene by name; m_block_<M> names route to the generator, the only
+    scenes seed shapes (built-in scenes are fixed)."""
     if name in BUILTIN_SCENES:
-        return BUILTIN_SCENES[name](seed)
+        return BUILTIN_SCENES[name]()
     if name.startswith("m_block_"):
         try:
             m = int(name[len("m_block_") :])

@@ -127,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a scenario file")
     p_gen.add_argument("kind", help="m-block or a built-in scenario name")
     p_gen.add_argument("--m", type=int, default=4, help="object count for m-block")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument(
+        "--seed", type=int, default=0, help="m-block generator seed; built-in scenes ignore it"
+    )
     p_gen.add_argument("--out", help="output path (default stdout)")
     p_gen.set_defaults(fn=_cmd_gen)
 

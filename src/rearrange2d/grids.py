@@ -2,10 +2,11 @@
 
 The workspace is discretized into a fixed grid, a GridSpec.  Every raster
 function takes the caller's spec and none builds one: ``plan_rearrangement``
-builds the only spec of a planning call, grid_n cells a side.  Arrays are
-indexed [iy, ix]; cell sets use (ix, iy) tuples.  Cell values are the
-fixed constants below: occupancy 0 = blocked, ALPHA_M = free, BETA_M = task
-cell; reachability ALPHA_R = reachable, BETA_R = not.
+builds the only spec of a planning call, grid_n cells a side.  Every raster
+is a plain (ny, nx) numpy array, indexed [iy, ix]; cell sets use (ix, iy)
+tuples.  Cell values are the fixed constants below: occupancy 0 = blocked,
+ALPHA_M = free, BETA_M = task cell; reachability ALPHA_R = reachable,
+BETA_R = not.
 
 Memo.  Each GridSpec carries a memo (``GridSpec.memo``, excluded from
 comparison and hashing) that holds the rasters computed on it, so a raster
@@ -95,27 +96,6 @@ class GridSpec:
         return {(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)}
 
 
-@dataclass
-class OccupancyMatrix:
-    cells: np.ndarray      # (ny, nx) float
-    resolution: float
-    origin: Pose2
-    spec: GridSpec
-    clamped_task_cells: int = 0
-
-
-@dataclass
-class ReachabilityMatrix:
-    cells: np.ndarray      # (ny, nx) float, ALPHA_R / BETA_R
-    spec: GridSpec
-    degenerate: bool = False
-
-
-@dataclass
-class ClearanceMap:
-    cells: np.ndarray      # (ny, nx) float, distances in cells
-
-
 def occupancy_mask(scene: Scene, spec: GridSpec, exclude=frozenset()) -> np.ndarray:
     """Boolean (ny, nx) mask, True where a wall or a body covers the cell.
 
@@ -131,19 +111,16 @@ def occupancy_mask(scene: Scene, spec: GridSpec, exclude=frozenset()) -> np.ndar
     return occ
 
 
-def rasterize_gom(scene: Scene, task_cells, spec: GridSpec) -> OccupancyMatrix:
-    """Global occupancy: 0 on occupied cells, ALPHA_M free, BETA_M on free task cells."""
+def rasterize_gom(scene: Scene, task_cells, spec: GridSpec) -> np.ndarray:
+    """Global occupancy (ny, nx): 0 on occupied cells, ALPHA_M free, BETA_M on
+    free task cells; task cells off the grid are skipped."""
     occ = occupancy_mask(scene, spec)
     cells = np.where(occ, 0.0, ALPHA_M)
-    clamped = 0
     for c in task_cells:
-        if not spec.in_bounds(c):
-            clamped += 1
-            continue
         ix, iy = c
-        if not occ[iy, ix]:
+        if spec.in_bounds(c) and not occ[iy, ix]:
             cells[iy, ix] = BETA_M
-    return OccupancyMatrix(cells, spec.resolution, spec.origin, spec, clamped)
+    return cells
 
 
 def _memoized(memo: dict, key, build, *args):
@@ -226,9 +203,9 @@ def fit_mask_parts(scene: Scene, spec: GridSpec, parts, ignore=frozenset()) -> n
     return _memoized(spec.memo, ("parts", ws, parts, obstacles), combine)
 
 
-def reachability(scene: Scene, gom: OccupancyMatrix) -> ReachabilityMatrix:
-    """Flood fill (4-connected) over cells where the robot footprint fits."""
-    spec = gom.spec
+def reachability(scene: Scene, spec: GridSpec) -> np.ndarray:
+    """ALPHA_R on the cells the robot reaches by a 4-connected flood fill over
+    cells where its footprint fits, BETA_R elsewhere; (ny, nx)."""
     robot = scene.robot
     free = fit_mask(scene, spec, robot.w, robot.h)
     rc0 = spec.cell_of(robot.pose)
@@ -238,14 +215,14 @@ def reachability(scene: Scene, gom: OccupancyMatrix) -> ReachabilityMatrix:
     rc = snap_to_free(free, rc0, radius=2)
     if rc is None:
         cells[rc0[1], rc0[0]] = ALPHA_R
-        return ReachabilityMatrix(cells, spec, degenerate=True)
+        return cells
     labels = component_labels(free, spec)
     cells[labels == labels[rc[1], rc[0]]] = ALPHA_R
     cells[rc0[1], rc0[0]] = ALPHA_R
-    return ReachabilityMatrix(cells, spec)
+    return cells
 
 
-def edt(local: np.ndarray) -> ClearanceMap:
+def edt(local: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance (in cells) to the nearest occupied cell.
 
     Input is a binary grid, nonzero = occupied.  An all-free grid treats
@@ -255,9 +232,9 @@ def edt(local: np.ndarray) -> ClearanceMap:
     if occ.size == 0:
         raise ValueError("empty grid")
     if occ.any():
-        return ClearanceMap(ndimage.distance_transform_edt(~occ))
+        return ndimage.distance_transform_edt(~occ)
     padded = np.pad(~occ, 1, constant_values=False)
-    return ClearanceMap(ndimage.distance_transform_edt(padded)[1:-1, 1:-1])
+    return ndimage.distance_transform_edt(padded)[1:-1, 1:-1]
 
 
 def static_clearance(scene: Scene, spec: GridSpec) -> np.ndarray:
@@ -268,7 +245,7 @@ def static_clearance(scene: Scene, spec: GridSpec) -> np.ndarray:
     walls = tuple(b.bounds for b in scene.bodies if b.kind == KIND_WALL)
     return _memoized(
         spec.memo, ("clearance", walls),
-        lambda: edt(occupancy_mask(scene.statics_only(), spec)).cells * spec.resolution,
+        lambda: edt(occupancy_mask(scene.statics_only(), spec)) * spec.resolution,
     )
 
 

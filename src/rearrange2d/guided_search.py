@@ -22,7 +22,6 @@ from .motion import (
     InfeasibleLeg,
     MotionPlan,
     Subgoal,
-    SubgoalBlocked,
     _mix_seed,
     assign_leg_side,
     compound_parts,
@@ -30,6 +29,11 @@ from .motion import (
     grasp_pose,
     solve_pick_config,
 )
+
+# search_relocations' budget: beam iterations per call, and iterations
+# without a better scene before the critical set grows by one blocker
+ITERATION_LIMIT = 40
+STALL_LIMIT = 2
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ def select_critical(
 def score_scene(gom, reach) -> float:
     """Free-and-reachable mass: the sum over cells of occupancy times
     reachability values."""
-    return float((gom.cells * reach.cells).sum())
+    return float((gom * reach).sum())
 
 
 def score_node(s_scene: float, visits: int, c0: float) -> float:
@@ -204,7 +208,7 @@ def gen_relocation_points(
     """
     body = scene.body(object_id)
     occ = grids.occupancy_mask(scene, spec, exclude=frozenset({object_id}))
-    clearance = grids.edt(occ).cells
+    clearance = grids.edt(occ)
     free = grids.fit_mask(scene, spec, body.w, body.h, frozenset({object_id}))
     goal_rects = [
         rect_at(scene.goal_of(oid), scene.body(oid).w, scene.body(oid).h)
@@ -267,7 +271,7 @@ def plan_relocation(
             scene, object_id, [sg0, sg1], seed=seed, spec=spec,
             max_iters=rrt_max_iters, purpose="relocation",
         )
-    except (InfeasibleLeg, SubgoalBlocked):
+    except InfeasibleLeg:
         return None
     return plan, after
 
@@ -275,9 +279,7 @@ def plan_relocation(
 @dataclass
 class SearchNode:
     nid: int
-    parent: int | None
     scene: Scene
-    relocations: tuple[tuple[str, Pose2], ...]
     plans: tuple[MotionPlan, ...]
     s_scene: float
     visits: int = 0
@@ -288,7 +290,6 @@ class RelocationSearchResult:
     success: bool
     scene: Scene
     plans: tuple[MotionPlan, ...] = ()
-    crit: tuple[str, ...] = ()
     iterations: int = 0
     failed_attempts: int = 0
     trace: dict = field(default_factory=dict)
@@ -340,9 +341,7 @@ def search_relocations(
     c0: float = 25.0,
     k_max: int = 4,
     beam_width: int = 5,
-    iteration_limit: int = 40,
     clearance_min: float = 2.0,
-    stall_limit: int = 2,
     cardinality_cap: int = 4,
     rrt_max_iters: int = 5000,
     deadline: float | None = None,
@@ -355,14 +354,14 @@ def search_relocations(
     the search fails with reason "timeout".
     """
     colliders = find_colliding(scene, task, spec)
-    trace: dict = {"colliders": list(colliders), "expanded": [], "candidates": 0, "failed_plans": 0}
+    trace: dict = {"colliders": list(colliders), "expanded": [], "candidates": 0}
     if not colliders:
         if task_feasible(scene, task, frozenset(), spec):
-            return RelocationSearchResult(True, scene, (), (), 0, 0, trace)
-        return RelocationSearchResult(False, scene, (), (), 0, 0, trace, reason="blocked by statics")
+            return RelocationSearchResult(True, scene, (), 0, 0, trace)
+        return RelocationSearchResult(False, scene, (), 0, 0, trace, reason="blocked by statics")
     crit = select_critical(scene, task, colliders, skip_count, spec=spec, cardinality_cap=cardinality_cap)
     if crit is None:
-        return RelocationSearchResult(False, scene, (), (), 0, 0, trace, reason="no critical subset unblocks the task")
+        return RelocationSearchResult(False, scene, (), 0, 0, trace, reason="no critical subset unblocks the task")
     crit = list(crit)
     trace["initial_crit"] = list(crit)
     weights = weight_objects(scene, crit)
@@ -370,18 +369,16 @@ def search_relocations(
     task_cells = frozenset(task.cells)
 
     def scene_score(s: Scene) -> float:
-        gom = grids.rasterize_gom(s, task.cells, spec)
-        reach = grids.reachability(s, gom)
-        return score_scene(gom, reach)
+        return score_scene(grids.rasterize_gom(s, task.cells, spec), grids.reachability(s, spec))
 
-    nodes: list[SearchNode] = [SearchNode(0, None, scene, (), (), scene_score(scene))]
+    nodes: list[SearchNode] = [SearchNode(0, scene, (), scene_score(scene))]
     open_ids = [0]
     best_score = nodes[0].s_scene
     stall = 0
     failed = 0
 
-    reason, iterations = "iteration limit", iteration_limit
-    for it in range(1, iteration_limit + 1):
+    reason, iterations = "iteration limit", ITERATION_LIMIT
+    for it in range(1, ITERATION_LIMIT + 1):
         if not open_ids:
             break
         if deadline is not None and time.monotonic() > deadline:
@@ -416,7 +413,6 @@ def search_relocations(
                 )
                 if res is None:
                     failed += 1
-                    trace["failed_plans"] += 1
                     # blame whatever sits on the statics-feasible route to
                     # the target; a straight segment misses blockers that
                     # only matter once walls force a detour
@@ -429,12 +425,7 @@ def search_relocations(
                             counts[blocker] = counts.get(blocker, 0) + 1
                     continue
                 plan, after = res
-                child = SearchNode(
-                    len(nodes), node.nid, after,
-                    node.relocations + ((oid, target),),
-                    node.plans + (plan,),
-                    scene_score(after),
-                )
+                child = SearchNode(len(nodes), after, node.plans + (plan,), scene_score(after))
                 nodes.append(child)
                 open_ids.append(child.nid)
                 success_any = True
@@ -442,10 +433,9 @@ def search_relocations(
                     best_score = child.s_scene
                     improved = True
                 if task_feasible(after, task, frozenset(), spec):
-                    trace["iterations"] = it
                     trace["nodes"] = len(nodes)
                     trace["final_crit"] = list(crit)
-                    return RelocationSearchResult(True, after, child.plans, tuple(crit), it, failed, trace)
+                    return RelocationSearchResult(True, after, child.plans, it, failed, trace)
             if not success_any:
                 weights = decay_weight(weights, oid)
 
@@ -456,7 +446,7 @@ def search_relocations(
             stall = 0
         else:
             stall += 1
-            if stall >= stall_limit:
+            if stall >= STALL_LIMIT:
                 extra = expand_crit(scene, crit, counts)
                 if extra is not None:
                     crit.append(extra)
@@ -464,7 +454,6 @@ def search_relocations(
                     trace["expanded"].append({"iteration": it, "object": extra, "counts": dict(counts)})
                 stall = 0
 
-    trace["iterations"] = iterations
     trace["nodes"] = len(nodes)
     trace["final_crit"] = list(crit)
-    return RelocationSearchResult(False, scene, (), tuple(crit), iterations, failed, trace, reason=reason)
+    return RelocationSearchResult(False, scene, (), iterations, failed, trace, reason=reason)

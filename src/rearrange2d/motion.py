@@ -547,11 +547,12 @@ def select_subgoals(
     *,
     kappa: float = 2.0,
     delta_min: float | None = None,
-    delta_max: float | None = None,
     spec: GridSpec,
 ) -> list[Subgoal]:
     """Sample subgoals along mu, densely where static clearance is low.
 
+    Each step is kappa times the static clearance, clamped to
+    [delta_min, 4 x the robot side]; delta_min defaults to half the side.
     The first subgoal is the initial grasp at mu's start; the last is mu's
     endpoint.  Each subgoal carries the leg's grasp side and the mu
     geometry (via points) between it and its predecessor.
@@ -562,8 +563,7 @@ def select_subgoals(
     rs = robot.w
     if delta_min is None:
         delta_min = 0.5 * rs
-    if delta_max is None:
-        delta_max = 4.0 * rs
+    delta_max = 4.0 * rs
     body = scene.body(mu.object_id)
     statics = scene.statics_only()
     clearance = grids.static_clearance(scene, spec)
@@ -672,8 +672,7 @@ def plan_pick_place(
     """Chain pick and place legs through the subgoal list.
 
     Raises InfeasibleLeg when a leg cannot be planned with any usable
-    grasp side (the relocation search consumes that), SubgoalBlocked when
-    even the statics forbid every side.
+    grasp side (the relocation search consumes that).
     """
     if not subgoals:
         raise ValueError("no subgoals")

@@ -26,7 +26,7 @@ class ConfigError(ValueError):
     pass
 
 
-_OPTIONAL_FLOATS = {"tol", "delta_min", "delta_max", "epsilon"}
+_OPTIONAL_FLOATS = {"tol", "delta_min", "epsilon"}
 # ranges the planner needs: a zero divisor or grid size divides by zero, and
 # a delta_min of 0 or less can stall subgoal sampling on a zero step
 _AT_LEAST_ONE = ("grid_n", "skip_max_divisor")
@@ -38,19 +38,15 @@ class PlannerConfig:
     grid_n: int = 64
     kappa: float = 2.0
     delta_min: float | None = None      # default 0.5 x robot side
-    delta_max: float | None = None      # default 4 x robot side
     epsilon: float | None = None        # default 0.5 x robot side
     rrt_max_iters: int = 5000
     c0: float = 25.0
     k_max: int = 4
     beam_width: int = 5
-    relocation_iteration_limit: int = 40
     clearance_min: float = 2.0          # cells
-    stall_limit: int = 2
     alt_crit_limit: int = 3
     cardinality_cap: int = 4
     skip_max_divisor: int = 4
-    iter_max_offset: int = 1
     time_limit: float = 120.0
     lazy_rounds: int = 5
     cycle_cap: int = 10000
@@ -182,7 +178,6 @@ class GenPlanOutcome:
     plans: tuple[MotionPlan, ...]
     scene: Scene
     failures: int = 0
-    relocation_searches: int = 0
     relocated: tuple[str, ...] = ()
     reason: str | None = None
 
@@ -215,19 +210,17 @@ def gen_motion_plan(
     plans: list[MotionPlan] = []
     relocated: list[str] = []
     failures = 0
-    relocation_searches = 0
     skip = 0
     guard = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:
-            return GenPlanOutcome(False, (), scene, failures, relocation_searches, reason="timeout")
+            return GenPlanOutcome(False, (), scene, failures, reason="timeout")
         guard += 1
         if guard > 2 * cfg.alt_crit_limit + 4:
-            return GenPlanOutcome(False, (), scene, failures, relocation_searches, reason="relocation loop guard")
+            return GenPlanOutcome(False, (), scene, failures, reason="relocation loop guard")
         try:
             subgoals = motion.select_subgoals(
-                mu, cur, kappa=cfg.kappa, delta_min=cfg.delta_min,
-                delta_max=cfg.delta_max, spec=spec,
+                mu, cur, kappa=cfg.kappa, delta_min=cfg.delta_min, spec=spec,
             )
             if cfg.refine:
                 subgoals = motion.refine_subgoals(subgoals, cur, eps, object_id=object_id)
@@ -236,9 +229,9 @@ def gen_motion_plan(
                 max_iters=cfg.rrt_max_iters, spec=spec,
             )
             plans.append(plan)
-            return GenPlanOutcome(True, tuple(plans), after, failures, relocation_searches, tuple(relocated))
+            return GenPlanOutcome(True, tuple(plans), after, failures, tuple(relocated))
         except SubgoalBlocked as e:
-            return GenPlanOutcome(False, (), scene, failures, relocation_searches, reason=str(e))
+            return GenPlanOutcome(False, (), scene, failures, reason=str(e))
         except InfeasibleLeg as e:
             failures += 1
             if e.kind == "pick":
@@ -251,13 +244,11 @@ def gen_motion_plan(
                 cur, task, skip,
                 seed=_mix_seed(seed, "reloc", object_id, guard),
                 spec=spec, c0=cfg.c0, k_max=cfg.k_max, beam_width=cfg.beam_width,
-                iteration_limit=cfg.relocation_iteration_limit, clearance_min=cfg.clearance_min,
-                stall_limit=cfg.stall_limit, cardinality_cap=cfg.cardinality_cap,
+                clearance_min=cfg.clearance_min, cardinality_cap=cfg.cardinality_cap,
                 rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
             )
-            relocation_searches += 1
             if res.reason == "timeout":
-                return GenPlanOutcome(False, (), scene, failures, relocation_searches, reason="timeout")
+                return GenPlanOutcome(False, (), scene, failures, reason="timeout")
             if res.success:
                 cur = res.scene
                 plans.extend(res.plans)
@@ -265,10 +256,7 @@ def gen_motion_plan(
                 continue
             skip += 1
             if skip >= cfg.alt_crit_limit:
-                return GenPlanOutcome(
-                    False, (), scene, failures, relocation_searches,
-                    reason="relocation search exhausted",
-                )
+                return GenPlanOutcome(False, (), scene, failures, reason="relocation search exhausted")
 
 
 @dataclass
@@ -364,7 +352,7 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
         seq = PlacementSequence((), 0.0)
         return finish("success")
     skip_max = max(0, len(unplaced) // cfg.skip_max_divisor)
-    iter_max = len(unplaced) + cfg.iter_max_offset
+    iter_max = len(unplaced) + 1
 
     try:
         seq = gen_sequence(cur, unplaced, 0)

@@ -6,14 +6,17 @@ A scenario is a JSON document with exactly these fields:
     walls     [{id?, w, h, x, y}, ...]
     movables  [{id, w, h, x, y, goal?: {x, y}}, ...]
     robot     {side, x, y}
-    seed      (optional, default 0)
 
 Unknown fields are rejected so typos fail loudly instead of silently
-changing the scene.
+changing the scene.  Numbers must be finite (JSON's NaN and Infinity
+extensions are rejected), and the scene must pass Scene.validate():
+every body and goal inside the workspace, no two non-robot bodies
+overlapping.  The planner's seed is a config key, not part of a scenario.
 """
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .world import (
@@ -45,9 +48,14 @@ def _require(obj: dict, ctx: str, required: tuple, optional: tuple = ()):
 
 def _num(obj: dict, ctx: str, key: str) -> float:
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{ctx}.{key}: expected a number")
-    return float(v)
+    if not isinstance(v, bool) and isinstance(v, (int, float)):
+        try:
+            v = float(v)
+        except OverflowError:  # an integer literal past the float range
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise ScenarioError(f"{ctx}.{key}: expected a finite number")
 
 
 def parse_scene(text: str) -> Scene:
@@ -55,7 +63,7 @@ def parse_scene(text: str) -> Scene:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON: {e}") from None
-    _require(doc, "scenario", ("workspace", "walls", "movables", "robot"), ("seed",))
+    _require(doc, "scenario", ("workspace", "walls", "movables", "robot"))
 
     ws = doc["workspace"]
     _require(ws, "workspace", ("xmin", "ymin", "xmax", "ymax"))
@@ -100,14 +108,14 @@ def parse_scene(text: str) -> Scene:
     side = _num(r, "robot", "side")
     bodies.append(Body("robot", side, side, KIND_ROBOT, Pose2(_num(r, "robot", "x"), _num(r, "robot", "y"))))
 
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ScenarioError("seed: expected a non-negative integer")
-
     try:
-        return Scene(workspace, tuple(bodies), goals, seed)
+        scene = Scene(workspace, tuple(bodies), goals)
     except ValueError as e:
         raise ScenarioError(str(e)) from None
+    problems = scene.validate()
+    if problems:
+        raise ScenarioError("invalid scene: " + "; ".join(problems))
+    return scene
 
 
 def load_scene(path: str | Path) -> Scene:
@@ -127,7 +135,6 @@ def scene_to_json(scene: Scene) -> str:
         ],
         "movables": [],
         "robot": {"side": scene.robot.w, "x": scene.robot.pose.x, "y": scene.robot.pose.y},
-        "seed": scene.rng_seed,
     }
     for b in scene.movables:
         entry = {"id": b.id, "w": b.w, "h": b.h, "x": b.pose.x, "y": b.pose.y}

@@ -41,7 +41,6 @@ class Edge:
 class DependencyGraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    paths: dict[str, ObjectPath] = field(default_factory=dict)
 
 
 def path_crosses_rect(mu: ObjectPath, footprint_rect: Rect, w: float, h: float) -> bool:
@@ -69,28 +68,23 @@ def path_crosses_rect(mu: ObjectPath, footprint_rect: Rect, w: float, h: float) 
 def build_dependency_graph(
     scene: Scene,
     *,
-    unplaced=None,
-    tol: float | None = None,
+    unplaced,
+    tol: float,
     seed: int = 0,
     spec: GridSpec,
     rrt_max_iters: int = 5000,
 ) -> DependencyGraph:
-    """Precedence edges among the goal objects still away from their goals.
+    """Precedence edges among the unplaced goal objects.
 
-    Each object's statics-only route mu is planned once; weak edge j -> i
-    when mu_i crosses j's current footprint, strong edge i -> j when mu_i
-    crosses j's goal footprint.  Raises SequenceInfeasible when some object
-    has no route even with every movable removed.
+    unplaced lists the goal objects still away from their goals, as the
+    caller found them with verify_placements at tolerance tol; the graph
+    is built from that list alone.  Each object's statics-only route mu
+    is planned once; weak edge j -> i when mu_i crosses j's current
+    footprint, strong edge i -> j when mu_i crosses j's goal footprint.
+    Raises SequenceInfeasible when some object has no route even with
+    every movable removed.
     """
-    from .world import verify_placements, default_tolerance
-
-    if tol is None:
-        tol = default_tolerance(scene)
-    if unplaced is None:
-        placed = verify_placements(scene, tol)
-        unplaced = tuple(sorted(set(scene.goals) - placed))
-    else:
-        unplaced = tuple(sorted(unplaced))
+    unplaced = tuple(sorted(unplaced))
 
     paths: dict[str, ObjectPath] = {}
     for oid in unplaced:
@@ -115,7 +109,7 @@ def build_dependency_graph(
             goal_rect = rect_at(scene.goal_of(oj), bj.w, bj.h)
             if path_crosses_rect(mu, goal_rect, bi.w, bi.h):
                 edges.add(Edge(oi, oj, STRONG))
-    return DependencyGraph(unplaced, tuple(sorted(edges)), paths)
+    return DependencyGraph(unplaced, tuple(sorted(edges)))
 
 
 def _ranked_pairs(graph: DependencyGraph):
@@ -318,7 +312,7 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
                 break
             remove(pick(stale))
         else:
-            return BreakResult(DependencyGraph(graph.vertices, kept(), graph.paths), tuple(removed))
+            return BreakResult(DependencyGraph(graph.vertices, kept()), tuple(removed))
 
     while cycles:
         p = remove(pick(frequencies()))
@@ -332,7 +326,7 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
     edges = kept()
     if topo_order(graph.vertices, edges) is None:
         raise RuntimeError("cycle enumeration missed a cycle")
-    return BreakResult(DependencyGraph(graph.vertices, edges, graph.paths), tuple(removed))
+    return BreakResult(DependencyGraph(graph.vertices, edges), tuple(removed))
 
 
 @dataclass

@@ -134,7 +134,6 @@ class Scene:
     workspace: Rect
     bodies: tuple[Body, ...]
     goals: dict[str, Pose2] = field(default_factory=dict)
-    rng_seed: int = 0
     # (id, xmin, ymin, xmax, ymax) per body, in body order
     rows: tuple[tuple[str, float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
@@ -200,7 +199,7 @@ class Scene:
     def with_pose(self, body_id: str, pose: Pose2) -> "Scene":
         self.body(body_id)
         bodies = tuple(replace(b, pose=pose) if b.id == body_id else b for b in self.bodies)
-        return Scene(self.workspace, bodies, self.goals, self.rng_seed)
+        return Scene(self.workspace, bodies, self.goals)
 
     def without(self, ids) -> "Scene":
         drop = set(ids)
@@ -208,7 +207,7 @@ class Scene:
             raise SceneError("cannot remove the robot")
         bodies = tuple(b for b in self.bodies if b.id not in drop)
         goals = {k: v for k, v in self.goals.items() if k not in drop}
-        return Scene(self.workspace, bodies, goals, self.rng_seed)
+        return Scene(self.workspace, bodies, goals)
 
     def statics_only(self, keep: str | None = None) -> "Scene":
         """Walls and the robot only; optionally keep one movable body."""
@@ -216,7 +215,7 @@ class Scene:
             b for b in self.bodies if b.kind == KIND_WALL or b.kind == KIND_ROBOT or b.id == keep
         )
         goals = {k: v for k, v in self.goals.items() if k == keep}
-        return Scene(self.workspace, bodies, goals, self.rng_seed)
+        return Scene(self.workspace, bodies, goals)
 
     def validate(self) -> list[str]:
         """Scene-invariant audit; returns a list of violation messages."""

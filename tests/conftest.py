@@ -30,9 +30,9 @@ def robot(x, y, side=0.4):
     return Body("robot", side, side, KIND_ROBOT, Pose2(x, y))
 
 
-def scene(bodies, goals=None, *, ws=None, seed=0):
+def scene(bodies, goals=None, *, ws=None):
     ws = ws if ws is not None else Rect(0.0, 0.0, 10.0, 10.0)
-    return Scene(ws, tuple(bodies), dict(goals or {}), rng_seed=seed)
+    return Scene(ws, tuple(bodies), dict(goals or {}))
 
 
 @pytest.fixture

@@ -126,7 +126,7 @@ def test_c02_edt_matches_brute_force():
     rng = np.random.default_rng(202)
     for _ in range(200):
         occ = rng.random((16, 16)) < rng.uniform(0.0, 0.6)
-        assert np.abs(edt(occ).cells - _brute_edt(occ)).max() <= 1e-9
+        assert np.abs(edt(occ) - _brute_edt(occ)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------- criterion 3
@@ -306,7 +306,9 @@ def test_c10_lazy_refinement_no_worse_than_euclidean_sequencing():
     for seed in SEEDS:
         scene = bench.make_scene("detour_pocket", seed)
         spec = GridSpec.from_scene(scene)
-        graph = build_dependency_graph(scene, seed=seed, spec=spec)
+        tol = default_tolerance(scene)
+        unplaced = sorted(set(scene.goals) - verify_placements(scene, tol))
+        graph = build_dependency_graph(scene, unplaced=unplaced, tol=tol, seed=seed, spec=spec)
         prec = tuple((e.src, e.dst) for e in break_cycles(graph).graph.edges)
         ids = tuple(sorted(scene.goals))
         euclid_seq = solve_patsp(CostMatrix.euclidean(scene, ids), prec)

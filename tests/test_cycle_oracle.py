@@ -126,7 +126,7 @@ def ref_enumerate_cycles(graph: DependencyGraph, cap: int = 10000) -> CycleLedge
 
 
 def without_edge(graph: DependencyGraph, e: Edge) -> DependencyGraph:
-    return DependencyGraph(graph.vertices, tuple(x for x in graph.edges if x != e), graph.paths)
+    return DependencyGraph(graph.vertices, tuple(x for x in graph.edges if x != e))
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,7 @@ def ref_swept_cells(spec, parts, poses):
 
 def ref_static_clearance(scene, spec):
     occ = grids.occupancy_mask(scene.statics_only(), spec)
-    return grids.edt(occ).cells * spec.resolution
+    return grids.edt(occ) * spec.resolution
 
 
 # -- inputs -----------------------------------------------------------------

@@ -100,24 +100,24 @@ class TestRasterizeGom:
         task = [(10, 10), (11, 10)]
         gom = rasterize_gom(walled_scene, task, spec)
         occ = occupancy_mask(walled_scene, spec)
-        assert (gom.cells[occ] == 0.0).all()
-        assert gom.cells[10, 10] == BETA_M
-        assert gom.cells[10, 11] == BETA_M
+        assert (gom[occ] == 0.0).all()
+        assert gom[10, 10] == BETA_M
+        assert gom[10, 11] == BETA_M
         free_plain = ~occ
         free_plain[10, 10] = free_plain[10, 11] = False
-        assert (gom.cells[free_plain] == ALPHA_M).all()
-        assert gom.clamped_task_cells == 0
+        assert (gom[free_plain] == ALPHA_M).all()
+        assert (gom == BETA_M).sum() == 2
 
     def test_occupied_wins_over_task(self, walled_scene):
         spec = GridSpec.from_scene(walled_scene)
         wall_cell = spec.cell_of(Pose2(5.0, 4.0))
         gom = rasterize_gom(walled_scene, [wall_cell], spec)
-        assert gom.cells[wall_cell[1], wall_cell[0]] == 0.0
+        assert gom[wall_cell[1], wall_cell[0]] == 0.0
 
     def test_out_of_bounds_counted(self, empty_scene, spec64):
         gom = rasterize_gom(empty_scene, [(-1, 0), (64, 64), (5, 5)], spec64)
-        assert gom.clamped_task_cells == 2
-        assert gom.cells[5, 5] == BETA_M
+        assert (gom == BETA_M).sum() == 1
+        assert gom[5, 5] == BETA_M
 
 
 class TestFitMask:
@@ -190,32 +190,29 @@ def _sealed_robot_scene():
 class TestReachability:
     def test_open_scene(self, simple_scene):
         spec = GridSpec.from_scene(simple_scene)
-        gom = rasterize_gom(simple_scene, [], spec)
-        reach = reachability(simple_scene, gom)
-        assert not reach.degenerate
+        reach = reachability(simple_scene, spec)
+        assert (reach == ALPHA_R).sum() > 1
         free = fit_mask(simple_scene, spec, 0.4, 0.4)
-        assert (reach.cells[free] == ALPHA_R).all()
+        assert (reach[free] == ALPHA_R).all()
         # cells inside the obstacle stay at beta_r
         ix, iy = spec.cell_of(Pose2(6.0, 6.0))
-        assert reach.cells[iy, ix] == BETA_R
+        assert reach[iy, ix] == BETA_R
 
     def test_wall_splits_reachable_set(self, walled_scene):
         spec = GridSpec.from_scene(walled_scene)
-        gom = rasterize_gom(walled_scene, [], spec)
-        reach = reachability(walled_scene, gom)
+        reach = reachability(walled_scene, spec)
         # gap at the top keeps both halves connected
         ix, iy = spec.cell_of(Pose2(8.0, 5.0))
-        assert reach.cells[iy, ix] == ALPHA_R
+        assert reach[iy, ix] == ALPHA_R
 
     def test_sealed_robot_degenerate(self):
         sc = _sealed_robot_scene()
         spec = GridSpec.from_scene(sc)
-        gom = rasterize_gom(sc, [], spec)
-        reach = reachability(sc, gom)
-        assert reach.degenerate
+        reach = reachability(sc, spec)
         ix, iy = spec.cell_of(sc.robot.pose)
-        # the robot's own cell is still marked reachable
-        assert reach.cells[iy, ix] == ALPHA_R
+        # the robot's own cell is still marked reachable, and only it
+        assert (reach == ALPHA_R).sum() == 1
+        assert reach[iy, ix] == ALPHA_R
 
 
 def _brute_edt(occ):
@@ -242,19 +239,19 @@ class TestEdt:
         rng = np.random.default_rng(11)
         for _ in range(30):
             occ = rng.random((16, 16)) < rng.uniform(0.05, 0.5)
-            got = edt(occ).cells
+            got = edt(occ)
             assert np.abs(got - _brute_edt(occ)).max() < 1e-9
 
     def test_all_free_uses_boundary(self):
         occ = np.zeros((8, 8), dtype=bool)
-        got = edt(occ).cells
+        got = edt(occ)
         assert got[0, 0] == pytest.approx(1.0)
         assert got[4, 4] == pytest.approx(4.0)
         assert np.abs(got - _brute_edt(occ)).max() < 1e-9
 
     def test_all_occupied(self):
         occ = np.ones((4, 4), dtype=bool)
-        assert (edt(occ).cells == 0.0).all()
+        assert (edt(occ) == 0.0).all()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -263,7 +260,7 @@ class TestEdt:
     def test_lipschitz_between_neighbors(self):
         rng = np.random.default_rng(5)
         occ = rng.random((24, 24)) < 0.2
-        d = edt(occ).cells
+        d = edt(occ)
         limit = math.sqrt(2.0) + 1e-9
         for dy, dx in ((0, 1), (1, 0), (1, 1)):
             a = d[dy:, dx:]

@@ -182,6 +182,10 @@ REMOVED_KEYS = (
     "literal_exploration",
     "euclidean_only",
     "static_sequence",
+    "delta_max",
+    "relocation_iteration_limit",
+    "stall_limit",
+    "iter_max_offset",
 )
 
 
@@ -192,7 +196,7 @@ class TestConfigLiveness:
         for f in src.glob("*.py"):
             read.update(re.findall(r"\bcfg\.(\w+)", f.read_text(encoding="utf-8")))
         names = [f.name for f in dataclasses.fields(PlannerConfig)]
-        assert len(names) == 24
+        assert len(names) == 20
         assert [n for n in names if n not in read] == []
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -554,6 +558,14 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text("{nope")
         assert cli.main(["plan", str(p)]) == 2
+        # non-finite numbers and scenes that fail Scene.validate()
+        good = scenario.scene_to_json(bench.make_scene("four_blocks"))
+        for old, new in (('"x": 4.4', '"x": NaN'), ('"xmax": 10.0', '"xmax": Infinity'),
+                         ('"x": 5.6', '"x": 4.4')):  # the last puts o2 on o1
+            bad = good.replace(old, new, 1)
+            assert bad != good
+            p.write_text(bad)
+            assert cli.main(["plan", str(p)]) == 2
 
     def test_bad_config_exit_code(self, tmp_path, capsys, simple_scene):
         path = self._write_scene(tmp_path, simple_scene)

@@ -151,7 +151,7 @@ class TestScores:
     def test_score_scene_counts_free_reachable_mass(self, empty_scene):
         spec = GridSpec.from_scene(empty_scene)
         gom = rasterize_gom(empty_scene, [(5, 5), (6, 5)], spec)
-        reach = reachability(empty_scene, gom)
+        reach = reachability(empty_scene, spec)
         # the border ring of cell centers puts the 0.4 robot outside the
         # workspace, so the reachable interior is 62x62; the two interior
         # task cells count 3.0 instead of 1.0
@@ -195,7 +195,7 @@ class TestGenRelocationPoints:
         spec = GridSpec.from_scene(sc)
         from rearrange2d.grids import edt, occupancy_mask
 
-        clearance = edt(occupancy_mask(sc, spec, exclude=frozenset({"b1"}))).cells
+        clearance = edt(occupancy_mask(sc, spec, exclude=frozenset({"b1"})))
         pts = gs.gen_relocation_points(sc, "b1", 8, spec=spec)
         cls = [clearance[spec.cell_of(p)[1], spec.cell_of(p)[0]] for p in pts]
         assert all(a >= b - 1e-9 for a, b in zip(cls, cls[1:]))

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from rearrange2d import scenario
+from rearrange2d import bench, scenario
 from rearrange2d.world import (
     KIND_GOAL,
     KIND_OBSTACLE,
@@ -248,7 +249,38 @@ class TestScenarioIO:
             assert back.body(b.id).pose == b.pose
             assert back.body(b.id).kind == b.kind
         assert back.goals == walled_scene.goals
-        assert back.rng_seed == walled_scene.rng_seed
+        assert "seed" not in json.loads(p.read_text())
+
+    @pytest.mark.parametrize("name", [*bench.BUILTIN_SCENES, "m_block_8", "m_block_24"])
+    def test_shipped_scenes_read_back_unchanged(self, name):
+        text = scenario.scene_to_json(bench.make_scene(name, 3))
+        assert scenario.scene_to_json(scenario.parse_scene(text)) == text
+
+    def test_seed_field_rejected(self):
+        # planning takes its seed from the config, so a scenario seed would
+        # be silently ignored
+        with pytest.raises(scenario.ScenarioError, match="seed"):
+            scenario.parse_scene(_scenario_text().replace('"walls"', '"seed": 7, "walls"'))
+
+    @pytest.mark.parametrize("old,new", [
+        ('"x": 3', '"x": NaN'),
+        ('"xmax": 10', '"xmax": Infinity'),
+        ('"side": 0.4', '"side": -Infinity'),
+        ('"y": 7', '"y": 1' + "0" * 400),
+    ], ids=["nan", "infinity", "minus-infinity", "past-float-range"])
+    def test_non_finite_numbers_rejected(self, old, new):
+        with pytest.raises(scenario.ScenarioError, match="finite"):
+            scenario.parse_scene(_scenario_text().replace(old, new, 1))
+
+    @pytest.mark.parametrize("old,new,problem", [
+        ('"x": 3', '"x": 9.8', "o1 outside workspace"),
+        ('"walls": []', '"walls": [{"w": 1, "h": 1, "x": 3.5, "y": 3}]', "overlaps"),
+        ('"y": 7', '"y": 9.9', "goal of o1 outside workspace"),
+    ], ids=["body-outside", "overlap", "goal-outside"])
+    def test_invalid_scene_rejected(self, old, new, problem):
+        scenario.parse_scene(_scenario_text())
+        with pytest.raises(scenario.ScenarioError, match=problem):
+            scenario.parse_scene(_scenario_text().replace(old, new, 1))
 
     def test_missing_fields_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -280,3 +312,12 @@ class TestScenarioIO:
         )
         with pytest.raises(scenario.ScenarioError):
             scenario.load_scene(p)
+
+
+def _scenario_text():
+    """A valid scenario document: one goal object and the robot."""
+    return (
+        '{"workspace": {"xmin": 0, "ymin": 0, "xmax": 10, "ymax": 10}, "walls": [],'
+        ' "movables": [{"id": "o1", "w": 1, "h": 1, "x": 3, "y": 3, "goal": {"x": 7, "y": 7}}],'
+        ' "robot": {"side": 0.4, "x": 1, "y": 1}}'
+    )
