@@ -25,6 +25,19 @@ the computation reads, never by a Scene or an object's identity:
 
 Cached arrays are read-only (writing to one raises); cached cell lists are
 handed out as fresh lists.
+
+Kernels.  The two raster kernels are numpy code with an exactness contract:
+their outputs equal scipy.ndimage's bit for bit, dtype included, and
+``tests/test_raster_kernels.py`` holds them to it (scipy is a test
+dependency only).
+
+- ``edt``: squared distances are exact integers from two separable passes
+  (Felzenszwalb & Huttenlocher 2012), and their float64 square roots are
+  ``distance_transform_edt``'s.  A window computes one block of the grid
+  with the same values.
+- ``component_labels``: runs of free cells joined across rows
+  (He, Chao & Suzuki 2008) give 4-connected components, numbered from 1 in
+  raster order of their first cell as ``label`` numbers them; int32.
 """
 from __future__ import annotations
 
@@ -33,7 +46,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .world import EPS, Pose2, Rect, Scene, KIND_ROBOT, KIND_WALL
 
@@ -222,19 +234,70 @@ def reachability(scene: Scene, spec: GridSpec) -> np.ndarray:
     return cells
 
 
-def edt(local: np.ndarray) -> np.ndarray:
+def edt(local: np.ndarray, window=None) -> np.ndarray:
     """Exact Euclidean distance (in cells) to the nearest occupied cell.
 
     Input is a binary grid, nonzero = occupied.  An all-free grid treats
-    the boundary as occupied so clearance stays finite.
+    the boundary as occupied so clearance stays finite.  window, an
+    inclusive (ix0, ix1, iy0, iy1) as ``GridSpec.rect_cells`` gives it,
+    computes and returns only that block of the grid's distances.
     """
     occ = np.asarray(local).astype(bool)
     if occ.size == 0:
         raise ValueError("empty grid")
+    ny, nx = occ.shape
+    ix0, ix1, iy0, iy1 = (0, nx - 1, 0, ny - 1) if window is None else window
     if occ.any():
-        return ndimage.distance_transform_edt(~occ)
-    padded = np.pad(~occ, 1, constant_values=False)
-    return ndimage.distance_transform_edt(padded)[1:-1, 1:-1]
+        return np.sqrt(_sq_dist(occ, ix0, ix1 + 1, iy0, iy1 + 1), dtype=np.float64)
+    # all free: the nearest cell of the occupied frame just outside the grid
+    ys = np.arange(iy0, iy1 + 1)
+    xs = np.arange(ix0, ix1 + 1)
+    return np.minimum.outer(np.minimum(ys + 1, ny - ys), np.minimum(xs + 1, nx - xs)).astype(np.float64)
+
+
+# most elements one temporary of the row pass may hold
+_ROW_PASS_CELLS = 1 << 16
+
+
+def _sq_dist(occ: np.ndarray, x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
+    """Squared distance from each cell of occ[y0:y1, x0:x1] to the nearest
+    occupied cell of occ, which has one; exact integers.
+
+    Two separable passes (Felzenszwalb & Huttenlocher 2012): g, the
+    distance along each column to its nearest occupied cell, then along
+    each row d2 = min over columns x' of g[y, x']^2 + (x - x')^2.  Only a
+    column holding an occupied cell can be nearest, so the row pass runs
+    over those columns alone, or over the rows when fewer rows hold one.
+    """
+    lines = np.flatnonzero(occ.any(axis=0))
+    if lines.size > np.count_nonzero(occ.any(axis=1)):
+        return _sq_dist(occ.T, y0, y1, x0, x1).T
+    ny, nx = occ.shape
+    # column pass over the occupied columns: nearest occupied row at or
+    # above, and at or below, each cell (one of the two always exists)
+    sub = occ[:, lines]
+    rows = np.arange(ny)[:, None]
+    above = np.maximum.accumulate(np.where(sub, rows, -ny), axis=0)
+    below = np.minimum.accumulate(np.where(sub, rows, 2 * ny)[::-1], axis=0)[::-1]
+    g = np.minimum(rows - above, below - rows)[y0:y1]
+    # smallest unsigned type that holds every sum below
+    top = (ny - 1) ** 2 + (nx - 1) ** 2
+    dtype = np.uint16 if top <= 0xFFFF else np.uint32 if top <= 0xFFFFFFFF else np.uint64
+    g2 = g.astype(dtype)
+    g2 *= g2
+    sq = np.abs(lines[:, None] - np.arange(x0, x1)).astype(dtype)
+    sq *= sq                                      # [line, x]
+    h, w, m = y1 - y0, x1 - x0, lines.size
+    # row pass in chunks of columns, each temporary at most _ROW_PASS_CELLS
+    step = max(1, _ROW_PASS_CELLS // (h * w))
+    buf = np.empty((h, min(step, m), w), dtype=dtype)
+    d2 = None
+    for c0 in range(0, m, step):
+        t = buf[:, : min(step, m - c0)]
+        np.add(g2[:, c0 : c0 + step, None], sq[c0 : c0 + step], out=t)
+        part = np.minimum.reduce(t, axis=1)
+        d2 = part if d2 is None else np.minimum(d2, part, out=d2)
+    return d2
 
 
 def static_clearance(scene: Scene, spec: GridSpec) -> np.ndarray:
@@ -316,8 +379,76 @@ def component_labels(free: np.ndarray, spec: GridSpec) -> np.ndarray:
 
     Read-only, shared through spec's memo by the mask's content.
     """
-    # ndimage.label's default structure is 4-connected
-    return _memoized(spec.memo, ("labels", free.shape, free.dtype.str, free.tobytes()), lambda: ndimage.label(free)[0])
+    return _memoized(spec.memo, ("labels", free.shape, free.dtype.str, free.tobytes()), _label, free)
+
+
+def _label(free: np.ndarray) -> np.ndarray:
+    """int32 labels of the 4-connected components of free's nonzero cells,
+    numbered from 1 in raster order of each component's first cell; 0
+    elsewhere.
+
+    Run-based (He, Chao & Suzuki 2008): the horizontal runs of free cells
+    come from one diff, each run is linked to the runs of the row above
+    that share a column with it, and the links are joined into components.
+    """
+    ny, nx = free.shape
+    w = nx + 1
+    # every row after one blocked cell, and one blocked cell at the end, so
+    # runs never cross rows; a run covers flat[start + 1 : end + 1]
+    flat = np.zeros(ny * w + 1, dtype=bool)
+    flat[:-1].reshape(ny, w)[:, 1:] = free
+    bounds = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    # runs of the row above sharing a column with each run: [lo, hi)
+    lo = np.searchsorted(ends, starts - w, side="right")
+    hi = np.searchsorted(starts, ends - w, side="left")
+    run = np.arange(starts.size)
+    # link each run to the first run above it that it touches; a link goes
+    # up one row, so log2(ny) rounds of pointer jumping reach every root
+    root = np.where(hi > lo, lo, run)
+    for _ in range((ny - 1).bit_length()):
+        root = root[root]
+    many = hi - lo > 1
+    if many.any():
+        root = _join(root, lo[many].tolist(), hi[many].tolist())
+    # a component's root is its first run, so numbering the roots in run
+    # order numbers the components in raster order
+    label = np.cumsum(root == run, dtype=np.int32)[root]
+    # paint the runs: run k covers cells [cut[2k+1], cut[2k+2]) of the
+    # unpadded grid
+    cut = np.empty(bounds.size + 2, dtype=np.intp)
+    cut[0], cut[-1] = 0, ny * nx
+    cut[1:-1] = bounds - bounds // w
+    values = np.zeros(bounds.size + 1, dtype=np.int32)
+    values[1::2] = label
+    return np.repeat(values, np.diff(cut)).reshape(ny, nx)
+
+
+def _join(root: np.ndarray, lo: list[int], hi: list[int]) -> np.ndarray:
+    """Roots after joining the trees of runs lo[i]..hi[i]-1 for every i; a
+    joined tree keeps the smaller root, so every root stays its
+    component's first run."""
+    up: dict[int, int] = {}
+
+    def find(r: int) -> int:
+        while r in up:
+            r = up[r]
+        return r
+
+    roots = root.tolist()
+    for l, h in zip(lo, hi):
+        first = roots[l]
+        for k in range(l + 1, h):
+            if roots[k] == first:
+                continue
+            a, b = find(first), find(roots[k])
+            if a != b:
+                up[max(a, b)] = min(a, b)
+    if not up:
+        return root
+    final = np.arange(root.size)
+    final[list(up)] = [find(r) for r in up]
+    return final[root]
 
 
 def grid_connected(free: np.ndarray, a: tuple[int, int], b: tuple[int, int], spec: GridSpec) -> bool:

@@ -208,7 +208,6 @@ def gen_relocation_points(
     """
     body = scene.body(object_id)
     occ = grids.occupancy_mask(scene, spec, exclude=frozenset({object_id}))
-    clearance = grids.edt(occ)
     free = grids.fit_mask(scene, spec, body.w, body.h, frozenset({object_id}))
     goal_rects = [
         rect_at(scene.goal_of(oid), scene.body(oid).w, scene.body(oid).h)
@@ -220,10 +219,12 @@ def gen_relocation_points(
         hx, hy = scale * body.w, scale * body.h
         win = Rect(body.pose.x - hx, body.pose.y - hy, body.pose.x + hx, body.pose.y + hy)
         ix0, ix1, iy0, iy1 = spec.rect_cells(win)
+        # the clearance of the window's cells alone
+        clearance = grids.edt(occ, (ix0, ix1, iy0, iy1)).tolist()
         found = []
         for iy in range(iy0, iy1 + 1):
             for ix in range(ix0, ix1 + 1):
-                if not free[iy, ix] or clearance[iy, ix] < clearance_min:
+                if not free[iy, ix] or clearance[iy - iy0][ix - ix0] < clearance_min:
                     continue
                 p = spec.center((ix, iy))
                 r = rect_at(p, body.w, body.h)
@@ -233,7 +234,7 @@ def gen_relocation_points(
                     continue
                 if collides(scene, object_id, p):
                     continue
-                found.append((-float(clearance[iy, ix]), iy, ix))
+                found.append((-clearance[iy - iy0][ix - ix0], iy, ix))
         return found
 
     cands = window_candidates(1.5)

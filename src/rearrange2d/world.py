@@ -228,6 +228,10 @@ class Scene:
             for b in non_robot[i + 1 :]:
                 if rects_overlap(a.rect(), b.rect()):
                     problems.append(f"{a.id} overlaps {b.id}")
+        robot = self.robot
+        for b in non_robot:
+            if rects_overlap(robot.rect(), b.rect()):
+                problems.append(f"{robot.id} overlaps {b.id}")
         for gid, gp in self.goals.items():
             body = self.body(gid)
             if not self.workspace.contains_rect(rect_at(gp, body.w, body.h)):

@@ -566,6 +566,12 @@ class TestCli:
             assert bad != good
             p.write_text(bad)
             assert cli.main(["plan", str(p)]) == 2
+        # the robot inside a wall
+        doc = json.loads(scenario.scene_to_json(bench.make_scene("doorway")))
+        doc["robot"].update(x=doc["walls"][0]["x"], y=doc["walls"][0]["y"])
+        p.write_text(json.dumps(doc))
+        assert cli.main(["plan", str(p)]) == 2
+        assert "robot overlaps wall_s" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys, simple_scene):
         path = self._write_scene(tmp_path, simple_scene)

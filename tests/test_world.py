@@ -21,7 +21,7 @@ from rearrange2d.world import (
     verify_placements,
 )
 
-from conftest import goal_obj, obstacle, robot, scene
+from conftest import goal_obj, obstacle, robot, scene, wall
 
 
 def test_pose_dist():
@@ -138,6 +138,17 @@ def test_validate_reports_problems():
     # goal outside the workspace
     bad3 = scene([robot(1, 1), goal_obj("g", 5, 5)], {"g": Pose2(9.95, 5.0)})
     assert bad3.validate()
+
+
+def test_validate_reports_robot_overlap():
+    # the robot centred inside a wall, or partly inside an obstacle
+    inside = scene([robot(5, 5), wall("w", 5, 5, 2, 2)])
+    assert inside.validate() == ["robot overlaps w"]
+    partial = scene([robot(1, 1), obstacle("a", 1.4, 1.0)])
+    assert partial.validate() == ["robot overlaps a"]
+    # flush contact is not an overlap
+    flush = scene([robot(1, 1), obstacle("a", 1.5, 1.0), wall("w", 0.6, 0.6, 0.8, 0.4)])
+    assert flush.validate() == []
 
 
 class TestCollides:
