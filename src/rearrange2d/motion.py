@@ -274,6 +274,16 @@ def birrt(
     block, the generator is rewound to the block's start and exactly the
     consumed iterations are drawn again, so shortcut smoothing sees the
     state per-iteration draws leave.
+
+    Smoothing draws two waypoint indices per attempt and cuts the path
+    between them when edge_free allows.  edge_free is a pure function of
+    its two points, so a point pair it rejected once in the call is not
+    tested again.  Once every index pair the draws can reach (the
+    (m - 1)(m - 2) / 2 pairs at least two apart among the first m
+    waypoints) is known to be blocked since the last cut, no later attempt
+    can change the path, and the loop ends; so does a path with m <= 2,
+    where no such pair exists.  rng is not read after the loop, so ending
+    it early returns the path all SHORTCUT_ATTEMPTS attempts would.
     """
     parts = _normalize_parts(footprint)
     step = 0.5 * scene.robot.w
@@ -421,17 +431,28 @@ def birrt(
         waypoints = left + right
 
     # waypoints run from the start point to the goal point, and shortcuts
-    # keep both ends
+    # keep both ends; blocked holds the point pairs edge_free rejected in
+    # this call, known the index pairs found blocked since the last cut
+    blocked = set()
+    known = set()
     for _ in range(SHORTCUT_ATTEMPTS):
-        if len(waypoints) <= 2:
+        m = len(waypoints) - 1
+        if m <= 2 or 2 * len(known) == (m - 1) * (m - 2):
             break
-        i = rng.randrange(0, len(waypoints) - 1)
-        j = rng.randrange(0, len(waypoints) - 1)
+        i = rng.randrange(0, m)
+        j = rng.randrange(0, m)
         if abs(i - j) < 2:
             continue
         i, j = min(i, j), max(i, j)
-        if edge_free(*waypoints[i], *waypoints[j]):
+        pair = (waypoints[i], waypoints[j])
+        if pair in blocked:
+            known.add((i, j))
+        elif edge_free(*pair[0], *pair[1]):
             waypoints = waypoints[: i + 1] + waypoints[j:]
+            known.clear()
+        else:
+            blocked.add(pair)
+            known.add((i, j))
     return Path((start, *[Pose2(x, y) for x, y in waypoints[1:-1]], goal))
 
 

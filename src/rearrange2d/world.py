@@ -14,7 +14,8 @@ two loops that allocate no Rect or Pose2:
   that never ignores walls), and
 - the swept test (``segment_hits_xy``): one Liang-Barsky clip of a part's
   center segment against the rows grown by the part's half extents
-  (``inflate``); ``segment_hits_rect`` is its single-rect case.
+  (``inflate``), which skips a rect the segment's bounding box at most
+  touches before dividing; ``segment_hits_rect`` is its single-rect case.
 
 The ``_xy`` entry points take plain coordinates, so a caller that keeps
 its points as floats (``motion.birrt``) builds no Pose2 to ask;
@@ -336,6 +337,16 @@ def _clip_hits(ax: float, ay: float, bx: float, by: float, rects) -> bool:
     (-dy, ay - ymin), (dy, ymax - ay): p < 0 raises t0 to q / p, p > 0
     lowers t1 to q / p, and |p| < 1e-12 rejects the rect when q <= EPS.
     The sign tests depend on the segment alone, so they are made once.
+
+    A rect that the segment's bounding box at most touches is skipped
+    before any division, with the clip's own answer.  Take hix <= xmin
+    (the other three sides are mirror images).  A flat x axis has
+    ax - xmin <= 0 <= EPS.  Moving left, ax is hix, so the first x
+    quotient (ax - xmin) / -dx is <= 0 and t1 <= 0.  Moving right, bx is
+    hix, so the exact xmin - ax is at least the exact bx - ax; rounded
+    subtraction and division are monotone, so the rounded (xmin - ax) / dx
+    is >= dx / dx = 1 and t0 >= 1.  Either way t1 - t0 <= 0, and the y
+    axis only raises t0 or lowers t1.
     """
     dx = bx - ax
     dy = by - ay
@@ -343,7 +354,11 @@ def _clip_hits(ax: float, ay: float, bx: float, by: float, rects) -> bool:
     ndy = -dy
     xflat = abs(ndx) < 1e-12
     yflat = abs(ndy) < 1e-12
+    lox, hix = (ax, bx) if ax < bx else (bx, ax)
+    loy, hiy = (ay, by) if ay < by else (by, ay)
     for x0, y0, x1, y1 in rects:
+        if hix <= x0 or lox >= x1 or hiy <= y0 or loy >= y1:
+            continue
         t0 = 0.0
         t1 = 1.0
         if xflat:

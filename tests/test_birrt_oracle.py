@@ -18,6 +18,11 @@ lattice, where scans tie often.  The first-index tie rule is also pinned
 on ``motion._nearest`` directly, against the old loop, on tie-heavy
 inputs.
 
+The reference's shortcut smoothing makes all SHORTCUT_ATTEMPTS attempts
+and may test one point pair many times.  ``birrt`` tests each pair once
+per call and stops drawing once no attempt can change the path, so its
+smoothing draws are a prefix of the reference's, with the same path.
+
 The reference keeps one known defect: when the last grid cell center lies
 within 1e-12 of the goal, its grid route ends at that center.
 ``test_grid_route_ends_at_goal_itself`` pins the fix; no other query here
@@ -487,10 +492,12 @@ def counting(monkeypatch):
 
 
 def assert_counts_agree(made, sc, footprint, start, goal, seed, max_iters, ignore, spec):
-    """assert_agrees, and the same draws from both generators: when the
+    """assert_agrees, and the same draws from both generators when the
     sampling loop ends (at the first smoothing draw, else at the end of the
-    call) and in all.  Returns the path and the iterations run (0 when the
-    call drew nothing)."""
+    call).  Smoothing may stop sooner than the reference's, never later:
+    its marks are a prefix of the reference's and it draws no more in all.
+    Returns the path and the iterations run (0 when the call drew
+    nothing)."""
     n = len(made)
     got = assert_agrees(sc, footprint, start, goal, seed, max_iters, ignore, spec)
     if len(made) == n:
@@ -499,8 +506,11 @@ def assert_counts_agree(made, sc, footprint, start, goal, seed, max_iters, ignor
     counts = []
     for rng in made[n:]:
         draws, uniforms = rng.marks[0] if rng.marks else (rng.draws, rng.uniforms)
-        counts.append((draws - uniforms, draws, uniforms, rng.marks, rng.draws, rng.uniforms))
+        counts.append((draws - uniforms, draws, uniforms))
     assert counts[0] == counts[1], (seed, max_iters)
+    mine, ref = made[n:]
+    assert mine.marks == ref.marks[: len(mine.marks)], (seed, max_iters)
+    assert mine.draws <= ref.draws, (seed, max_iters)
     return got, counts[0][0]
 
 
@@ -581,6 +591,85 @@ def test_bridge_at_every_block_offset(monkeypatch, counting, dense_lookahead):
         cut |= any(n < full for n in blocks[3:-1])
     assert {(full, o) for o in range(full)} <= offsets
     assert cut
+
+
+# -- shortcut smoothing -----------------------------------------------------
+
+
+def zigzag_scene() -> Scene:
+    """Two staggered walls for a robot of side 1: from (1, 9) to (9, 1) a
+    route passes over the first wall and under the second, and its smoothed
+    path keeps a waypoint at each turn."""
+    return scene([robot(1.0, 9.0, 1.0), wall("w1", 3.5, 3.5, 1.0, 7.0), wall("w2", 6.5, 6.5, 1.0, 7.0)])
+
+
+def test_smoothing_tests_each_pair_once(monkeypatch, counting):
+    # the segment tests each implementation makes from its first smoothing
+    # draw on; the reference repeats pairs, birrt must not
+    mine, theirs = [], []
+    first = [0]
+
+    def smoothing(k):
+        n = first[0] + k
+        return len(counting) > n and counting[n].marks
+
+    inner_xy = motion.segment_hits_xy
+    inner = segment_hits
+
+    def spy_xy(obstacles, ax, ay, bx, by):
+        if smoothing(0):
+            mine[-1].append((ax, ay, bx, by))
+        return inner_xy(obstacles, ax, ay, bx, by)
+
+    def spy(obstacles, a, b):
+        if smoothing(1):
+            theirs[-1].append((a.x, a.y, b.x, b.y))
+        return inner(obstacles, a, b)
+
+    monkeypatch.setattr(motion, "segment_hits_xy", spy_xy)
+    monkeypatch.setitem(globals(), "segment_hits", spy)
+    rng = random.Random(7900)
+    queries = []
+    for name in ("nested_blockers", "m_block_12"):
+        sc = make_scene(name, 2)
+        spec = GridSpec.from_scene(sc)
+        queries += [(*q, spec) for q in random_queries(sc, rng, 30)]
+    zz = zigzag_scene()
+    queries += [(zz, (1.0, 1.0), Pose2(1.0, 9.0), Pose2(9.0, 1.0), frozenset({"robot"}), GridSpec.from_scene(zz))] * 4
+    for qsc, fp, start, goal, ignore, spec in queries:
+        first[0] = len(counting)
+        mine.append([])
+        theirs.append([])
+        assert_counts_agree(counting, qsc, fp, start, goal, rng.randrange(2**32), rng.choice((60, 400, 2000)), ignore, spec)
+        assert len(set(mine[-1])) == len(mine[-1]), (fp, start, goal)
+        assert set(mine[-1]) <= set(theirs[-1])
+    assert sum(map(len, mine)) > 100
+    assert sum(len(t) - len(set(t)) for t in theirs) > 100
+
+
+def test_smoothing_stops_once_every_pair_is_blocked(counting):
+    # on the zig-zag every pair of the smoothed path at least two apart is
+    # often blocked, so later attempts cannot change the path, and birrt
+    # stops drawing long before the reference's SHORTCUT_ATTEMPTS pairs; a
+    # call that stops early must have its every reachable pair blocked
+    sc = zigzag_scene()
+    spec = GridSpec.from_scene(sc)
+    start, goal = Pose2(1.0, 9.0), Pose2(9.0, 1.0)
+    obstacles = inflate(sc, ((0.0, 0.0, 1.0, 1.0),), frozenset({"robot"}))
+    stopped = []
+    for seed in range(12):
+        path, _ = assert_counts_agree(counting, sc, (1.0, 1.0), start, goal, seed, 5000, frozenset({"robot"}), spec)
+        mine, ref = counting[-2:]
+        assert len(ref.marks) == 2 * SHORTCUT_ATTEMPTS
+        if len(mine.marks) == len(ref.marks):
+            continue
+        # the draws reach the first m waypoints
+        wps = path.waypoints
+        m = len(wps) - 1
+        assert m >= 3
+        assert all(segment_hits(obstacles, wps[i], wps[j]) for i in range(m) for j in range(i + 2, m))
+        stopped.append(seed)
+    assert 3 in stopped and len(stopped) >= 8
 
 
 @pytest.mark.parametrize("name,seed", [("nested_blockers", 0), ("m_block_12", 2)])

@@ -10,9 +10,12 @@ EPS, so flush contacts, exact-EPS gaps, axis-parallel and zero-length
 segments are common rather than measure-zero.  The point-level entries
 (``footprint_collides_xy``, ``segment_hits_xy``) are checked on the same
 inputs, and on tables of flush, EPS-grazing, compound-footprint and
-wall-ignoring cases whose answers are pinned as well.
+wall-ignoring cases whose answers are pinned as well.  The clip's
+bounding-box skip is checked on tables of edge-contact, flat-threshold
+and zero-length segments, and shown to fire on the lattice inputs.
 """
 
+import math
 import random
 
 import pytest
@@ -312,9 +315,17 @@ def test_segment_entry_edge_cases(parts, a, b, ignore, expected):
     assert segment_hits(inflate(EDGE_SCENE, parts, ignore), pa, pb) == got
 
 
+def pre_rejected(a, b, r):
+    """The kernel's skip test: the segment's bounding box at most touches r."""
+    return (
+        max(a.x, b.x) <= r.xmin or min(a.x, b.x) >= r.xmax
+        or max(a.y, b.y) <= r.ymin or min(a.y, b.y) >= r.ymax
+    )
+
+
 def test_single_rect_clip_agrees_exactly():
     rng = random.Random(11)
-    hits = 0
+    hits = skipped = touching = 0
     for _ in range(20000):
         x0, y0 = coord(rng, 0.5, 3.0), coord(rng, 0.5, 3.0)
         r = Rect(x0, y0, x0 + 2 * rng.choice(SIZES), y0 + 2 * rng.choice(SIZES))
@@ -322,7 +333,78 @@ def test_single_rect_clip_agrees_exactly():
         got = segment_hits_rect(a, b, r)
         assert got == ref_segment_hits_rect(a, b, r), (a, b, r)
         hits += got
+        if pre_rejected(a, b, r):
+            skipped += 1
+            touching += max(a.x, b.x) == r.xmin or min(a.x, b.x) == r.xmax or max(a.y, b.y) == r.ymin or min(a.y, b.y) == r.ymax
     assert 0.1 < hits / 20000 < 0.9
+    # the bounding-box skip decides a good share of the cases, exact
+    # contact among them, and the clip still decides both ways
+    assert 0.2 < skipped / 20000 < 0.8
+    assert touching > 200
+    assert 20000 - skipped - hits > 500
+
+
+def pre_reject_cases():
+    """Segments around R whose bounding box ends on one of its edges, from
+    outside and from inside, exactly and one ulp, 2**-30 or 2**-29 off it;
+    segments along each edge; zero-length segments on an edge, just inside
+    one and at the center.  (u, v) is (x, y) for the x edges and (y, x) for
+    the y edges."""
+    cases = []
+    for lo, hi, vlo, vhi, pose in (
+        (R.xmin, R.xmax, R.ymin, R.ymax, lambda u, v: Pose2(u, v)),
+        (R.ymin, R.ymax, R.xmin, R.xmax, lambda u, v: Pose2(v, u)),
+    ):
+        vc = (vlo + vhi) / 2
+        for edge, out in ((lo, -1.0), (hi, 1.0)):
+            ends = [edge + off for off in (0.0, UNDER, -UNDER, OVER, -OVER)]
+            ends += [math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+            for u in ends:
+                for u0 in (edge + out, edge - 0.5 * out):       # from outside, from inside
+                    cases.append((pose(u0, vc), pose(u, vc)))
+                    cases.append((pose(u0, vlo - 0.5), pose(u, vc)))
+                cases.append((pose(u, vlo - 1.0), pose(u, vhi + 1.0)))   # along the edge
+                cases.append((pose(u, vc - 0.25), pose(u, vc + 0.25)))
+            for off in (0.0, UNDER, OVER):                      # zero length
+                cases.append((pose(edge - out * off, vc),) * 2)
+    mid = Pose2((R.xmin + R.xmax) / 2, (R.ymin + R.ymax) / 2)
+    cases.append((mid, mid))
+    return cases
+
+
+def flat_threshold_cases():
+    """|dx| or |dy| at the clip's 1e-12 parallel threshold and one ulp
+    either side, on the x = 0 and y = 0 edges of R0, where the difference
+    of the two coordinates is exact."""
+    cases = []
+    for d in (math.nextafter(1e-12, 0.0), 1e-12, math.nextafter(1e-12, 1.0)):
+        for x, dx in ((0.0, d), (-d, d), (d, -d), (0.0, -d), (0.5, d)):
+            cases.append((Pose2(x, -1.0), Pose2(x + dx, 2.0)))
+            cases.append((Pose2(-1.0, x), Pose2(2.0, x + dx)))
+    return cases
+
+
+# R has no edge at 0, so its edge offsets are rounded; R0 has two
+R = Rect(1.0, 1.0, 3.0, 2.0)
+R0 = Rect(0.0, 0.0, 1.0, 1.0)
+# a rect every case below misses, placed first so a skip must go on
+FAR = Rect(10.0, 10.0, 11.0, 11.0)
+
+
+@pytest.mark.parametrize("rect,cases", [(R, pre_reject_cases()), (R0, flat_threshold_cases())], ids=["edges", "flat"])
+def test_pre_reject_cases_agree(rect, cases):
+    skipped = hits = 0
+    for a, b in cases:
+        for s, t in ((a, b), (b, a)):
+            got = segment_hits_rect(s, t, rect)
+            assert got == ref_segment_hits_rect(s, t, rect), (s, t)
+            rects = (FAR, rect)
+            blocked = segment_hits_xy(((0.0, 0.0, tuple((r.xmin, r.ymin, r.xmax, r.ymax) for r in rects)),), s.x, s.y, t.x, t.y)
+            assert blocked == ref_segment_blocked(((0.0, 0.0, rects),), s, t) == got, (s, t)
+            skipped += pre_rejected(s, t, rect)
+            hits += got
+    n = 2 * len(cases)
+    assert 0 < skipped < n and 0 < hits < n - skipped
 
 
 def test_clip_boundary_cases_agree():
