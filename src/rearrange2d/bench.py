@@ -45,12 +45,12 @@ def _wall(wid: str, cx: float, cy: float, w: float, h: float) -> Body:
     return Body(wid, w, h, KIND_WALL, Pose2(cx, cy))
 
 
-def _goal_obj(oid: str, x: float, y: float, side: float = OBJ_SIDE) -> Body:
-    return Body(oid, side, side, KIND_GOAL, Pose2(x, y))
+def _goal_obj(oid: str, x: float, y: float) -> Body:
+    return Body(oid, OBJ_SIDE, OBJ_SIDE, KIND_GOAL, Pose2(x, y))
 
 
-def _obstacle(oid: str, x: float, y: float, side: float = OBJ_SIDE) -> Body:
-    return Body(oid, side, side, KIND_OBSTACLE, Pose2(x, y))
+def _obstacle(oid: str, x: float, y: float) -> Body:
+    return Body(oid, OBJ_SIDE, OBJ_SIDE, KIND_OBSTACLE, Pose2(x, y))
 
 
 def four_blocks() -> Scene:

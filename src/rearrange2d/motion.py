@@ -461,11 +461,11 @@ def grasp_pose(object_pose: Pose2, side: str, ow: float, oh: float, rs: float) -
     return Pose2(object_pose.x + dx, object_pose.y + dy)
 
 
-def solve_pick_config(scene: Scene, object_id: str, preferred_side: str | None = None) -> Subgoal | None:
+def solve_pick_config(scene: Scene, object_id: str) -> Subgoal | None:
     """Pick a grasp side whose flush robot pose is collision-free.
 
-    Sides are tried in order of proximity to the robot's current position
-    (the preferred side first when given); None when all four are blocked.
+    Sides are tried in order of proximity to the robot's current position;
+    None when all four are blocked.
     """
     body = scene.body(object_id)
     robot = scene.robot
@@ -473,8 +473,6 @@ def solve_pick_config(scene: Scene, object_id: str, preferred_side: str | None =
         SIDES,
         key=lambda s: (robot.pose.dist(grasp_pose(body.pose, s, body.w, body.h, robot.w)), s),
     )
-    if preferred_side is not None:
-        order = [preferred_side] + [s for s in order if s != preferred_side]
     for side in order:
         gp = grasp_pose(body.pose, side, body.w, body.h, robot.w)
         if not footprint_collides(scene, robot_parts(scene), gp, frozenset({robot.id})):
@@ -605,35 +603,28 @@ def select_subgoals(
         stops.append(cur)
 
     # grasp sides per leg, checked against statics only; movable blockage
-    # is discovered at planning time and handed to the relocation search
+    # is discovered at planning time and handed to the relocation search.
+    # Leg k runs from subgoal k-1 to subgoal k and gives subgoal k its side;
+    # subgoal 0 takes leg 1's.  A zero-length mu keeps one degenerate leg.
     ignore = frozenset({mu.object_id, robot.id})
-    subgoals: list[Subgoal] = []
-    prev_side: str | None = None
-    for k in range(len(stops)):
-        pose = _arc_interp(pts, arcs, stops[k])
-        if k == 0:
-            if len(stops) > 1:
-                via0 = tuple(pts[i] for i in range(len(pts)) if 1e-9 < arcs[i] < stops[1] - 1e-9)
-                poly_next = [pose, *via0, _arc_interp(pts, arcs, stops[1])]
-            else:
-                poly_next = [pose, pose]
-            side = assign_leg_side(statics, poly_next, body.w, body.h, rs, None, ignore)
-            if side is None:
-                raise SubgoalBlocked(0, pose)
-            subgoals.append(Subgoal(pose, contact_point(side, pose, body.w, body.h), side))
-            prev_side = side
-            continue
-        lo, hi = stops[k - 1], stops[k]
-        via = tuple(
-            pts[i] for i in range(len(pts)) if lo + 1e-9 < arcs[i] < hi - 1e-9
-        )
-        poly = [subgoals[-1].object_pose, *via, pose]
-        side = assign_leg_side(statics, poly, body.w, body.h, rs, prev_side, ignore)
+    poses = [_arc_interp(pts, arcs, s) for s in stops]
+    vias = [
+        tuple(pts[i] for i in range(len(pts)) if lo + 1e-9 < arcs[i] < hi - 1e-9)
+        for lo, hi in zip(stops, stops[1:])
+    ]
+    legs = list(zip(poses, vias, poses[1:])) or [(poses[0], (), poses[0])]
+    sides: list[str] = []
+    for k, (a, via, b) in enumerate(legs, 1):
+        prev = sides[-1] if sides else None
+        side = assign_leg_side(statics, [a, *via, b], body.w, body.h, rs, prev, ignore)
         if side is None:
-            raise SubgoalBlocked(k, pose)
-        subgoals.append(Subgoal(pose, contact_point(side, pose, body.w, body.h), side, via))
-        prev_side = side
-    return subgoals
+            # a first leg with no side leaves the initial grasp without one
+            raise SubgoalBlocked(k, b) if sides else SubgoalBlocked(0, a)
+        sides.append(side)
+    return [
+        Subgoal(p, contact_point(side, p, body.w, body.h), side, via)
+        for p, side, via in zip(poses, [sides[0], *sides], [(), *vias])
+    ]
 
 
 def _local_cp(sg: Subgoal) -> tuple[float, float]:

@@ -26,11 +26,13 @@ class ConfigError(ValueError):
     pass
 
 
-_OPTIONAL_FLOATS = {"tol", "delta_min", "epsilon"}
+# a key's kind is its PlannerConfig annotation: "int", "float", "bool" or
+# _OPTIONAL; a None default reads as "derived from the scene"
+_OPTIONAL = "float | None"
 # ranges the planner needs: a zero divisor or grid size divides by zero, and
-# a delta_min of 0 or less can stall subgoal sampling on a zero step
+# a delta_min of 0 or less can stall subgoal sampling on a zero step, so an
+# _OPTIONAL key must be positive when set
 _AT_LEAST_ONE = ("grid_n", "skip_max_divisor")
-_POSITIVE_WHEN_SET = ("tol", "epsilon", "delta_min")
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,10 @@ class PlannerConfig:
             v = getattr(self, name)
             if not v >= 1:
                 raise ConfigError(f"config key {name!r} must be at least 1, got {v!r}")
-        for name in _POSITIVE_WHEN_SET:
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ConfigError(f"config key {name!r} must be positive when set, got {v!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == _OPTIONAL and v is not None and not v > 0:
+                raise ConfigError(f"config key {f.name!r} must be positive when set, got {v!r}")
         # t0 + nan is a deadline no time passes, so NaN would mean no limit;
         # 0 or less (time out at once) and inf (never) are meant as given
         if math.isnan(self.time_limit):
@@ -108,21 +110,12 @@ class PlannerConfig:
         return cfg
 
 
-_FIELD_TYPE = {}
-for _f in fields(PlannerConfig):
-    if _f.name in _OPTIONAL_FLOATS:
-        _FIELD_TYPE[_f.name] = "float?"
-    elif isinstance(_f.default, bool):
-        _FIELD_TYPE[_f.name] = "bool"
-    elif isinstance(_f.default, int):
-        _FIELD_TYPE[_f.name] = "int"
-    else:
-        _FIELD_TYPE[_f.name] = "float"
+_FIELD_TYPE = {f.name: f.type for f in fields(PlannerConfig)}
 
 
 def _coerce(name: str, value, source: str):
     kind = _FIELD_TYPE[name]
-    if kind == "float?":
+    if kind == _OPTIONAL:
         if value is None:
             return None
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -157,7 +150,7 @@ def _parse_value(name: str, raw: str, source: str):
     kind = _FIELD_TYPE[name]
     s = raw.strip().lower()
     try:
-        if kind == "float?":
+        if kind == _OPTIONAL:
             return None if s in ("none", "null", "") else float(raw)
         if kind == "bool":
             if s in ("1", "true", "yes", "on"):

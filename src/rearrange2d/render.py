@@ -9,13 +9,14 @@ _FILL = {
     KIND_GOAL: "#3f9d6e",
     KIND_ROBOT: "#3572c6",
 }
+WIDTH_PX = 640
 
 
-def render_svg(scene: Scene, plans=None, width_px: int = 640) -> str:
+def render_svg(scene: Scene, plans=None) -> str:
     """Standalone SVG: walls, movables, goal outlines, robot, and the
     executed transport/pick routes when plans are given."""
     ws = scene.workspace
-    scale = width_px / ws.width
+    scale = WIDTH_PX / ws.width
     height_px = ws.height * scale
 
     def sx(x: float) -> float:
@@ -40,9 +41,9 @@ def render_svg(scene: Scene, plans=None, width_px: int = 640) -> str:
         )
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
-        f'height="{height_px:.0f}" viewBox="0 0 {width_px} {height_px:.0f}">',
-        f'<rect width="{width_px}" height="{height_px:.0f}" fill="#f4f1ea"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH_PX}" '
+        f'height="{height_px:.0f}" viewBox="0 0 {WIDTH_PX} {height_px:.0f}">',
+        f'<rect width="{WIDTH_PX}" height="{height_px:.0f}" fill="#f4f1ea"/>',
     ]
     for b in scene.bodies:
         if b.kind == KIND_WALL:
@@ -73,6 +74,6 @@ def render_svg(scene: Scene, plans=None, width_px: int = 640) -> str:
     return "\n".join(out) + "\n"
 
 
-def save_svg(scene: Scene, path: str, plans=None, width_px: int = 640) -> None:
+def save_svg(scene: Scene, path: str, plans=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(scene, plans, width_px))
+        fh.write(render_svg(scene, plans))

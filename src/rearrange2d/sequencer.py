@@ -185,14 +185,6 @@ def _simple_cycles(adj: list[list[int]], starts) -> Iterator[tuple[int, ...]]:
                         waiting[w].add(v)
 
 
-def _first_cycles(adj, starts, cap: int) -> tuple[list[tuple[int, ...]], bool]:
-    """The cycles of _simple_cycles up to the cap-th (the first, for cap <= 0)
-    and whether that cut the list."""
-    limit = max(cap, 1)
-    cycles = list(islice(_simple_cycles(adj, starts), limit))
-    return cycles, len(cycles) == limit
-
-
 def topo_order(vertices, edges) -> list[str] | None:
     """Kahn's algorithm with lexicographic tie-breaking; None if cyclic."""
     indeg = {v: 0 for v in vertices}
@@ -230,20 +222,11 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
     vertex: starts run in graph.vertices order, successors in sorted
     (src, dst) order, and a start only visits vertices that sort above it.
     Each enumeration stops at its own cap-th cycle (at the first for
-    cap <= 0).  Normally frequencies are recomputed after each removal;
-    greedy mode keeps the frequencies from the first enumeration (cheaper,
-    can remove more edges than needed).  Ties prefer weak edges, then
-    sources shedding the least net out-degree, then lexicographic
-    order.
-
-    Recomputing does not always mean enumerating again.  Removing an edge
-    whose pair keeps a parallel twin leaves every cycle in place; only that
-    edge's own frequency goes.  Removing a pair's last edge leaves exactly
-    the cycles that avoid the pair, so after an untruncated enumeration
-    those are subtracted from the list and the list stays complete.  After
-    a truncated one the smaller graph's first cap cycles include cycles
-    beyond the old cut, which no list holds, so the live graph is
-    enumerated again.
+    cap <= 0).  Normally the live graph is enumerated again after each
+    removal, until no cycle is left; greedy mode keeps the frequencies
+    from the first enumeration (cheaper, can remove more edges than
+    needed).  Ties prefer weak edges, then sources shedding the least net
+    out-degree, then lexicographic order.
     """
     names, rank, live = _ranked_pairs(graph)
     n = len(names)
@@ -254,22 +237,14 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
         out_deg[e.src] = out_deg.get(e.src, 0) + 1
         in_deg[e.dst] = in_deg.get(e.dst, 0) + 1
     removed: list[Edge] = []
-    cycles: list[tuple[int, ...]] = []   # vertex pair ids of each cycle
-    count: Counter[int] = Counter()       # cycles through each pair id
-
-    def enumerate_live() -> bool:
-        found, truncated = _first_cycles(_adjacency(n, live), starts, cap)
-        cycles[:] = found
-        count.clear()
-        count.update(chain.from_iterable(found))
-        return truncated
 
     def frequencies() -> dict[Edge, int]:
+        """Edge frequencies over the live graph's first cap cycles."""
+        cycles = islice(_simple_cycles(_adjacency(n, live), starts), max(cap, 1))
         freq: dict[Edge, int] = {}
-        for p, k in count.items():
-            if k:
-                for e in live[p]:
-                    freq[e] = freq.get(e, 0) + k
+        for p, k in Counter(chain.from_iterable(cycles)).items():
+            for e in live[p]:
+                freq[e] = freq.get(e, 0) + k
         return freq
 
     def pick(freq: dict[Edge, int]) -> Edge:
@@ -283,8 +258,8 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
             ),
         )
 
-    def remove(e: Edge) -> int | None:
-        """Drop every copy of e; its pair id if that left the pair empty."""
+    def remove(e: Edge) -> None:
+        """Drop every copy of e."""
         p = rank[e.src] * n + rank[e.dst]
         rest = [x for x in live[p] if x != e]
         copies = len(live[p]) - len(rest)
@@ -293,36 +268,25 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
         removed.append(e)
         if rest:
             live[p] = rest
-            return None
-        del live[p]
-        return p
+        else:
+            del live[p]
 
     def kept() -> tuple[Edge, ...]:
         dropped = set(removed)
         return tuple(x for x in graph.edges if x not in dropped)
 
-    truncated = enumerate_live()
     if greedy:
         freq = frequencies()
         while topo_order(graph.vertices, kept()) is None:
             stale = {e: f for e, f in freq.items() if e not in removed}
             if not stale:
-                # stale frequencies exhausted (truncation); fall back
-                truncated = enumerate_live()
-                break
+                break   # stale frequencies exhausted (truncation); fall back
             remove(pick(stale))
         else:
             return BreakResult(DependencyGraph(graph.vertices, kept()), tuple(removed))
 
-    while cycles:
-        p = remove(pick(frequencies()))
-        if p is None:
-            continue   # a parallel twin keeps the pair and every cycle
-        if truncated:
-            truncated = enumerate_live()
-            continue
-        count.subtract(Counter(chain.from_iterable(h for h in cycles if p in h)))
-        cycles[:] = [h for h in cycles if p not in h]
+    while freq := frequencies():
+        remove(pick(freq))
     edges = kept()
     if topo_order(graph.vertices, edges) is None:
         raise RuntimeError("cycle enumeration missed a cycle")

@@ -139,7 +139,6 @@ class Scene:
     rows: tuple[tuple[str, float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
-    wall_ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [b.id for b in self.bodies]
@@ -156,7 +155,6 @@ class Scene:
                 raise SceneError(f"goal assigned to non-goal body {gid!r}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "rows", tuple((b.id, *b.bounds) for b in self.bodies))
-        object.__setattr__(self, "wall_ids", frozenset(b.id for b in self.bodies if b.kind == KIND_WALL))
         ws = self.workspace
         # Rect.contains_rect's bounds, loosened by EPS
         object.__setattr__(
@@ -240,15 +238,13 @@ class Scene:
         return problems
 
 
-def collides(scene: Scene, body_id: str, pose: Pose2, ignore=frozenset()) -> bool:
+def collides(scene: Scene, body_id: str, pose: Pose2) -> bool:
     """Does body_id placed at pose hit the boundary, a wall, or another body?
 
-    The queried body itself is never counted; ids in ignore are skipped
-    (walls cannot be ignored).
+    The queried body itself is never counted.
     """
     body = scene.body(body_id)
-    skip = frozenset(ignore).difference(scene.wall_ids) | {body_id}
-    return footprint_collides(scene, ((0.0, 0.0, body.w, body.h),), pose, skip)
+    return footprint_collides(scene, ((0.0, 0.0, body.w, body.h),), pose, frozenset({body_id}))
 
 
 def footprint_collides(scene: Scene, parts, pose: Pose2, ignore=frozenset()) -> bool:

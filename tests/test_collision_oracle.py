@@ -45,15 +45,13 @@ from rearrange2d.world import (
 # -- scalar reference -------------------------------------------------------
 
 
-def ref_collides(scene, body_id, pose, ignore=frozenset()):
+def ref_collides(scene, body_id, pose):
     body = scene.body(body_id)
     r = rect_at(pose, body.w, body.h)
     if not scene.workspace.contains_rect(r):
         return True
     for other in scene.bodies:
         if other.id == body_id:
-            continue
-        if other.kind != KIND_WALL and other.id in ignore:
             continue
         if rects_overlap(r, rect_at(other.pose, other.w, other.h)):
             return True
@@ -208,8 +206,8 @@ def test_box_overlap_agrees_exactly(seed):
             pose = lattice_pose(rng)
             ignore = random_ignore(rng, scene)
             bid = rng.choice(scene.bodies).id
-            got = collides(scene, bid, pose, ignore)
-            assert got == ref_collides(scene, bid, pose, ignore), (seed, bid, pose, ignore)
+            got = collides(scene, bid, pose)
+            assert got == ref_collides(scene, bid, pose), (seed, bid, pose)
             parts = random_parts(rng)
             got_fp = footprint_collides(scene, parts, pose, ignore)
             assert got_fp == ref_footprint_collides(scene, parts, pose, ignore), (seed, parts, pose)
@@ -432,10 +430,9 @@ def test_collides_never_ignores_walls():
         if not walls:
             continue
         w = rng.choice(walls)
-        ignore = frozenset(b.id for b in scene.bodies)
-        # the robot placed onto a wall it is told to ignore still collides
-        assert collides(scene, "robot", w.pose, ignore)
-        assert ref_collides(scene, "robot", w.pose, ignore)
+        # the robot placed onto a wall collides
+        assert collides(scene, "robot", w.pose)
+        assert ref_collides(scene, "robot", w.pose)
         checked += 1
     assert checked > 100
 

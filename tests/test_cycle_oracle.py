@@ -1,10 +1,11 @@
 """Exact agreement of the cycle enumerator and cycle breaking with a reference.
 
-``enumerate_cycles`` below reads the ranked Johnson enumerator that
-``break_cycles`` runs (``sequencer._first_cycles``) back as named cycles.
-The reference functions are the plain simple-path DFS and the
-rebuild-everything removal loop that the Johnson enumerator and the
-counting ``break_cycles`` replaced.  Both must agree *exactly*: the same
+``enumerate_cycles`` below reads the first ``cap`` cycles of the ranked
+Johnson enumerator that ``break_cycles`` runs (``sequencer._simple_cycles``)
+back as named cycles.
+The reference functions are the plain simple-path DFS that the Johnson
+enumerator replaced and a removal loop that rebuilds the graph and its
+cycle list every round.  Both must agree *exactly*: the same
 cycles in the same order (so ``cap`` cuts at the same cycle), the same
 ``truncated`` flag, the same removed edges in the same order and the same
 remaining graph, because the removed edges decide the precedence every
@@ -56,9 +57,12 @@ def enumerate_cycles(graph: DependencyGraph, cap: int = 10000) -> CycleLedger:
     """
     names, rank, pairs = sequencer._ranked_pairs(graph)
     n = len(names)
-    cycles, truncated = sequencer._first_cycles(
-        sequencer._adjacency(n, pairs), [rank[v] for v in graph.vertices], cap
-    )
+    limit = max(cap, 1)
+    cycles = list(itertools.islice(
+        sequencer._simple_cycles(sequencer._adjacency(n, pairs), [rank[v] for v in graph.vertices]),
+        limit,
+    ))
+    truncated = len(cycles) == limit
     return CycleLedger(
         tuple(
             Cycle(tuple(names[p // n] for p in c), tuple(e for p in c for e in pairs[p]))
@@ -294,14 +298,15 @@ def _count_enumerations(monkeypatch) -> list[int]:
     return calls
 
 
-def test_complete_enumeration_is_never_repeated(monkeypatch):
+@pytest.mark.parametrize("cap", [10000, 10])
+def test_every_removal_is_followed_by_one_enumeration(monkeypatch, cap):
     g = complete_digraph(5)   # 84 cycles
-    want = ref_break_cycles(g)
-    assert len(want.removed) >= 4 and not want.ledgers[0].truncated
+    want = ref_break_cycles(g, cap)
+    assert len(want.removed) >= 4
     calls = _count_enumerations(monkeypatch)
-    got = break_cycles(g)
-    assert calls[0] == 1
+    got = break_cycles(g, cap)
     assert got.removed == want.removed
+    assert calls[0] == len(got.removed) + 1
 
 
 def test_truncated_enumeration_is_repeated(monkeypatch):
@@ -314,9 +319,9 @@ def test_truncated_enumeration_is_repeated(monkeypatch):
     assert got.removed == want.removed
 
 
-def test_parallel_twin_removal_keeps_the_cycles(monkeypatch):
-    # removing one of two parallel edges leaves the pair, so even a truncated
-    # list stays valid and is not enumerated again
+def test_parallel_twin_removal_is_followed_by_one_enumeration(monkeypatch):
+    # removing one of two parallel edges leaves the pair and every cycle in
+    # place; the live graph is still enumerated again
     verts = ("a", "b", "c")
     g = DependencyGraph(verts, (
         Edge("a", "b", STRONG), Edge("a", "b", WEAK),
@@ -327,7 +332,7 @@ def test_parallel_twin_removal_keeps_the_cycles(monkeypatch):
     got = break_cycles(g, cap=1)
     assert got.removed == want.removed
     assert got.removed[0] == Edge("a", "b", WEAK)
-    assert calls[0] == len(want.ledgers) - 1
+    assert calls[0] == len(got.removed) + 1 == len(want.ledgers)
 
 
 # -- properties of the raw search -------------------------------------------

@@ -202,8 +202,10 @@ class TestSolvePickConfig:
         assert sg is not None
         assert sg.grasp_side != "W"
 
-    def test_preferred_side(self, simple_scene):
-        sg = solve_pick_config(simple_scene, "b1", preferred_side="N")
+    def test_preferred_side(self):
+        # the side nearest the robot is preferred
+        sc = scene([robot(6, 9), obstacle("b1", 6, 6)])
+        sg = solve_pick_config(sc, "b1")
         assert sg.grasp_side == "N"
 
     def test_boxed_object_returns_none(self):
@@ -285,6 +287,25 @@ class TestSelectSubgoals:
         # and is monotone along mu: total length equals mu length
         total = sum(a.dist(b) for a, b in zip(seq, seq[1:]))
         assert total == pytest.approx(mu.length)
+
+    def test_each_leg_side_is_assigned_once(self, monkeypatch):
+        calls = []
+        inner = motion.assign_leg_side
+
+        def spy(scene, poly, *args):
+            calls.append((poly[0], poly[-1]))
+            return inner(scene, poly, *args)
+
+        monkeypatch.setattr(motion, "assign_leg_side", spy)
+        sc, mu = self._straight()
+        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        legs = [(a.object_pose, b.object_pose) for a, b in zip(sgs, sgs[1:])]
+        assert len(legs) > 1 and calls == legs
+        assert sgs[0].grasp_side == sgs[1].grasp_side
+        # a zero-length path keeps its one degenerate leg
+        calls.clear()
+        sgs = select_subgoals(ObjectPath("o", (Pose2(1, 5),)), sc, spec=GridSpec.from_scene(sc))
+        assert len(sgs) == 1 and calls == [(Pose2(1, 5), Pose2(1, 5))]
 
     def test_blocked_grasp_raises(self):
         cx = 5.0

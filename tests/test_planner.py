@@ -171,6 +171,18 @@ def test_string_layers_reject_alike(key, raw):
         _set_config(key, raw)
 
 
+def test_kinds_follow_the_annotations():
+    kinds = {f.name: f.type for f in dataclasses.fields(PlannerConfig)}
+    assert set(kinds.values()) == {"int", "float", "bool", "float | None"}
+    assert {k for k, t in kinds.items() if t == "float | None"} == {"tol", "delta_min", "epsilon"}
+    # every key reads its own default back from a string
+    default = PlannerConfig()
+    raw = {k: "none" if getattr(default, k) is None else str(getattr(default, k)) for k in kinds}
+    got = planner.parse_overrides((k, v, "test") for k, v in raw.items())
+    assert got == dataclasses.asdict(default)
+    assert all(type(got[k]) is type(getattr(default, k)) for k in kinds)
+
+
 REMOVED_KEYS = (
     "alpha_m",
     "beta_m",

@@ -157,14 +157,14 @@ class TestCollides:
         assert not collides(simple_scene, "robot", Pose2(4.5, 4.5))
 
     def test_ignore_set(self, simple_scene):
-        assert not collides(
-            simple_scene, "robot", Pose2(6.0, 6.0), ignore=frozenset({"b1"})
-        )
+        # the queried body is the only one skipped
+        b1 = simple_scene.body("b1")
+        assert not collides(simple_scene, "b1", b1.pose)
+        assert collides(simple_scene, "robot", b1.pose)
 
     def test_walls_cannot_be_ignored(self, walled_scene):
         pose = Pose2(5.0, 4.0)
         assert collides(walled_scene, "robot", pose)
-        assert collides(walled_scene, "robot", pose, ignore=frozenset({"divider"}))
 
     def test_outside_workspace_collides(self, empty_scene):
         assert collides(empty_scene, "robot", Pose2(-1.0, 5.0))
