@@ -125,11 +125,18 @@ class MotionPlan:
 
 
 class SubgoalBlocked(Exception):
-    """No grasp side admits a required transport leg."""
+    """No grasp side admits a required transport leg.
 
-    def __init__(self, leg: int, pose: Pose2):
-        super().__init__(f"no feasible grasp side for leg {leg} at ({pose.x:.3f}, {pose.y:.3f})")
-        self.leg = leg
+    subgoal is the index of the first subgoal left without a side, and pose
+    its object pose: 0 for the initial grasp when the first leg fails, k
+    for the end of leg k when a later leg fails.
+    """
+
+    def __init__(self, subgoal: int, pose: Pose2):
+        super().__init__(
+            f"no feasible grasp side for subgoal {subgoal} at ({pose.x:.3f}, {pose.y:.3f})"
+        )
+        self.subgoal = subgoal
         self.pose = pose
 
 
@@ -276,7 +283,10 @@ def birrt(
     state per-iteration draws leave.
 
     Smoothing draws two waypoint indices per attempt and cuts the path
-    between them when edge_free allows.  edge_free is a pure function of
+    between them when the segment test allows.  Every waypoint was already
+    found free (the start, the goal, or the far end of an edge_free test),
+    so edge_free's footprint test at the far end would always pass and the
+    segment test alone gives its answer.  That test is a pure function of
     its two points, so a point pair it rejected once in the call is not
     tested again.  Once every index pair the draws can reach (the
     (m - 1)(m - 2) / 2 pairs at least two apart among the first m
@@ -431,8 +441,9 @@ def birrt(
         waypoints = left + right
 
     # waypoints run from the start point to the goal point, and shortcuts
-    # keep both ends; blocked holds the point pairs edge_free rejected in
-    # this call, known the index pairs found blocked since the last cut
+    # keep both ends; blocked holds the point pairs the segment test
+    # rejected in this call, known the index pairs found blocked since the
+    # last cut
     blocked = set()
     known = set()
     for _ in range(SHORTCUT_ATTEMPTS):
@@ -447,7 +458,7 @@ def birrt(
         pair = (waypoints[i], waypoints[j])
         if pair in blocked:
             known.add((i, j))
-        elif edge_free(*pair[0], *pair[1]):
+        elif not segment_hits_xy(obstacles, *pair[0], *pair[1]):
             waypoints = waypoints[: i + 1] + waypoints[j:]
             known.clear()
         else:

@@ -10,10 +10,7 @@ be lazily upgraded from straight-line to planned path lengths.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterator
 
 import numpy as np
 
@@ -133,46 +130,59 @@ def _adjacency(n: int, pairs) -> list[list[int]]:
     return adj
 
 
-def _simple_cycles(adj: list[list[int]], starts) -> Iterator[tuple[int, ...]]:
-    """Johnson's elementary-circuit search over ranked vertices; yields each
-    cycle as the ids (a * n + b) of its vertex pairs, from its start on.
+def _pair_counts(adj: list[list[int]], starts, cap: int) -> list[int]:
+    """How many of the first max(cap, 1) elementary cycles use each vertex
+    pair, indexed by pair id a * n + b.
 
-    From each start s, in the given order, it follows adj[v] in list order
-    and enters only vertices that rank above s, so each cycle comes out once,
-    from its lowest vertex, in the order a plain simple-path DFS reports it.
-    Blocking skips a vertex only while every path from it back to s crosses
-    the current path, i.e. only subtrees that hold no cycle through s.
+    Johnson's search over ranked vertices: from each start s, in the given
+    order, it follows adj[v] in list order and enters only vertices that
+    rank above s, so each cycle is found once, from its lowest vertex, in
+    the order a plain simple-path DFS reports it.  Blocking skips a vertex
+    only while every path from it back to s crosses the current path, i.e.
+    only subtrees that hold no cycle through s.
+
+    Cycles are counted per DFS frame, not one by one: every cycle found
+    while a vertex is on the path runs through the whole path up to it, so
+    when the vertex leaves the path its pair from the parent gets the
+    cycles found since it was entered, and it found a cycle iff that number
+    is not zero.  At the cap-th cycle every pair still on the path gets its
+    share the same way.
     """
     n = len(adj)
+    limit = max(cap, 1)
+    counts = [0] * (n * n)
+    total = 0
     for s in starts:
         blocked = [False] * n
-        waiting: list[set[int]] = [set() for _ in range(n)]   # Johnson's B-lists
+        # Johnson's B-lists; thawing reads only membership, so repeats are harmless
+        waiting: list[list[int]] = [[] for _ in range(n)]
         blocked[s] = True
         path = [s]
-        hops: list[int] = []
+        marks = [0]   # total when each path vertex was entered
         nbrs = [iter(adj[s])]
-        found = [False]
         while nbrs:
             v = path[-1]
             for w in nbrs[-1]:
                 if w == s:
-                    yield (*hops, v * n + s)
-                    found[-1] = True
+                    counts[v * n + s] += 1
+                    total += 1
+                    if total == limit:
+                        for a, b, mark in zip(path, path[1:], marks[1:]):
+                            counts[a * n + b] += total - mark
+                        return counts
                 elif w > s and not blocked[w]:
                     blocked[w] = True
                     path.append(w)
-                    hops.append(v * n + w)
+                    marks.append(total)
                     nbrs.append(iter(adj[w]))
-                    found.append(False)
                     break
             else:
                 nbrs.pop()
                 path.pop()
-                if path:
-                    hops.pop()
-                if found.pop():
-                    if found:
-                        found[-1] = True
+                found = total - marks.pop()
+                if found:
+                    if path:
+                        counts[path[-1] * n + v] += found
                     thaw = [v]
                     while thaw:
                         u = thaw.pop()
@@ -182,7 +192,8 @@ def _simple_cycles(adj: list[list[int]], starts) -> Iterator[tuple[int, ...]]:
                             waiting[u].clear()
                 else:
                     for w in adj[v]:
-                        waiting[w].add(v)
+                        waiting[w].append(v)
+    return counts
 
 
 def topo_order(vertices, edges) -> list[str] | None:
@@ -240,11 +251,12 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
 
     def frequencies() -> dict[Edge, int]:
         """Edge frequencies over the live graph's first cap cycles."""
-        cycles = islice(_simple_cycles(_adjacency(n, live), starts), max(cap, 1))
+        counts = _pair_counts(_adjacency(n, live), starts, cap)
         freq: dict[Edge, int] = {}
-        for p, k in Counter(chain.from_iterable(cycles)).items():
-            for e in live[p]:
-                freq[e] = freq.get(e, 0) + k
+        for p, es in live.items():
+            if k := counts[p]:
+                for e in es:
+                    freq[e] = freq.get(e, 0) + k
         return freq
 
     def pick(freq: dict[Edge, int]) -> Edge:

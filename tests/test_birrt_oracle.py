@@ -647,6 +647,37 @@ def test_smoothing_tests_each_pair_once(monkeypatch, counting):
     assert sum(len(t) - len(set(t)) for t in theirs) > 100
 
 
+def test_smoothing_tests_no_footprint(monkeypatch, counting):
+    # every waypoint was found free before smoothing starts, so birrt's
+    # shortcuts test the segment alone; the paths still equal the
+    # reference's, whose shortcuts also test the far end's footprint
+    late = []
+    first = [0]
+    inner = motion.footprint_collides_xy
+
+    def spy(*args):
+        if len(counting) > first[0] and counting[first[0]].marks:
+            late.append(args[2:4])
+        return inner(*args)
+
+    monkeypatch.setattr(motion, "footprint_collides_xy", spy)
+    rng = random.Random(7950)
+    queries = []
+    for name in ("nested_blockers", "m_block_12"):
+        sc = make_scene(name, 3)
+        spec = GridSpec.from_scene(sc)
+        queries += [(*q, spec) for q in random_queries(sc, rng, 20)]
+    zz = zigzag_scene()
+    queries += [(zz, (1.0, 1.0), Pose2(1.0, 9.0), Pose2(9.0, 1.0), frozenset({"robot"}), GridSpec.from_scene(zz))] * 3
+    smoothed = 0
+    for qsc, fp, start, goal, ignore, spec in queries:
+        first[0] = len(counting)
+        assert_counts_agree(counting, qsc, fp, start, goal, rng.randrange(2**32), rng.choice((60, 400, 2000)), ignore, spec)
+        smoothed += bool(counting[first[0]:] and counting[first[0]].marks)
+    assert late == []
+    assert smoothed >= 10
+
+
 def test_smoothing_stops_once_every_pair_is_blocked(counting):
     # on the zig-zag every pair of the smoothed path at least two apart is
     # often blocked, so later attempts cannot change the path, and birrt

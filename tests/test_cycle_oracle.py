@@ -1,19 +1,20 @@
-"""Exact agreement of the cycle enumerator and cycle breaking with a reference.
+"""Exact agreement of the cycle counter and cycle breaking with a reference.
 
-``enumerate_cycles`` below reads the first ``cap`` cycles of the ranked
-Johnson enumerator that ``break_cycles`` runs (``sequencer._simple_cycles``)
-back as named cycles.
-The reference functions are the plain simple-path DFS that the Johnson
-enumerator replaced and a removal loop that rebuilds the graph and its
-cycle list every round.  Both must agree *exactly*: the same
-cycles in the same order (so ``cap`` cuts at the same cycle), the same
-``truncated`` flag, the same removed edges in the same order and the same
-remaining graph, because the removed edges decide the precedence every
-placement sequence honours.
+``break_cycles`` weighs each edge by how many of the live graph's first
+``cap`` cycles run through its vertex pair; ``sequencer._pair_counts``
+makes those counts in one Johnson search.  The reference functions are
+the plain simple-path DFS that the Johnson search replaced and a removal
+loop that rebuilds the graph and its cycle list every round.  Both must
+agree *exactly*: the counter must give, pair for pair, the counts of the
+reference's first ``cap`` cycles (so ``cap`` cuts at the same cycle, even
+in the middle of a path), and ``break_cycles`` the same removed edges in
+the same order and the same remaining graph, because the removed edges
+decide the precedence every placement sequence honours.
 """
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -41,35 +42,31 @@ class CycleLedger:
     truncated: bool = False
 
 
-# -- enumerator under test --------------------------------------------------
+# -- counter under test -----------------------------------------------------
 
 
-def enumerate_cycles(graph: DependencyGraph, cap: int = 10000) -> CycleLedger:
-    """The cycles break_cycles enumerates, as named cycles.
+def pair_counts(graph: DependencyGraph, cap: int = 10000) -> dict[tuple[str, str], int]:
+    """The per-pair cycle counts break_cycles weighs edges by, keyed by
+    (src, dst) names; pairs no counted cycle uses are left out.
 
     Order contract: starts run in graph.vertices order; from each vertex
     the search tries its successors in sorted (src, dst) order; a start s
     only visits vertices that sort above it, so a cycle is found from its
-    smallest vertex.  Enumeration stops at the cap-th cycle of this call
-    (truncated is then set, even when no cycle was left; cap <= 0 stops
-    at the first).  Parallel edges between the same ordered pair collapse
-    for enumeration but are all attached to the reported cycle.
+    smallest vertex.  Only the first cap cycles of that order are counted
+    (the first one for cap <= 0).
     """
     names, rank, pairs = sequencer._ranked_pairs(graph)
     n = len(names)
-    limit = max(cap, 1)
-    cycles = list(itertools.islice(
-        sequencer._simple_cycles(sequencer._adjacency(n, pairs), [rank[v] for v in graph.vertices]),
-        limit,
-    ))
-    truncated = len(cycles) == limit
-    return CycleLedger(
-        tuple(
-            Cycle(tuple(names[p // n] for p in c), tuple(e for p in c for e in pairs[p]))
-            for c in cycles
-        ),
-        truncated,
+    counts = sequencer._pair_counts(
+        sequencer._adjacency(n, pairs), [rank[v] for v in graph.vertices], cap
     )
+    assert len(counts) == n * n
+    return {(names[p // n], names[p % n]): k for p, k in enumerate(counts) if k}
+
+
+def cycle_pairs(vertices) -> list[tuple[str, str]]:
+    """The vertex pairs a cycle, given as its vertex sequence, runs through."""
+    return [(vertices[i], vertices[(i + 1) % len(vertices)]) for i in range(len(vertices))]
 
 
 # -- reference --------------------------------------------------------------
@@ -236,6 +233,24 @@ def random_digraph(rng: random.Random) -> DependencyGraph:
     return DependencyGraph(tuple(verts), tuple(edges))
 
 
+def looped_digraph(rng: random.Random) -> DependencyGraph:
+    """1-8 vertices in shuffled order, with self-loops and parallel pairs."""
+    n = rng.randint(1, 8)
+    verts = [f"v{i}" for i in rng.sample(range(10, 30), n)]
+    rng.shuffle(verts)
+    p = rng.choice((0.2, 0.35, 0.5))
+    edges = []
+    for a in verts:
+        for b in verts:
+            if rng.random() >= (0.3 if a == b else p):
+                continue
+            edges.append(Edge(a, b, WEAK))
+            if rng.random() < 0.3:
+                edges.append(Edge(a, b, STRONG))
+    rng.shuffle(edges)
+    return DependencyGraph(tuple(verts), tuple(edges))
+
+
 def complete_digraph(n: int) -> DependencyGraph:
     verts = tuple(f"v{i}" for i in range(n))
     return DependencyGraph(verts, tuple(Edge(a, b, WEAK) for a in verts for b in verts if a != b))
@@ -244,16 +259,34 @@ def complete_digraph(n: int) -> DependencyGraph:
 # -- agreement --------------------------------------------------------------
 
 
+def ref_pair_counts(graph: DependencyGraph, cap: int = 10000) -> Counter:
+    """The reference's first cap cycles (the first one for cap <= 0),
+    counted per vertex pair."""
+    return Counter(
+        pair for c in ref_enumerate_cycles(graph, cap).cycles for pair in cycle_pairs(c.vertices)
+    )
+
+
+ALL_CAPS = (0, 1) + CAPS
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_enumeration_agrees_exactly(seed):
     rng = random.Random(7100 + seed)
     for _ in range(60):
         g = random_digraph(rng)
-        for cap in CAPS:
-            got = enumerate_cycles(g, cap)
-            want = ref_enumerate_cycles(g, cap)
-            assert got.truncated == want.truncated
-            assert got.cycles == want.cycles   # vertices and attached edges, in order
+        for cap in ALL_CAPS:
+            assert pair_counts(g, cap) == ref_pair_counts(g, cap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_looped_counts_agree_exactly(seed):
+    # self-loops are one-vertex cycles on the pair (v, v)
+    rng = random.Random(7200 + seed)
+    for _ in range(60):
+        g = looped_digraph(rng)
+        for cap in ALL_CAPS:
+            assert pair_counts(g, cap) == ref_pair_counts(g, cap)
 
 
 @pytest.mark.parametrize("greedy", [False, True])
@@ -275,12 +308,17 @@ def test_dense_graphs_agree_under_truncation():
     # the list and the cut must fall on the same cycle
     for n in (5, 6, 7):
         g = complete_digraph(n)
-        for cap in (3, 10, 50, 400):
-            assert enumerate_cycles(g, cap) == ref_enumerate_cycles(g, cap)
+        for cap in ALL_CAPS + (400,):
+            assert pair_counts(g, cap) == ref_pair_counts(g, cap)
             for greedy in (False, True):
                 got = break_cycles(g, cap, greedy=greedy)
                 want = ref_break_cycles(g, cap, greedy=greedy)
                 assert (got.removed, got.graph.edges) == (want.removed, want.graph.edges)
+    # every cap up to 120 cuts K7's list at a cycle closed deep in the
+    # search, with several pairs still on the path
+    g = complete_digraph(7)
+    for cap in range(120):
+        assert pair_counts(g, cap) == ref_pair_counts(g, cap)
 
 
 # -- enumeration count ------------------------------------------------------
@@ -288,13 +326,13 @@ def test_dense_graphs_agree_under_truncation():
 
 def _count_enumerations(monkeypatch) -> list[int]:
     calls = [0]
-    inner = sequencer._simple_cycles
+    inner = sequencer._pair_counts
 
-    def spy(adj, starts):
+    def spy(adj, starts, cap):
         calls[0] += 1
-        return inner(adj, starts)
+        return inner(adj, starts, cap)
 
-    monkeypatch.setattr(sequencer, "_simple_cycles", spy)
+    monkeypatch.setattr(sequencer, "_pair_counts", spy)
     return calls
 
 
@@ -335,25 +373,7 @@ def test_parallel_twin_removal_is_followed_by_one_enumeration(monkeypatch):
     assert calls[0] == len(got.removed) + 1 == len(want.ledgers)
 
 
-# -- properties of the raw search -------------------------------------------
-
-
-def looped_digraph(rng: random.Random) -> DependencyGraph:
-    """1-8 vertices in shuffled order, with self-loops and parallel pairs."""
-    n = rng.randint(1, 8)
-    verts = [f"v{i}" for i in rng.sample(range(10, 30), n)]
-    rng.shuffle(verts)
-    p = rng.choice((0.2, 0.35, 0.5))
-    edges = []
-    for a in verts:
-        for b in verts:
-            if rng.random() >= (0.3 if a == b else p):
-                continue
-            edges.append(Edge(a, b, WEAK))
-            if rng.random() < 0.3:
-                edges.append(Edge(a, b, STRONG))
-    rng.shuffle(edges)
-    return DependencyGraph(tuple(verts), tuple(edges))
+# -- against brute force ----------------------------------------------------
 
 
 def brute_force_cycles(n: int, pairs) -> set[tuple[int, ...]]:
@@ -370,20 +390,20 @@ def brute_force_cycles(n: int, pairs) -> set[tuple[int, ...]]:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_simple_cycles_are_simple_real_and_start_lowest(seed):
+    # with the cap above the cycle count, the counter counts every simple
+    # cycle over real edges exactly once: its counts are brute force's
     rng = random.Random(9400 + seed)
+    checked = 0
     for _ in range(40):
         g = looped_digraph(rng)
         names, rank, pairs = sequencer._ranked_pairs(g)
         n = len(names)
-        starts = [rank[v] for v in g.vertices]
-        found = []
-        for hops in sequencer._simple_cycles(sequencer._adjacency(n, pairs), starts):
-            assert all(p in pairs for p in hops), "a hop with no edge"
-            verts = tuple(p // n for p in hops)
-            assert all(hops[i] % n == verts[(i + 1) % len(verts)] for i in range(len(hops)))
-            assert len(set(verts)) == len(verts), "a repeated vertex"
-            assert verts[0] == min(verts), "not started at its lowest vertex"
-            found.append(verts)
-        assert len(set(found)) == len(found), "a cycle reported twice"
-        if n <= 6:
-            assert set(found) == brute_force_cycles(n, pairs)
+        if n > 6:
+            continue
+        cycles = brute_force_cycles(n, pairs)
+        want = Counter(
+            (names[a], names[b]) for c in cycles for a, b in cycle_pairs(c)
+        )
+        assert pair_counts(g, len(cycles) + 1) == want
+        checked += 1
+    assert checked >= 20

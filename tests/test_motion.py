@@ -322,7 +322,28 @@ class TestSelectSubgoals:
         mu = ObjectPath("o", (Pose2(cx, cx), Pose2(cx, 8.0)))
         with pytest.raises(SubgoalBlocked) as ei:
             select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
-        assert ei.value.leg == 0
+        assert ei.value.subgoal == 0
+
+    @pytest.mark.parametrize("fail", [1, 2, 3])
+    def test_blocked_leg_reports_its_subgoal(self, monkeypatch, fail):
+        # leg k runs from subgoal k - 1 to subgoal k; a first leg with no
+        # side leaves subgoal 0 (the initial grasp) without one, a later
+        # leg its own end
+        legs = []
+        inner = motion.assign_leg_side
+
+        def spy(scene, poly, *args):
+            legs.append((poly[0], poly[-1]))
+            return None if len(legs) == fail else inner(scene, poly, *args)
+
+        monkeypatch.setattr(motion, "assign_leg_side", spy)
+        sc, mu = self._straight()
+        with pytest.raises(SubgoalBlocked) as ei:
+            select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        assert len(legs) == fail
+        subgoal, pose = (0, legs[0][0]) if fail == 1 else (fail, legs[-1][1])
+        assert (ei.value.subgoal, ei.value.pose) == (subgoal, pose)
+        assert str(ei.value).startswith(f"no feasible grasp side for subgoal {subgoal} at (")
 
     def test_empty_path_rejected(self, empty_scene):
         with pytest.raises(ValueError):
