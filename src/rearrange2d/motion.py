@@ -11,13 +11,14 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
 from . import grids
 from .grids import GridSpec
 from .world import (
+    EPS,
     Pose2,
     Scene,
     footprint_collides,
@@ -191,9 +192,16 @@ def _nearest(pts, q: tuple[float, float]) -> tuple[int, float]:
     return ds.index(d), d
 
 
-def _block_nearest(pts, qs) -> list[int]:
-    """For each query of qs, the index _nearest(pts, q) gives, or -1 where
-    the squared distances cannot tell.
+def _columns(pts) -> np.ndarray:
+    """The packed (x, y) points as a (2, n) array: a contiguous row of x
+    and one of y."""
+    return np.fromiter(chain.from_iterable(pts), float, 2 * len(pts)).reshape(-1, 2).T.copy()
+
+
+def _block_nearest(p, q) -> list[int]:
+    """For each query column of q, the index _nearest gives among the point
+    columns of p, or -1 where the squared distances cannot tell; p and q
+    are _columns arrays.
 
     One numpy pass over (queries x points).  The differences are the ones
     math.dist takes, and the squared sums are within a few ulps of exact,
@@ -202,17 +210,55 @@ def _block_nearest(pts, qs) -> list[int]:
     that point is the unique nearest under math.dist too.  Rows with a
     second point inside the margin are ambiguous: -1.
     """
-    if not qs:
-        return []
-    p = np.array(pts, dtype=float)
-    q = np.array(qs, dtype=float)
-    dx = q[:, :1] - p[:, 0]
-    dy = q[:, 1:] - p[:, 1]
-    d2 = dx * dx + dy * dy
+    d2 = np.subtract.outer(q[0], p[0])
+    d2 *= d2
+    dy = np.subtract.outer(q[1], p[1])
+    dy *= dy
+    d2 += dy
     near = d2.argmin(axis=1)
-    bound = d2.min(axis=1) * (1.0 + 1e-12) + 1e-300
-    ambiguous = np.count_nonzero(d2 <= bound[:, None], axis=1) > 1
-    return np.where(ambiguous, -1, near).tolist()
+    r = np.arange(len(near))
+    bound = d2[r, near]
+    bound *= 1.0 + 1e-12
+    bound += 1e-300
+    # a second point within the margin is the smallest left once the
+    # minimum is masked
+    d2[r, near] = np.inf
+    near[d2.min(axis=1) <= bound] = -1
+    return near.tolist()
+
+
+def _steps_collide(scene: Scene, parts, ignore, step: float, a, q, d) -> list[bool]:
+    """Per column, whether footprint_collides_xy(scene, parts, bx, by,
+    ignore) holds at the point (bx, by) birrt's grow steps to from node a
+    toward sample q, at distance d (math.dist(a, q)); a and q are
+    _columns arrays.
+
+    Each ufunc is one Python operation of grow or of the kernel, in the
+    same order, so every endpoint, bound and overlap is the same double.
+    The kernel's four strict-order tests are implied by its EPS tests and
+    are left out.  A d below 1e-12, where grow adds nothing without a
+    test, is raised to 1e-12 to keep the division finite.
+    """
+    t = np.minimum(1.0, step / np.maximum(d, 1e-12))
+    bx = a[0] + (q[0] - a[0]) * t
+    by = a[1] + (q[1] - a[1]) * t
+    wx0, wy0, wx1, wy1 = scene._ws_loose
+    rx0, ry0, rx1, ry1 = (
+        np.array([r[1:] for r in scene.rows if r[0] not in ignore], dtype=float).reshape(-1, 4).T[:, :, None]
+    )
+    hit = np.zeros(len(d), dtype=bool)
+    for dx, dy, w, h in parts:
+        cx = bx + dx
+        cy = by + dy
+        x0 = cx - w / 2.0
+        y0 = cy - h / 2.0
+        x1 = cx + w / 2.0
+        y1 = cy + h / 2.0
+        hit |= ~((x0 >= wx0) & (y0 >= wy0) & (x1 <= wx1) & (y1 <= wy1))
+        over = np.minimum(rx1, x1) - np.maximum(rx0, x0) > EPS
+        over &= np.minimum(ry1, y1) - np.maximum(ry0, y0) > EPS
+        hit |= over.any(axis=0)
+    return hit.tolist()
 
 
 def _nearest_since(pts, q, row: int, n0: int) -> tuple[int, float]:
@@ -281,6 +327,15 @@ def birrt(
     block, the generator is rewound to the block's start and exactly the
     consumed iterations are drawn again, so shortcut smoothing sees the
     state per-iteration draws leave.
+
+    A block also decides, with _steps_collide on the same node and sample
+    arrays, whether the step from each row's node toward its sample ends
+    in collision.  A row whose node is still the nearest after the scan of
+    appended nodes, and whose step is blocked, is skipped: grow would find
+    that endpoint blocked and add nothing, and iterate would change no
+    tree and draw nothing.  Ambiguous rows, rows an appended node
+    overtook and free steps go through iterate as before, so every path
+    and every draw is the same.
 
     Smoothing draws two waypoint indices per attempt and cuts the path
     between them when the segment test allows.  Every waypoint was already
@@ -382,6 +437,16 @@ def birrt(
                 return (j, i) if k & 1 else (i, j)
         return None
 
+    def block(pts, qs):
+        """_block_nearest's rows for the queries qs over the nodes pts, and
+        whether the step from each row's node toward its query ends in
+        collision (for an ambiguous row, from the last node; such a row is
+        never skipped)."""
+        p, q = _columns(pts), _columns(qs)
+        rows = _block_nearest(p, q)
+        d = np.fromiter(map(math.dist, map(pts.__getitem__, rows), qs), float, len(qs))
+        return rows, _steps_collide(scene, parts, ignore, step, p[:, rows], q, d)
+
     bridge = None  # (index in ta, index in tb)
     k = 0
     warm = min(max_iters, LOOKAHEAD_WARMUP)
@@ -397,10 +462,15 @@ def birrt(
         state = rng.getstate()
         qs = [draw(k + o) for o in range(n)]
         # block offset o queries trees[(k + o) & 1], as row o >> 1
-        rows = (_block_nearest(ta[0], qs[k & 1::2]), _block_nearest(tb[0], qs[1 - (k & 1)::2]))
+        rows, hits = zip(block(ta[0], qs[k & 1::2]), block(tb[0], qs[1 - (k & 1)::2]))
         for o, q in enumerate(qs):
             t = (k + o) & 1
-            bridge = iterate(k + o, q, *_nearest_since(trees[t][0], q, rows[t][o >> 1], n0[t]))
+            row = rows[t][o >> 1]
+            i, d = _nearest_since(trees[t][0], q, row, n0[t])
+            if i == row and hits[t][o >> 1]:
+                # grow would add nothing, so iterate would return None
+                continue
+            bridge = iterate(k + o, q, i, d)
             if bridge is not None:
                 # leave the generator where per-iteration draws would
                 rng.setstate(state)

@@ -379,8 +379,9 @@ def solve_patsp(
     if topo_order(ids, tuple(Edge(ids[a], ids[b], WEAK) for b in pred for a in pred[b])) is None:
         raise ValueError("precedence constraints are cyclic")
 
-    start = costs.start
-    between = costs.between
+    # plain floats: the search below reads single entries in every frame
+    start = costs.start.tolist()
+    between = costs.between.tolist()
 
     def greedy() -> list[int]:
         left = set(range(n))
@@ -391,16 +392,16 @@ def solve_patsp(
             if cur < 0:
                 j = min(ready, key=lambda j: (start[j], j))
             else:
-                j = min(ready, key=lambda j: (between[cur, j], j))
+                j = min(ready, key=lambda j: (between[cur][j], j))
             seq.append(j)
             left.discard(j)
             cur = j
         return seq
 
     def seq_cost(seq) -> float:
-        c = float(start[seq[0]])
+        c = start[seq[0]]
         for a, b in zip(seq, seq[1:]):
-            c += float(between[a, b])
+            c += between[a][b]
         return c
 
     best = None
@@ -414,11 +415,11 @@ def solve_patsp(
 
     if n <= exact_limit:
         # admissible bound: every unvisited object still needs one incoming leg
-        min_in = np.zeros(n)
+        min_in = []
         for j in range(n):
-            cands = [start[j]] + [between[i, j] for i in range(n) if i != j]
+            cands = [start[j]] + [between[i][j] for i in range(n) if i != j]
             finite = [c for c in cands if math.isfinite(c)]
-            min_in[j] = min(finite) if finite else 0.0
+            min_in.append(min(finite) if finite else 0.0)
 
         best_cost, best_seq = best
 
@@ -433,7 +434,7 @@ def solve_patsp(
                 return
             cur = seq[-1] if seq else -1
             ready = [j for j in range(n) if j not in used and pred[j] <= used]
-            step = (lambda j: float(start[j])) if cur < 0 else (lambda j: float(between[cur, j]))
+            step = start.__getitem__ if cur < 0 else between[cur].__getitem__
             for j in sorted(ready, key=lambda j: (step(j), j)):
                 seq.append(j)
                 used.add(j)

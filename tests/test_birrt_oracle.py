@@ -23,6 +23,13 @@ and may test one point pair many times.  ``birrt`` tests each pair once
 per call and stops drawing once no attempt can change the path, so its
 smoothing draws are a prefix of the reference's, with the same path.
 
+A lookahead block row whose node still stands and whose step ends in
+collision skips its footprint test.  The numpy verdict behind the skip
+(``motion._steps_collide``) must equal ``footprint_collides_xy`` at the
+endpoint grow computes, on random queries and on hand-built boundaries:
+flush contacts, overlaps of exactly EPS and one ulp either side, and part
+edges on the loosened workspace bounds.
+
 The reference keeps one known defect: when the last grid cell center lies
 within 1e-12 of the goal, its grid route ends at that center.
 ``test_grid_route_ends_at_goal_itself`` pins the fix; no other query here
@@ -32,6 +39,7 @@ reaches that case.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rearrange2d import grids, motion, planner
@@ -44,7 +52,16 @@ from rearrange2d.motion import (
     _normalize_parts,
     compound_parts,
 )
-from rearrange2d.world import Pose2, Rect, Scene, footprint_collides, inflate, segment_hits
+from rearrange2d.world import (
+    EPS,
+    Pose2,
+    Rect,
+    Scene,
+    footprint_collides,
+    footprint_collides_xy,
+    inflate,
+    segment_hits,
+)
 
 from conftest import obstacle, robot, scene, wall
 
@@ -216,6 +233,11 @@ def ref_nearest(pts, q: Pose2) -> tuple[int, float]:
 
 def waypoints(path):
     return None if path is None else path.waypoints
+
+
+def block_nearest(pts, qs):
+    """motion._block_nearest on packed point lists."""
+    return motion._block_nearest(motion._columns(pts), motion._columns(qs))
 
 
 class FallbackCounter:
@@ -436,11 +458,11 @@ class BlockRows:
         self.calls = []
         inner = motion._block_nearest
 
-        def spy(pts, qs):
-            out = inner(pts, qs)
+        def spy(p, q):
+            out = inner(p, q)
             self.total += len(out)
             self.ambiguous += out.count(-1)
-            self.calls.append(len(qs))
+            self.calls.append(q.shape[1])
             return out
 
         monkeypatch.setattr(motion, "_block_nearest", spy)
@@ -591,6 +613,136 @@ def test_bridge_at_every_block_offset(monkeypatch, counting, dense_lookahead):
         cut |= any(n < full for n in blocks[3:-1])
     assert {(full, o) for o in range(full)} <= offsets
     assert cut
+
+
+def test_blocked_block_rows_skip_the_kernel(monkeypatch):
+    # a door query past 3000 iterations; a block row whose node still
+    # stands and whose step ends in collision calls no footprint test.
+    # birrt made 6614 footprint tests here when every row ran one
+    sc = door_scene()
+    spec = GridSpec.from_scene(sc)
+    calls = [0]
+    inner = motion.footprint_collides_xy
+
+    def spy(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(motion, "footprint_collides_xy", spy)
+    rows = BlockRows(monkeypatch)
+    assert assert_agrees(sc, (0.4, 0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), 7, 5000, frozenset({"robot"}), spec)
+    assert rows.total > 3000
+    assert calls[0] <= 3596
+
+
+# -- blocked steps ----------------------------------------------------------
+
+
+def grow_end(a, q, step):
+    """The point birrt's grow steps to from node a toward sample q."""
+    d = math.dist(a, q)
+    t = min(1.0, step / d)
+    return a[0] + (q[0] - a[0]) * t, a[1] + (q[1] - a[1]) * t
+
+
+def check_verdicts(sc, parts, ignore, step, nodes, samples):
+    """motion._steps_collide on the rows (node, sample) must be
+    footprint_collides_xy at the point grow steps to; returns the kernel's
+    answers."""
+    d = np.array([math.dist(a, q) for a, q in zip(nodes, samples)])
+    got = motion._steps_collide(sc, parts, ignore, step, motion._columns(nodes), motion._columns(samples), d)
+    want = [footprint_collides_xy(sc, parts, *grow_end(a, q, step), ignore) for a, q in zip(nodes, samples)]
+    assert got == want, (parts, ignore)
+    return want
+
+
+def test_step_verdicts_match_the_kernel():
+    # robot, compound and object-alone footprints, each with its planner
+    # call's ignore set and with none; half the samples lie within a step
+    # of their node, and some of those outside the workspace
+    rng = random.Random(8100)
+    hits = total = 0
+    for name in ("four_blocks", "doorway", "nested_blockers", "m_block_12"):
+        sc = make_scene(name, 4)
+        ws = sc.workspace
+        for qsc, fp, _, _, ignore in random_queries(sc, rng, 9):
+            parts = _normalize_parts(fp)
+            step = 0.5 * qsc.robot.w
+            nodes = [(rng.uniform(ws.xmin, ws.xmax), rng.uniform(ws.ymin, ws.ymax)) for _ in range(80)]
+            samples = [
+                (x + rng.uniform(-step, step), y + rng.uniform(-step, step))
+                if k % 2
+                else (rng.uniform(ws.xmin, ws.xmax), rng.uniform(ws.ymin, ws.ymax))
+                for k, (x, y) in enumerate(nodes)
+            ]
+            for ig in (ignore, frozenset()):
+                want = check_verdicts(qsc, parts, ig, step, nodes, samples)
+                hits += sum(want)
+                total += len(want)
+    assert 0.2 * total < hits < 0.8 * total
+
+
+def on_bound(bound, hw, sign):
+    """Centers c whose part edge, c - hw (sign -1) or c + hw (sign 1), is
+    exactly bound: the doubles within 4 ulps of bound - sign * hw."""
+    c = bound - sign * hw
+    for _ in range(4):
+        c = math.nextafter(c, -math.inf)
+    out = []
+    for _ in range(9):
+        if c + sign * hw == bound:
+            out.append(c)
+        c = math.nextafter(c, math.inf)
+    return out
+
+
+def test_step_verdicts_on_boundaries():
+    # each endpoint is its sample, a step of 0.125 straight along one axis
+    # from its node, so the endpoints are exact
+    hw = 0.25
+    parts = ((0.0, 0.0, 2 * hw, 2 * hw),)
+    ignore = frozenset({"robot"})
+    step = hw
+
+    def along_x(x, y):
+        return (x, y - 0.125), (x, y)
+
+    def along_y(x, y):
+        return (x - 0.125, y), (x, y)
+
+    # flush with a wall's left and top edges, and up to 2 ulps into it
+    sc = scene([robot(1.0, 1.0, 2 * hw), wall("w", 6.0, 5.0, 1.0, 4.0)])
+    rows = [along_x(x, 5.0) for x in on_bound(5.5, hw, 1)]
+    rows += [along_y(6.0, y) for y in on_bound(7.0, hw, -1)]
+    x, y = 5.5 - hw, 7.0 + hw
+    for _ in range(3):
+        rows += [along_x(x, 5.0), along_y(6.0, y)]
+        x, y = math.nextafter(x, math.inf), math.nextafter(y, -math.inf)
+    assert not any(check_verdicts(sc, parts, ignore, step, *zip(*rows)))
+
+    # a footprint across a sliver wall overlaps it by the wall's width:
+    # exactly EPS is free, one ulp wider collides
+    ws = Rect(-5.0, -5.0, 5.0, 5.0)
+    for w, want in [(math.nextafter(EPS, 0.0), False), (EPS, False), (math.nextafter(EPS, 1.0), True)]:
+        for sliver, row in [(wall("s", w / 2, 0.0, w, 2.0), along_x(0.0, 0.0)), (wall("s", 0.0, w / 2, 2.0, w), along_y(0.0, 0.0))]:
+            sc = scene([robot(-3.0, -3.0, 2 * hw), sliver], ws=ws)
+            assert check_verdicts(sc, parts, ignore, step, [row[0]], [row[1]]) == [want]
+
+    # a part edge exactly on the loosened workspace bound is inside, one
+    # ulp past it is out
+    found = 0
+    for a in (0.0, 0.3, 1.0, 1.7, 2.5):
+        sc = scene([robot(a + 4.5, a + 4.5, 2 * hw)], ws=Rect(a, a, a + 9.0, a + 9.0))
+        wx0, wy0, wx1, wy1 = sc._ws_loose
+        mid = a + 4.5
+        for bound, sign, make in [(wx0, -1, lambda c: along_x(c, mid)), (wx1, 1, lambda c: along_x(c, mid)),
+                                  (wy0, -1, lambda c: along_y(mid, c)), (wy1, 1, lambda c: along_y(mid, c))]:
+            for c in on_bound(bound, hw, sign):
+                past = math.nextafter(c, sign * math.inf)
+                rows = [make(c), make(past)]
+                assert check_verdicts(sc, parts, ignore, step, *zip(*rows)) == [False, True]
+                found += 1
+    assert found >= 8
 
 
 # -- shortcut smoothing -----------------------------------------------------
@@ -762,7 +914,7 @@ def test_block_rows_are_exact_or_ambiguous():
     for _ in range(300):
         pts, q = near_ties(rng)
         qs = [q] + [(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(rng.randint(0, 3))]
-        rows = motion._block_nearest(pts, qs)
+        rows = block_nearest(pts, qs)
         assert len(rows) == len(qs)
         for row, p in zip(rows, qs):
             want = motion._nearest(pts, p)[0]
@@ -774,7 +926,7 @@ def test_block_rows_are_exact_or_ambiguous():
             misordered += d2.index(min(d2)) != want
     assert misordered > 10
     assert ambiguous > misordered
-    assert motion._block_nearest([(0.0, 0.0)], []) == []
+    assert block_nearest([(0.0, 0.0)], []) == []
 
 
 # -- the scan itself --------------------------------------------------------
@@ -838,7 +990,7 @@ def test_nearest_since_matches_the_loop_on_ties():
         pts, q = tie_heavy(rng)
         q = (q.x, q.y)
         n0 = rng.randint(1, len(pts))
-        row = motion._block_nearest(pts[:n0], [q])[0]
+        row = block_nearest(pts[:n0], [q])[0]
         want = ref_nearest(pts, Pose2(*q))
         assert motion._nearest_since(pts, q, row, n0) == want, (pts, q, n0)
         if row >= 0:
