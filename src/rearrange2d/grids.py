@@ -222,9 +222,7 @@ def reachability(scene: Scene, spec: GridSpec) -> np.ndarray:
     free = fit_mask(scene, spec, robot.w, robot.h)
     rc0 = spec.cell_of(robot.pose)
     cells = np.full((spec.ny, spec.nx), BETA_R)
-    # the pose right after a place is flush against the object, which the
-    # cell-center fit test rejects; seed from the nearest free cell
-    rc = snap_to_free(free, rc0, radius=2)
+    rc = grid_anchor(free, spec, robot.pose)
     if rc is None:
         cells[rc0[1], rc0[0]] = ALPHA_R
         return cells
@@ -372,6 +370,18 @@ def snap_to_free(free: np.ndarray, cell: tuple[int, int], radius: int = 1) -> tu
                 if best_d is None or d < best_d or (d == best_d and (jx, jy) < best):
                     best, best_d = (jx, jy), d
     return best
+
+
+def grid_anchor(free: np.ndarray, spec: GridSpec, pose: Pose2) -> tuple[int, int] | None:
+    """The cell a grid check starting at pose starts from: pose's cell
+    snapped to a free cell of the fit mask free within 2 cells, or None.
+
+    A pose right after a place is flush against the placed object, which
+    the cell-center fit test rejects, so the anchor is often a neighbour of
+    pose's own cell; a pose in a pocket narrower than a cell may have none
+    even when its footprint is exactly free.
+    """
+    return snap_to_free(free, spec.cell_of(pose), radius=2)
 
 
 def component_labels(free: np.ndarray, spec: GridSpec) -> np.ndarray:

@@ -315,11 +315,12 @@ def _intent_route(scene: Scene, object_id: str, target: Pose2, spec: GridSpec):
 
 def reachable_sides(scene: Scene, object_id: str, spec: GridSpec) -> bool:
     """Whether the robot can reach some grasp pose of the object over the
-    grid: grids.grid_connected from the robot cell to a grasp cell, with
-    the robot cell snapped once for all four sides."""
+    grid: grids.grid_connected from the robot's grid anchor to a grasp
+    cell, with the anchor found once for all four sides; False when the
+    robot has no anchor."""
     robot = scene.robot
     free = grids.fit_mask(scene, spec, robot.w, robot.h, frozenset({robot.id}))
-    rc = grids.snap_to_free(free, spec.cell_of(robot.pose), radius=2)
+    rc = grids.grid_anchor(free, spec, robot.pose)
     if rc is None:
         return False
     labels = grids.component_labels(free, spec)
@@ -352,7 +353,9 @@ def search_relocations(
     skip_count selects which minimal critical subset seeds the search, so
     successive calls after outer-loop failures try different blockers.
     Once time.monotonic() passes deadline, no further iteration starts and
-    the search fails with reason "timeout".
+    the search fails with reason "timeout".  A first iteration that reaches
+    no critical object ends the search with reason "no critical object
+    reachable", as every later one would repeat it.
     """
     colliders = find_colliding(scene, task, spec)
     trace: dict = {"colliders": list(colliders), "expanded": [], "candidates": 0}
@@ -392,10 +395,12 @@ def search_relocations(
         node = nodes[nid]
         node.visits += 1
         improved = False
+        reached = False
 
         for oid in list(crit):
             if not node.scene.has_body(oid) or not reachable_sides(node.scene, oid, spec):
                 continue
+            reached = True
             budget = max(1, math.ceil(weights.get(oid, 1.0) * k_max))
             points = gen_relocation_points(
                 node.scene, oid, budget, spec=spec,
@@ -439,6 +444,13 @@ def search_relocations(
                     return RelocationSearchResult(True, after, child.plans, it, failed, trace)
             if not success_any:
                 weights = decay_weight(weights, oid)
+
+        if it == 1 and not reached:
+            # nothing reachable: no candidate was made and nothing blamed,
+            # so the critical set cannot grow and every later iteration
+            # would repeat this one on the same scene
+            reason, iterations = "no critical object reachable", 1
+            break
 
         open_ids.sort(key=lambda i: (-nodes[i].s_scene, i))
         del open_ids[beam_width:]

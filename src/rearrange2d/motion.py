@@ -24,6 +24,7 @@ from .world import (
     footprint_collides,
     footprint_collides_xy,
     inflate,
+    left_sum,
     segment_hits,
     segment_hits_xy,
 )
@@ -78,7 +79,7 @@ class Path:
 
     @property
     def length(self) -> float:
-        return sum(a.dist(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
+        return left_sum(a.dist(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class ObjectPath:
 
     @property
     def length(self) -> float:
-        return sum(a.dist(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
+        return left_sum(a.dist(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class MotionPlan:
 
     @property
     def travel_distance(self) -> float:
-        return sum(p.pick.length + p.place.length for p in self.pairs)
+        return left_sum(p.pick.length + p.place.length for p in self.pairs)
 
 
 class SubgoalBlocked(Exception):
@@ -292,11 +293,15 @@ def birrt(
     Deterministic for a fixed seed.  The tuning is fixed: each extension
     moves at most half the robot side, GOAL_BIAS of the samples are the
     other tree's root, and SHORTCUT_ATTEMPTS random shortcuts smooth the
-    result.  A grid connectivity precheck on spec rejects disconnected
-    queries quickly; if sampling exhausts max_iters while the grid still
-    shows a route, the grid path is used as a fallback so narrow but
-    feasible corridors do not read as infeasible; that route, like a
-    sampled one, ends at goal itself.
+    result.  When the start has a grid anchor (grids.grid_anchor), a grid
+    connectivity precheck on spec rejects disconnected queries quickly.  A
+    start with no anchor, such as a robot flush against the object it just
+    placed in a pocket narrower than a cell, has passed the exact footprint
+    test, so the query skips the precheck and samples as a connected one
+    does.  If sampling exhausts max_iters while the grid still shows a
+    route, the grid path is used as a fallback so narrow but feasible
+    corridors do not read as infeasible; that route, like a sampled one,
+    ends at goal itself.  With no anchored start there is no grid route.
 
     Samples, tree nodes and waypoints are plain (x, y) tuples, tested with
     the collision kernel's point-level entries: a tree holds only its
@@ -370,7 +375,10 @@ def birrt(
         return Path((start, goal))
 
     free = grids.fit_mask_parts(scene, spec, parts, ignore)
-    if not grids.grid_connected(free, spec.cell_of(start), spec.cell_of(goal), spec):
+    # a start with no grid anchor is exactly free all the same, so only an
+    # anchored start lets the grid call the query disconnected
+    anchor = grids.grid_anchor(free, spec, start)
+    if anchor is not None and not grids.grid_connected(free, anchor, spec.cell_of(goal), spec):
         return None
 
     rng = random.Random(seed)

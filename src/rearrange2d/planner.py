@@ -19,7 +19,7 @@ from .grids import GridSpec
 from .guided_search import pick_task, place_task, search_relocations
 from .motion import InfeasibleLeg, MotionPlan, SubgoalBlocked, _mix_seed
 from .sequencer import CostMatrix, PlacementSequence, SequencerCaches, SequenceInfeasible
-from .world import KIND_GOAL, Pose2, Scene, default_tolerance, verify_placements
+from .world import KIND_GOAL, Pose2, Scene, default_tolerance, left_sum, verify_placements
 
 
 class ConfigError(ValueError):
@@ -268,7 +268,7 @@ def count_metrics(plans, *, failures: int = 0, regenerations: int = 0) -> Metric
     regenerations beyond the initial one.
     """
     pnp = sum(p.pnp_count for p in plans)
-    travel = sum(p.travel_distance for p in plans)
+    travel = left_sum(p.travel_distance for p in plans)
     return Metrics(pnp, failures + regenerations, travel)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import motion
 from .grids import GridSpec
-from .world import EPS, Pose2, Rect, Scene, rect_at, segment_hits_rect
+from .world import EPS, Pose2, Rect, Scene, left_sum, rect_at, segment_hits_rect
 from .motion import ObjectPath, _mix_seed
 
 WEAK = "weak"
@@ -429,7 +429,7 @@ def solve_patsp(
                 if cost < best_cost - 1e-12:
                     best_cost, best_seq = cost, list(seq)
                 return
-            bound = cost + sum(min_in[j] for j in range(n) if j not in used)
+            bound = cost + left_sum(min_in[j] for j in range(n) if j not in used)
             if bound >= best_cost - 1e-12:
                 return
             cur = seq[-1] if seq else -1

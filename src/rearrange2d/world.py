@@ -46,6 +46,16 @@ KIND_ROBOT = "robot"
 MOVABLE_KINDS = (KIND_OBSTACLE, KIND_GOAL)
 
 
+def left_sum(values):
+    """The sum of values added left to right from the int 0, as sum() adds
+    floats up to Python 3.11; 3.12 made sum() compensated, and results
+    must not depend on the Python version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class Pose2:
     x: float

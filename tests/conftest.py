@@ -35,6 +35,28 @@ def scene(bodies, goals=None, *, ws=None):
     return Scene(ws, tuple(bodies), dict(goals or {}))
 
 
+def wedged_scene():
+    """A robot wedged flush against an object, in a pocket narrower than a
+    grid cell.
+
+    On the 64-cell grid of the 10 x 10 workspace (cells 0.15625 a side) the
+    robot stands flush against the movable "wedge" on its west, under the
+    wall "roof" and over the movable "slab".  Its centre may move 0.1 up or
+    down, from y = 2.13 to 2.23, a band that holds no cell centre, so no
+    cell within 2 of its own admits its footprint although its pose is
+    exactly free.  The pocket opens east past x = 2.6; the goal object g1
+    lies out in the open.
+    """
+    bodies = [
+        robot(2.0, 2.18),
+        wall("roof", 1.8, 2.965, 1.6, 1.07),
+        obstacle("wedge", 1.6, 2.18, 0.4, 0.5),
+        obstacle("slab", 1.8, 1.63, 1.6, 0.6),
+        goal_obj("g1", 6.0, 1.0),
+    ]
+    return scene(bodies, {"g1": Pose2(8.0, 6.0)})
+
+
 @pytest.fixture
 def empty_scene():
     """Robot alone in a 10x10 workspace."""

@@ -30,6 +30,9 @@ endpoint grow computes, on random queries and on hand-built boundaries:
 flush contacts, overlaps of exactly EPS and one ulp either side, and part
 edges on the loosened workspace bounds.
 
+The reference's grid precheck is ``birrt``'s: it runs only when the start
+has a grid anchor (``grids.grid_anchor``), and a start with none samples.
+
 The reference keeps one known defect: when the last grid cell center lies
 within 1e-12 of the goal, its grid route ends at that center.
 ``test_grid_route_ends_at_goal_itself`` pins the fix; no other query here
@@ -113,7 +116,8 @@ def ref_birrt(
     if spec is None:
         spec = GridSpec.from_scene(scene)
     free = grids.fit_mask_parts(scene, spec, parts, ignore)
-    if not grids.grid_connected(free, spec.cell_of(start), spec.cell_of(goal), spec):
+    anchor = grids.grid_anchor(free, spec, start)
+    if anchor is not None and not grids.grid_connected(free, anchor, spec.cell_of(goal), spec):
         return None
 
     rng = random.Random(seed)

@@ -14,6 +14,7 @@ from rearrange2d.grids import (
     edt,
     fit_mask,
     fit_mask_parts,
+    grid_anchor,
     grid_connected,
     grid_path,
     occupancy_mask,
@@ -24,7 +25,7 @@ from rearrange2d.grids import (
 )
 from rearrange2d.world import Pose2, Rect, footprint_collides
 
-from conftest import obstacle, robot, scene, wall
+from conftest import obstacle, robot, scene, wall, wedged_scene
 
 
 @pytest.fixture
@@ -314,6 +315,27 @@ class TestSnapToFree:
     def test_out_of_bounds_cell(self):
         free = np.ones((5, 5), dtype=bool)
         assert snap_to_free(free, (6, 2), radius=2) == (4, 2)
+
+
+class TestGridAnchor:
+    def test_is_the_pose_cell_snapped_at_radius_2(self):
+        rng = random.Random(3)
+        spec = GridSpec(Pose2(0.0, 0.0), 12, 9, 0.5, 0.75)
+        for _ in range(200):
+            free = np.array([[rng.random() < 0.1 for _ in range(12)] for _ in range(9)])
+            p = Pose2(rng.uniform(-1.0, 7.0), rng.uniform(-1.0, 7.5))
+            assert grid_anchor(free, spec, p) == snap_to_free(free, spec.cell_of(p), radius=2)
+
+    def test_wedged_robot_has_none(self):
+        sc = wedged_scene()
+        spec = GridSpec.from_scene(sc)
+        r = sc.robot
+        free = fit_mask(sc, spec, r.w, r.h, frozenset({r.id}))
+        assert not footprint_collides(sc, ((0.0, 0.0, r.w, r.h),), r.pose, frozenset({r.id}))
+        assert grid_anchor(free, spec, r.pose) is None
+        # out in the open, past the pocket's mouth, the anchor is the pose's cell
+        p = Pose2(3.0, 2.18)
+        assert grid_anchor(free, spec, p) == spec.cell_of(p)
 
 
 def _bfs_dist(free, a, b):

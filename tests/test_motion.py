@@ -1,6 +1,6 @@
 import pytest
 
-from rearrange2d import motion
+from rearrange2d import grids, motion
 from rearrange2d.motion import (
     InfeasibleLeg,
     ObjectPath,
@@ -21,7 +21,7 @@ from rearrange2d.motion import (
 from rearrange2d.grids import GridSpec
 from rearrange2d.world import Pose2, footprint_collides
 
-from conftest import goal_obj, obstacle, robot, scene, wall
+from conftest import goal_obj, obstacle, robot, scene, wall, wedged_scene
 
 
 class TestGraspGeometry:
@@ -172,6 +172,22 @@ class TestBirrt:
             ignore=frozenset({"robot", "b1"}), spec=GridSpec.from_scene(simple_scene),
         )
         assert p.waypoints == (a, b)
+
+    def test_wedged_start_samples_its_way_out(self):
+        # no cell near the start admits its footprint, so the grid calls
+        # the query disconnected; the start is exactly free all the same,
+        # and birrt samples instead of rejecting it at the precheck
+        sc = wedged_scene()
+        spec = GridSpec.from_scene(sc)
+        r = sc.robot
+        goal = Pose2(5.0, 5.0)
+        free = grids.fit_mask(sc, spec, r.w, r.h, frozenset({r.id}))
+        assert not grids.grid_connected(free, spec.cell_of(r.pose), spec.cell_of(goal), spec)
+        for seed in range(3):
+            p = birrt(sc, (r.w, r.h), r.pose, goal, seed, ignore=frozenset({r.id}), spec=spec)
+            assert p is not None
+            assert p.waypoints[0] == r.pose and p.waypoints[-1] == goal
+            assert sweep_clear(sc, ((0.0, 0.0, r.w, r.h),), p.waypoints, frozenset({r.id}))
 
     def test_invalid_endpoint(self, simple_scene):
         # start colliding with an obstacle that is not ignored

@@ -8,7 +8,7 @@ from rearrange2d.grids import GridSpec, rasterize_gom, reachability
 from rearrange2d.motion import SIDES, grasp_pose
 from rearrange2d.world import Pose2, collides, rect_at, rects_overlap
 
-from conftest import goal_obj, obstacle, robot, scene, wall
+from conftest import goal_obj, obstacle, robot, scene, wall, wedged_scene
 
 
 def _gap_scene(blocker=True):
@@ -313,6 +313,30 @@ class TestSearchRelocations:
         res = gs.search_relocations(sealed, t, seed=0, spec=spec)
         assert not res.success
         assert res.reason == "blocked by statics"
+
+    def test_unreachable_critical_set_ends_at_once(self, monkeypatch):
+        # the wedged robot has no grid anchor, so it reaches no grasp of the
+        # critical slab; nothing can move, and every iteration would repeat
+        # the first
+        sc = wedged_scene()
+        spec = GridSpec.from_scene(sc)
+        t = gs.pick_task(sc, "g1", grasp_pose(sc.body("g1").pose, "W", 0.6, 0.6, 0.4), 0, spec)
+        res = gs.search_relocations(sc, t, seed=0, spec=spec)
+        assert res.trace["initial_crit"] == ["slab"]
+        assert res.iterations == 1
+        assert res.reason == "no critical object reachable"
+        assert res.trace["candidates"] == 0
+        # the full 40 iterations of a search that moves nothing: the slab
+        # passes the reachability test but has no parking pose
+        monkeypatch.setattr(gs, "reachable_sides", lambda *a: True)
+        monkeypatch.setattr(gs, "gen_relocation_points", lambda *a, **k: [])
+        full = gs.search_relocations(sc, t, seed=0, spec=spec)
+        assert full.iterations == gs.ITERATION_LIMIT
+        assert full.reason == "iteration limit"
+        assert (res.success, res.scene, res.plans, res.failed_attempts) == (
+            full.success, full.scene, full.plans, full.failed_attempts,
+        )
+        assert res.scene is sc
 
     def test_deterministic(self):
         sc = _gap_scene()

@@ -8,8 +8,8 @@ may fail: each one is a known failure still to be fixed, and it stays on
 the ladder.  Failures carry no reason yet, so none is checked.
 
 Tier-1 climbs the M = 16 rung (a few seconds).  The M = 20 and M = 24 rungs
-take about 35 s together, so they run as a script, which also checks each
-rung's results against a pinned digest:
+take about 25 s together, so they run as a script, which also checks each
+rung's results against a pinned digest (M = 16 is pinned too):
 
     PYTHONPATH=src python tests/test_scale_ladder.py 20 24
 """
@@ -23,12 +23,13 @@ from rearrange2d.world import default_tolerance, verify_placements
 
 SEEDS = range(10)
 # seeds at which each rung still fails
-OPEN_DEFECTS = {16: {3, 4}, 20: {1}, 24: {0, 5, 6}}
+OPEN_DEFECTS = {16: {3}, 20: {1}, 24: {5, 6}}
 # SHA-256 of a rung's serialize_result JSON (sorted keys), one line per
 # seed in seed order; taken on Python 3.11
 DIGESTS = {
-    20: "e08128d57b29ec9ddb01b5ea8caf5d7b3efbeefb601df9d252b2c46530e50f9e",
-    24: "cb2b1d018cd6b77e6227838c0c5c92042b84f2edee0d85bd86368e75a2d8f897",
+    16: "4d6f6c1cee86ebe38dfeff340169b598c92c8fa4645b7f68e8c41c8854ed860e",
+    20: "fc63afa235a3a1ab6e20850a41c83cfbb4c8b6993f932170183bcf3606d4d4de",
+    24: "49733e3f9c947434043dcf9691569d4d434eb4190c29d6c02d5f72e6d2ef2782",
 }
 
 
@@ -61,7 +62,7 @@ def climb(m: int) -> tuple[list[str], set[int], str]:
 def test_m_block_16():
     problems, failed, _ = climb(16)
     assert problems == []
-    assert len(SEEDS) - len(failed) >= 8
+    assert len(SEEDS) - len(failed) >= 9
 
 
 if __name__ == "__main__":
