@@ -21,7 +21,9 @@ the computation reads, never by a Scene or an object's identity:
   all parts;
 - component labels by the mask's shape, dtype and bytes;
 - ``swept_cells`` by the parts and the poses;
-- ``static_clearance`` by the wall bounds alone.
+- ``static_clearance`` by the wall bounds alone;
+- a cell mask (``cell_mask``) and its summed-area table by the cells, a
+  tuple or frozenset of (ix, iy).
 
 Cached arrays are read-only (writing to one raises); cached cell lists are
 handed out as fresh lists.
@@ -111,28 +113,81 @@ class GridSpec:
 def occupancy_mask(scene: Scene, spec: GridSpec, exclude=frozenset()) -> np.ndarray:
     """Boolean (ny, nx) mask, True where a wall or a body covers the cell.
 
-    The robot is never rasterized; ids in exclude are skipped.
+    The robot is never rasterized; ids in exclude are skipped.  Each body
+    covers the cells ``spec.rect_cells`` gives its rect.
     """
+    bounds = np.array(
+        [b.bounds for b in scene.bodies if b.kind != KIND_ROBOT and b.id not in exclude], dtype=float
+    ).reshape(-1, 4)
     occ = np.zeros((spec.ny, spec.nx), dtype=bool)
-    for b in scene.bodies:
-        if b.kind == KIND_ROBOT or b.id in exclude:
-            continue
-        ix0, ix1, iy0, iy1 = spec.rect_cells(b.rect())
-        if ix0 <= ix1 and iy0 <= iy1:
-            occ[iy0 : iy1 + 1, ix0 : ix1 + 1] = True
+    for x0, x1, y0, y1 in zip(*(r.tolist() for r in _cell_ranges(spec, *bounds.T))):
+        occ[y0:y1, x0:x1] = True
     return occ
+
+
+def _cell_ranges(spec: GridSpec, xmin, ymin, xmax, ymax):
+    """``GridSpec.rect_cells``' floor and ceil arithmetic on arrays of rect
+    bounds, as half-open cell ranges [x0, x1) and [y0, y1) with every end
+    clamped to [0, n]: a range is empty exactly when rect_cells' is, and
+    otherwise holds the same cells."""
+    ox, oy = spec.origin.x, spec.origin.y
+    x0 = np.floor((xmin - ox) / spec.cell_w + 1e-9).clip(0, spec.nx).astype(np.intp)
+    x1 = np.ceil((xmax - ox) / spec.cell_w - 1e-9).clip(0, spec.nx).astype(np.intp)
+    y0 = np.floor((ymin - oy) / spec.cell_h + 1e-9).clip(0, spec.ny).astype(np.intp)
+    y1 = np.ceil((ymax - oy) / spec.cell_h - 1e-9).clip(0, spec.ny).astype(np.intp)
+    return x0, x1, y0, y1
 
 
 def rasterize_gom(scene: Scene, task_cells, spec: GridSpec) -> np.ndarray:
     """Global occupancy (ny, nx): 0 on occupied cells, ALPHA_M free, BETA_M on
-    free task cells; task cells off the grid are skipped."""
+    free task cells; task cells off the grid are skipped.  A fresh array."""
     occ = occupancy_mask(scene, spec)
     cells = np.where(occ, 0.0, ALPHA_M)
-    for c in task_cells:
-        ix, iy = c
-        if spec.in_bounds(c) and not occ[iy, ix]:
-            cells[iy, ix] = BETA_M
+    cells[cell_mask(spec, task_cells) & ~occ] = BETA_M
     return cells
+
+
+def _cells_key(cells):
+    """The cells as a memo key: a tuple or frozenset as given, else a tuple."""
+    return cells if isinstance(cells, (tuple, frozenset)) else tuple(cells)
+
+
+def cell_mask(spec: GridSpec, cells) -> np.ndarray:
+    """(ny, nx) bool mask, True on those of the (ix, iy) cells that lie on
+    the grid.  Read-only, shared through the spec's memo by the cells."""
+    key = _cells_key(cells)
+    return _memoized(spec.memo, ("cells", key), _cell_mask, spec, key)
+
+
+def _cell_mask(spec: GridSpec, cells) -> np.ndarray:
+    ix, iy = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+    on = (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
+    mask = np.zeros((spec.ny, spec.nx), dtype=bool)
+    mask[iy[on], ix[on]] = True
+    return mask
+
+
+def rects_meet_cells(spec: GridSpec, cells, xmin, ymin, xmax, ymax) -> np.ndarray:
+    """Per rect of the bound arrays, whether ``spec.cells_of_rect(rect)``
+    holds one of the (ix, iy) cells, as a bool array.
+
+    The rects' cell ranges (``_cell_ranges``) are read through a
+    summed-area table of ``cell_mask(spec, cells)``, memoized by the cells
+    alongside the mask.
+    """
+    key = _cells_key(cells)
+    table = _memoized(spec.memo, ("cell counts", key), _summed_area, cell_mask(spec, key))
+    x0, x1, y0, y1 = _cell_ranges(spec, xmin, ymin, xmax, ymax)
+    count = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
+    return (x0 < x1) & (y0 < y1) & (count > 0)
+
+
+def _summed_area(mask: np.ndarray) -> np.ndarray:
+    """(ny + 1, nx + 1) table whose [iy, ix] counts mask's true cells in
+    rows below iy and columns below ix."""
+    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.intp)
+    table[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+    return table
 
 
 def _memoized(memo: dict, key, build, *args):

@@ -14,9 +14,11 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import grids, motion
 from .grids import GridSpec
-from .world import Pose2, Rect, Scene, collides, rect_at, rects_overlap
+from .world import EPS, Pose2, Rect, Scene, footprints_collide_xy
 from .motion import (
     SIDES,
     InfeasibleLeg,
@@ -209,39 +211,49 @@ def gen_relocation_points(
     body = scene.body(object_id)
     occ = grids.occupancy_mask(scene, spec, exclude=frozenset({object_id}))
     free = grids.fit_mask(scene, spec, body.w, body.h, frozenset({object_id}))
-    goal_rects = [
-        rect_at(scene.goal_of(oid), scene.body(oid).w, scene.body(oid).h)
-        for oid in sorted(scene.goals)
-        if oid != object_id
-    ]
+    # every other goal's rect, with rect_at's arithmetic: one column each
+    goals = []
+    for oid in sorted(scene.goals):
+        if oid != object_id:
+            g, b = scene.goal_of(oid), scene.body(oid)
+            goals.append((g.x - b.w / 2.0, g.y - b.h / 2.0, g.x + b.w / 2.0, g.y + b.h / 2.0))
+    gx0, gy0, gx1, gy1 = np.array(goals, dtype=float).reshape(-1, 4).T
+    parts = ((0.0, 0.0, body.w, body.h),)
 
-    def window_candidates(scale: float) -> list[tuple[float, int, int]]:
+    def window_candidates(scale: float):
+        """The window's candidate cells in (iy, ix) order: their
+        clearances and their (ix, iy) indices."""
         hx, hy = scale * body.w, scale * body.h
         win = Rect(body.pose.x - hx, body.pose.y - hy, body.pose.x + hx, body.pose.y + hy)
         ix0, ix1, iy0, iy1 = spec.rect_cells(win)
         # the clearance of the window's cells alone
-        clearance = grids.edt(occ, (ix0, ix1, iy0, iy1)).tolist()
-        found = []
-        for iy in range(iy0, iy1 + 1):
-            for ix in range(ix0, ix1 + 1):
-                if not free[iy, ix] or clearance[iy - iy0][ix - ix0] < clearance_min:
-                    continue
-                p = spec.center((ix, iy))
-                r = rect_at(p, body.w, body.h)
-                if avoid_cells and not spec.cells_of_rect(r).isdisjoint(avoid_cells):
-                    continue
-                if any(rects_overlap(r, gr) for gr in goal_rects):
-                    continue
-                if collides(scene, object_id, p):
-                    continue
-                found.append((-clearance[iy - iy0][ix - ix0], iy, ix))
-        return found
+        clearance = grids.edt(occ, (ix0, ix1, iy0, iy1))
+        iy, ix = np.nonzero(free[iy0 : iy1 + 1, ix0 : ix1 + 1] & ~(clearance < clearance_min))
+        c = clearance[iy, ix]
+        ix += ix0
+        iy += iy0
+        # cell centres (GridSpec.center) and their footprints (rect_at)
+        x = spec.origin.x + (ix + 0.5) * spec.cell_w
+        y = spec.origin.y + (iy + 0.5) * spec.cell_h
+        x0, y0 = x - body.w / 2.0, y - body.h / 2.0
+        x1, y1 = x + body.w / 2.0, y + body.h / 2.0
+        keep = np.ones(len(c), dtype=bool)
+        if avoid_cells:
+            keep &= ~grids.rects_meet_cells(spec, avoid_cells, x0, y0, x1, y1)
+        # rects_overlap with any other goal rect: (cells x goals)
+        over = np.minimum(x1[:, None], gx1) - np.maximum(x0[:, None], gx0) > EPS
+        over &= np.minimum(y1[:, None], gy1) - np.maximum(y0[:, None], gy0) > EPS
+        keep &= ~over.any(axis=1)
+        # collides(scene, object_id, centre), the robot's row included
+        keep[keep] = ~footprints_collide_xy(scene, parts, x[keep], y[keep], frozenset({object_id}))
+        return c[keep], ix[keep], iy[keep]
 
-    cands = window_candidates(1.5)
-    if not cands:
-        cands = window_candidates(3.0)
-    cands.sort()
-    return [spec.center((ix, iy)) for _, iy, ix in cands[:k]]
+    c, ix, iy = window_candidates(1.5)
+    if not len(c):
+        c, ix, iy = window_candidates(3.0)
+    # widest clearance first; the stable sort keeps ties in (iy, ix) order
+    best = np.argsort(-c, kind="stable")[:k]
+    return [spec.center(cell) for cell in zip(ix[best].tolist(), iy[best].tolist())]
 
 
 def expand_crit(scene: Scene, crit, counts: dict[str, int]) -> str | None:

@@ -18,11 +18,11 @@ import numpy as np
 from . import grids
 from .grids import GridSpec
 from .world import (
-    EPS,
     Pose2,
     Scene,
     footprint_collides,
     footprint_collides_xy,
+    footprints_collide_xy,
     inflate,
     left_sum,
     segment_hits,
@@ -234,32 +234,15 @@ def _steps_collide(scene: Scene, parts, ignore, step: float, a, q, d) -> list[bo
     toward sample q, at distance d (math.dist(a, q)); a and q are
     _columns arrays.
 
-    Each ufunc is one Python operation of grow or of the kernel, in the
-    same order, so every endpoint, bound and overlap is the same double.
-    The kernel's four strict-order tests are implied by its EPS tests and
-    are left out.  A d below 1e-12, where grow adds nothing without a
-    test, is raised to 1e-12 to keep the division finite.
+    Each ufunc is one Python operation of grow, in the same order, so
+    every endpoint is the same double; world.footprints_collide_xy then
+    tests them.  A d below 1e-12, where grow adds nothing without a test,
+    is raised to 1e-12 to keep the division finite.
     """
     t = np.minimum(1.0, step / np.maximum(d, 1e-12))
     bx = a[0] + (q[0] - a[0]) * t
     by = a[1] + (q[1] - a[1]) * t
-    wx0, wy0, wx1, wy1 = scene._ws_loose
-    rx0, ry0, rx1, ry1 = (
-        np.array([r[1:] for r in scene.rows if r[0] not in ignore], dtype=float).reshape(-1, 4).T[:, :, None]
-    )
-    hit = np.zeros(len(d), dtype=bool)
-    for dx, dy, w, h in parts:
-        cx = bx + dx
-        cy = by + dy
-        x0 = cx - w / 2.0
-        y0 = cy - h / 2.0
-        x1 = cx + w / 2.0
-        y1 = cy + h / 2.0
-        hit |= ~((x0 >= wx0) & (y0 >= wy0) & (x1 <= wx1) & (y1 <= wy1))
-        over = np.minimum(rx1, x1) - np.maximum(rx0, x0) > EPS
-        over &= np.minimum(ry1, y1) - np.maximum(ry0, y0) > EPS
-        hit |= over.any(axis=0)
-    return hit.tolist()
+    return footprints_collide_xy(scene, parts, bx, by, ignore).tolist()
 
 
 def _nearest_since(pts, q, row: int, n0: int) -> tuple[int, float]:

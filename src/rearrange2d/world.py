@@ -8,21 +8,29 @@ Packed rows.  Each Body carries its bounds ``(xmin, ymin, xmax, ymax)``,
 computed once with ``rect_at``'s arithmetic; each Scene carries one row
 ``(id, xmin, ymin, xmax, ymax)`` per body, in body order, rebuilt whenever a
 successor scene is made.  Every collision test runs on these rows through
-two loops that allocate no Rect or Pose2:
+two loops that allocate no Rect or Pose2, and one batch entry:
 
 - box overlap (``footprint_collides_xy``; ``collides`` is its one-part case
-  that never ignores walls), and
+  that never ignores walls);
 - the swept test (``segment_hits_xy``): one Liang-Barsky clip of a part's
   center segment against the rows grown by the part's half extents
   (``inflate``), which skips a rect the segment's bounding box at most
-  touches before dividing; ``segment_hits_rect`` is its single-rect case.
+  touches before dividing; ``segment_hits_rect`` is its single-rect case;
+  and
+- the batch box overlap (``footprints_collide_xy``): one bool per point of
+  two coordinate arrays, equal element by element to
+  ``footprint_collides_xy`` at that point.  It repeats the loop's
+  arithmetic with one numpy ufunc per Python operation, so every bound and
+  overlap is the same double; the loop's four strict-order tests are
+  implied by its EPS tests and are left out.  ``motion.birrt``'s lookahead
+  and ``guided_search.gen_relocation_points`` ask it.
 
 The ``_xy`` entry points take plain coordinates, so a caller that keeps
 its points as floats (``motion.birrt``) builds no Pose2 to ask;
 ``footprint_collides`` and ``segment_hits`` are their Pose2 forms and
 delegate to them.
 
-Contract kept by both loops, so planner decisions are reproducible bit for
+Contract kept by every entry, so planner decisions are reproducible bit for
 bit: interiors overlap iff ``min(maxes) - max(mins) > EPS`` on both axes,
 so flush contact is free; containment in the workspace tolerates EPS; the
 clip treats a segment parallel to an axis (``abs(p) < 1e-12``) as outside
@@ -33,6 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 # Interiors closer than this are considered overlapping; flush contact
 # (shared edge) is not a collision.
@@ -292,6 +302,34 @@ def footprint_collides_xy(scene: Scene, parts, x: float, y: float, ignore=frozen
             ):
                 return True
     return False
+
+
+def footprints_collide_xy(scene: Scene, parts, xs, ys, ignore=frozenset()) -> np.ndarray:
+    """Per point (xs[i], ys[i]), footprint_collides_xy(scene, parts, xs[i],
+    ys[i], ignore), as a bool array; xs and ys are float arrays of one shape
+    (n,).
+
+    Each ufunc is one Python operation of the loop, in the same order, so
+    every bound and overlap is the same double.  The loop's four
+    strict-order tests are implied by its EPS tests and are left out.
+    """
+    wx0, wy0, wx1, wy1 = scene._ws_loose
+    rx0, ry0, rx1, ry1 = (
+        np.array([r[1:] for r in scene.rows if r[0] not in ignore], dtype=float).reshape(-1, 4).T[:, :, None]
+    )
+    hit = np.zeros(len(xs), dtype=bool)
+    for dx, dy, w, h in parts:
+        cx = xs + dx
+        cy = ys + dy
+        x0 = cx - w / 2.0
+        y0 = cy - h / 2.0
+        x1 = cx + w / 2.0
+        y1 = cy + h / 2.0
+        hit |= ~((x0 >= wx0) & (y0 >= wy0) & (x1 <= wx1) & (y1 <= wy1))
+        over = np.minimum(rx1, x1) - np.maximum(rx0, x0) > EPS
+        over &= np.minimum(ry1, y1) - np.maximum(ry0, y0) > EPS
+        hit |= over.any(axis=0)
+    return hit
 
 
 def inflate(scene: Scene, parts, ignore=frozenset()):

@@ -12,12 +12,17 @@ segments are common rather than measure-zero.  The point-level entries
 inputs, and on tables of flush, EPS-grazing, compound-footprint and
 wall-ignoring cases whose answers are pinned as well.  The clip's
 bounding-box skip is checked on tables of edge-contact, flat-threshold
-and zero-length segments, and shown to fire on the lattice inputs.
+and zero-length segments, and shown to fire on the lattice inputs.  The
+batch entry (``footprints_collide_xy``) must equal ``footprint_collides_xy``
+element by element: on the lattice scenes, with ignore sets that hold the
+robot or every body, at the workspace edges and across overlaps of exactly
+EPS.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rearrange2d.motion import compound_parts, sweep_clear
@@ -34,6 +39,7 @@ from rearrange2d.world import (
     collides,
     footprint_collides,
     footprint_collides_xy,
+    footprints_collide_xy,
     inflate,
     rect_at,
     rects_overlap,
@@ -455,3 +461,97 @@ def test_rows_track_bodies_through_successors():
         statics = scene.statics_only(keep=keep)
         assert statics.rows == rows_of(statics)
         assert scene.rows == rows_of(scene)
+
+
+# -- batch entry --------------------------------------------------------------
+
+
+def assert_batch_agrees(scene, parts, xs, ys, ignore):
+    """footprints_collide_xy on the points must be footprint_collides_xy at
+    each; returns the answers."""
+    got = footprints_collide_xy(scene, parts, np.array(xs, dtype=float), np.array(ys, dtype=float), ignore)
+    assert got.dtype == bool and got.shape == (len(xs),)
+    want = [footprint_collides_xy(scene, parts, x, y, ignore) for x, y in zip(xs, ys)]
+    assert got.tolist() == want, (parts, ignore)
+    return want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_entry_agrees_on_lattice_scenes(seed):
+    # single and compound footprints; random ignore sets, the robot alone,
+    # the robot plus random bodies, and every body (no rows left)
+    rng = random.Random(300 + seed)
+    outcomes = []
+    for _ in range(120):
+        scene = random_scene(rng)
+        parts = random_parts(rng)
+        ids = frozenset(b.id for b in scene.bodies)
+        poses = [lattice_pose(rng) for _ in range(rng.randint(0, 30))]
+        xs, ys = [p.x for p in poses], [p.y for p in poses]
+        for ignore in (random_ignore(rng, scene), ROBOT, ROBOT | random_ignore(rng, scene), ids):
+            outcomes += assert_batch_agrees(scene, parts, xs, ys, ignore)
+    assert 0.2 < sum(outcomes) / len(outcomes) < 0.95
+
+
+def test_batch_entry_on_the_point_cases():
+    for parts, x, y, ignore, expected in POINT_CASES:
+        assert assert_batch_agrees(EDGE_SCENE, parts, [x], [y], ignore) == [expected]
+
+
+def test_batch_entry_with_every_row_ignored():
+    # an empty row array: only the workspace bounds decide
+    ids = frozenset(b.id for b in EDGE_SCENE.bodies)
+    xs = [3.0, 0.25, 0.25 - OVER, 5.75 + OVER, 1.0]
+    ys = [3.0, 1.0, 1.0, 1.0, 5.75 + OVER]
+    assert assert_batch_agrees(EDGE_SCENE, SQUARE, xs, ys, ids) == [False, False, True, True, True]
+    assert assert_batch_agrees(EDGE_SCENE, PAIR, [], [], ids) == []
+
+
+def ulps_around(c, n=6):
+    """The 2n + 1 doubles nearest c, c in the middle."""
+    lo = hi = c
+    below, above = [], []
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        below.append(lo)
+        above.append(hi)
+    return below[::-1] + [c] + above
+
+
+def test_batch_entry_at_the_workspace_edges():
+    # centres whose part edge lands within a few ulps of each loosened
+    # workspace bound (ws -/+ EPS), for a single and a compound footprint
+    ids = frozenset(b.id for b in EDGE_SCENE.bodies)
+    for parts in (SQUARE, PAIR):
+        for dx, dy, w, h in parts:
+            for x in ulps_around(0.0 - EPS + w / 2.0 - dx) + ulps_around(6.0 + EPS - w / 2.0 - dx):
+                assert_batch_agrees(EDGE_SCENE, parts, [x] * 2, [1.0, 3.0], ROBOT)
+            for y in ulps_around(0.0 - EPS + h / 2.0 - dy) + ulps_around(6.0 + EPS - h / 2.0 - dy):
+                assert_batch_agrees(EDGE_SCENE, parts, [1.0, 5.0], [y] * 2, ids)
+    # both answers occur across the ulps of one edge
+    xs = ulps_around(0.25 - EPS, 40)
+    got = assert_batch_agrees(EDGE_SCENE, SQUARE, xs, [1.0] * len(xs), ROBOT)
+    assert True in got and False in got
+
+
+# a sliver body whose east edge is EPS exactly: a part with its west edge on
+# x = 0 overlaps it by EPS, which is free, and one ulp more is a hit
+SLIVER = Scene(
+    WS,
+    (
+        Body("robot", 0.5, 0.5, KIND_ROBOT, Pose2(5.5, 0.5)),
+        Body("s", 2 * EPS, 1.0, KIND_OBSTACLE, Pose2(0.0, 3.0)),
+        Body("t", 2 * math.nextafter(EPS, 1.0), 1.0, KIND_OBSTACLE, Pose2(0.0, 5.0)),
+    ),
+)
+
+
+def test_batch_entry_on_overlaps_of_exactly_eps():
+    assert SLIVER.body("s").bounds[2] == EPS
+    xs = [0.25, 0.25, 0.25, 0.5]
+    ys = [3.0, 5.0, 4.25, 5.0]
+    assert assert_batch_agrees(SLIVER, SQUARE, xs, ys, ROBOT) == [False, True, False, False]
+    # the compound footprint's robot part is the one on x = 0
+    xs = [0.75, 0.75]
+    ys = [3.0, 5.0]
+    assert assert_batch_agrees(SLIVER, compound_parts("W", 0.5, 0.5, 0.5), xs, ys, ROBOT) == [False, True]

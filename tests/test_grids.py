@@ -20,10 +20,11 @@ from rearrange2d.grids import (
     occupancy_mask,
     rasterize_gom,
     reachability,
+    rects_meet_cells,
     snap_to_free,
     swept_cells,
 )
-from rearrange2d.world import Pose2, Rect, footprint_collides
+from rearrange2d.world import KIND_ROBOT, Pose2, Rect, footprint_collides
 
 from conftest import obstacle, robot, scene, wall, wedged_scene
 
@@ -94,6 +95,26 @@ class TestOccupancyMask:
         ix, iy = spec.cell_of(Pose2(3.0, 8.0))
         assert not occ[iy, ix]
 
+    def test_matches_the_loop(self):
+        # bodies with edges on cell edges, within 1e-10 of one, and partly
+        # or wholly off the grid, on grids of 16 to 64 cells a side
+        rng = random.Random(77)
+        nudges = (0.0, 0.0, 3e-11, -3e-11, 1e-8, -1e-8)
+        for _ in range(150):
+            spec = GridSpec.from_scene(scene([robot(5.0, 5.0)]), rng.choice((16, 40, 64)))
+            cw = spec.cell_w
+
+            def coord():
+                return rng.randint(-4, spec.nx + 4) * cw + rng.choice(nudges)
+
+            bodies = [robot(coord(), coord())]
+            for i in range(rng.randint(0, 12)):
+                make = wall if i % 2 else obstacle
+                bodies.append(make(f"b{i}", coord(), coord(), rng.randint(1, 8) * cw + rng.choice(nudges), rng.randint(1, 8) * cw + rng.choice(nudges)))
+            sc = scene(bodies)
+            exclude = frozenset(b.id for b in sc.bodies if rng.random() < 0.3)
+            assert np.array_equal(occupancy_mask(sc, spec, exclude), ref_occupancy_mask(sc, spec, exclude))
+
 
 class TestRasterizeGom:
     def test_values(self, walled_scene):
@@ -119,6 +140,107 @@ class TestRasterizeGom:
         gom = rasterize_gom(empty_scene, [(-1, 0), (64, 64), (5, 5)], spec64)
         assert (gom == BETA_M).sum() == 1
         assert gom[5, 5] == BETA_M
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            [(10, 10), (10, 10), (11, 10), (10, 10)],           # duplicates
+            [(-1, 0), (0, -1), (64, 3), (3, 64), (-64, -64), (0, 0), (63, 63)],
+            [(31, 20), (32, 20), (33, 20), (31, 40), (5, 5)],  # on the divider
+            [],
+            (),
+        ],
+        ids=["duplicates", "off-grid", "occupied", "empty-list", "empty-tuple"],
+    )
+    def test_matches_the_loop(self, walled_scene, task):
+        spec = GridSpec.from_scene(walled_scene)
+        occ = occupancy_mask(walled_scene, spec)
+        if task and task[0] == (31, 20):
+            assert occ[20, 31:34].any()
+        for _ in range(2):  # the second call is served by the memo
+            gom = rasterize_gom(walled_scene, task, spec)
+            assert gom.dtype == np.float64
+            assert np.array_equal(gom, ref_rasterize_gom(walled_scene, task, spec))
+
+    def test_memo_safety(self, walled_scene):
+        spec = GridSpec.from_scene(walled_scene)
+        task = ((10, 10), (11, 10), (-1, 3))
+        want = ref_rasterize_gom(walled_scene, task, spec)
+        first = rasterize_gom(walled_scene, task, spec)
+        assert first.flags.writeable
+        first[:] = 7.0
+        again = rasterize_gom(walled_scene, task, spec)
+        assert again is not first
+        assert np.array_equal(again, want)
+        # equal content from a fresh list is served the same answer
+        assert np.array_equal(rasterize_gom(walled_scene, list(task), spec), want)
+        cached = [v for v in spec.memo.values() if isinstance(v, np.ndarray)]
+        assert cached
+        for v in cached:
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0, 0] = 1
+
+
+class TestRectsMeetCells:
+    def test_matches_cells_of_rect(self, spec64):
+        # rect edges on cell edges, within a few 1e-10 of one and past the
+        # grid, inverted rects among them; cell sets with cells on and off
+        # the grid
+        rng = random.Random(41)
+        cw = spec64.cell_w
+        nudges = (0.0, 0.0, 3e-11, -3e-11, 1e-9, -1e-9, 1e-8, -1e-8)
+
+        def edge():
+            return rng.randint(-3, 67) * cw + rng.choice(nudges)
+
+        hits = 0
+        for _ in range(60):
+            cells = frozenset(
+                (rng.randint(-2, 65), rng.randint(-2, 65)) for _ in range(rng.randint(0, 40))
+            )
+            rects = []
+            for _ in range(50):
+                x0, y0 = edge(), edge()
+                rects.append(Rect(x0, y0, x0 + rng.randint(-4, 6) * cw + rng.choice(nudges), y0 + rng.randint(-4, 6) * cw + rng.choice(nudges)))
+            got = rects_meet_cells(
+                spec64, cells, *(np.array([getattr(r, a) for r in rects]) for a in ("xmin", "ymin", "xmax", "ymax"))
+            )
+            want = [not spec64.cells_of_rect(r).isdisjoint(cells) for r in rects]
+            assert got.tolist() == want
+            hits += sum(want)
+        assert 20 < hits < 2900
+        # a rect inverted on both axes holds no cell, whatever lies between
+        # its edges
+        inverted = Rect(10 * cw, 10 * cw, 5 * cw, 5 * cw)
+        assert spec64.cells_of_rect(inverted) == set()
+        got = rects_meet_cells(spec64, frozenset({(7, 7)}), *(np.array([v]) for v in (10 * cw, 10 * cw, 5 * cw, 5 * cw)))
+        assert got.tolist() == [False]
+        for v in spec64.memo.values():
+            assert not v.flags.writeable
+
+
+def ref_occupancy_mask(scene, spec, exclude=frozenset()):
+    """The per-body loop occupancy_mask replaced."""
+    occ = np.zeros((spec.ny, spec.nx), dtype=bool)
+    for b in scene.bodies:
+        if b.kind == KIND_ROBOT or b.id in exclude:
+            continue
+        ix0, ix1, iy0, iy1 = spec.rect_cells(b.rect())
+        if ix0 <= ix1 and iy0 <= iy1:
+            occ[iy0 : iy1 + 1, ix0 : ix1 + 1] = True
+    return occ
+
+
+def ref_rasterize_gom(scene, task_cells, spec):
+    """The per-cell loop rasterize_gom replaced."""
+    occ = ref_occupancy_mask(scene, spec)
+    cells = np.where(occ, 0.0, ALPHA_M)
+    for c in task_cells:
+        ix, iy = c
+        if spec.in_bounds(c) and not occ[iy, ix]:
+            cells[iy, ix] = BETA_M
+    return cells
 
 
 class TestFitMask:

@@ -1,12 +1,26 @@
+"""The relocation search: tasks, blockers, critical sets, scores, parking
+candidates and the beam search itself.
+
+``gen_relocation_points`` builds a window's candidates as arrays.  The
+per-cell loop it replaced is kept below as the reference
+(``ref_gen_relocation_points``), and the two must return equal Pose2 lists:
+on every call planning makes on m_block_12/16 at seeds 0-4 and on the
+relocation suite, and on hand-built boundaries (footprints flush with a goal
+rect or overlapping one by exactly EPS, footprint edges within 1e-9 of an
+avoid cell, avoid cells off the grid, windows clipped by the grid edge,
+clearance ties, a budget beyond the candidates).
+"""
+import math
 import random
 
 import pytest
 
-from rearrange2d import grids
+from rearrange2d import grids, planner
 from rearrange2d import guided_search as gs
+from rearrange2d.bench import make_scene
 from rearrange2d.grids import GridSpec, rasterize_gom, reachability
 from rearrange2d.motion import SIDES, grasp_pose
-from rearrange2d.world import Pose2, collides, rect_at, rects_overlap
+from rearrange2d.world import EPS, Pose2, Rect, collides, rect_at, rects_overlap
 
 from conftest import goal_obj, obstacle, robot, scene, wall, wedged_scene
 
@@ -399,3 +413,188 @@ def test_reachable_sides_matches_per_side_grid_connected():
             verdicts.append(want)
     assert own_cell_blocked >= 40
     assert True in verdicts and False in verdicts
+
+
+# -- gen_relocation_points against the per-cell loop ---------------------------
+
+
+def ref_gen_relocation_points(scene, object_id, k, *, spec, clearance_min=2.0, avoid_cells=frozenset()):
+    """The per-cell loop gen_relocation_points replaced: one rect_at,
+    cells_of_rect, rects_overlap per goal and exact collides per window
+    cell, sorted by (-clearance, iy, ix)."""
+    body = scene.body(object_id)
+    occ = grids.occupancy_mask(scene, spec, exclude=frozenset({object_id}))
+    free = grids.fit_mask(scene, spec, body.w, body.h, frozenset({object_id}))
+    goal_rects = [
+        rect_at(scene.goal_of(oid), scene.body(oid).w, scene.body(oid).h)
+        for oid in sorted(scene.goals)
+        if oid != object_id
+    ]
+
+    def window_candidates(scale):
+        hx, hy = scale * body.w, scale * body.h
+        win = Rect(body.pose.x - hx, body.pose.y - hy, body.pose.x + hx, body.pose.y + hy)
+        ix0, ix1, iy0, iy1 = spec.rect_cells(win)
+        clearance = grids.edt(occ, (ix0, ix1, iy0, iy1)).tolist()
+        found = []
+        for iy in range(iy0, iy1 + 1):
+            for ix in range(ix0, ix1 + 1):
+                if not free[iy, ix] or clearance[iy - iy0][ix - ix0] < clearance_min:
+                    continue
+                p = spec.center((ix, iy))
+                r = rect_at(p, body.w, body.h)
+                if avoid_cells and not spec.cells_of_rect(r).isdisjoint(avoid_cells):
+                    continue
+                if any(rects_overlap(r, gr) for gr in goal_rects):
+                    continue
+                if collides(scene, object_id, p):
+                    continue
+                found.append((-clearance[iy - iy0][ix - ix0], iy, ix))
+        return found
+
+    cands = window_candidates(1.5)
+    if not cands:
+        cands = window_candidates(3.0)
+    cands.sort()
+    return [spec.center((ix, iy)) for _, iy, ix in cands[:k]]
+
+
+@pytest.mark.parametrize("name", ["m_block_12", "m_block_16", "doorway", "nested_blockers", "swap_pocket"])
+def test_candidates_match_the_loop_in_planning(monkeypatch, name):
+    # every call the planner makes, spied from inside the search, at the
+    # seeds the scale (0-4) and relocation (0-9) workloads plan; the
+    # verdicts are collected, not asserted, so nothing in the planner can
+    # swallow a mismatch
+    seeds = range(5) if name.startswith("m_block") else range(10)
+    inner = gs.gen_relocation_points
+    calls = []
+
+    def spy(sc, oid, k, **kw):
+        got = inner(sc, oid, k, **kw)
+        calls.append((got == ref_gen_relocation_points(sc, oid, k, **kw), len(got)))
+        return got
+
+    monkeypatch.setattr(gs, "gen_relocation_points", spy)
+    for s in seeds:
+        planner.plan_rearrangement(make_scene(name, s), planner.PlannerConfig(seed=s))
+    assert calls
+    assert all(same for same, _ in calls)
+    assert any(n for _, n in calls)
+
+
+CW = 10.0 / 64  # the cell side on the 10 x 10 workspace's 64-cell grid
+UNDER, OVER = 2.0**-34, 2.0**-28  # 3.7e-10 and 2.4e-8 cells: either side of 1e-9
+
+
+def c(i):
+    """GridSpec.center's coordinate of cell i."""
+    return (i + 0.5) * CW
+
+
+def assert_matches(sc, oid, k, **kw):
+    """gen_relocation_points must equal the reference; returns its poses."""
+    spec = GridSpec.from_scene(sc)
+    got = gs.gen_relocation_points(sc, oid, k, spec=spec, **kw)
+    assert got == ref_gen_relocation_points(sc, oid, k, spec=spec, **kw)
+    assert all(type(p.x) is float and type(p.y) is float for p in got)
+    return got
+
+
+def test_candidate_flush_with_a_goal_rect():
+    # g's goal rect starts on x = 34 cells, where the footprint of a
+    # candidate at cell 32 ends; the candidate one cell east overlaps it
+    o = obstacle("o", c(32), c(32), 3 * CW, 3 * CW)
+    sc = scene([robot(9.0, 1.0), o, goal_obj("g", 1.0, 9.0, 3 * CW, 3 * CW)], {"g": Pose2(c(35), c(32))})
+    got = assert_matches(sc, "o", 1000)
+    assert Pose2(c(32), c(32)) in got
+    assert Pose2(c(33), c(32)) not in got
+    assert Pose2(c(31), c(32)) in got
+
+
+@pytest.mark.parametrize("half", [EPS, math.nextafter(EPS, 1.0)])
+def test_candidate_overlapping_a_goal_rect_by_eps(half):
+    # g's goal rect is a sliver on x = 0 reaching x = half; the candidate
+    # at cell 0 starts on x = 0, so it overlaps the sliver by half: exactly
+    # EPS is free, one ulp more is not
+    sc = scene(
+        [robot(9.0, 1.0), obstacle("o", c(1), c(32), CW, CW), goal_obj("g", 5.0, 9.0, 2 * half, CW)],
+        {"g": Pose2(0.0, c(32))},
+    )
+    assert rect_at(Pose2(0.0, c(32)), 2 * half, CW).xmax == half
+    got = assert_matches(sc, "o", 1000)
+    assert (Pose2(c(0), c(32)) in got) == (half == EPS)
+    assert Pose2(c(0), c(31)) in got
+
+
+@pytest.mark.parametrize("extra", [UNDER, OVER], ids=["under", "over"])
+@pytest.mark.parametrize("line", ["x34", "x30", "y34", "y30"])
+def test_footprint_edge_within_1e9_of_an_avoid_cell(extra, line):
+    # the footprint at cell (32, 32) reaches extra past cells 31-33 on both
+    # axes; rect_cells counts cell 30 or 34 only past 1e-9 cells
+    w = 3 * CW + 2 * extra
+    sc = scene([robot(9.0, 1.0), obstacle("o", c(32), c(32), w, w)])
+    i = int(line[1:])
+    avoid = frozenset((i, j) if line[0] == "x" else (j, i) for j in range(64))
+    got = assert_matches(sc, "o", 1000, avoid_cells=avoid)
+    assert (Pose2(c(32), c(32)) in got) == (extra == UNDER)
+
+
+def test_avoid_cells_off_the_grid():
+    sc = _gap_scene()
+    off = frozenset({(-1, 32), (64, 32), (32, -1), (32, 64), (-5, -5), (100, 3)})
+    base = assert_matches(sc, "b1", 50)
+    assert base
+    assert assert_matches(sc, "b1", 50, avoid_cells=off) == base
+    # mixed with cells on the grid, which still count
+    on = frozenset(grids.GridSpec.from_scene(sc).cells_of_rect(rect_at(base[0], 0.6, 0.6)))
+    mixed = assert_matches(sc, "b1", 50, avoid_cells=off | on)
+    assert base[0] not in mixed
+
+
+@pytest.mark.parametrize("corner", [(0.3, 0.3), (9.7, 0.3), (0.3, 9.7), (9.7, 9.7)])
+def test_window_clipped_by_the_grid_edge(corner):
+    sc = scene([robot(5.0, 5.0), obstacle("o", *corner), wall("w", 5.0, 8.0, 2.0, 0.5)])
+    got = assert_matches(sc, "o", 1000, clearance_min=1.0)
+    assert got
+
+
+def test_no_other_goals():
+    # no goals at all, and only the object's own goal
+    bodies = [robot(1.0, 1.0), goal_obj("o", 5.0, 5.0), wall("w", 5.0, 6.5, 3.0, 0.5)]
+    bare = assert_matches(scene(bodies), "o", 1000)
+    assert bare
+    assert assert_matches(scene(bodies, {"o": Pose2(5.0, 5.0)}), "o", 1000) == bare
+
+
+def test_robot_row_still_counts():
+    # the robot is in no raster, so only the exact test keeps a candidate
+    # off it
+    far = assert_matches(scene([robot(9.0, 1.0), obstacle("o", c(32), c(32))]), "o", 1000)
+    near = assert_matches(scene([robot(c(34), c(32)), obstacle("o", c(32), c(32))]), "o", 1000)
+    assert Pose2(c(34), c(32)) in far
+    assert Pose2(c(34), c(32)) not in near
+
+
+def test_clearance_ties_go_by_row_then_column():
+    # with nothing occupied the clearance is the distance to the frame, so
+    # many window cells tie
+    sc = scene([robot(9.0, 1.0), obstacle("o", c(20), c(24), 0.6, 0.6)])
+    spec = GridSpec.from_scene(sc)
+    got = assert_matches(sc, "o", 1000)
+    clearance = grids.edt(grids.occupancy_mask(sc, spec, exclude=frozenset({"o"})))
+    keys = []
+    for p in got:
+        ix, iy = spec.cell_of(p)
+        keys.append((-clearance[iy, ix], iy, ix))
+    assert keys == sorted(keys)
+    assert len({k for k, _, _ in keys}) < len(keys) - 10
+    # a budget that cuts a tie group keeps its first cells
+    for k in (1, 3, 7, 20):
+        assert assert_matches(sc, "o", k) == got[:k]
+
+
+def test_k_beyond_the_candidates():
+    sc = _gap_scene()
+    every = assert_matches(sc, "b1", 10**6)
+    assert 0 < len(every) < 10**6
+    assert assert_matches(sc, "b1", len(every) + 1) == every
