@@ -16,7 +16,7 @@ import numpy as np
 
 from . import motion
 from .grids import GridSpec
-from .world import EPS, Pose2, Rect, Scene, left_sum, rect_at, segment_hits_rect
+from .world import EPS, Pose2, Rect, Scene, rect_at, segment_hits_rect
 from .motion import ObjectPath, _mix_seed
 
 WEAK = "weak"
@@ -52,14 +52,16 @@ def path_crosses_rect(mu: ObjectPath, footprint_rect: Rect, w: float, h: float) 
         footprint_rect.xmax + w / 2.0,
         footprint_rect.ymax + h / 2.0,
     )
-    pts = mu.waypoints
+    return _enters(mu.waypoints, inflated)
+
+
+def _enters(pts, r: Rect) -> bool:
+    """Does the polyline through pts pass through r's interior?  A single
+    waypoint must lie more than EPS inside r."""
     if len(pts) == 1:
         p = pts[0]
-        return (
-            inflated.xmin + EPS < p.x < inflated.xmax - EPS
-            and inflated.ymin + EPS < p.y < inflated.ymax - EPS
-        )
-    return any(segment_hits_rect(a, b, inflated) for a, b in zip(pts, pts[1:]))
+        return r.xmin + EPS < p.x < r.xmax - EPS and r.ymin + EPS < p.y < r.ymax - EPS
+    return any(segment_hits_rect(a, b, r) for a, b in zip(pts, pts[1:]))
 
 
 def build_dependency_graph(
@@ -93,18 +95,36 @@ def build_dependency_graph(
             raise SequenceInfeasible(f"{oid} has no route to its goal past the walls")
         paths[oid] = mu
 
+    # each object's current and goal bounds, with rect_at's arithmetic
+    bounds = {}
+    for oid in unplaced:
+        b = scene.body(oid)
+        g = rect_at(scene.goal_of(oid), b.w, b.h)
+        bounds[oid] = (b.bounds, (g.xmin, g.ymin, g.xmax, g.ymax))
+
+    # path_crosses_rect's inflated rects, by the moving object's size: every
+    # object's current and goal bounds grown by half that size
+    inflated: dict[tuple[float, float], dict[str, tuple[Rect, Rect]]] = {}
     edges: set[Edge] = set()
     for oi in unplaced:
         bi = scene.body(oi)
-        mu = paths[oi]
-        for oj in unplaced:
+        size = (bi.w, bi.h)
+        if size not in inflated:
+            hw, hh = bi.w / 2.0, bi.h / 2.0
+            inflated[size] = {
+                oj: (
+                    Rect(x0 - hw, y0 - hh, x1 + hw, y1 + hh),
+                    Rect(gx0 - hw, gy0 - hh, gx1 + hw, gy1 + hh),
+                )
+                for oj, ((x0, y0, x1, y1), (gx0, gy0, gx1, gy1)) in bounds.items()
+            }
+        pts = paths[oi].waypoints
+        for oj, (current, goal) in inflated[size].items():
             if oj == oi:
                 continue
-            bj = scene.body(oj)
-            if path_crosses_rect(mu, bj.rect(), bi.w, bi.h):
+            if _enters(pts, current):
                 edges.add(Edge(oj, oi, WEAK))
-            goal_rect = rect_at(scene.goal_of(oj), bj.w, bj.h)
-            if path_crosses_rect(mu, goal_rect, bi.w, bi.h):
+            if _enters(pts, goal):
                 edges.add(Edge(oi, oj, STRONG))
     return DependencyGraph(unplaced, tuple(sorted(edges)))
 
@@ -348,6 +368,11 @@ class PlacementSequence:
     cost: float
 
 
+# sequences of at most this many objects are searched exactly; longer ones
+# get greedy insertion and relocate moves
+EXACT_LIMIT = 12
+
+
 def _respects(order, pred: dict[int, set[int]]) -> bool:
     seen: set[int] = set()
     for v in order:
@@ -357,45 +382,85 @@ def _respects(order, pred: dict[int, set[int]]) -> bool:
     return True
 
 
-def solve_patsp(
-    costs: CostMatrix,
-    precedence=(),
-    *,
-    exact_limit: int = 12,
-    warm=None,
-) -> PlacementSequence:
+def solve_patsp(costs: CostMatrix, precedence=(), *, warm=None) -> PlacementSequence:
     """Minimum-cost visit order starting from the robot, no return leg,
-    honoring before/after pairs.  Exact branch and bound up to exact_limit
-    objects, greedy insertion with local improvement beyond."""
+    honoring before/after pairs.  Exact branch and bound up to EXACT_LIMIT
+    objects, greedy insertion with relocate moves beyond.  Raises
+    ValueError for cyclic precedence and for a NaN cost (see below).
+
+    Objects are indices; a set of them is an int bitmask, need[j] holds j's
+    predecessors, and j is ready once need[j] & left == 0, left being the
+    mask of objects not yet in the order.  The search is defined by keys,
+    not by how they are computed:
+    - Candidates from a previous object (or the robot) come in (cost, index)
+      order.  order[cur] sorts every other object once, by cost alone in a
+      stable sort of ascending indices, which is that order.  Filtering it
+      by readiness gives the same sequence as sorting the ready subset, as
+      long as costs are totally ordered.  NaN would break that, so a NaN in
+      start or off the diagonal of between raises ValueError; inf is legal,
+      and the diagonal is never read.  The greedy start takes the first
+      ready object of order[cur], the key's minimum over the ready set;
+      when none is ready the precedence is cyclic.
+    - The exact search prunes a frame when cost + rest[left] >= best - 1e-12.
+      rest[left] is the left fold (world.left_sum) of min_in over left's
+      members in index order: rest[u] = rest[u minus its top member] +
+      min_in[top] adds the same terms in the same order from the same int 0,
+      so each bound is the same double as a fold taken in the frame.
+    - Local search tries the relocate move (i, k), which takes seq[i] out
+      and puts it at position k, in (i, k) order and takes the first whose
+      folded cost c satisfies c < cost - 1e-9.  seq always honours
+      precedence, so a k outside the positions strictly between seq[i]'s
+      last predecessor and its first successor makes it jump one of them,
+      and _respects would reject the move; those k are not visited.  A move
+      whose delta (the three legs it adds minus the three it drops, each
+      leg an entry of start or between, or 0 at the open end) exceeds
+      -1e-9 + slack cannot pass either: with M the largest |entry| the
+      folds read and u = 2^-53, each fold of n terms is off its exact sum
+      by at most about n^2 M u, the delta by 16 M u and cost - 1e-9 by
+      u (n M + 1e-9), so slack = 2^-50 ((n + 4)^2 M + 1e-9) covers all of
+      it with room for the rounding of slack and of the threshold.  An
+      infinite entry makes slack infinite, and then nothing is screened.
+      Every other move still goes through _respects, the fold and the
+      c < cost - 1e-9 test.
+    """
     ids = costs.ids
     n = len(ids)
     if n == 0:
         return PlacementSequence((), 0.0)
+    for j in np.flatnonzero(np.isnan(costs.start)):
+        raise ValueError(f"cost start[{j}] ({ids[j]}) is NaN")
+    for i, j in np.argwhere(np.isnan(costs.between)):
+        if i != j:
+            raise ValueError(f"cost between[{i}, {j}] ({ids[i]} -> {ids[j]}) is NaN")
     idx = {o: k for k, o in enumerate(ids)}
     pred: dict[int, set[int]] = {k: set() for k in range(n)}
+    need = [0] * n
     for a, b in precedence:
         if a in idx and b in idx:
             pred[idx[b]].add(idx[a])
-    if topo_order(ids, tuple(Edge(ids[a], ids[b], WEAK) for b in pred for a in pred[b])) is None:
-        raise ValueError("precedence constraints are cyclic")
+            need[idx[b]] |= 1 << idx[a]
 
-    # plain floats: the search below reads single entries in every frame
+    # plain floats: the search below reads single entries in every frame;
+    # rows[cur] holds the legs out of cur, rows[n] those out of the robot
     start = costs.start.tolist()
     between = costs.between.tolist()
+    rows = between + [start]
+    order = [
+        sorted([j for j in range(n) if j != cur], key=row.__getitem__)
+        for cur, row in enumerate(rows)
+    ]
+    everything = (1 << n) - 1
 
     def greedy() -> list[int]:
-        left = set(range(n))
+        left = everything
         seq: list[int] = []
-        cur = -1
+        cur = n
         while left:
-            ready = sorted(j for j in left if pred[j] <= set(seq))
-            if cur < 0:
-                j = min(ready, key=lambda j: (start[j], j))
-            else:
-                j = min(ready, key=lambda j: (between[cur][j], j))
-            seq.append(j)
-            left.discard(j)
-            cur = j
+            cur = next((j for j in order[cur] if left >> j & 1 and not need[j] & left), None)
+            if cur is None:
+                raise ValueError("precedence constraints are cyclic")
+            seq.append(cur)
+            left ^= 1 << cur
         return seq
 
     def seq_cost(seq) -> float:
@@ -413,46 +478,70 @@ def solve_patsp(
     if best is None or seq_cost(g) < best[0]:
         best = (seq_cost(g), g)
 
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         # admissible bound: every unvisited object still needs one incoming leg
         min_in = []
         for j in range(n):
             cands = [start[j]] + [between[i][j] for i in range(n) if i != j]
             finite = [c for c in cands if math.isfinite(c)]
             min_in.append(min(finite) if finite else 0.0)
+        rest = [0]
+        for u in range(1, 1 << n):
+            top = u.bit_length() - 1
+            rest.append(rest[u ^ 1 << top] + min_in[top])
 
         best_cost, best_seq = best
+        seq: list[int] = []
 
-        def dfs(seq: list[int], used: set[int], cost: float):
+        def dfs(cur: int, left: int, cost: float):
             nonlocal best_cost, best_seq
-            if len(seq) == n:
+            if not left:
                 if cost < best_cost - 1e-12:
                     best_cost, best_seq = cost, list(seq)
                 return
-            bound = cost + left_sum(min_in[j] for j in range(n) if j not in used)
-            if bound >= best_cost - 1e-12:
+            if cost + rest[left] >= best_cost - 1e-12:
                 return
-            cur = seq[-1] if seq else -1
-            ready = [j for j in range(n) if j not in used and pred[j] <= used]
-            step = start.__getitem__ if cur < 0 else between[cur].__getitem__
-            for j in sorted(ready, key=lambda j: (step(j), j)):
-                seq.append(j)
-                used.add(j)
-                dfs(seq, used, cost + step(j))
-                used.discard(j)
-                seq.pop()
+            row = rows[cur]
+            for j in order[cur]:
+                if left >> j & 1 and not need[j] & left:
+                    seq.append(j)
+                    dfs(j, left ^ 1 << j, cost + row[j])
+                    seq.pop()
 
-        dfs([], set(), 0.0)
+        dfs(n, everything, 0.0)
         best = (best_cost, best_seq)
     else:
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for b in range(n):
+            for a in pred[b]:
+                succ[a].append(b)
+        # legs as an (n + 1)-square: row n leaves the robot, column n is the
+        # open end (cost 0); diagonal entries are never read
+        legs = [row + [0.0] for row in rows]
+        off_diagonal = costs.between[~np.eye(n, dtype=bool)]
+        largest = float(np.abs(np.concatenate((costs.start, off_diagonal))).max())
+        slack = 2.0**-50 * ((n + 4) ** 2 * largest + 1e-9)
         cost, seq = best
         improved = True
         while improved:
             improved = False
-            # relocate moves keep precedence easy to re-check
+            q = [n, *seq, n]   # the order with the robot before it and the end after
+            drop = [legs[a][b] for a, b in zip(q, q[1:])]
+            pos = [0] * n
+            for t, v in enumerate(seq):
+                pos[v] = t
             for i in range(n):
-                for k in range(n):
+                x = seq[i]
+                lo = max((pos[a] for a in pred[x]), default=-1)
+                hi = min((pos[b] for b in succ[x]), default=n)
+                out_x = legs[x]
+                gain = legs[q[i]][x] + out_x[q[i + 2]] - legs[q[i]][q[i + 2]]
+                for k in range(lo + 1, hi):
                     if k == i:
+                        continue
+                    # x lands between q[e] and q[e + 1]
+                    e = k if k < i else k + 1
+                    if legs[q[e]][x] + out_x[q[e + 1]] - drop[e] - gain > slack - 1e-9:
                         continue
                     cand = seq[:i] + seq[i + 1 :]
                     cand = cand[:k] + [seq[i]] + cand[k:]

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rearrange2d import sequencer
 from rearrange2d.grids import GridSpec
 from rearrange2d.motion import ObjectPath
 from rearrange2d.sequencer import (
@@ -323,30 +324,55 @@ class TestSolvePatsp:
         with pytest.raises(ValueError):
             solve_patsp(costs, (("o0", "o1"), ("o1", "o0")))
 
-    def test_heuristic_beyond_exact_limit(self):
+    def test_heuristic_beyond_exact_limit(self, monkeypatch):
         rng = random.Random(43)
         costs = _random_costs(rng, 6)
         prec = _random_dag_pairs(rng, costs.ids, p=0.2)
         exact = solve_patsp(costs, prec)
-        heur = solve_patsp(costs, prec, exact_limit=2)
+        monkeypatch.setattr(sequencer, "EXACT_LIMIT", 2)
+        heur = solve_patsp(costs, prec)
         assert heur.cost >= exact.cost - 1e-9
         pos = {o: k for k, o in enumerate(heur.order)}
         assert all(pos[a] < pos[b] for a, b in prec)
         assert sorted(heur.order) == sorted(costs.ids)
 
-    def test_warm_start_never_hurts(self):
+    def test_warm_start_never_hurts(self, monkeypatch):
+        monkeypatch.setattr(sequencer, "EXACT_LIMIT", 4)
         rng = random.Random(47)
         costs = _random_costs(rng, 9)
         warm = tuple(costs.ids)
-        seq = solve_patsp(costs, (), exact_limit=4, warm=warm)
+        seq = solve_patsp(costs, (), warm=warm)
         assert seq.cost <= costs.order_cost(warm) + 1e-9
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(sequencer, "EXACT_LIMIT", 4)
         rng = random.Random(53)
         costs = _random_costs(rng, 10)
-        a = solve_patsp(costs, exact_limit=4)
-        b = solve_patsp(costs, exact_limit=4)
+        a = solve_patsp(costs)
+        b = solve_patsp(costs)
         assert a == b
+
+    @pytest.mark.parametrize("where", ["start", "between"])
+    def test_nan_cost_rejected(self, where):
+        costs = _random_costs(random.Random(59), 4)
+        if where == "start":
+            costs.start[2] = math.nan
+            named = r"start\[2\] \(o2\)"
+        else:
+            costs.between[1, 3] = math.nan
+            named = r"between\[1, 3\] \(o1 -> o3\)"
+        with pytest.raises(ValueError, match=named):
+            solve_patsp(costs)
+
+    def test_nan_on_diagonal_and_inf_allowed(self):
+        # the diagonal is never read; inf is a legal cost (an unusable leg)
+        costs = _random_costs(random.Random(61), 4)
+        costs.between[2, 2] = math.nan
+        costs.start[0] = math.inf
+        costs.between[1, 3] = math.inf
+        seq = solve_patsp(costs)
+        assert sorted(seq.order) == sorted(costs.ids)
+        assert seq.order[0] != "o0" and math.isfinite(seq.cost)
 
 
 class TestLazyRefine:
