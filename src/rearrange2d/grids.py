@@ -90,9 +90,6 @@ class GridSpec:
             self.origin.y + (iy + 0.5) * self.cell_h,
         )
 
-    def in_bounds(self, cell: tuple[int, int]) -> bool:
-        return 0 <= cell[0] < self.nx and 0 <= cell[1] < self.ny
-
     def rect_cells(self, r: Rect) -> tuple[int, int, int, int]:
         """Inclusive (ix0, ix1, iy0, iy1) of cells whose interior overlaps r.
 

@@ -36,6 +36,15 @@ from .motion import (
 # without a better scene before the critical set grows by one blocker
 ITERATION_LIMIT = 40
 STALL_LIMIT = 2
+# the exploration bonus C0 / sqrt(1 + visits) in score_node, candidates
+# per critical object at full weight, and open nodes kept per iteration
+C0 = 25.0
+K_MAX = 4
+BEAM_WIDTH = 5
+# free cells a relocation candidate keeps from anything occupied
+CLEARANCE_MIN = 2.0
+# select_critical audits every subset up to this size, then prefixes only
+CARDINALITY_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -142,21 +151,20 @@ def select_critical(
     skip_count: int = 0,
     *,
     spec: GridSpec,
-    cardinality_cap: int = 4,
 ) -> tuple[str, ...] | None:
     """Smallest collider subsets whose removal unblocks the task, in
     (cardinality, first-contact order) sequence; skip_count earlier
-    feasible subsets are passed over.  Beyond the cardinality cap only
+    feasible subsets are passed over.  Beyond CARDINALITY_CAP only
     growing prefixes of the collider list are considered."""
     colliders = list(colliders)
     seen = 0
-    for size in range(1, min(cardinality_cap, len(colliders)) + 1):
+    for size in range(1, min(CARDINALITY_CAP, len(colliders)) + 1):
         for combo in itertools.combinations(colliders, size):
             if task_feasible(scene, task, frozenset(combo), spec):
                 if seen == skip_count:
                     return combo
                 seen += 1
-    for size in range(cardinality_cap + 1, len(colliders) + 1):
+    for size in range(CARDINALITY_CAP + 1, len(colliders) + 1):
         prefix = tuple(colliders[:size])
         if task_feasible(scene, task, frozenset(prefix), spec):
             if seen == skip_count:
@@ -196,7 +204,6 @@ def gen_relocation_points(
     k: int,
     *,
     spec: GridSpec,
-    clearance_min: float = 2.0,
     avoid_cells=frozenset(),
 ) -> list[Pose2]:
     """Up to k collision-free parking poses near the object, widest
@@ -204,7 +211,7 @@ def gen_relocation_points(
 
     Candidates come from a window reaching 1.5 object sides out from the
     object's center (retried once at 3 sides),
-    must keep clearance_min cells from anything occupied, stay off the
+    must keep CLEARANCE_MIN cells from anything occupied, stay off the
     avoid cells and off every other goal footprint, and survive an exact
     collision check.
     """
@@ -228,7 +235,7 @@ def gen_relocation_points(
         ix0, ix1, iy0, iy1 = spec.rect_cells(win)
         # the clearance of the window's cells alone
         clearance = grids.edt(occ, (ix0, ix1, iy0, iy1))
-        iy, ix = np.nonzero(free[iy0 : iy1 + 1, ix0 : ix1 + 1] & ~(clearance < clearance_min))
+        iy, ix = np.nonzero(free[iy0 : iy1 + 1, ix0 : ix1 + 1] & ~(clearance < CLEARANCE_MIN))
         c = clearance[iy, ix]
         ix += ix0
         iy += iy0
@@ -352,11 +359,6 @@ def search_relocations(
     *,
     seed: int = 0,
     spec: GridSpec,
-    c0: float = 25.0,
-    k_max: int = 4,
-    beam_width: int = 5,
-    clearance_min: float = 2.0,
-    cardinality_cap: int = 4,
     rrt_max_iters: int = 5000,
     deadline: float | None = None,
 ) -> RelocationSearchResult:
@@ -364,6 +366,11 @@ def search_relocations(
 
     skip_count selects which minimal critical subset seeds the search, so
     successive calls after outer-loop failures try different blockers.
+    Each iteration expands the open node with the best score_node (bonus
+    C0), tries up to K_MAX candidates per critical object scaled by its
+    weight, and keeps the BEAM_WIDTH best-scored nodes open; the search
+    gives up after ITERATION_LIMIT iterations, and STALL_LIMIT iterations
+    without a better scene add one blocker to the critical set.
     Once time.monotonic() passes deadline, no further iteration starts and
     the search fails with reason "timeout".  A first iteration that reaches
     no critical object ends the search with reason "no critical object
@@ -375,7 +382,7 @@ def search_relocations(
         if task_feasible(scene, task, frozenset(), spec):
             return RelocationSearchResult(True, scene, (), 0, 0, trace)
         return RelocationSearchResult(False, scene, (), 0, 0, trace, reason="blocked by statics")
-    crit = select_critical(scene, task, colliders, skip_count, spec=spec, cardinality_cap=cardinality_cap)
+    crit = select_critical(scene, task, colliders, skip_count, spec=spec)
     if crit is None:
         return RelocationSearchResult(False, scene, (), 0, 0, trace, reason="no critical subset unblocks the task")
     crit = list(crit)
@@ -402,7 +409,7 @@ def search_relocations(
             break
         nid = max(
             open_ids,
-            key=lambda i: (score_node(nodes[i].s_scene, nodes[i].visits, c0), -i),
+            key=lambda i: (score_node(nodes[i].s_scene, nodes[i].visits, C0), -i),
         )
         node = nodes[nid]
         node.visits += 1
@@ -413,11 +420,8 @@ def search_relocations(
             if not node.scene.has_body(oid) or not reachable_sides(node.scene, oid, spec):
                 continue
             reached = True
-            budget = max(1, math.ceil(weights.get(oid, 1.0) * k_max))
-            points = gen_relocation_points(
-                node.scene, oid, budget, spec=spec,
-                clearance_min=clearance_min, avoid_cells=task_cells,
-            )
+            budget = max(1, math.ceil(weights.get(oid, 1.0) * K_MAX))
+            points = gen_relocation_points(node.scene, oid, budget, spec=spec, avoid_cells=task_cells)
             trace["candidates"] += len(points)
             if not points:
                 weights = decay_weight(weights, oid)
@@ -465,7 +469,7 @@ def search_relocations(
             break
 
         open_ids.sort(key=lambda i: (-nodes[i].s_scene, i))
-        del open_ids[beam_width:]
+        del open_ids[BEAM_WIDTH:]
 
         if improved:
             stall = 0

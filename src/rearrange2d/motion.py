@@ -45,6 +45,8 @@ LOOKAHEAD_WARMUP = 256
 LOOKAHEAD_BLOCK = 64
 LOOKAHEAD_BLOCK_MAX = 1024
 LOOKAHEAD_CELLS = 1 << 18
+# select_subgoals' step: KAPPA times the static clearance
+KAPPA = 2.0
 
 
 def robot_parts(scene: Scene):
@@ -602,6 +604,12 @@ def _leg_side_ok(scene: Scene, side: str, ow: float, oh: float, rs: float, poly,
     return sweep_clear(scene, compound_parts(side, ow, oh, rs), poly, ignore)
 
 
+def _side_order(*preferred) -> list[str]:
+    """The preferred sides that are not None, then the rest of SIDES,
+    each side once."""
+    return list(dict.fromkeys([*(s for s in preferred if s is not None), *SIDES]))
+
+
 def assign_leg_side(
     scene: Scene,
     poly,
@@ -620,13 +628,7 @@ def assign_leg_side(
         push = "W" if dx >= 0 else "E"
     else:
         push = "S" if dy >= 0 else "N"
-    order = []
-    if prev_side is not None:
-        order.append(prev_side)
-    for s in (push,) + tuple(s for s in SIDES if s != push):
-        if s not in order:
-            order.append(s)
-    for side in order:
+    for side in _side_order(prev_side, push):
         if _leg_side_ok(scene, side, ow, oh, rs, poly, ignore):
             return side
     return None
@@ -636,14 +638,12 @@ def select_subgoals(
     mu: ObjectPath,
     scene: Scene,
     *,
-    kappa: float = 2.0,
-    delta_min: float | None = None,
     spec: GridSpec,
 ) -> list[Subgoal]:
     """Sample subgoals along mu, densely where static clearance is low.
 
-    Each step is kappa times the static clearance, clamped to
-    [delta_min, 4 x the robot side]; delta_min defaults to half the side.
+    Each step is KAPPA times the static clearance, clamped to
+    [half the robot side, 4 x the robot side].
     The first subgoal is the initial grasp at mu's start; the last is mu's
     endpoint.  Each subgoal carries the leg's grasp side and the mu
     geometry (via points) between it and its predecessor.
@@ -652,8 +652,7 @@ def select_subgoals(
         raise ValueError("empty object path")
     robot = scene.robot
     rs = robot.w
-    if delta_min is None:
-        delta_min = 0.5 * rs
+    delta_min = 0.5 * rs
     delta_max = 4.0 * rs
     body = scene.body(mu.object_id)
     statics = scene.statics_only()
@@ -670,7 +669,7 @@ def select_subgoals(
     while cur < total - 1e-9:
         p = _arc_interp(pts, arcs, cur)
         cx, cy = spec.cell_of(p)
-        step = max(delta_min, min(kappa * float(clearance[cy, cx]), delta_max))
+        step = max(delta_min, min(KAPPA * float(clearance[cy, cx]), delta_max))
         cur = min(cur + step, total)
         stops.append(cur)
 
@@ -771,16 +770,10 @@ def plan_pick_place(
         prev, cur = subgoals[k - 1], subgoals[k]
         poly_obj = (prev.object_pose, *cur.via, cur.object_pose)
         # side preference: the planned side, then the side already grasped
-        sides = [cur.grasp_side]
-        if pairs and pairs[-1].subgoal.grasp_side not in sides:
-            sides.append(pairs[-1].subgoal.grasp_side)
-        for s in SIDES:
-            if s not in sides:
-                sides.append(s)
-
+        held = pairs[-1].subgoal.grasp_side if pairs else None
         chosen = None
         last_fail = None
-        for side in sides:
+        for side in _side_order(cur.grasp_side, held):
             off = side_offset(side, body.w, body.h, rs)
             gp = Pose2(prev.object_pose.x + off[0], prev.object_pose.y + off[1])
             if footprint_collides(cur_scene, robot_parts(cur_scene), gp, frozenset({robot.id})):

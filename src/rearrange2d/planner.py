@@ -26,29 +26,25 @@ class ConfigError(ValueError):
     pass
 
 
+# alternative critical subsets gen_motion_plan tries per object; and
+# plan_rearrangement regenerates the sequence once more passes go without
+# progress than the unplaced objects divided by SKIP_MAX_DIVISOR
+ALT_CRIT_LIMIT = 3
+SKIP_MAX_DIVISOR = 4
+
 # a key's kind is its PlannerConfig annotation: "int", "float", "bool" or
 # _OPTIONAL; a None default reads as "derived from the scene"
 _OPTIONAL = "float | None"
-# ranges the planner needs: a zero divisor or grid size divides by zero, and
-# a delta_min of 0 or less can stall subgoal sampling on a zero step, so an
-# _OPTIONAL key must be positive when set
-_AT_LEAST_ONE = ("grid_n", "skip_max_divisor")
+# ranges the planner needs: a grid size of 0 divides by zero, and
+# verify_placements rejects a tolerance of 0 or less, so an _OPTIONAL key
+# must be positive when set
+_AT_LEAST_ONE = ("grid_n",)
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
     grid_n: int = 64
-    kappa: float = 2.0
-    delta_min: float | None = None      # default 0.5 x robot side
-    epsilon: float | None = None        # default 0.5 x robot side
     rrt_max_iters: int = 5000
-    c0: float = 25.0
-    k_max: int = 4
-    beam_width: int = 5
-    clearance_min: float = 2.0          # cells
-    alt_crit_limit: int = 3
-    cardinality_cap: int = 4
-    skip_max_divisor: int = 4
     time_limit: float = 120.0
     lazy_rounds: int = 5
     cycle_cap: int = 10000
@@ -187,11 +183,10 @@ def gen_motion_plan(
 
     Blocked legs trigger the relocation search; each exhausted search is
     retried with the next alternative critical subset until
-    alt_crit_limit runs out.  Once time.monotonic() passes deadline, no
+    ALT_CRIT_LIMIT runs out.  Once time.monotonic() passes deadline, no
     further attempt starts and the outcome fails with reason "timeout".
     """
     rs = scene.robot.w
-    eps = cfg.epsilon if cfg.epsilon is not None else 0.5 * rs
     mu = motion.plan_object_path(
         scene, object_id, scene.goal_of(object_id), _mix_seed(seed, "mu", object_id),
         max_iters=cfg.rrt_max_iters, spec=spec,
@@ -209,14 +204,12 @@ def gen_motion_plan(
         if deadline is not None and time.monotonic() > deadline:
             return GenPlanOutcome(False, (), scene, failures, reason="timeout")
         guard += 1
-        if guard > 2 * cfg.alt_crit_limit + 4:
+        if guard > 2 * ALT_CRIT_LIMIT + 4:
             return GenPlanOutcome(False, (), scene, failures, reason="relocation loop guard")
         try:
-            subgoals = motion.select_subgoals(
-                mu, cur, kappa=cfg.kappa, delta_min=cfg.delta_min, spec=spec,
-            )
+            subgoals = motion.select_subgoals(mu, cur, spec=spec)
             if cfg.refine:
-                subgoals = motion.refine_subgoals(subgoals, cur, eps, object_id=object_id)
+                subgoals = motion.refine_subgoals(subgoals, cur, 0.5 * rs, object_id=object_id)
             plan, after = motion.plan_pick_place(
                 cur, object_id, subgoals, seed=_mix_seed(seed, "pp", object_id, guard),
                 max_iters=cfg.rrt_max_iters, spec=spec,
@@ -234,11 +227,8 @@ def gen_motion_plan(
             else:
                 task = place_task(cur, object_id, mu.waypoints, spec)
             res = search_relocations(
-                cur, task, skip,
-                seed=_mix_seed(seed, "reloc", object_id, guard),
-                spec=spec, c0=cfg.c0, k_max=cfg.k_max, beam_width=cfg.beam_width,
-                clearance_min=cfg.clearance_min, cardinality_cap=cfg.cardinality_cap,
-                rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
+                cur, task, skip, seed=_mix_seed(seed, "reloc", object_id, guard),
+                spec=spec, rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
             )
             if res.reason == "timeout":
                 return GenPlanOutcome(False, (), scene, failures, reason="timeout")
@@ -248,7 +238,7 @@ def gen_motion_plan(
                 relocated.extend(p.object_id for p in res.plans)
                 continue
             skip += 1
-            if skip >= cfg.alt_crit_limit:
+            if skip >= ALT_CRIT_LIMIT:
                 return GenPlanOutcome(False, (), scene, failures, reason="relocation search exhausted")
 
 
@@ -344,7 +334,7 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
     if not unplaced:
         seq = PlacementSequence((), 0.0)
         return finish("success")
-    skip_max = max(0, len(unplaced) // cfg.skip_max_divisor)
+    skip_max = len(unplaced) // SKIP_MAX_DIVISOR
     iter_max = len(unplaced) + 1
 
     try:

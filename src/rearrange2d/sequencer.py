@@ -40,21 +40,6 @@ class DependencyGraph:
     edges: tuple[Edge, ...]
 
 
-def path_crosses_rect(mu: ObjectPath, footprint_rect: Rect, w: float, h: float) -> bool:
-    """Does a w x h footprint moving along mu overlap footprint_rect?
-
-    Equivalent to testing mu's centerline against the rect inflated by the
-    footprint half-extents (swept-rectangle vs rectangle).
-    """
-    inflated = Rect(
-        footprint_rect.xmin - w / 2.0,
-        footprint_rect.ymin - h / 2.0,
-        footprint_rect.xmax + w / 2.0,
-        footprint_rect.ymax + h / 2.0,
-    )
-    return _enters(mu.waypoints, inflated)
-
-
 def _enters(pts, r: Rect) -> bool:
     """Does the polyline through pts pass through r's interior?  A single
     waypoint must lie more than EPS inside r."""
@@ -102,8 +87,9 @@ def build_dependency_graph(
         g = rect_at(scene.goal_of(oid), b.w, b.h)
         bounds[oid] = (b.bounds, (g.xmin, g.ymin, g.xmax, g.ymax))
 
-    # path_crosses_rect's inflated rects, by the moving object's size: every
-    # object's current and goal bounds grown by half that size
+    # mu_i crosses a footprint when its centerline enters the footprint
+    # grown by half of i's size (swept rectangle against rectangle); the
+    # grown rects, by the moving object's size
     inflated: dict[tuple[float, float], dict[str, tuple[Rect, Rect]]] = {}
     edges: set[Edge] = set()
     for oi in unplaced:
@@ -589,7 +575,9 @@ def lazy_refine(
 
     Planned lengths can only exceed the straight-line seeds, so once an
     incumbent survives with every leg upgraded it is optimal under costs
-    at least as large as any competitor's true costs.
+    at least as large as any competitor's true costs, provided solve_patsp
+    searched exactly: up to EXACT_LIMIT objects.  Above that the incumbent
+    is solve_patsp's heuristic answer and carries no such guarantee.
     """
     statics = scene.statics_only()
     robot = scene.robot

@@ -52,11 +52,6 @@ class TestGridSpec:
         assert spec64.cell_of(Pose2(-5.0, -5.0)) == (0, 0)
         assert spec64.cell_of(Pose2(50.0, 50.0)) == (63, 63)
 
-    def test_in_bounds(self, spec64):
-        assert spec64.in_bounds((0, 0)) and spec64.in_bounds((63, 63))
-        assert not spec64.in_bounds((64, 0))
-        assert not spec64.in_bounds((0, -1))
-
     def test_rect_cells_overlap_based(self, spec64):
         w = spec64.cell_w
         # rect spanning the interior of cells 2..4 in x, 3 in y
@@ -238,7 +233,7 @@ def ref_rasterize_gom(scene, task_cells, spec):
     cells = np.where(occ, 0.0, ALPHA_M)
     for c in task_cells:
         ix, iy = c
-        if spec.in_bounds(c) and not occ[iy, ix]:
+        if 0 <= ix < spec.nx and 0 <= iy < spec.ny and not occ[iy, ix]:
             cells[iy, ix] = BETA_M
     return cells
 

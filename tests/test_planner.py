@@ -32,7 +32,7 @@ class TestPlannerConfig:
     def test_defaults(self):
         cfg = PlannerConfig()
         assert cfg.grid_n == 64
-        assert cfg.c0 == 25.0
+        assert cfg.lazy_rounds == 5
         assert cfg.time_limit == 120.0
         assert cfg.tol is None
         assert cfg.refine and not cfg.random_sequence
@@ -42,27 +42,27 @@ class TestPlannerConfig:
             PlannerConfig().merged({"frobnicate": 1})
 
     def test_merged_type_checks(self):
-        cfg = PlannerConfig().merged({"c0": 30, "refine": False, "tol": None})
-        assert cfg.c0 == 30.0 and cfg.refine is False and cfg.tol is None
+        cfg = PlannerConfig().merged({"time_limit": 30, "refine": False, "tol": None})
+        assert cfg.time_limit == 30.0 and cfg.refine is False and cfg.tol is None
         with pytest.raises(ConfigError):
             PlannerConfig().merged({"refine": 1})
         with pytest.raises(ConfigError):
             PlannerConfig().merged({"grid_n": 3.5})
         with pytest.raises(ConfigError):
-            PlannerConfig().merged({"c0": "fast"})
+            PlannerConfig().merged({"time_limit": "fast"})
 
     def test_layering_order(self, tmp_path):
         f = tmp_path / "cfg.json"
-        f.write_text('{"c0": 10, "beam_width": 9}')
+        f.write_text('{"time_limit": 10, "cycle_cap": 9}')
         cfg = PlannerConfig.from_layers(
-            file=str(f), env={"REARRANGE2D_C0": "15"}, cli={"c0": 20}
+            file=str(f), env={"REARRANGE2D_TIME_LIMIT": "15"}, cli={"time_limit": 20}
         )
-        assert cfg.c0 == 20.0
-        assert cfg.beam_width == 9
-        cfg2 = PlannerConfig.from_layers(file=str(f), env={"REARRANGE2D_C0": "15"})
-        assert cfg2.c0 == 15.0
+        assert cfg.time_limit == 20.0
+        assert cfg.cycle_cap == 9
+        cfg2 = PlannerConfig.from_layers(file=str(f), env={"REARRANGE2D_TIME_LIMIT": "15"})
+        assert cfg2.time_limit == 15.0
         cfg3 = PlannerConfig.from_layers(file=str(f), env={})
-        assert cfg3.c0 == 10.0
+        assert cfg3.time_limit == 10.0
 
     def test_env_parsing(self):
         cfg = PlannerConfig.from_layers(
@@ -100,10 +100,7 @@ class TestPlannerConfig:
 # (key, values out of range, a value in range)
 RANGE_RULES = [
     ("grid_n", (0, -3), 1),
-    ("skip_max_divisor", (0, -1), 1),
     ("tol", (0.0, -1.0), 1e-3),
-    ("epsilon", (0.0, -0.5), 1e-3),
-    ("delta_min", (0.0, -1.0), 1e-3),
     ("time_limit", (math.nan,), 0.0),
 ]
 
@@ -123,10 +120,11 @@ def test_out_of_range_value_is_a_config_error(key, bad, good, tmp_path, capsys):
         f.write_text(json.dumps({key: v}))
         with pytest.raises(ConfigError, match=key):
             PlannerConfig.from_layers(file=str(f), env={})
-        # before the rule these ended in a traceback (exit 1), for
-        # delta_min with kappa=0 in a subgoal loop that never ended, and
-        # for a NaN time_limit in a run with no time limit
-        assert cli.main(["plan", str(path), "--set", "kappa=0", "--set", f"{key}={v}"]) == 2
+        # before the rule these ended in a traceback (exit 1), and for a
+        # NaN time_limit in a run with no time limit; kappa and delta_min,
+        # whose zero values once made a subgoal loop that never ended, are
+        # constants now, so that run can no longer be configured
+        assert cli.main(["plan", str(path), "--set", f"{key}={v}"]) == 2
         assert key in capsys.readouterr().err
     assert getattr(PlannerConfig(**{key: good}), key) == good
 
@@ -141,10 +139,10 @@ STRINGS = [
     ("tol", "null", None),
     ("tol", " 0.25 ", 0.25),
     ("grid_n", "32", 32),
-    ("c0", "30", 30.0),
+    ("time_limit", "30", 30.0),
     ("seed", "7", 7),
 ]
-BAD_STRINGS = [("refine", "maybe"), ("seed", "1.5"), ("grid_n", "32.0"), ("c0", "fast"), ("tol", "[]")]
+BAD_STRINGS = [("refine", "maybe"), ("seed", "1.5"), ("grid_n", "32.0"), ("time_limit", "fast"), ("tol", "[]")]
 
 
 def _set_config(key, raw):
@@ -174,7 +172,7 @@ def test_string_layers_reject_alike(key, raw):
 def test_kinds_follow_the_annotations():
     kinds = {f.name: f.type for f in dataclasses.fields(PlannerConfig)}
     assert set(kinds.values()) == {"int", "float", "bool", "float | None"}
-    assert {k for k, t in kinds.items() if t == "float | None"} == {"tol", "delta_min", "epsilon"}
+    assert {k for k, t in kinds.items() if t == "float | None"} == {"tol"}
     # every key reads its own default back from a string
     default = PlannerConfig()
     raw = {k: "none" if getattr(default, k) is None else str(getattr(default, k)) for k in kinds}
@@ -198,6 +196,16 @@ REMOVED_KEYS = (
     "relocation_iteration_limit",
     "stall_limit",
     "iter_max_offset",
+    "kappa",
+    "delta_min",
+    "epsilon",
+    "c0",
+    "k_max",
+    "beam_width",
+    "clearance_min",
+    "alt_crit_limit",
+    "cardinality_cap",
+    "skip_max_divisor",
 )
 
 
@@ -208,7 +216,7 @@ class TestConfigLiveness:
         for f in src.glob("*.py"):
             read.update(re.findall(r"\bcfg\.(\w+)", f.read_text(encoding="utf-8")))
         names = [f.name for f in dataclasses.fields(PlannerConfig)]
-        assert len(names) == 20
+        assert len(names) == 10
         assert [n for n in names if n not in read] == []
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -427,7 +435,7 @@ class TestDeadline:
         searches.clear()
         out = gen_motion_plan(sc, "g1", cfg, seed=0, spec=GridSpec.from_scene(sc))
         assert out.reason == "relocation search exhausted"
-        assert searches == list(range(cfg.alt_crit_limit))
+        assert searches == list(range(planner.ALT_CRIT_LIMIT))
 
     def test_plan_returns_timeout_mid_search(self, monkeypatch, clock):
         tried = _failing_relocations(monkeypatch, clock, 200.0)
@@ -435,7 +443,7 @@ class TestDeadline:
         assert res.status == "timeout"
         # the first failed relocation plan passes the deadline, so the search
         # ends with its first iteration and nothing is retried after it
-        assert 1 <= len(tried) <= PlannerConfig().k_max
+        assert 1 <= len(tried) <= guided_search.K_MAX
 
 
 class TestPlanRearrangement:

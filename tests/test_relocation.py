@@ -151,13 +151,12 @@ class TestSelectCritical:
         cols = gs.find_colliding(sealed, t, spec)
         assert gs.select_critical(sealed, t, cols, spec=spec) is None
 
-    def test_prefixes_beyond_cap(self):
+    def test_prefixes_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(gs, "CARDINALITY_CAP", 0)
         sc = _gap_scene()
         spec = GridSpec.from_scene(sc)
         t = gs.place_task(sc, "g1", (Pose2(3, 5), Pose2(8, 5)), spec)
-        crit = gs.select_critical(
-            sc, t, gs.find_colliding(sc, t, spec), spec=spec, cardinality_cap=0
-        )
+        crit = gs.select_critical(sc, t, gs.find_colliding(sc, t, spec), spec=spec)
         assert crit == ("b1",)
 
 
@@ -226,14 +225,15 @@ class TestGenRelocationPoints:
         for p in rest:
             assert spec.cells_of_rect(rect_at(p, 0.6, 0.6)).isdisjoint(avoid)
 
-    def test_window_retry_when_cramped(self):
+    def test_window_retry_when_cramped(self, monkeypatch):
         # slab right above the object starves the near window at high
         # clearance demands; the retry window reaches open floor
+        monkeypatch.setattr(gs, "CLEARANCE_MIN", 10.0)
         sc = scene(
             [robot(1, 1), obstacle("o", 5, 5), wall("slab", 5, 6.75, 3.0, 2.5)]
         )
         spec = GridSpec.from_scene(sc)
-        near = gs.gen_relocation_points(sc, "o", 6, spec=spec, clearance_min=10.0)
+        near = gs.gen_relocation_points(sc, "o", 6, spec=spec)
         assert near
         # every survivor sits outside the 1.5x window
         hx = 1.5 * 0.6
@@ -492,10 +492,12 @@ def c(i):
 
 
 def assert_matches(sc, oid, k, **kw):
-    """gen_relocation_points must equal the reference; returns its poses."""
+    """gen_relocation_points must equal the reference at the module's
+    clearance; returns its poses."""
     spec = GridSpec.from_scene(sc)
     got = gs.gen_relocation_points(sc, oid, k, spec=spec, **kw)
-    assert got == ref_gen_relocation_points(sc, oid, k, spec=spec, **kw)
+    want = ref_gen_relocation_points(sc, oid, k, spec=spec, clearance_min=gs.CLEARANCE_MIN, **kw)
+    assert got == want
     assert all(type(p.x) is float and type(p.y) is float for p in got)
     return got
 
@@ -552,9 +554,10 @@ def test_avoid_cells_off_the_grid():
 
 
 @pytest.mark.parametrize("corner", [(0.3, 0.3), (9.7, 0.3), (0.3, 9.7), (9.7, 9.7)])
-def test_window_clipped_by_the_grid_edge(corner):
+def test_window_clipped_by_the_grid_edge(corner, monkeypatch):
+    monkeypatch.setattr(gs, "CLEARANCE_MIN", 1.0)
     sc = scene([robot(5.0, 5.0), obstacle("o", *corner), wall("w", 5.0, 8.0, 2.0, 0.5)])
-    got = assert_matches(sc, "o", 1000, clearance_min=1.0)
+    got = assert_matches(sc, "o", 1000)
     assert got
 
 

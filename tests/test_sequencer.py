@@ -8,7 +8,6 @@ import pytest
 
 from rearrange2d import sequencer
 from rearrange2d.grids import GridSpec
-from rearrange2d.motion import ObjectPath
 from rearrange2d.sequencer import (
     STRONG,
     WEAK,
@@ -20,7 +19,6 @@ from rearrange2d.sequencer import (
     break_cycles,
     build_dependency_graph,
     lazy_refine,
-    path_crosses_rect,
     solve_patsp,
     topo_order,
 )
@@ -30,21 +28,27 @@ from conftest import goal_obj, robot, scene, wall
 from test_cycle_oracle import cycle_pairs, pair_counts, ref_pair_counts
 
 
+def _grown(r, w, h):
+    """r inflated by half a w x h footprint, as build_dependency_graph
+    grows every current and goal rect."""
+    return Rect(r.xmin - w / 2.0, r.ymin - h / 2.0, r.xmax + w / 2.0, r.ymax + h / 2.0)
+
+
 class TestPathCrossesRect:
     def test_swept_overlap(self):
-        mu = ObjectPath("o", (Pose2(1, 5), Pose2(9, 5)))
+        pts = (Pose2(1, 5), Pose2(9, 5))
         # rect strictly on the centerline
-        assert path_crosses_rect(mu, Rect(4.7, 4.7, 5.3, 5.3), 0.6, 0.6)
+        assert sequencer._enters(pts, _grown(Rect(4.7, 4.7, 5.3, 5.3), 0.6, 0.6))
         # rect off to the side but within the footprint half-height
-        assert path_crosses_rect(mu, Rect(4.7, 5.2, 5.3, 6.0), 0.6, 0.6)
+        assert sequencer._enters(pts, _grown(Rect(4.7, 5.2, 5.3, 6.0), 0.6, 0.6))
         # flush contact at exactly half-height does not count
-        assert not path_crosses_rect(mu, Rect(4.7, 5.3, 5.3, 6.2), 0.6, 0.6)
-        assert not path_crosses_rect(mu, Rect(4.7, 7.0, 5.3, 7.6), 0.6, 0.6)
+        assert not sequencer._enters(pts, _grown(Rect(4.7, 5.3, 5.3, 6.2), 0.6, 0.6))
+        assert not sequencer._enters(pts, _grown(Rect(4.7, 7.0, 5.3, 7.6), 0.6, 0.6))
 
     def test_single_point_path(self):
-        mu = ObjectPath("o", (Pose2(5, 5),))
-        assert path_crosses_rect(mu, Rect(4.9, 4.9, 5.1, 5.1), 0.6, 0.6)
-        assert not path_crosses_rect(mu, Rect(6.0, 6.0, 6.5, 6.5), 0.6, 0.6)
+        pts = (Pose2(5, 5),)
+        assert sequencer._enters(pts, _grown(Rect(4.9, 4.9, 5.1, 5.1), 0.6, 0.6))
+        assert not sequencer._enters(pts, _grown(Rect(6.0, 6.0, 6.5, 6.5), 0.6, 0.6))
 
 
 def _dependency_graph(sc):
