@@ -25,7 +25,6 @@ from .grids import (
 )
 from .motion import (
     MotionPlan,
-    ObjectPath,
     Path,
     PickPlacePair,
     Subgoal,
@@ -85,7 +84,6 @@ __all__ = [
     "rasterize_gom",
     "reachability",
     "MotionPlan",
-    "ObjectPath",
     "Path",
     "PickPlacePair",
     "Subgoal",

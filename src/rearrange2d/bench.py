@@ -232,11 +232,11 @@ def gen_m_block(m: int, seed: int = 0, max_tries: int = 10000) -> Scene:
 
     spec = grids.GridSpec.from_scene(scene)
     statics_scene = scene.statics_only()
-    free = grids.fit_mask(statics_scene, spec, OBJ_SIDE, OBJ_SIDE, frozenset({"robot"}))
+    free = grids.fit_mask(statics_scene, spec, ((0.0, 0.0, OBJ_SIDE, OBJ_SIDE),), frozenset({"robot"}))
     for i in range(m):
         if not grids.grid_connected(free, spec.cell_of(starts[i]), spec.cell_of(goals[i]), spec):
             return gen_m_block(m, seed + 7919, max_tries)
-    rfree = grids.fit_mask(statics_scene, spec, ROBOT_SIDE, ROBOT_SIDE, frozenset({"robot"}))
+    rfree = grids.fit_mask(statics_scene, spec, robot.footprint, frozenset({"robot"}))
     for i in range(m):
         if not grids.grid_connected(rfree, spec.cell_of(robot.pose), spec.cell_of(starts[i]), spec):
             return gen_m_block(m, seed + 7919, max_tries)

@@ -15,10 +15,11 @@ so an entry lives exactly as long as that call; the memo is never shared
 between specs and never module-global.  Entries are keyed by the inputs
 the computation reads, never by a Scene or an object's identity:
 
-- a part's fit mask (``_part_fit``) by the workspace, the part
-  ``(dx, dy, w, h)`` and the bounds of every body that is neither the
-  robot nor ignored; ``fit_mask_parts``' combined mask by the same with
-  all parts;
+- a fit mask by the workspace, the footprint's parts and the bounds of
+  every body that is neither the robot nor ignored: one entry per part
+  ``(dx, dy, w, h)`` (``_part_fit``), which is a one-part footprint's mask
+  itself, and one per footprint of several parts, the AND of its parts'
+  entries;
 - component labels by the mask's shape, dtype and bytes;
 - ``swept_cells`` by the parts and the poses;
 - ``static_clearance`` by the wall bounds alone;
@@ -240,23 +241,21 @@ def _part_fit(spec: GridSpec, ws: Rect, obstacles, part) -> np.ndarray:
     return _memoized(spec.memo, ("part", ws, part, obstacles), _part_mask, spec, ws, obstacles, *part)
 
 
-def fit_mask(scene: Scene, spec: GridSpec, w: float, h: float, ignore=frozenset()) -> np.ndarray:
-    """Cells whose center admits a w x h footprint collision-free.
+def fit_mask(scene: Scene, spec: GridSpec, parts, ignore=frozenset()) -> np.ndarray:
+    """Cells whose center admits the footprint collision-free: every part
+    (dx, dy, w, h), offset from the cell center, fits at once.
 
     Exact interval geometry against body rectangles (not a rasterized
     dilation), so narrow passages keep their true sub-cell width.
     Read-only, shared through the spec's memo.
     """
-    return _part_fit(spec, scene.workspace, _obstacle_bounds(scene, ignore), (0.0, 0.0, w, h))
-
-
-def fit_mask_parts(scene: Scene, spec: GridSpec, parts, ignore=frozenset()) -> np.ndarray:
-    """fit_mask for a multi-rect footprint: all parts must fit at once."""
     parts = tuple(map(tuple, parts))
     if not parts:
         raise ValueError("empty footprint")
     ws = scene.workspace
     obstacles = _obstacle_bounds(scene, ignore)
+    if len(parts) == 1:
+        return _part_fit(spec, ws, obstacles, parts[0])
 
     def combine():
         free = _part_fit(spec, ws, obstacles, parts[0])
@@ -271,7 +270,7 @@ def reachability(scene: Scene, spec: GridSpec) -> np.ndarray:
     """ALPHA_R on the cells the robot reaches by a 4-connected flood fill over
     cells where its footprint fits, BETA_R elsewhere; (ny, nx)."""
     robot = scene.robot
-    free = fit_mask(scene, spec, robot.w, robot.h)
+    free = fit_mask(scene, spec, robot.footprint)
     rc0 = spec.cell_of(robot.pose)
     cells = np.full((spec.ny, spec.nx), BETA_R)
     rc = grid_anchor(free, spec, robot.pose)
@@ -404,18 +403,21 @@ def _swept_cells(spec: GridSpec, parts, pts) -> tuple[tuple[int, int], ...]:
 
 
 NEIGH4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# cells snap_to_free looks out from a blocked cell, along each axis
+SNAP_RADIUS = 2
 
 
-def snap_to_free(free: np.ndarray, cell: tuple[int, int], radius: int = 1) -> tuple[int, int] | None:
-    """cell if free, else the nearest free cell within a small window."""
+def snap_to_free(free: np.ndarray, cell: tuple[int, int]) -> tuple[int, int] | None:
+    """cell if free, else the nearest free cell within SNAP_RADIUS cells
+    on each axis (ties to the smallest (ix, iy)), or None."""
     ix, iy = cell
     ny, nx = free.shape
     if 0 <= ix < nx and 0 <= iy < ny and free[iy, ix]:
         return cell
     best = None
     best_d = None
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
+    for dy in range(-SNAP_RADIUS, SNAP_RADIUS + 1):
+        for dx in range(-SNAP_RADIUS, SNAP_RADIUS + 1):
             jx, jy = ix + dx, iy + dy
             if 0 <= jx < nx and 0 <= jy < ny and free[jy, jx]:
                 d = dx * dx + dy * dy
@@ -426,14 +428,14 @@ def snap_to_free(free: np.ndarray, cell: tuple[int, int], radius: int = 1) -> tu
 
 def grid_anchor(free: np.ndarray, spec: GridSpec, pose: Pose2) -> tuple[int, int] | None:
     """The cell a grid check starting at pose starts from: pose's cell
-    snapped to a free cell of the fit mask free within 2 cells, or None.
+    snapped to a free cell of the fit mask free (snap_to_free), or None.
 
     A pose right after a place is flush against the placed object, which
     the cell-center fit test rejects, so the anchor is often a neighbour of
     pose's own cell; a pose in a pocket narrower than a cell may have none
     even when its footprint is exactly free.
     """
-    return snap_to_free(free, spec.cell_of(pose), radius=2)
+    return snap_to_free(free, spec.cell_of(pose))
 
 
 def component_labels(free: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -516,8 +518,8 @@ def _join(root: np.ndarray, lo: list[int], hi: list[int]) -> np.ndarray:
 def grid_connected(free: np.ndarray, a: tuple[int, int], b: tuple[int, int], spec: GridSpec) -> bool:
     """4-connected reachability between two cells over the free mask;
     spec lends its memo to the component labels."""
-    a = snap_to_free(free, a, radius=2)
-    b = snap_to_free(free, b, radius=2)
+    a = snap_to_free(free, a)
+    b = snap_to_free(free, b)
     if a is None or b is None:
         return False
     labels = component_labels(free, spec)
@@ -526,8 +528,8 @@ def grid_connected(free: np.ndarray, a: tuple[int, int], b: tuple[int, int], spe
 
 def grid_path(free: np.ndarray, a, b) -> list[tuple[int, int]] | None:
     """Shortest 4-connected cell path a -> b (BFS)."""
-    a = snap_to_free(free, a, radius=2)
-    b = snap_to_free(free, b, radius=2)
+    a = snap_to_free(free, a)
+    b = snap_to_free(free, b)
     if a is None or b is None:
         return None
     ny, nx = free.shape

@@ -64,11 +64,11 @@ def pick_task(
     statics = scene.statics_only()
     robot = scene.robot
     path = motion.birrt(
-        statics, (robot.w, robot.h), robot.pose, robot_goal, seed, max_iters,
+        statics, robot.footprint, robot.pose, robot_goal, seed, max_iters,
         ignore=frozenset({robot.id}), spec=spec,
     )
     wps = path.waypoints if path is not None else (robot.pose, robot_goal)
-    cells = grids.swept_cells(spec, ((0.0, 0.0, robot.w, robot.h),), wps)
+    cells = grids.swept_cells(spec, robot.footprint, wps)
     return TaskTrajectory("pick", object_id, tuple(wps), tuple(cells))
 
 
@@ -123,7 +123,7 @@ def task_feasible(scene: Scene, task: TaskTrajectory, removed, spec: GridSpec) -
     test = scene.without(tuple(removed)) if removed else scene
     robot = test.robot
     if task.kind == "pick":
-        free = grids.fit_mask(test, spec, robot.w, robot.h, frozenset({robot.id}))
+        free = grids.fit_mask(test, spec, robot.footprint, frozenset({robot.id}))
         return grids.grid_connected(free, spec.cell_of(robot.pose), spec.cell_of(task.waypoints[-1]), spec)
     body = test.body(task.object_id)
     ignore = frozenset({task.object_id, robot.id})
@@ -137,7 +137,7 @@ def task_feasible(scene: Scene, task: TaskTrajectory, removed, spec: GridSpec) -
             return False
         if k == 0:
             gp = grasp_pose(a, side, body.w, body.h, rs)
-            free = grids.fit_mask(test, spec, rs, rs, frozenset({robot.id, task.object_id}))
+            free = grids.fit_mask(test, spec, robot.footprint, frozenset({robot.id, task.object_id}))
             if not grids.grid_connected(free, spec.cell_of(robot.pose), spec.cell_of(gp), spec):
                 return False
         prev_side = side
@@ -217,7 +217,7 @@ def gen_relocation_points(
     """
     body = scene.body(object_id)
     occ = grids.occupancy_mask(scene, spec, exclude=frozenset({object_id}))
-    free = grids.fit_mask(scene, spec, body.w, body.h, frozenset({object_id}))
+    free = grids.fit_mask(scene, spec, body.footprint, frozenset({object_id}))
     # every other goal's rect, with rect_at's arithmetic: one column each
     goals = []
     for oid in sorted(scene.goals):
@@ -225,7 +225,6 @@ def gen_relocation_points(
             g, b = scene.goal_of(oid), scene.body(oid)
             goals.append((g.x - b.w / 2.0, g.y - b.h / 2.0, g.x + b.w / 2.0, g.y + b.h / 2.0))
     gx0, gy0, gx1, gy1 = np.array(goals, dtype=float).reshape(-1, 4).T
-    parts = ((0.0, 0.0, body.w, body.h),)
 
     def window_candidates(scale: float):
         """The window's candidate cells in (iy, ix) order: their
@@ -252,7 +251,7 @@ def gen_relocation_points(
         over &= np.minimum(y1[:, None], gy1) - np.maximum(y0[:, None], gy0) > EPS
         keep &= ~over.any(axis=1)
         # collides(scene, object_id, centre), the robot's row included
-        keep[keep] = ~footprints_collide_xy(scene, parts, x[keep], y[keep], frozenset({object_id}))
+        keep[keep] = ~footprints_collide_xy(scene, body.footprint, x[keep], y[keep], frozenset({object_id}))
         return c[keep], ix[keep], iy[keep]
 
     c, ix, iy = window_candidates(1.5)
@@ -320,12 +319,8 @@ def _intent_route(scene: Scene, object_id: str, target: Pose2, spec: GridSpec):
     """Object-footprint route to the target through statics alone, or None."""
     b = scene.body(object_id)
     aux = scene.statics_only(keep=object_id)
-    free = grids.fit_mask(aux, spec, b.w, b.h, frozenset({object_id, aux.robot.id}))
-    start = grids.snap_to_free(free, spec.cell_of(b.pose))
-    goal = grids.snap_to_free(free, spec.cell_of(target))
-    if start is None or goal is None:
-        return None
-    cells = grids.grid_path(free, start, goal)
+    free = grids.fit_mask(aux, spec, b.footprint, frozenset({object_id, aux.robot.id}))
+    cells = grids.grid_path(free, spec.cell_of(b.pose), spec.cell_of(target))
     if cells is None:
         return None
     mids = tuple(spec.center(c) for c in cells[1:-1])
@@ -338,7 +333,7 @@ def reachable_sides(scene: Scene, object_id: str, spec: GridSpec) -> bool:
     cell, with the anchor found once for all four sides; False when the
     robot has no anchor."""
     robot = scene.robot
-    free = grids.fit_mask(scene, spec, robot.w, robot.h, frozenset({robot.id}))
+    free = grids.fit_mask(scene, spec, robot.footprint, frozenset({robot.id}))
     rc = grids.grid_anchor(free, spec, robot.pose)
     if rc is None:
         return False
@@ -346,7 +341,7 @@ def reachable_sides(scene: Scene, object_id: str, spec: GridSpec) -> bool:
     b = scene.body(object_id)
     for side in SIDES:
         gp = grasp_pose(b.pose, side, b.w, b.h, robot.w)
-        gc = grids.snap_to_free(free, spec.cell_of(gp), radius=2)
+        gc = grids.snap_to_free(free, spec.cell_of(gp))
         if gc is not None and labels[gc[1], gc[0]] == labels[rc[1], rc[0]]:
             return True
     return False
@@ -441,7 +436,7 @@ def search_relocations(
                     route = _intent_route(node.scene, oid, target, spec)
                     if route is not None:
                         b = node.scene.body(oid)
-                        cells = grids.swept_cells(spec, ((0.0, 0.0, b.w, b.h),), route)
+                        cells = grids.swept_cells(spec, b.footprint, route)
                         intent = TaskTrajectory("place", oid, route, tuple(cells))
                         for blocker in find_colliding(node.scene, intent, spec):
                             counts[blocker] = counts.get(blocker, 0) + 1

@@ -49,11 +49,6 @@ LOOKAHEAD_CELLS = 1 << 18
 KAPPA = 2.0
 
 
-def robot_parts(scene: Scene):
-    rs = scene.robot.w
-    return ((0.0, 0.0, rs, rs),)
-
-
 def side_offset(side: str, ow: float, oh: float, rs: float) -> tuple[float, float]:
     """Robot-center offset from the object center for a flush side grasp."""
     dx, dy = _SIDE_DIR[side]
@@ -73,21 +68,13 @@ def compound_parts(side: str, ow: float, oh: float, rs: float):
 
 @dataclass(frozen=True)
 class Path:
+    """A route of at least two waypoints: the robot's, or an object's."""
+
     waypoints: tuple[Pose2, ...]
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise ValueError("a path needs at least 2 waypoints")
-
-    @property
-    def length(self) -> float:
-        return left_sum(a.dist(b) for a, b in zip(self.waypoints, self.waypoints[1:]))
-
-
-@dataclass(frozen=True)
-class ObjectPath:
-    object_id: str
-    waypoints: tuple[Pose2, ...]
 
     @property
     def length(self) -> float:
@@ -155,14 +142,6 @@ class InfeasibleLeg(Exception):
         self.side = side
         self.start = start
         self.goal = goal
-
-
-def _normalize_parts(footprint):
-    if isinstance(footprint, (tuple, list)) and len(footprint) == 2 and all(
-        isinstance(v, (int, float)) for v in footprint
-    ):
-        return ((0.0, 0.0, float(footprint[0]), float(footprint[1])),)
-    return tuple(tuple(p) for p in footprint)
 
 
 def sweep_clear(scene: Scene, parts, poses, ignore=frozenset()) -> bool:
@@ -264,7 +243,7 @@ def _nearest_since(pts, q, row: int, n0: int) -> tuple[int, float]:
 
 def birrt(
     scene: Scene,
-    footprint,
+    parts,
     start: Pose2,
     goal: Pose2,
     seed: int,
@@ -275,18 +254,20 @@ def birrt(
 ) -> Path | None:
     """Bi-directional RRT over a translating footprint, with shortcut smoothing.
 
-    Deterministic for a fixed seed.  The tuning is fixed: each extension
-    moves at most half the robot side, GOAL_BIAS of the samples are the
-    other tree's root, and SHORTCUT_ATTEMPTS random shortcuts smooth the
-    result.  When the start has a grid anchor (grids.grid_anchor), a grid
-    connectivity precheck on spec rejects disconnected queries quickly.  A
-    start with no anchor, such as a robot flush against the object it just
-    placed in a pocket narrower than a cell, has passed the exact footprint
-    test, so the query skips the precheck and samples as a connected one
-    does.  If sampling exhausts max_iters while the grid still shows a
-    route, the grid path is used as a fallback so narrow but feasible
-    corridors do not read as infeasible; that route, like a sampled one,
-    ends at goal itself.  With no anchored start there is no grid route.
+    parts are the footprint's (dx, dy, w, h) rects, offset from the
+    reference pose that start and goal give.  Deterministic for a fixed
+    seed.  The tuning is fixed: each extension moves at most half the robot
+    side, GOAL_BIAS of the samples are the other tree's root, and
+    SHORTCUT_ATTEMPTS random shortcuts smooth the result.  When the start has
+    a grid anchor (grids.grid_anchor), a grid connectivity precheck on spec
+    rejects disconnected queries quickly.  A start with no anchor, such as a
+    robot flush against the object it just placed in a pocket narrower than
+    a cell, has passed the exact footprint test, so the query skips the
+    precheck and samples as a connected one does.  If sampling exhausts
+    max_iters while the grid still shows a route, the grid path is used as a
+    fallback so narrow but feasible corridors do not read as infeasible;
+    that route, like a sampled one, ends at goal itself.  With no anchored
+    start there is no grid route.
 
     Samples, tree nodes and waypoints are plain (x, y) tuples, tested with
     the collision kernel's point-level entries: a tree holds only its
@@ -340,7 +321,6 @@ def birrt(
     where no such pair exists.  rng is not read after the loop, so ending
     it early returns the path all SHORTCUT_ATTEMPTS attempts would.
     """
-    parts = _normalize_parts(footprint)
     step = 0.5 * scene.robot.w
     obstacles = inflate(scene, parts, ignore)
 
@@ -359,7 +339,7 @@ def birrt(
     if start.dist(goal) < 1e-12 or edge_free(sx, sy, gx, gy):
         return Path((start, goal))
 
-    free = grids.fit_mask_parts(scene, spec, parts, ignore)
+    free = grids.fit_mask(scene, spec, parts, ignore)
     # a start with no grid anchor is exactly free all the same, so only an
     # anchored start lets the grid call the query disconnected
     anchor = grids.grid_anchor(free, spec, start)
@@ -549,7 +529,7 @@ def solve_pick_config(scene: Scene, object_id: str) -> Subgoal | None:
     )
     for side in order:
         gp = grasp_pose(body.pose, side, body.w, body.h, robot.w)
-        if not footprint_collides(scene, robot_parts(scene), gp, frozenset({robot.id})):
+        if not footprint_collides(scene, robot.footprint, gp, frozenset({robot.id})):
             return Subgoal(body.pose, contact_point(side, body.pose, body.w, body.h), side)
     return None
 
@@ -562,15 +542,15 @@ def plan_object_path(
     *,
     max_iters: int = 5000,
     spec: GridSpec,
-) -> ObjectPath | None:
+) -> Path | None:
     """Plan the object footprint alone against statics (auxiliary scene)."""
     if not scene.workspace.contains_point(target):
         return None
     body = scene.body(object_id)
     aux = scene.statics_only(keep=object_id)
-    path = birrt(
+    return birrt(
         aux,
-        (body.w, body.h),
+        body.footprint,
         body.pose,
         target,
         seed,
@@ -578,9 +558,6 @@ def plan_object_path(
         ignore=frozenset({object_id, aux.robot.id}),
         spec=spec,
     )
-    if path is None:
-        return None
-    return ObjectPath(object_id, path.waypoints)
 
 
 def _arc_interp(pts, arcs, s: float) -> Pose2:
@@ -599,7 +576,7 @@ def _arc_interp(pts, arcs, s: float) -> Pose2:
 
 def _leg_side_ok(scene: Scene, side: str, ow: float, oh: float, rs: float, poly, ignore) -> bool:
     gp = grasp_pose(poly[0], side, ow, oh, rs)
-    if footprint_collides(scene, ((0.0, 0.0, rs, rs),), gp, ignore):
+    if footprint_collides(scene, scene.robot.footprint, gp, ignore):
         return False
     return sweep_clear(scene, compound_parts(side, ow, oh, rs), poly, ignore)
 
@@ -635,12 +612,14 @@ def assign_leg_side(
 
 
 def select_subgoals(
-    mu: ObjectPath,
+    mu: Path,
     scene: Scene,
     *,
+    object_id: str,
     spec: GridSpec,
 ) -> list[Subgoal]:
-    """Sample subgoals along mu, densely where static clearance is low.
+    """Sample subgoals along object_id's route mu, densely where static
+    clearance is low.
 
     Each step is KAPPA times the static clearance, clamped to
     [half the robot side, 4 x the robot side].
@@ -648,13 +627,11 @@ def select_subgoals(
     endpoint.  Each subgoal carries the leg's grasp side and the mu
     geometry (via points) between it and its predecessor.
     """
-    if not mu.waypoints:
-        raise ValueError("empty object path")
     robot = scene.robot
     rs = robot.w
     delta_min = 0.5 * rs
     delta_max = 4.0 * rs
-    body = scene.body(mu.object_id)
+    body = scene.body(object_id)
     statics = scene.statics_only()
     clearance = grids.static_clearance(scene, spec)
 
@@ -677,7 +654,7 @@ def select_subgoals(
     # is discovered at planning time and handed to the relocation search.
     # Leg k runs from subgoal k-1 to subgoal k and gives subgoal k its side;
     # subgoal 0 takes leg 1's.  A zero-length mu keeps one degenerate leg.
-    ignore = frozenset({mu.object_id, robot.id})
+    ignore = frozenset({object_id, robot.id})
     poses = [_arc_interp(pts, arcs, s) for s in stops]
     vias = [
         tuple(pts[i] for i in range(len(pts)) if lo + 1e-9 < arcs[i] < hi - 1e-9)
@@ -776,7 +753,7 @@ def plan_pick_place(
         for side in _side_order(cur.grasp_side, held):
             off = side_offset(side, body.w, body.h, rs)
             gp = Pose2(prev.object_pose.x + off[0], prev.object_pose.y + off[1])
-            if footprint_collides(cur_scene, robot_parts(cur_scene), gp, frozenset({robot.id})):
+            if footprint_collides(cur_scene, robot.footprint, gp, frozenset({robot.id})):
                 last_fail = ("pick", side, cur_robot, gp)
                 continue
             # settle the transport route first: a hopeless place leg should
@@ -806,7 +783,7 @@ def plan_pick_place(
                 obj_wps = free_leg.waypoints
             pick = birrt(
                 cur_scene,
-                (rs, rs),
+                robot.footprint,
                 cur_robot,
                 gp,
                 _mix_seed(seed, k, side, 0),

@@ -207,7 +207,7 @@ def gen_motion_plan(
         if guard > 2 * ALT_CRIT_LIMIT + 4:
             return GenPlanOutcome(False, (), scene, failures, reason="relocation loop guard")
         try:
-            subgoals = motion.select_subgoals(mu, cur, spec=spec)
+            subgoals = motion.select_subgoals(mu, cur, object_id=object_id, spec=spec)
             if cfg.refine:
                 subgoals = motion.refine_subgoals(subgoals, cur, 0.5 * rs, object_id=object_id)
             plan, after = motion.plan_pick_place(
@@ -456,7 +456,7 @@ def replay_plans(scene: Scene, plans) -> tuple[list[str], Scene]:
             if p0.x != robot_pose.x or p0.y != robot_pose.y:
                 bad.append(f"{tag}: pick does not start at the robot pose")
             if not motion.sweep_clear(
-                cur, ((0.0, 0.0, rs, rs),), pair.pick.waypoints, frozenset({robot.id}),
+                cur, robot.footprint, pair.pick.waypoints, frozenset({robot.id}),
             ):
                 bad.append(f"{tag}: pick path collides")
             if pair.place.waypoints[0] is not pair.pick.waypoints[-1] and (

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import motion
 from .grids import GridSpec
-from .world import EPS, Pose2, Rect, Scene, rect_at, segment_hits_rect
-from .motion import ObjectPath, _mix_seed
+from .world import Pose2, Rect, Scene, rect_at, segment_hits_rect
+from .motion import Path, _mix_seed
 
 WEAK = "weak"
 STRONG = "strong"
@@ -41,11 +41,8 @@ class DependencyGraph:
 
 
 def _enters(pts, r: Rect) -> bool:
-    """Does the polyline through pts pass through r's interior?  A single
-    waypoint must lie more than EPS inside r."""
-    if len(pts) == 1:
-        p = pts[0]
-        return r.xmin + EPS < p.x < r.xmax - EPS and r.ymin + EPS < p.y < r.ymax - EPS
+    """Does the polyline through pts (two or more, as a Path holds) pass
+    through r's interior?"""
     return any(segment_hits_rect(a, b, r) for a, b in zip(pts, pts[1:]))
 
 
@@ -70,7 +67,7 @@ def build_dependency_graph(
     """
     unplaced = tuple(sorted(unplaced))
 
-    paths: dict[str, ObjectPath] = {}
+    paths: dict[str, Path] = {}
     for oid in unplaced:
         mu = motion.plan_object_path(
             scene, oid, scene.goal_of(oid), _mix_seed(seed, "mu", oid),
@@ -581,7 +578,6 @@ def lazy_refine(
     """
     statics = scene.statics_only()
     robot = scene.robot
-    rparts = (robot.w, robot.h)
     idx = {o: k for k, o in enumerate(costs.ids)}
 
     def planned_length(a: Pose2, b: Pose2) -> float | None:
@@ -592,7 +588,7 @@ def lazy_refine(
         caches.misses += 1
         path = motion.birrt(
             statics,
-            rparts,
+            robot.footprint,
             a,
             b,
             _mix_seed(seed, "lazy", key),

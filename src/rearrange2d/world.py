@@ -136,6 +136,11 @@ class Body:
         return Rect(*self.bounds)
 
     @property
+    def footprint(self) -> tuple[tuple[float, float, float, float], ...]:
+        """The body alone as footprint parts: one (dx, dy, w, h) at its center."""
+        return ((0.0, 0.0, self.w, self.h),)
+
+    @property
     def area(self) -> float:
         return self.w * self.h
 
@@ -164,11 +169,15 @@ class Scene:
         ids = [b.id for b in self.bodies]
         if len(set(ids)) != len(ids):
             raise SceneError("duplicate body ids")
-        if sum(1 for b in self.bodies if b.kind == KIND_ROBOT) != 1:
+        robots = [b for b in self.bodies if b.kind == KIND_ROBOT]
+        if len(robots) != 1:
             raise SceneError("scene must contain exactly one robot")
         for b in self.bodies:
             if b.w <= 0 or b.h <= 0:
                 raise SceneError(f"body {b.id!r} has non-positive extent")
+        # the planner takes the robot's side from robot.w alone
+        if robots[0].w != robots[0].h:
+            raise SceneError(f"robot {robots[0].id!r} is not square")
         by_id = {b.id: b for b in self.bodies}
         for gid in self.goals:
             if gid not in by_id or by_id[gid].kind != KIND_GOAL:
@@ -263,8 +272,7 @@ def collides(scene: Scene, body_id: str, pose: Pose2) -> bool:
 
     The queried body itself is never counted.
     """
-    body = scene.body(body_id)
-    return footprint_collides(scene, ((0.0, 0.0, body.w, body.h),), pose, frozenset({body_id}))
+    return footprint_collides(scene, scene.body(body_id).footprint, pose, frozenset({body_id}))
 
 
 def footprint_collides(scene: Scene, parts, pose: Pose2, ignore=frozenset()) -> bool:

@@ -294,7 +294,7 @@ def _rrt_evaluated_cost(scene, order, seed, spec):
     for oid in order:
         target = scene.body(oid).pose
         path = motion.birrt(
-            statics, (robot.w, robot.h), start, target, seed,
+            statics, robot.footprint, start, target, seed,
             ignore=frozenset({robot.id}), spec=spec,
         )
         total += path.length if path is not None else start.dist(target)

@@ -52,7 +52,6 @@ from rearrange2d.motion import (
     GOAL_BIAS,
     SHORTCUT_ATTEMPTS,
     Path,
-    _normalize_parts,
     compound_parts,
 )
 from rearrange2d.world import (
@@ -73,7 +72,7 @@ from conftest import obstacle, robot, scene, wall
 
 def ref_birrt(
     scene: Scene,
-    footprint,
+    parts,
     start: Pose2,
     goal: Pose2,
     seed: int,
@@ -93,7 +92,6 @@ def ref_birrt(
     as a fallback so narrow but feasible corridors do not read as
     infeasible.
     """
-    parts = _normalize_parts(footprint)
     step = 0.5 * scene.robot.w
 
     def blocked(p: Pose2) -> bool:
@@ -115,7 +113,7 @@ def ref_birrt(
 
     if spec is None:
         spec = GridSpec.from_scene(scene)
-    free = grids.fit_mask_parts(scene, spec, parts, ignore)
+    free = grids.fit_mask(scene, spec, parts, ignore)
     anchor = grids.grid_anchor(free, spec, start)
     if anchor is not None and not grids.grid_connected(free, anchor, spec.cell_of(goal), spec):
         return None
@@ -258,11 +256,16 @@ class FallbackCounter:
         monkeypatch.setattr(grids, "grid_path", spy)
 
 
-def assert_agrees(sc, footprint, start, goal, seed, max_iters, ignore, spec):
-    got = motion.birrt(sc, footprint, start, goal, seed, max_iters, ignore=ignore, spec=spec)
-    want = ref_birrt(sc, footprint, start, goal, seed, max_iters, ignore=ignore, spec=spec)
-    assert waypoints(got) == waypoints(want), (footprint, start, goal, seed, max_iters, ignore)
+def assert_agrees(sc, parts, start, goal, seed, max_iters, ignore, spec):
+    got = motion.birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec)
+    want = ref_birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec)
+    assert waypoints(got) == waypoints(want), (parts, start, goal, seed, max_iters, ignore)
     return got
+
+
+def square(side: float):
+    """The footprint of one side x side square centred on the reference pose."""
+    return ((0.0, 0.0, side, side),)
 
 
 def random_pose(rng, ws: Rect) -> Pose2:
@@ -322,7 +325,7 @@ def random_queries(sc: Scene, rng: random.Random, n: int):
         start, goal = random_pose(rng, ws), random_pose(rng, ws)
         kind = k % 3
         if kind == 0 or not movables:
-            yield sc, (rs, rs), start, goal, frozenset({rid})
+            yield sc, sc.robot.footprint, start, goal, frozenset({rid})
             continue
         body = rng.choice(movables)
         if kind == 1:
@@ -330,7 +333,7 @@ def random_queries(sc: Scene, rng: random.Random, n: int):
             yield sc, parts, start, goal, frozenset({body.id, rid})
         else:
             aux = sc.statics_only(keep=body.id)
-            yield aux, (body.w, body.h), start, goal, frozenset({body.id, rid})
+            yield aux, body.footprint, start, goal, frozenset({body.id, rid})
 
 
 @pytest.mark.parametrize("name", ["four_blocks", "narrow_room", "doorway", "nested_blockers", "m_block_12"])
@@ -339,9 +342,9 @@ def test_random_queries_match_reference(name):
     sc = make_scene(name, 1)
     spec = GridSpec.from_scene(sc)
     found = lost = 0
-    for qsc, fp, start, goal, ignore in random_queries(sc, rng, 45):
+    for qsc, parts, start, goal, ignore in random_queries(sc, rng, 45):
         max_iters = rng.choice((0, 2, 10, 60, 400))
-        got = assert_agrees(qsc, fp, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
+        got = assert_agrees(qsc, parts, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
         found += got is not None
         lost += got is None
     assert found and lost
@@ -358,7 +361,7 @@ def test_exhausted_queries_take_the_grid_route(monkeypatch, max_iters):
     for k, q in enumerate([sc, sc.without({"b1"})]):
         for seed in range(6):
             for start, goal in [(Pose2(1.0, 2.0), Pose2(8.0, 8.0)), (Pose2(8.0, 2.0), Pose2(1.5, 7.5))]:
-                got = assert_agrees(q, (rs, rs), start, goal, 97 * seed + k, max_iters, frozenset({"robot"}), spec)
+                got = assert_agrees(q, square(rs), start, goal, 97 * seed + k, max_iters, frozenset({"robot"}), spec)
                 found += got is not None
     assert found
     assert fallbacks.count
@@ -392,7 +395,7 @@ def test_lattice_queries_match_reference(seed):
             goal = Pose2(rng.randrange(2, 30) / 4, start.y if rng.random() < 0.5 else rng.randrange(2, 30) / 4)
             ignore = frozenset({"robot"}) | (obstacles if rng.random() < 0.3 else frozenset())
             got = assert_agrees(
-                sc, (0.5, 0.5), start, goal, rng.randrange(2**32), rng.choice((5, 50, 300)), ignore,
+                sc, square(0.5), start, goal, rng.randrange(2**32), rng.choice((5, 50, 300)), ignore,
                 GridSpec.from_scene(sc),
             )
             found += got is not None
@@ -430,7 +433,7 @@ def test_lattice_samples_tie_inside_birrt(monkeypatch):
         start = Pose2(rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
         goal = Pose2(8.0 - rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
         spec = GridSpec.from_scene(sc)
-        assert assert_agrees(sc, (side, side), start, goal, seed, 200, frozenset({"robot"}), spec) is not None
+        assert assert_agrees(sc, square(side), start, goal, seed, 200, frozenset({"robot"}), spec) is not None
     assert ties[0] > 100
 
 
@@ -445,7 +448,7 @@ def test_lattice_samples_tie_inside_blocks(monkeypatch):
                ws=Rect(0.0, 0.0, 8.0, 8.0))
     spec = GridSpec.from_scene(sc)
     for seed in range(12):
-        assert_agrees(sc, (side, side), Pose2(h, h), Pose2(8.0 - h, 8.0 - h), seed, 3000, frozenset({"robot"}), spec)
+        assert_agrees(sc, square(side), Pose2(h, h), Pose2(8.0 - h, 8.0 - h), seed, 3000, frozenset({"robot"}), spec)
     assert rows.total > 1000
     assert rows.ambiguous > 20
 
@@ -517,7 +520,7 @@ def counting(monkeypatch):
     return made
 
 
-def assert_counts_agree(made, sc, footprint, start, goal, seed, max_iters, ignore, spec):
+def assert_counts_agree(made, sc, parts, start, goal, seed, max_iters, ignore, spec):
     """assert_agrees, and the same draws from both generators when the
     sampling loop ends (at the first smoothing draw, else at the end of the
     call).  Smoothing may stop sooner than the reference's, never later:
@@ -525,7 +528,7 @@ def assert_counts_agree(made, sc, footprint, start, goal, seed, max_iters, ignor
     Returns the path and the iterations run (0 when the call drew
     nothing)."""
     n = len(made)
-    got = assert_agrees(sc, footprint, start, goal, seed, max_iters, ignore, spec)
+    got = assert_agrees(sc, parts, start, goal, seed, max_iters, ignore, spec)
     if len(made) == n:
         return got, 0
     assert len(made) == n + 2
@@ -584,7 +587,7 @@ def test_max_iters_around_block_boundaries(monkeypatch, counting):
     for max_iters in budgets:
         for seed in (6, 7, 12, 16):
             _, iterations = assert_counts_agree(
-                counting, sc, (0.4, 0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), seed, max_iters,
+                counting, sc, square(0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), seed, max_iters,
                 frozenset({"robot"}), spec,
             )
             assert iterations == max_iters
@@ -607,7 +610,7 @@ def test_bridge_at_every_block_offset(monkeypatch, counting, dense_lookahead):
         start = Pose2(rng.uniform(0.5, 3.0), rng.uniform(0.5, 9.5))
         goal = Pose2(rng.uniform(7.0, 9.5), rng.uniform(0.5, 9.5))
         rows.take_blocks()
-        _, iterations = assert_counts_agree(counting, sc, (0.4, 0.4), start, goal, seed, 300, frozenset({"robot"}), spec)
+        _, iterations = assert_counts_agree(counting, sc, square(0.4), start, goal, seed, 300, frozenset({"robot"}), spec)
         blocks = rows.take_blocks()
         k = motion.LOOKAHEAD_WARMUP + sum(blocks[:-1])
         if iterations < 300 and blocks and iterations > k:
@@ -634,7 +637,7 @@ def test_blocked_block_rows_skip_the_kernel(monkeypatch):
 
     monkeypatch.setattr(motion, "footprint_collides_xy", spy)
     rows = BlockRows(monkeypatch)
-    assert assert_agrees(sc, (0.4, 0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), 7, 5000, frozenset({"robot"}), spec)
+    assert assert_agrees(sc, square(0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), 7, 5000, frozenset({"robot"}), spec)
     assert rows.total > 3000
     assert calls[0] <= 3596
 
@@ -669,8 +672,7 @@ def test_step_verdicts_match_the_kernel():
     for name in ("four_blocks", "doorway", "nested_blockers", "m_block_12"):
         sc = make_scene(name, 4)
         ws = sc.workspace
-        for qsc, fp, _, _, ignore in random_queries(sc, rng, 9):
-            parts = _normalize_parts(fp)
+        for qsc, parts, _, _, ignore in random_queries(sc, rng, 9):
             step = 0.5 * qsc.robot.w
             nodes = [(rng.uniform(ws.xmin, ws.xmax), rng.uniform(ws.ymin, ws.ymax)) for _ in range(80)]
             samples = [
@@ -791,13 +793,13 @@ def test_smoothing_tests_each_pair_once(monkeypatch, counting):
         spec = GridSpec.from_scene(sc)
         queries += [(*q, spec) for q in random_queries(sc, rng, 30)]
     zz = zigzag_scene()
-    queries += [(zz, (1.0, 1.0), Pose2(1.0, 9.0), Pose2(9.0, 1.0), frozenset({"robot"}), GridSpec.from_scene(zz))] * 4
-    for qsc, fp, start, goal, ignore, spec in queries:
+    queries += [(zz, square(1.0), Pose2(1.0, 9.0), Pose2(9.0, 1.0), frozenset({"robot"}), GridSpec.from_scene(zz))] * 4
+    for qsc, parts, start, goal, ignore, spec in queries:
         first[0] = len(counting)
         mine.append([])
         theirs.append([])
-        assert_counts_agree(counting, qsc, fp, start, goal, rng.randrange(2**32), rng.choice((60, 400, 2000)), ignore, spec)
-        assert len(set(mine[-1])) == len(mine[-1]), (fp, start, goal)
+        assert_counts_agree(counting, qsc, parts, start, goal, rng.randrange(2**32), rng.choice((60, 400, 2000)), ignore, spec)
+        assert len(set(mine[-1])) == len(mine[-1]), (parts, start, goal)
         assert set(mine[-1]) <= set(theirs[-1])
     assert sum(map(len, mine)) > 100
     assert sum(len(t) - len(set(t)) for t in theirs) > 100
@@ -824,11 +826,11 @@ def test_smoothing_tests_no_footprint(monkeypatch, counting):
         spec = GridSpec.from_scene(sc)
         queries += [(*q, spec) for q in random_queries(sc, rng, 20)]
     zz = zigzag_scene()
-    queries += [(zz, (1.0, 1.0), Pose2(1.0, 9.0), Pose2(9.0, 1.0), frozenset({"robot"}), GridSpec.from_scene(zz))] * 3
+    queries += [(zz, square(1.0), Pose2(1.0, 9.0), Pose2(9.0, 1.0), frozenset({"robot"}), GridSpec.from_scene(zz))] * 3
     smoothed = 0
-    for qsc, fp, start, goal, ignore, spec in queries:
+    for qsc, parts, start, goal, ignore, spec in queries:
         first[0] = len(counting)
-        assert_counts_agree(counting, qsc, fp, start, goal, rng.randrange(2**32), rng.choice((60, 400, 2000)), ignore, spec)
+        assert_counts_agree(counting, qsc, parts, start, goal, rng.randrange(2**32), rng.choice((60, 400, 2000)), ignore, spec)
         smoothed += bool(counting[first[0]:] and counting[first[0]].marks)
     assert late == []
     assert smoothed >= 10
@@ -845,7 +847,7 @@ def test_smoothing_stops_once_every_pair_is_blocked(counting):
     obstacles = inflate(sc, ((0.0, 0.0, 1.0, 1.0),), frozenset({"robot"}))
     stopped = []
     for seed in range(12):
-        path, _ = assert_counts_agree(counting, sc, (1.0, 1.0), start, goal, seed, 5000, frozenset({"robot"}), spec)
+        path, _ = assert_counts_agree(counting, sc, square(1.0), start, goal, seed, 5000, frozenset({"robot"}), spec)
         mine, ref = counting[-2:]
         assert len(ref.marks) == 2 * SHORTCUT_ATTEMPTS
         if len(mine.marks) == len(ref.marks):
@@ -891,7 +893,7 @@ def test_lattice_samples_tie_inside_dense_blocks(monkeypatch, dense_lookahead):
         sc = scene([robot(1.0, 1.0, side), wall("w", 4.0, wy, 1.0, 6.0)], ws=Rect(0.0, 0.0, 8.0, 8.0))
         start = Pose2(rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
         goal = Pose2(8.0 - rng.choice((h, h + 0.5, 1.5, 2.0)), rng.choice((h, 2.0, 4.0, 6.0, 8.0 - h)))
-        assert_agrees(sc, (side, side), start, goal, seed, 200, frozenset({"robot"}), GridSpec.from_scene(sc))
+        assert_agrees(sc, square(side), start, goal, seed, 200, frozenset({"robot"}), GridSpec.from_scene(sc))
     assert rows.ambiguous > 50
 
 
@@ -1015,12 +1017,12 @@ def test_grid_route_ends_at_goal_itself():
     goal = Pose2(center.x + 5e-13, center.y)
     assert goal != center and goal.dist(center) <= 1e-12
     start = Pose2(1.0, 5.0)
-    path = motion.birrt(sc, (0.4, 0.4), start, goal, 3, 0, ignore=frozenset({"robot"}), spec=spec)
+    path = motion.birrt(sc, square(0.4), start, goal, 3, 0, ignore=frozenset({"robot"}), spec=spec)
     assert path is not None
     assert path.waypoints[0] == start
     assert path.waypoints[-1] == goal
     assert motion.sweep_clear(sc, ((0.0, 0.0, 0.4, 0.4),), path.waypoints, frozenset({"robot"}))
     # the reference ended the same route at the cell center
-    old = ref_birrt(sc, (0.4, 0.4), start, goal, 3, 0, ignore=frozenset({"robot"}), spec=spec)
+    old = ref_birrt(sc, square(0.4), start, goal, 3, 0, ignore=frozenset({"robot"}), spec=spec)
     assert old.waypoints[-1] == center
     assert path.waypoints[:-1] == old.waypoints[:-1]

@@ -23,7 +23,6 @@ from rearrange2d.grids import (
     GridSpec,
     component_labels,
     fit_mask,
-    fit_mask_parts,
     grid_connected,
     static_clearance,
     swept_cells,
@@ -78,8 +77,8 @@ def ref_fit_mask_parts(scene, spec, parts, ignore):
 
 
 def ref_grid_connected(free, a, b):
-    a = grids.snap_to_free(free, a, radius=2)
-    b = grids.snap_to_free(free, b, radius=2)
+    a = grids.snap_to_free(free, a)
+    b = grids.snap_to_free(free, b)
     if a is None or b is None:
         return False
     labels, _ = ndimage.label(free)
@@ -197,10 +196,7 @@ def test_memo_agrees_with_reference(seed):
         for parts, ignore in queries(sc, rng):
             want = ref_fit_mask_parts(sc, spec, parts, ignore)
             for _ in range(2):  # the second round is served by the memo
-                if len(parts) == 1:
-                    _, _, w, h = parts[0]
-                    assert np.array_equal(fit_mask(sc, spec, w, h, ignore), want)
-                got = fit_mask_parts(sc, spec, parts, ignore)
+                got = fit_mask(sc, spec, parts, ignore)
                 assert np.array_equal(got, want)
                 assert np.array_equal(component_labels(got, spec), ndimage.label(want)[0])
                 for _ in range(4):
@@ -227,18 +223,20 @@ def test_labels_follow_mask_content():
 
 # -- read-only arrays, copied lists ----------------------------------------
 
+BOX = ((0.0, 0.0, 0.4, 0.4),)
+
 
 def test_cached_arrays_are_read_only(simple_scene):
     spec = GridSpec.from_scene(simple_scene)
-    mask = fit_mask(simple_scene, spec, 0.4, 0.4)
-    parts = fit_mask_parts(simple_scene, spec, compound_parts("W", 0.6, 0.6, 0.4))
+    mask = fit_mask(simple_scene, spec, BOX)
+    parts = fit_mask(simple_scene, spec, compound_parts("W", 0.6, 0.6, 0.4))
     arrays = [mask, parts, component_labels(mask, spec), static_clearance(simple_scene, spec)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0, 0] = arr[0, 0]
     with pytest.raises(ValueError):
         mask &= False
-    assert np.array_equal(fit_mask(simple_scene, spec, 0.4, 0.4), ref_part_fit(
+    assert np.array_equal(fit_mask(simple_scene, spec, BOX), ref_part_fit(
         simple_scene, spec, 0.0, 0.0, 0.4, 0.4, frozenset()))
 
 
@@ -271,18 +269,38 @@ def test_equal_scenes_share_entries(monkeypatch, simple_scene):
     # keys are contents: a fresh but equal scene is served from the memo
     spec = GridSpec.from_scene(simple_scene)
     built = _count_raw_masks(monkeypatch)
-    fit_mask(simple_scene, spec, 0.4, 0.4)
-    fit_mask(simple_scene.without(()), spec, 0.4, 0.4)
+    fit_mask(simple_scene, spec, BOX)
+    fit_mask(simple_scene.without(()), spec, BOX)
     # an ignored body and an absent one leave the same obstacles
-    fit_mask(simple_scene, spec, 0.4, 0.4, frozenset({"b1"}))
-    fit_mask(simple_scene.without(("b1",)), spec, 0.4, 0.4)
+    fit_mask(simple_scene, spec, BOX, frozenset({"b1"}))
+    fit_mask(simple_scene.without(("b1",)), spec, BOX)
     assert built[0] == 2
+
+
+def test_one_part_mask_is_its_part_entry_and_compounds_combine_once(simple_scene):
+    spec = GridSpec.from_scene(simple_scene)
+    obstacles = grids._obstacle_bounds(simple_scene, frozenset())
+    mask = fit_mask(simple_scene, spec, BOX)
+    # a one-part footprint adds no entry of its own: its mask is the part's
+    assert mask is grids._part_fit(spec, simple_scene.workspace, obstacles, BOX[0])
+    assert len(spec.memo) == 1
+    parts = compound_parts("W", 0.6, 0.6, 0.4)
+    first = fit_mask(simple_scene, spec, parts)
+    assert np.array_equal(first, ref_fit_mask_parts(simple_scene, spec, parts, frozenset()))
+    # a rebuilt compound would be a new array: equal parts, given as lists,
+    # and an equal scene are served the one built above
+    assert fit_mask(simple_scene, spec, [list(p) for p in parts]) is first
+    assert fit_mask(simple_scene.without(()), spec, parts) is first
+    # one entry for each of the two parts and one for the compound
+    assert len(spec.memo) == 4
+    # other obstacles key another compound
+    assert fit_mask(simple_scene, spec, parts, frozenset({"b1"})) is not first
 
 
 def test_memo_belongs_to_one_spec(simple_scene):
     a = GridSpec.from_scene(simple_scene)
     b = GridSpec.from_scene(simple_scene)
-    fit_mask(simple_scene, a, 0.4, 0.4)
+    fit_mask(simple_scene, a, BOX)
     assert a.memo and not b.memo
     assert a == b and hash(a) == hash(b)
     assert not dataclasses.replace(a).memo

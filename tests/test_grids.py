@@ -13,7 +13,6 @@ from rearrange2d.grids import (
     GridSpec,
     edt,
     fit_mask,
-    fit_mask_parts,
     grid_anchor,
     grid_connected,
     grid_path,
@@ -256,20 +255,19 @@ class TestFitMask:
                 )
             sc = scene(bodies)
             spec = GridSpec.from_scene(sc, 32)
-            w, h = rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)
-            free = fit_mask(sc, spec, w, h)
+            parts = ((0.0, 0.0, rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)),)
+            free = fit_mask(sc, spec, parts)
             ignore = frozenset({sc.robot.id})
             for iy in range(spec.ny):
                 for ix in range(spec.nx):
-                    hit = footprint_collides(
-                        sc, ((0.0, 0.0, w, h),), spec.center((ix, iy)), ignore
-                    )
+                    hit = footprint_collides(sc, parts, spec.center((ix, iy)), ignore)
                     assert free[iy, ix] == (not hit), (trial, ix, iy)
 
     def test_ignore_opens_cells(self, simple_scene):
         spec = GridSpec.from_scene(simple_scene)
-        blocked = fit_mask(simple_scene, spec, 0.4, 0.4)
-        opened = fit_mask(simple_scene, spec, 0.4, 0.4, frozenset({"b1"}))
+        parts = simple_scene.robot.footprint
+        blocked = fit_mask(simple_scene, spec, parts)
+        opened = fit_mask(simple_scene, spec, parts, frozenset({"b1"}))
         ix, iy = spec.cell_of(Pose2(6.0, 6.0))
         assert not blocked[iy, ix]
         assert opened[iy, ix]
@@ -277,7 +275,7 @@ class TestFitMask:
     def test_parts_and_of_single_masks(self, simple_scene):
         spec = GridSpec.from_scene(simple_scene)
         parts = ((0.0, 0.0, 0.4, 0.4), (0.5, 0.0, 0.6, 0.6))
-        combined = fit_mask_parts(simple_scene, spec, parts)
+        combined = fit_mask(simple_scene, spec, parts)
         ignore = frozenset({simple_scene.robot.id})
         for iy in range(0, spec.ny, 3):
             for ix in range(0, spec.nx, 3):
@@ -289,7 +287,7 @@ class TestFitMask:
     def test_empty_parts_rejected(self, simple_scene):
         spec = GridSpec.from_scene(simple_scene)
         with pytest.raises(ValueError):
-            fit_mask_parts(simple_scene, spec, ())
+            fit_mask(simple_scene, spec, ())
 
 
 def _sealed_robot_scene():
@@ -310,7 +308,7 @@ class TestReachability:
         spec = GridSpec.from_scene(simple_scene)
         reach = reachability(simple_scene, spec)
         assert (reach == ALPHA_R).sum() > 1
-        free = fit_mask(simple_scene, spec, 0.4, 0.4)
+        free = fit_mask(simple_scene, spec, simple_scene.robot.footprint)
         assert (reach[free] == ALPHA_R).all()
         # cells inside the obstacle stay at beta_r
         ix, iy = spec.cell_of(Pose2(6.0, 6.0))
@@ -416,7 +414,9 @@ class TestSnapToFree:
     def test_nearest_by_distance(self):
         free = np.zeros((5, 5), dtype=bool)
         free[2, 4] = True
-        assert snap_to_free(free, (3, 2), radius=2) == (4, 2)
+        assert snap_to_free(free, (3, 2)) == (4, 2)
+        # SNAP_RADIUS cells out along an axis is still in reach
+        assert snap_to_free(free, (2, 2)) == (4, 2)
 
     def test_tie_breaks_on_smaller_cell(self):
         free = np.zeros((5, 5), dtype=bool)
@@ -427,11 +427,11 @@ class TestSnapToFree:
     def test_none_beyond_radius(self):
         free = np.zeros((5, 5), dtype=bool)
         free[0, 0] = True
-        assert snap_to_free(free, (4, 4), radius=2) is None
+        assert snap_to_free(free, (4, 4)) is None
 
     def test_out_of_bounds_cell(self):
         free = np.ones((5, 5), dtype=bool)
-        assert snap_to_free(free, (6, 2), radius=2) == (4, 2)
+        assert snap_to_free(free, (6, 2)) == (4, 2)
 
 
 class TestGridAnchor:
@@ -441,14 +441,14 @@ class TestGridAnchor:
         for _ in range(200):
             free = np.array([[rng.random() < 0.1 for _ in range(12)] for _ in range(9)])
             p = Pose2(rng.uniform(-1.0, 7.0), rng.uniform(-1.0, 7.5))
-            assert grid_anchor(free, spec, p) == snap_to_free(free, spec.cell_of(p), radius=2)
+            assert grid_anchor(free, spec, p) == snap_to_free(free, spec.cell_of(p))
 
     def test_wedged_robot_has_none(self):
         sc = wedged_scene()
         spec = GridSpec.from_scene(sc)
         r = sc.robot
-        free = fit_mask(sc, spec, r.w, r.h, frozenset({r.id}))
-        assert not footprint_collides(sc, ((0.0, 0.0, r.w, r.h),), r.pose, frozenset({r.id}))
+        free = fit_mask(sc, spec, r.footprint, frozenset({r.id}))
+        assert not footprint_collides(sc, r.footprint, r.pose, frozenset({r.id}))
         assert grid_anchor(free, spec, r.pose) is None
         # out in the open, past the pocket's mouth, the anchor is the pose's cell
         p = Pose2(3.0, 2.18)

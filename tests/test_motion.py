@@ -3,7 +3,6 @@ import pytest
 from rearrange2d import grids, motion
 from rearrange2d.motion import (
     InfeasibleLeg,
-    ObjectPath,
     Path,
     SubgoalBlocked,
     birrt,
@@ -109,7 +108,7 @@ class TestBirrt:
     def test_straight_shot(self, empty_scene):
         a, b = Pose2(1, 1), Pose2(8, 8)
         p = birrt(
-            empty_scene, (0.4, 0.4), a, b, 0,
+            empty_scene, empty_scene.robot.footprint, a, b, 0,
             ignore=frozenset({"robot"}), spec=GridSpec.from_scene(empty_scene),
         )
         assert p is not None
@@ -118,15 +117,15 @@ class TestBirrt:
     def test_deterministic(self, walled_scene):
         a, b = Pose2(2, 2), Pose2(8, 2)
         kw = dict(ignore=frozenset({"robot", "g1"}), spec=GridSpec.from_scene(walled_scene))
-        p1 = birrt(walled_scene, (0.4, 0.4), a, b, 7, **kw)
-        p2 = birrt(walled_scene, (0.4, 0.4), a, b, 7, **kw)
+        p1 = birrt(walled_scene, walled_scene.robot.footprint, a, b, 7, **kw)
+        p2 = birrt(walled_scene, walled_scene.robot.footprint, a, b, 7, **kw)
         assert p1 is not None
         assert p1.waypoints == p2.waypoints
 
     def test_endpoints_exact(self, walled_scene):
         a, b = Pose2(2, 2), Pose2(8, 2)
         p = birrt(
-            walled_scene, (0.4, 0.4), a, b, 7,
+            walled_scene, walled_scene.robot.footprint, a, b, 7,
             ignore=frozenset({"robot", "g1"}), spec=GridSpec.from_scene(walled_scene),
         )
         assert p.waypoints[0] == a and p.waypoints[-1] == b
@@ -134,7 +133,7 @@ class TestBirrt:
     def test_path_is_collision_free(self, walled_scene):
         a, b = Pose2(2, 2), Pose2(8, 2)
         p = birrt(
-            walled_scene, (0.4, 0.4), a, b, 7,
+            walled_scene, walled_scene.robot.footprint, a, b, 7,
             ignore=frozenset({"robot", "g1"}), spec=GridSpec.from_scene(walled_scene),
         )
         assert sweep_clear(
@@ -144,7 +143,7 @@ class TestBirrt:
     def test_disconnected_returns_none(self):
         sc = scene([robot(1, 5), wall("bar", 5, 5, 0.4, 10.0)])
         p = birrt(
-            sc, (0.4, 0.4), Pose2(1, 5), Pose2(9, 5), 0,
+            sc, sc.robot.footprint, Pose2(1, 5), Pose2(9, 5), 0,
             ignore=frozenset({"robot"}), spec=GridSpec.from_scene(sc),
         )
         assert p is None
@@ -159,7 +158,7 @@ class TestBirrt:
             ]
         )
         p = birrt(
-            sc, (0.4, 0.4), Pose2(1, 5), Pose2(9, 5), 3,
+            sc, sc.robot.footprint, Pose2(1, 5), Pose2(9, 5), 3,
             ignore=frozenset({"robot"}), spec=GridSpec.from_scene(sc),
         )
         assert p is not None
@@ -168,7 +167,7 @@ class TestBirrt:
     def test_ignore_respected(self, simple_scene):
         a, b = Pose2(2, 6), Pose2(9, 6)
         p = birrt(
-            simple_scene, (0.4, 0.4), a, b, 0,
+            simple_scene, simple_scene.robot.footprint, a, b, 0,
             ignore=frozenset({"robot", "b1"}), spec=GridSpec.from_scene(simple_scene),
         )
         assert p.waypoints == (a, b)
@@ -181,18 +180,18 @@ class TestBirrt:
         spec = GridSpec.from_scene(sc)
         r = sc.robot
         goal = Pose2(5.0, 5.0)
-        free = grids.fit_mask(sc, spec, r.w, r.h, frozenset({r.id}))
+        free = grids.fit_mask(sc, spec, r.footprint, frozenset({r.id}))
         assert not grids.grid_connected(free, spec.cell_of(r.pose), spec.cell_of(goal), spec)
         for seed in range(3):
-            p = birrt(sc, (r.w, r.h), r.pose, goal, seed, ignore=frozenset({r.id}), spec=spec)
+            p = birrt(sc, r.footprint, r.pose, goal, seed, ignore=frozenset({r.id}), spec=spec)
             assert p is not None
             assert p.waypoints[0] == r.pose and p.waypoints[-1] == goal
-            assert sweep_clear(sc, ((0.0, 0.0, r.w, r.h),), p.waypoints, frozenset({r.id}))
+            assert sweep_clear(sc, r.footprint, p.waypoints, frozenset({r.id}))
 
     def test_invalid_endpoint(self, simple_scene):
         # start colliding with an obstacle that is not ignored
         p = birrt(
-            simple_scene, (0.4, 0.4), Pose2(6, 6), Pose2(9, 9), 0,
+            simple_scene, simple_scene.robot.footprint, Pose2(6, 6), Pose2(9, 9), 0,
             ignore=frozenset({"robot"}), spec=GridSpec.from_scene(simple_scene),
         )
         assert p is None
@@ -242,8 +241,7 @@ class TestSolvePickConfig:
 class TestPlanObjectPath:
     def test_straight(self, simple_scene):
         mu = plan_object_path(simple_scene, "g1", Pose2(8, 8), 0, spec=GridSpec.from_scene(simple_scene))
-        assert mu is not None
-        assert mu.object_id == "g1"
+        assert isinstance(mu, Path)
         assert mu.waypoints[0] == Pose2(3, 3)
         assert mu.waypoints[-1] == Pose2(8, 8)
 
@@ -265,12 +263,12 @@ class TestPlanObjectPath:
 class TestSelectSubgoals:
     def _straight(self, length=8.0):
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(9, 5)})
-        mu = ObjectPath("o", (Pose2(1, 5), Pose2(1 + length, 5)))
+        mu = Path((Pose2(1, 5), Pose2(1 + length, 5)))
         return sc, mu
 
     def test_endpoints_and_spacing(self):
         sc, mu = self._straight()
-        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         assert sgs[0].object_pose == Pose2(1, 5)
         assert sgs[-1].object_pose == Pose2(9, 5)
         rs = 0.4
@@ -286,14 +284,14 @@ class TestSelectSubgoals:
             [robot(1, 4), goal_obj("o", 1, 5), wall("w", 5, 6.0, 8.0, 0.6)],
             {"o": Pose2(9, 5)},
         )
-        n_open = len(select_subgoals(mu, open_sc, spec=GridSpec.from_scene(open_sc)))
-        n_wall = len(select_subgoals(mu, near, spec=GridSpec.from_scene(near)))
+        n_open = len(select_subgoals(mu, open_sc, object_id="o", spec=GridSpec.from_scene(open_sc)))
+        n_wall = len(select_subgoals(mu, near, object_id="o", spec=GridSpec.from_scene(near)))
         assert n_wall > n_open
 
     def test_via_points_cover_bends(self):
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(5, 9)})
-        mu = ObjectPath("o", (Pose2(1, 5), Pose2(5, 5), Pose2(5, 9)))
-        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        mu = Path((Pose2(1, 5), Pose2(5, 5), Pose2(5, 9)))
+        sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         seq = [sgs[0].object_pose]
         for sg in sgs[1:]:
             seq.extend(sg.via)
@@ -314,13 +312,13 @@ class TestSelectSubgoals:
 
         monkeypatch.setattr(motion, "assign_leg_side", spy)
         sc, mu = self._straight()
-        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         legs = [(a.object_pose, b.object_pose) for a, b in zip(sgs, sgs[1:])]
         assert len(legs) > 1 and calls == legs
         assert sgs[0].grasp_side == sgs[1].grasp_side
         # a zero-length path keeps its one degenerate leg
         calls.clear()
-        sgs = select_subgoals(ObjectPath("o", (Pose2(1, 5),)), sc, spec=GridSpec.from_scene(sc))
+        sgs = select_subgoals(Path((Pose2(1, 5), Pose2(1, 5))), sc, object_id="o", spec=GridSpec.from_scene(sc))
         assert len(sgs) == 1 and calls == [(Pose2(1, 5), Pose2(1, 5))]
 
     def test_blocked_grasp_raises(self):
@@ -335,9 +333,9 @@ class TestSelectSubgoals:
                 wall("wt", cx, cx + 0.65, 1.8, 0.5),
             ]
         )
-        mu = ObjectPath("o", (Pose2(cx, cx), Pose2(cx, 8.0)))
+        mu = Path((Pose2(cx, cx), Pose2(cx, 8.0)))
         with pytest.raises(SubgoalBlocked) as ei:
-            select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+            select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         assert ei.value.subgoal == 0
 
     @pytest.mark.parametrize("fail", [1, 2, 3])
@@ -355,15 +353,15 @@ class TestSelectSubgoals:
         monkeypatch.setattr(motion, "assign_leg_side", spy)
         sc, mu = self._straight()
         with pytest.raises(SubgoalBlocked) as ei:
-            select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+            select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         assert len(legs) == fail
         subgoal, pose = (0, legs[0][0]) if fail == 1 else (fail, legs[-1][1])
         assert (ei.value.subgoal, ei.value.pose) == (subgoal, pose)
         assert str(ei.value).startswith(f"no feasible grasp side for subgoal {subgoal} at (")
 
-    def test_empty_path_rejected(self, empty_scene):
+    def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
-            select_subgoals(ObjectPath("o", ()), empty_scene, spec=GridSpec.from_scene(empty_scene))
+            Path(())
 
 
 class TestRefineSubgoals:
@@ -373,8 +371,8 @@ class TestRefineSubgoals:
 
     def test_straight_line_merges_to_two(self):
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(9, 5)})
-        mu = ObjectPath("o", (Pose2(1, 5), Pose2(9, 5)))
-        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        mu = Path((Pose2(1, 5), Pose2(9, 5)))
+        sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         assert len(sgs) > 2
         out = refine_subgoals(sgs, sc, 0.1, object_id="o")
         assert len(out) == 2
@@ -389,8 +387,8 @@ class TestRefineSubgoals:
         # the N side but E/W pushes survive; with a tight epsilon on
         # differing contact points nothing merges
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(9, 5)})
-        mu = ObjectPath("o", (Pose2(1, 5), Pose2(9, 5)))
-        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        mu = Path((Pose2(1, 5), Pose2(9, 5)))
+        sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         sides = {sg.grasp_side for sg in sgs[1:]}
         if len(sides) == 1:
             out = refine_subgoals(sgs, sc, 1e-6, object_id="o")
@@ -402,8 +400,8 @@ class TestRefineSubgoals:
 class TestPlanPickPlace:
     def _plan(self, seed=0):
         sc = scene([robot(1, 5), goal_obj("o", 3, 5)], {"o": Pose2(7, 5)})
-        mu = ObjectPath("o", (Pose2(3, 5), Pose2(7, 5)))
-        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        mu = Path((Pose2(3, 5), Pose2(7, 5)))
+        sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         sgs = refine_subgoals(sgs, sc, 0.25 * sc.robot.w, object_id="o")
         return sc, plan_pick_place(sc, "o", sgs, seed=seed, spec=GridSpec.from_scene(sc))
 
@@ -455,8 +453,8 @@ class TestPlanPickPlace:
             ],
             {"o": Pose2(7.5, 5)},
         )
-        mu = ObjectPath("o", (Pose2(2.5, 5), Pose2(7.5, 5)))
-        sgs = select_subgoals(mu, sc, spec=GridSpec.from_scene(sc))
+        mu = Path((Pose2(2.5, 5), Pose2(7.5, 5)))
+        sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         with pytest.raises(InfeasibleLeg) as ei:
             plan_pick_place(sc, "o", sgs, spec=GridSpec.from_scene(sc))
         assert ei.value.object_id == "o"

@@ -387,7 +387,7 @@ def _ref_reachable_sides(sc, oid, spec):
     """The per-side form: one grid_connected call, and one snap of the
     robot cell, per grasp side."""
     robot = sc.robot
-    free = grids.fit_mask(sc, spec, robot.w, robot.h, frozenset({robot.id}))
+    free = grids.fit_mask(sc, spec, robot.footprint, frozenset({robot.id}))
     rc = spec.cell_of(robot.pose)
     b = sc.body(oid)
     return any(
@@ -404,7 +404,7 @@ def test_reachable_sides_matches_per_side_grid_connected():
         sc = _flush_scene(rng)
         spec = GridSpec.from_scene(sc, rng.choice((16, 32, 64)))
         robot = sc.robot
-        free = grids.fit_mask(sc, spec, robot.w, robot.h, frozenset({robot.id}))
+        free = grids.fit_mask(sc, spec, robot.footprint, frozenset({robot.id}))
         rx, ry = spec.cell_of(robot.pose)
         own_cell_blocked += not free[ry, rx]
         for b in sc.movables:
@@ -424,7 +424,7 @@ def ref_gen_relocation_points(scene, object_id, k, *, spec, clearance_min=2.0, a
     cell, sorted by (-clearance, iy, ix)."""
     body = scene.body(object_id)
     occ = grids.occupancy_mask(scene, spec, exclude=frozenset({object_id}))
-    free = grids.fit_mask(scene, spec, body.w, body.h, frozenset({object_id}))
+    free = grids.fit_mask(scene, spec, body.footprint, frozenset({object_id}))
     goal_rects = [
         rect_at(scene.goal_of(oid), scene.body(oid).w, scene.body(oid).h)
         for oid in sorted(scene.goals)

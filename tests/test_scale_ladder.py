@@ -7,12 +7,12 @@ every goal object on its goal.  Only the seeds named in ``OPEN_DEFECTS``
 may fail: each one is a known failure still to be fixed, and it stays on
 the ladder.  Failures carry no reason yet, so none is checked.
 
-Tier-1 climbs the M = 16 rung (a few seconds).  The M = 20, 24 and 32
-rungs take about a minute together (M = 32 alone about 40 s of CPU), so
-they run as a script, which also checks each rung's results against a
-pinned digest (M = 16 is pinned too):
+Tier-1 climbs the M = 16 rung (a few seconds) but checks no digest.  The
+M = 20, 24 and 32 rungs take about a minute together (M = 32 alone about
+40 s of CPU), so they run as a script, which also checks each rung's
+results against a pinned digest; CI runs it on every rung:
 
-    PYTHONPATH=src python tests/test_scale_ladder.py 20 24 32
+    PYTHONPATH=src python tests/test_scale_ladder.py 16 20 24 32
 
 M = 32 is also the largest sequence the planner's local search meets (up
 to 32 goal objects), so its pin guards that search's answers too.

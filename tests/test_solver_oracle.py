@@ -28,7 +28,7 @@ import pytest
 from rearrange2d import motion, sequencer
 from rearrange2d.bench import make_scene
 from rearrange2d.grids import GridSpec
-from rearrange2d.motion import ObjectPath
+from rearrange2d.motion import Path
 from rearrange2d.sequencer import (
     STRONG,
     WEAK,
@@ -169,7 +169,7 @@ def ref_solve_patsp(
     return PlacementSequence(tuple(ids[j] for j in seq), float(cost))
 
 
-def ref_path_crosses_rect(mu: ObjectPath, footprint_rect: Rect, w: float, h: float) -> bool:
+def ref_path_crosses_rect(mu: Path, footprint_rect: Rect, w: float, h: float) -> bool:
     inflated = Rect(
         footprint_rect.xmin - w / 2.0,
         footprint_rect.ymin - h / 2.0,
@@ -374,20 +374,13 @@ def test_edges_match_reference_on_m_block(monkeypatch, m, seed):
     assert calls == want_calls
 
 
-def _fixed_routes(monkeypatch, routes):
-    def route(scene, oid, *args, **kwargs):
-        return ObjectPath(oid, routes[oid])
-
-    monkeypatch.setattr(motion, "plan_object_path", route)
-
-
 @pytest.mark.parametrize(
     "route, expected",
     [
-        # a single waypoint inside b's inflated current rect
-        ((Pose2(5.0, 5.2),), {Edge("b", "a", WEAK)}),
-        # a single waypoint on the inflated edge: contact only
-        ((Pose2(5.0, 5.6),), set()),
+        # a zero-length route inside b's inflated current rect
+        ((Pose2(5.0, 5.2), Pose2(5.0, 5.2)), {Edge("b", "a", WEAK)}),
+        # a zero-length route on the inflated edge: contact only
+        ((Pose2(5.0, 5.6), Pose2(5.0, 5.6)), set()),
         # sliding flush along the top of b's inflated current rect
         ((Pose2(2.0, 5.6), Pose2(8.0, 5.6)), set()),
         # the same a few EPS inside it
@@ -407,7 +400,7 @@ def test_edges_match_reference_on_hand_made_routes(monkeypatch, route, expected)
         [robot(0.5, 9.5), goal_obj("a", 1.0, 1.0), goal_obj("b", 5.0, 5.0)],
         {"a": Pose2(9.0, 1.0), "b": Pose2(7.5, 7.5)},
     )
-    paths = {"a": ObjectPath("a", route), "b": ObjectPath("b", (Pose2(5.0, 5.0), Pose2(7.5, 7.5)))}
+    paths = {"a": Path(route), "b": Path((Pose2(5.0, 5.0), Pose2(7.5, 7.5)))}
     monkeypatch.setattr(motion, "plan_object_path", lambda scene, oid, *a, **k: paths[oid])
     counter = SegmentCounter(monkeypatch)
     graph = build_dependency_graph(sc, unplaced=("a", "b"), tol=0.0, spec=GridSpec.from_scene(sc))

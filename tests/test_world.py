@@ -103,6 +103,14 @@ class TestSceneInvariants:
         with pytest.raises(SceneError):
             scene([robot(1, 1), Body("a", 0.0, 1.0, KIND_OBSTACLE, Pose2(3, 3))])
 
+    def test_robot_must_be_square(self):
+        with pytest.raises(SceneError, match="not square"):
+            scene([Body("robot", 0.4, 0.5, KIND_ROBOT, Pose2(1, 1))])
+        # other bodies may be any rectangle
+        sc = scene([robot(1, 1), Body("a", 0.4, 0.5, KIND_OBSTACLE, Pose2(3, 3))])
+        assert sc.robot.footprint == ((0.0, 0.0, 0.4, 0.4),)
+        assert sc.body("a").footprint == ((0.0, 0.0, 0.4, 0.5),)
+
     def test_goal_only_on_goal_bodies(self):
         with pytest.raises(SceneError):
             scene([robot(1, 1), obstacle("a", 3, 3)], {"a": Pose2(5, 5)})
