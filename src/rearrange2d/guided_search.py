@@ -23,6 +23,7 @@ from .motion import (
     SIDES,
     InfeasibleLeg,
     MotionPlan,
+    PendingPlan,
     Subgoal,
     _mix_seed,
     assign_leg_side,
@@ -49,12 +50,17 @@ CARDINALITY_CAP = 4
 
 @dataclass(frozen=True)
 class TaskTrajectory:
-    """The route a pending task needs, rasterized for blocker queries."""
+    """The route a pending task needs, rasterized for blocker queries; a
+    route of fewer than two waypoints raises ValueError."""
 
     kind: str                              # "pick" or "place"
     object_id: str                         # the object being served
     waypoints: tuple[Pose2, ...]           # robot route (pick) or object route (place)
     cells: tuple[tuple[int, int], ...]     # ordered by first contact
+
+    def __post_init__(self):
+        if len(self.waypoints) < 2:
+            raise ValueError("a task route needs at least 2 waypoints")
 
 
 def pick_task(
@@ -82,8 +88,7 @@ def place_task(scene: Scene, object_id: str, waypoints, spec: GridSpec) -> TaskT
     seen: dict[tuple[int, int], int] = {}
     order = 0
     prev_side = None
-    segments = list(zip(wps, wps[1:])) or [(wps[0], wps[0])]
-    for a, b in segments:
+    for a, b in zip(wps, wps[1:]):
         side = assign_leg_side(statics, [a, b], body.w, body.h, rs, prev_side, ignore)
         if side is None:
             side = prev_side or "W"
@@ -129,9 +134,8 @@ def task_feasible(scene: Scene, task: TaskTrajectory, removed, spec: GridSpec) -
     ignore = frozenset({task.object_id, robot.id})
     rs = robot.w
     wps = task.waypoints
-    segments = list(zip(wps, wps[1:])) or [(wps[0], wps[0])]
     prev_side = None
-    for k, (a, b) in enumerate(segments):
+    for k, (a, b) in enumerate(zip(wps, wps[1:])):
         side = assign_leg_side(test, [a, b], body.w, body.h, rs, prev_side, ignore)
         if side is None:
             return False
@@ -278,8 +282,9 @@ def expand_crit(scene: Scene, crit, counts: dict[str, int]) -> str | None:
 def plan_relocation(
     scene: Scene, object_id: str, target: Pose2, seed: int, *, spec: GridSpec,
     rrt_max_iters: int = 5000,
-) -> tuple[MotionPlan, Scene] | None:
-    """One pick and one place moving object_id to target, or None."""
+) -> tuple[MotionPlan | PendingPlan, Scene] | None:
+    """One pick and one place moving object_id to target, or None.  Legs
+    that cannot fail are left unplanned (plan_pick_place's defer)."""
     sg0 = solve_pick_config(scene, object_id)
     if sg0 is None:
         return None
@@ -288,7 +293,7 @@ def plan_relocation(
     try:
         plan, after = motion.plan_pick_place(
             scene, object_id, [sg0, sg1], seed=seed, spec=spec,
-            max_iters=rrt_max_iters, purpose="relocation",
+            max_iters=rrt_max_iters, purpose="relocation", defer=True,
         )
     except InfeasibleLeg:
         return None
@@ -299,7 +304,7 @@ def plan_relocation(
 class SearchNode:
     nid: int
     scene: Scene
-    plans: tuple[MotionPlan, ...]
+    plans: tuple[MotionPlan | PendingPlan, ...]
     s_scene: float
     visits: int = 0
 
@@ -370,9 +375,24 @@ def search_relocations(
     the search fails with reason "timeout".  A first iteration that reaches
     no critical object ends the search with reason "no critical object
     reachable", as every later one would repeat it.
+
+    A child's motions are planned lazily, with no change to any result.
+    plan_relocation decides exactly whether its two Bi-RRT legs succeed,
+    without running a leg that cannot fail (motion.DeferredLeg): birrt's
+    sample stream does not depend on its trees, so a leg that bridges
+    within LOOKAHEAD_WARMUP iterations keeps that path, the full run's, and
+    a leg that has not bridged by then while its grid fallback route is
+    clear is certain to find a path.  Every leg ends at its goal, so the
+    child's scene (the object at its target, the robot at the chosen side's
+    offset from it) is known either way, and scores, task_feasible, node
+    ids, seeds and blame counts are those of eager planning.  Deferred legs
+    are planned only on the returned chain (PendingPlan.resolve, which
+    raises RuntimeError if the planned scene differs from the predicted
+    one).  trace counts the children left pending ("deferred") and the
+    pending plans the returned chain resolved ("resolved").
     """
     colliders = find_colliding(scene, task, spec)
-    trace: dict = {"colliders": list(colliders), "expanded": [], "candidates": 0}
+    trace: dict = {"colliders": list(colliders), "expanded": [], "candidates": 0, "deferred": 0, "resolved": 0}
     if not colliders:
         if task_feasible(scene, task, frozenset(), spec):
             return RelocationSearchResult(True, scene, (), 0, 0, trace)
@@ -442,6 +462,7 @@ def search_relocations(
                             counts[blocker] = counts.get(blocker, 0) + 1
                     continue
                 plan, after = res
+                trace["deferred"] += isinstance(plan, PendingPlan)
                 child = SearchNode(len(nodes), after, node.plans + (plan,), scene_score(after))
                 nodes.append(child)
                 open_ids.append(child.nid)
@@ -452,7 +473,9 @@ def search_relocations(
                 if task_feasible(after, task, frozenset(), spec):
                     trace["nodes"] = len(nodes)
                     trace["final_crit"] = list(crit)
-                    return RelocationSearchResult(True, after, child.plans, it, failed, trace)
+                    trace["resolved"] = sum(isinstance(p, PendingPlan) for p in child.plans)
+                    plans = tuple(p.resolve() if isinstance(p, PendingPlan) else p for p in child.plans)
+                    return RelocationSearchResult(True, after, plans, it, failed, trace)
             if not success_any:
                 weights = decay_weight(weights, oid)
 

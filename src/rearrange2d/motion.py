@@ -115,6 +115,81 @@ class MotionPlan:
         return left_sum(p.pick.length + p.place.length for p in self.pairs)
 
 
+@dataclass(frozen=True)
+class DeferredLeg:
+    """A birrt query held back because it cannot fail.
+
+    birrt's sample stream does not depend on its trees, so its first
+    LOOKAHEAD_WARMUP iterations are the same in any run of the query.  Past
+    them, with no bridge yet, the run either bridges later or takes the grid
+    fallback route; when that route is clear, both end in a path, and every
+    path ends at goal itself.
+    """
+
+    scene: Scene
+    parts: tuple
+    start: Pose2
+    goal: Pose2
+    seed: int
+    max_iters: int
+    ignore: frozenset
+    spec: GridSpec
+
+    def plan(self) -> Path:
+        path = birrt(
+            self.scene, self.parts, self.start, self.goal, self.seed, self.max_iters,
+            ignore=self.ignore, spec=self.spec,
+        )
+        if path is None:
+            raise RuntimeError(
+                f"deferred Bi-RRT query from ({self.start.x:.3f}, {self.start.y:.3f}) "
+                f"to ({self.goal.x:.3f}, {self.goal.y:.3f}) found no path"
+            )
+        return path
+
+
+def _planned(leg: Path | DeferredLeg) -> Path:
+    return leg.plan() if isinstance(leg, DeferredLeg) else leg
+
+
+def _pair(gp: Pose2, off, pick: Path, route: Path, sg: Subgoal) -> PickPlacePair:
+    """The pick to grasp pose gp, then the place carrying the object along
+    route with the robot at offset off."""
+    obj_wps = route.waypoints
+    place_wps = (gp,) + tuple(Pose2(p.x + off[0], p.y + off[1]) for p in obj_wps[1:])
+    return PickPlacePair(pick=pick, place=Path(place_wps), object_waypoints=obj_wps, subgoal=sg, robot_offset=off)
+
+
+@dataclass(frozen=True)
+class PendingPlan:
+    """A MotionPlan whose grasp sides and end scene are settled but some of
+    whose Bi-RRT legs are DeferredLegs.
+
+    legs holds (grasp pose, robot offset, pick, object route, subgoal) per
+    leg, the pick and the route each a Path or a DeferredLeg; scene is the
+    scene the plan starts in and after the one plan_pick_place predicted.
+    """
+
+    object_id: str
+    legs: tuple
+    purpose: str
+    scene: Scene
+    after: Scene
+
+    def resolve(self) -> MotionPlan:
+        """Plan the deferred legs.  RuntimeError when one finds no path, or
+        when the planned motions leave the object or the robot elsewhere
+        than after has them."""
+        pairs = tuple(_pair(gp, off, _planned(pick), _planned(route), sg) for gp, off, pick, route, sg in self.legs)
+        last = pairs[-1]
+        planned = self.scene.with_pose(self.object_id, last.object_waypoints[-1]).with_pose(
+            self.scene.robot.id, last.place.waypoints[-1]
+        )
+        if planned != self.after:
+            raise RuntimeError(f"planned motions of {self.object_id} leave another scene than predicted")
+        return MotionPlan(self.object_id, pairs, self.purpose)
+
+
 class SubgoalBlocked(Exception):
     """No grasp side admits a required transport leg.
 
@@ -321,6 +396,14 @@ def birrt(
     where no such pair exists.  rng is not read after the loop, so ending
     it early returns the path all SHORTCUT_ATTEMPTS attempts would.
     """
+    return _birrt(scene, parts, start, goal, seed, max_iters, ignore, spec, False)
+
+
+def _birrt(scene, parts, start, goal, seed, max_iters, ignore, spec, defer) -> Path | DeferredLeg | None:
+    """birrt's run.  With defer, a query whose max_iters exceeds
+    LOOKAHEAD_WARMUP, that has not bridged in those first iterations and
+    whose grid fallback route is clear stops there as a DeferredLeg; every
+    other query runs on and returns birrt's answer."""
     step = 0.5 * scene.robot.w
     obstacles = inflate(scene, parts, ignore)
 
@@ -420,6 +503,28 @@ def birrt(
         d = np.fromiter(map(math.dist, map(pts.__getitem__, rows), qs), float, len(qs))
         return rows, _steps_collide(scene, parts, ignore, step, p[:, rows], q, d)
 
+    def grid_route():
+        """The grid fallback's waypoints, from the start point to the goal
+        point, or None when there is no grid route or a segment of it is
+        blocked; it depends on neither the trees nor rng."""
+        cells = grids.grid_path(free, spec.cell_of(start), spec.cell_of(goal))
+        if cells is None:
+            return None
+        waypoints = [(sx, sy)]
+        for cell in cells:
+            c = spec.center(cell)
+            p = (c.x, c.y)
+            if math.dist(p, waypoints[-1]) > 1e-12:
+                waypoints.append(p)
+        # end at goal itself: a last cell center within 1e-12 of it gives way
+        if len(waypoints) > 1 and math.dist((gx, gy), waypoints[-1]) <= 1e-12:
+            waypoints.pop()
+        waypoints.append((gx, gy))
+        for (ax, ay), (bx, by) in zip(waypoints, waypoints[1:]):
+            if not edge_free(ax, ay, bx, by):
+                return None
+        return waypoints
+
     bridge = None  # (index in ta, index in tb)
     k = 0
     warm = min(max_iters, LOOKAHEAD_WARMUP)
@@ -427,6 +532,12 @@ def birrt(
         q = draw(k)
         bridge = iterate(k, q, *_nearest(trees[k & 1][0], q))
         k += 1
+    # with defer, a query still unbridged here whose grid route is clear
+    # cannot fail (DeferredLeg); any other runs on, and when checked, the
+    # grid route it would fall back to is known to be blocked
+    checked = defer and bridge is None and k < max_iters
+    if checked and grid_route() is not None:
+        return DeferredLeg(scene, parts, start, goal, seed, max_iters, ignore, spec)
     size = LOOKAHEAD_BLOCK
     while k < max_iters and bridge is None:
         n0 = (len(ta[0]), len(tb[0]))
@@ -454,22 +565,9 @@ def birrt(
 
     if bridge is None:
         # sampling failed; fall back to the grid route when one exists
-        cells = grids.grid_path(free, spec.cell_of(start), spec.cell_of(goal))
-        if cells is None:
+        waypoints = None if checked else grid_route()
+        if waypoints is None:
             return None
-        waypoints = [(sx, sy)]
-        for cell in cells:
-            c = spec.center(cell)
-            p = (c.x, c.y)
-            if math.dist(p, waypoints[-1]) > 1e-12:
-                waypoints.append(p)
-        # end at goal itself: a last cell center within 1e-12 of it gives way
-        if len(waypoints) > 1 and math.dist((gx, gy), waypoints[-1]) <= 1e-12:
-            waypoints.pop()
-        waypoints.append((gx, gy))
-        for (ax, ay), (bx, by) in zip(waypoints, waypoints[1:]):
-            if not edge_free(ax, ay, bx, by):
-                return None
     else:
         ia, ib = bridge
         left = []
@@ -728,11 +826,19 @@ def plan_pick_place(
     max_iters: int = 5000,
     spec: GridSpec,
     purpose: str = "goal",
-) -> tuple[MotionPlan, Scene]:
+    defer: bool = False,
+) -> tuple[MotionPlan | PendingPlan, Scene]:
     """Chain pick and place legs through the subgoal list.
 
     Raises InfeasibleLeg when a leg cannot be planned with any usable
     grasp side (the relocation search consumes that).
+
+    With defer, a Bi-RRT leg that cannot fail (see DeferredLeg) is not
+    planned: it counts as planned when the grasp side is chosen, and the
+    plan comes back as a PendingPlan when it holds such a leg.  Every leg
+    ends at its goal, so the scene a pending plan leaves is known: the
+    object at the last subgoal and the robot at the chosen side's offset
+    from it.
     """
     if not subgoals:
         raise ValueError("no subgoals")
@@ -741,13 +847,19 @@ def plan_pick_place(
     rs = robot.w
     cur_scene = scene
     cur_robot = robot.pose
-    pairs: list[PickPlacePair] = []
+    legs = []
+
+    def leg(parts, start, goal, leg_seed, ignore):
+        # an undeferred leg is a plain birrt call, the name perfbench/tracer.py wraps
+        if defer:
+            return _birrt(cur_scene, parts, start, goal, leg_seed, max_iters, ignore, spec, True)
+        return birrt(cur_scene, parts, start, goal, leg_seed, max_iters, ignore=ignore, spec=spec)
 
     for k in range(1, len(subgoals)):
         prev, cur = subgoals[k - 1], subgoals[k]
         poly_obj = (prev.object_pose, *cur.via, cur.object_pose)
         # side preference: the planned side, then the side already grasped
-        held = pairs[-1].subgoal.grasp_side if pairs else None
+        held = legs[-1][4].grasp_side if legs else None
         chosen = None
         last_fail = None
         for side in _side_order(cur.grasp_side, held):
@@ -762,63 +874,38 @@ def plan_pick_place(
             parts = compound_parts(side, body.w, body.h, rs)
             ignore = frozenset({object_id, robot.id})
             if sweep_clear(cur_scene, parts, poly_obj, ignore):
-                obj_wps = poly_obj
+                route = Path(poly_obj)
             elif cur.via:
                 last_fail = ("place", side, prev.object_pose, cur.object_pose)
                 continue
             else:
-                free_leg = birrt(
-                    cur_scene,
-                    parts,
-                    prev.object_pose,
-                    cur.object_pose,
-                    _mix_seed(seed, k, side, 1),
-                    max_iters,
-                    ignore=ignore,
-                    spec=spec,
-                )
-                if free_leg is None:
+                route = leg(parts, prev.object_pose, cur.object_pose, _mix_seed(seed, k, side, 1), ignore)
+                if route is None:
                     last_fail = ("place", side, prev.object_pose, cur.object_pose)
                     continue
-                obj_wps = free_leg.waypoints
-            pick = birrt(
-                cur_scene,
-                robot.footprint,
-                cur_robot,
-                gp,
-                _mix_seed(seed, k, side, 0),
-                max_iters,
-                ignore=frozenset({robot.id}),
-                spec=spec,
-            )
+            pick = leg(robot.footprint, cur_robot, gp, _mix_seed(seed, k, side, 0), frozenset({robot.id}))
             if pick is None:
                 last_fail = ("pick", side, cur_robot, gp)
                 continue
-            chosen = (side, off, gp, pick, obj_wps)
+            chosen = (side, off, gp, pick, route)
             break
 
         if chosen is None:
             kind, side, start, goal = last_fail if last_fail else ("pick", cur.grasp_side, cur_robot, prev.object_pose)
             raise InfeasibleLeg(kind, object_id, k, side, start, goal)
 
-        side, off, gp, pick, obj_wps = chosen
-        place_wps = (gp,) + tuple(Pose2(p.x + off[0], p.y + off[1]) for p in obj_wps[1:])
+        side, off, gp, pick, route = chosen
         sg = cur if side == cur.grasp_side else replace(
             cur, grasp_side=side, contact_point=contact_point(side, cur.object_pose, body.w, body.h)
         )
-        pairs.append(
-            PickPlacePair(
-                pick=pick,
-                place=Path(place_wps),
-                object_waypoints=tuple(obj_wps),
-                subgoal=sg,
-                robot_offset=off,
-            )
-        )
-        cur_robot = place_wps[-1]
+        legs.append((gp, off, pick, route, sg))
+        # where the place leg leaves the robot: every route ends at its goal
+        cur_robot = Pose2(cur.object_pose.x + off[0], cur.object_pose.y + off[1])
         cur_scene = cur_scene.with_pose(object_id, cur.object_pose).with_pose(robot.id, cur_robot)
 
-    return MotionPlan(object_id, tuple(pairs), purpose), cur_scene
+    if any(isinstance(x, DeferredLeg) for _, _, pick, route, _ in legs for x in (pick, route)):
+        return PendingPlan(object_id, tuple(legs), purpose, scene, cur_scene), cur_scene
+    return MotionPlan(object_id, tuple(_pair(*lg) for lg in legs), purpose), cur_scene
 
 
 def _mix_seed(seed: int, *parts) -> int:

@@ -33,6 +33,13 @@ edges on the loosened workspace bounds.
 The reference's grid precheck is ``birrt``'s: it runs only when the start
 has a grid anchor (``grids.grid_anchor``), and a start with none samples.
 
+The relocation search's legs run with ``defer`` (``motion._birrt``): a
+query that has not bridged within LOOKAHEAD_WARMUP iterations but whose
+grid route is clear comes back as a ``DeferredLeg``.  The reference must
+find a path for every deferred query, none for a failed one, and the same
+path for a found one; a run bounded at LOOKAHEAD_WARMUP iterations that
+bridges must return the full run's path.
+
 The reference keeps one known defect: when the last grid cell center lies
 within 1e-12 of the goal, its grid route ends at that center.
 ``test_grid_route_ends_at_goal_itself`` pins the fix; no other query here
@@ -289,15 +296,26 @@ PLANNED = [
 
 @pytest.mark.parametrize("name,seed", PLANNED)
 def test_planning_queries_match_reference(monkeypatch, name, seed):
-    calls = []
-    inner = motion.birrt
+    # every birrt call, every query plan_pick_place ran with defer (the
+    # relocation search's), and every query it deferred
+    calls, deferred = [], []
+    inner, inner_run = motion.birrt, motion._birrt
 
     def record(*args, **kwargs):
         out = inner(*args, **kwargs)
         calls.append((args, kwargs, out))
         return out
 
+    def record_run(sc, parts, start, goal, seed, max_iters, ignore, spec, defer):
+        out = inner_run(sc, parts, start, goal, seed, max_iters, ignore, spec, defer)
+        if isinstance(out, motion.DeferredLeg):
+            deferred.append(out)
+        elif defer:
+            calls.append(((sc, parts, start, goal, seed, max_iters), {"ignore": ignore, "spec": spec}, out))
+        return out
+
     monkeypatch.setattr(motion, "birrt", record)
+    monkeypatch.setattr(motion, "_birrt", record_run)
     cfg = planner.PlannerConfig().merged({"seed": seed}, "test")
     result = planner.plan_rearrangement(make_scene(name, seed), cfg)
     assert result.status == "success"
@@ -306,8 +324,12 @@ def test_planning_queries_match_reference(monkeypatch, name, seed):
     fallbacks = FallbackCounter(monkeypatch)
     for args, kwargs, out in calls:
         assert waypoints(out) == waypoints(ref_birrt(*args, **kwargs))
+    # a deferred query cannot fail
+    for d in deferred:
+        assert ref_birrt(d.scene, d.parts, d.start, d.goal, d.seed, d.max_iters, ignore=d.ignore, spec=d.spec)
     assert calls
     if name == "nested_blockers":
+        assert deferred
         assert fallbacks.count >= 3
 
 
@@ -400,6 +422,80 @@ def test_lattice_queries_match_reference(seed):
             )
             found += got is not None
     assert found
+
+
+# -- deferred queries -------------------------------------------------------
+
+
+def assert_decision_agrees(outcomes, monkeypatch, sc, parts, start, goal, seed, max_iters, ignore, spec):
+    """plan_pick_place's leg run with defer against the reference: a
+    deferred query finds a path, a failed one none, and a found path is the
+    reference's.  A birrt run bounded at LOOKAHEAD_WARMUP iterations that
+    bridges returns the full run's path."""
+    got = motion._birrt(sc, parts, start, goal, seed, max_iters, ignore, spec, True)
+    want = waypoints(ref_birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec))
+    query = (parts, start, goal, seed, max_iters, ignore)
+    if isinstance(got, motion.DeferredLeg):
+        assert max_iters > motion.LOOKAHEAD_WARMUP, query
+        assert want is not None, query
+        outcomes["deferred"] += 1
+    else:
+        assert waypoints(got) == want, query
+        outcomes["failed" if got is None else "found"] += 1
+    fallbacks = FallbackCounter(monkeypatch)
+    bound = min(max_iters, motion.LOOKAHEAD_WARMUP)
+    bounded = motion.birrt(sc, parts, start, goal, seed, bound, ignore=ignore, spec=spec)
+    monkeypatch.undo()
+    if bounded is not None and not fallbacks.count:
+        assert bounded.waypoints == want, query
+        outcomes["bridged"] += 1
+
+
+@pytest.mark.parametrize("name", ["narrow_room", "doorway", "nested_blockers"])
+def test_deferral_decides_as_the_reference(monkeypatch, name):
+    rng = random.Random(f"defer-{name}")
+    sc = make_scene(name, 1)
+    spec = GridSpec.from_scene(sc)
+    outcomes = dict.fromkeys(("deferred", "failed", "found", "bridged"), 0)
+    for qsc, parts, start, goal, ignore in random_queries(sc, rng, 60):
+        max_iters = rng.choice((100, 400, 1500))
+        assert_decision_agrees(outcomes, monkeypatch, qsc, parts, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
+    assert all(outcomes.values()), outcomes
+
+
+def test_deferral_on_lattice_scenes(monkeypatch):
+    rng = random.Random(5200)
+    outcomes = dict.fromkeys(("deferred", "failed", "found", "bridged"), 0)
+    for _ in range(24):
+        sc = lattice_scene(rng)
+        spec = GridSpec.from_scene(sc)
+        for qsc, parts, start, goal, ignore in random_queries(sc, rng, 6):
+            max_iters = rng.choice((100, 400, 1500))
+            assert_decision_agrees(outcomes, monkeypatch, qsc, parts, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
+    assert all(outcomes.values()), outcomes
+
+
+def slot_scene() -> Scene:
+    """A robot of side 0.1 in a slot 0.11 wide, between a wall and a wall
+    0.02 thick, that holds no 0.125 cell center it fits at: its grid anchor
+    snaps across the thin wall, so queries to the far side pass the grid
+    precheck, never bridge, and their grid route's first segment crosses
+    the thin wall."""
+    xl, xr = 3.2, 3.31
+    bodies = [robot(3.255, 4.0, 0.1), wall("wl", xl / 2, 4.0, xl, 8.0), wall("w", xr + 0.01, 4.0, 0.02, 8.0)]
+    return scene(bodies, ws=Rect(0.0, 0.0, 8.0, 8.0))
+
+
+def test_deferral_runs_on_when_the_grid_route_is_blocked(monkeypatch):
+    sc = slot_scene()
+    spec = GridSpec.from_scene(sc)
+    start = sc.robot.pose
+    free = grids.fit_mask(sc, spec, square(0.1), frozenset({"robot"}))
+    assert grids.grid_anchor(free, spec, start)[0] > spec.cell_of(start)[0]
+    outcomes = dict.fromkeys(("deferred", "failed", "found", "bridged"), 0)
+    for k, goal in enumerate([Pose2(6.0, 2.0), Pose2(5.0, 7.0), Pose2(7.0, 4.0)]):
+        assert_decision_agrees(outcomes, monkeypatch, sc, square(0.1), start, goal, k, 400, frozenset({"robot"}), spec)
+    assert outcomes == {"deferred": 0, "failed": 3, "found": 0, "bridged": 0}
 
 
 class LatticeRandom(random.Random):

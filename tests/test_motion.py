@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from rearrange2d import grids, motion
 from rearrange2d.motion import (
     InfeasibleLeg,
     Path,
+    PendingPlan,
+    Subgoal,
     SubgoalBlocked,
     birrt,
     compound_parts,
@@ -459,6 +463,54 @@ class TestPlanPickPlace:
             plan_pick_place(sc, "o", sgs, spec=GridSpec.from_scene(sc))
         assert ei.value.object_id == "o"
         assert ei.value.kind in ("pick", "place")
+
+
+class TestDeferredLegs:
+    """A relocation of an object behind a 0.6 door in a 3-unit wall: the
+    pick leg takes from tens to thousands of Bi-RRT iterations, so some
+    seeds defer it and some bridge within LOOKAHEAD_WARMUP."""
+
+    def _relocation(self):
+        h = 5.0 - 0.3
+        sc = scene([robot(2, 2), wall("wn", 5, 10 - h / 2, 3, h), wall("ws", 5, h / 2, 3, h), obstacle("o", 8, 8)])
+        sg0 = solve_pick_config(sc, "o")
+        target = Pose2(8, 6)
+        sg1 = Subgoal(target, contact_point(sg0.grasp_side, target, 0.6, 0.6), sg0.grasp_side)
+        return sc, [sg0, sg1], GridSpec.from_scene(sc)
+
+    def _pending(self):
+        sc, sgs, spec = self._relocation()
+        for seed in range(20):
+            plan, _ = plan_pick_place(sc, "o", sgs, seed, spec=spec, defer=True)
+            if isinstance(plan, PendingPlan):
+                return plan
+        raise AssertionError("no seed deferred a leg")
+
+    def test_deferred_plans_resolve_to_the_eager_plan(self):
+        sc, sgs, spec = self._relocation()
+        pending = 0
+        for seed in range(20):
+            want, want_after = plan_pick_place(sc, "o", sgs, seed, spec=spec)
+            got, after = plan_pick_place(sc, "o", sgs, seed, spec=spec, defer=True)
+            assert after == want_after
+            if isinstance(got, PendingPlan):
+                pending += 1
+                assert got.after == after
+                got = got.resolve()
+            assert got == want
+        assert 0 < pending < 20
+
+    def test_resolve_checks_the_predicted_scene(self):
+        plan = self._pending()
+        moved = replace(plan, after=plan.after.with_pose("o", Pose2(8, 6.5)))
+        with pytest.raises(RuntimeError, match="another scene"):
+            moved.resolve()
+
+    def test_a_deferred_leg_that_fails_raises(self, monkeypatch):
+        plan = self._pending()
+        monkeypatch.setattr(motion, "birrt", lambda *a, **k: None)
+        with pytest.raises(RuntimeError, match="found no path"):
+            plan.resolve()
 
 
 def test_mix_seed_stable_and_distinct():

@@ -9,9 +9,18 @@ relocation suite, and on hand-built boundaries (footprints flush with a goal
 rect or overlapping one by exactly EPS, footprint edges within 1e-9 of an
 avoid cell, avoid cells off the grid, windows clipped by the grid edge,
 clearance ties, a budget beyond the candidates).
+
+``search_relocations`` leaves the motions of a child unplanned while they
+cannot fail, and plans them only for the children it returns.  Its loop as
+it was when every child was planned at once is kept as the reference
+(``ref_search_relocations``, with ``ref_plan_relocation``): on every search
+that planning makes on the relocation suite at seeds 0-9 and on
+m_block_12/16 at seeds 0-4, both must give equal results, plans and traces
+(the deferral counts aside).
 """
 import math
 import random
+import time
 
 import pytest
 
@@ -19,7 +28,16 @@ from rearrange2d import grids, planner
 from rearrange2d import guided_search as gs
 from rearrange2d.bench import make_scene
 from rearrange2d.grids import GridSpec, rasterize_gom, reachability
-from rearrange2d.motion import SIDES, grasp_pose
+from rearrange2d.motion import (
+    SIDES,
+    InfeasibleLeg,
+    PendingPlan,
+    Subgoal,
+    _mix_seed,
+    contact_point,
+    grasp_pose,
+    plan_pick_place,
+)
 from rearrange2d.world import EPS, Pose2, Rect, collides, rect_at, rects_overlap
 
 from conftest import goal_obj, obstacle, robot, scene, wall, wedged_scene
@@ -70,6 +88,13 @@ class TestTaskBuilders:
         assert t.waypoints == wps
         start_cells = spec.cells_of_rect(rect_at(Pose2(3.0, 3.0), 0.6, 0.6))
         assert start_cells <= set(t.cells)
+
+    def test_routes_of_one_waypoint_rejected(self, simple_scene):
+        spec = GridSpec.from_scene(simple_scene)
+        with pytest.raises(ValueError):
+            gs.place_task(simple_scene, "g1", (Pose2(3, 3),), spec)
+        with pytest.raises(ValueError):
+            gs.TaskTrajectory("pick", "g1", (Pose2(3, 3),), ())
 
 
 class TestFindColliding:
@@ -601,3 +626,164 @@ def test_k_beyond_the_candidates():
     every = assert_matches(sc, "b1", 10**6)
     assert 0 < len(every) < 10**6
     assert assert_matches(sc, "b1", len(every) + 1) == every
+
+
+# -- deferred relocation motions ---------------------------------------------
+
+
+def ref_plan_relocation(scene, object_id, target, seed, *, spec, rrt_max_iters=5000):
+    """plan_relocation as it was before it deferred legs."""
+    sg0 = gs.solve_pick_config(scene, object_id)
+    if sg0 is None:
+        return None
+    body = scene.body(object_id)
+    sg1 = Subgoal(target, contact_point(sg0.grasp_side, target, body.w, body.h), sg0.grasp_side)
+    try:
+        return plan_pick_place(
+            scene, object_id, [sg0, sg1], seed=seed, spec=spec, max_iters=rrt_max_iters, purpose="relocation",
+        )
+    except InfeasibleLeg:
+        return None
+
+
+def ref_search_relocations(scene, task, skip_count=0, *, seed=0, spec, rrt_max_iters=5000, deadline=None):
+    """search_relocations as it was before it deferred motions: every
+    child's pick and place are planned when the child is made."""
+    colliders = gs.find_colliding(scene, task, spec)
+    trace = {"colliders": list(colliders), "expanded": [], "candidates": 0}
+    if not colliders:
+        if gs.task_feasible(scene, task, frozenset(), spec):
+            return gs.RelocationSearchResult(True, scene, (), 0, 0, trace)
+        return gs.RelocationSearchResult(False, scene, (), 0, 0, trace, reason="blocked by statics")
+    crit = gs.select_critical(scene, task, colliders, skip_count, spec=spec)
+    if crit is None:
+        return gs.RelocationSearchResult(False, scene, (), 0, 0, trace, reason="no critical subset unblocks the task")
+    crit = list(crit)
+    trace["initial_crit"] = list(crit)
+    weights = gs.weight_objects(scene, crit)
+    counts = {}
+    task_cells = frozenset(task.cells)
+
+    def scene_score(s):
+        return gs.score_scene(rasterize_gom(s, task.cells, spec), reachability(s, spec))
+
+    nodes = [gs.SearchNode(0, scene, (), scene_score(scene))]
+    open_ids = [0]
+    best_score = nodes[0].s_scene
+    stall = 0
+    failed = 0
+
+    reason, iterations = "iteration limit", gs.ITERATION_LIMIT
+    for it in range(1, gs.ITERATION_LIMIT + 1):
+        if not open_ids:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            reason, iterations = "timeout", it - 1
+            break
+        nid = max(open_ids, key=lambda i: (gs.score_node(nodes[i].s_scene, nodes[i].visits, gs.C0), -i))
+        node = nodes[nid]
+        node.visits += 1
+        improved = False
+        reached = False
+
+        for oid in list(crit):
+            if not node.scene.has_body(oid) or not gs.reachable_sides(node.scene, oid, spec):
+                continue
+            reached = True
+            budget = max(1, math.ceil(weights.get(oid, 1.0) * gs.K_MAX))
+            points = gs.gen_relocation_points(node.scene, oid, budget, spec=spec, avoid_cells=task_cells)
+            trace["candidates"] += len(points)
+            if not points:
+                weights = gs.decay_weight(weights, oid)
+                continue
+            success_any = False
+            for ci, target in enumerate(points):
+                res = ref_plan_relocation(
+                    node.scene, oid, target, _mix_seed(seed, "reloc", node.nid, oid, ci),
+                    spec=spec, rrt_max_iters=rrt_max_iters,
+                )
+                if res is None:
+                    failed += 1
+                    route = gs._intent_route(node.scene, oid, target, spec)
+                    if route is not None:
+                        b = node.scene.body(oid)
+                        cells = grids.swept_cells(spec, b.footprint, route)
+                        intent = gs.TaskTrajectory("place", oid, route, tuple(cells))
+                        for blocker in gs.find_colliding(node.scene, intent, spec):
+                            counts[blocker] = counts.get(blocker, 0) + 1
+                    continue
+                plan, after = res
+                child = gs.SearchNode(len(nodes), after, node.plans + (plan,), scene_score(after))
+                nodes.append(child)
+                open_ids.append(child.nid)
+                success_any = True
+                if child.s_scene > best_score + 1e-9:
+                    best_score = child.s_scene
+                    improved = True
+                if gs.task_feasible(after, task, frozenset(), spec):
+                    trace["nodes"] = len(nodes)
+                    trace["final_crit"] = list(crit)
+                    return gs.RelocationSearchResult(True, after, child.plans, it, failed, trace)
+            if not success_any:
+                weights = gs.decay_weight(weights, oid)
+
+        if it == 1 and not reached:
+            reason, iterations = "no critical object reachable", 1
+            break
+
+        open_ids.sort(key=lambda i: (-nodes[i].s_scene, i))
+        del open_ids[gs.BEAM_WIDTH:]
+
+        if improved:
+            stall = 0
+        else:
+            stall += 1
+            if stall >= gs.STALL_LIMIT:
+                extra = gs.expand_crit(scene, crit, counts)
+                if extra is not None:
+                    crit.append(extra)
+                    weights = gs.weight_objects(scene, crit)
+                    trace["expanded"].append({"iteration": it, "object": extra, "counts": dict(counts)})
+                stall = 0
+
+    trace["nodes"] = len(nodes)
+    trace["final_crit"] = list(crit)
+    return gs.RelocationSearchResult(False, scene, (), iterations, failed, trace, reason=reason)
+
+
+# the relocation suite at seeds 0-9 and m_block_12/16 at seeds 0-4
+SEARCHED = [(name, range(10)) for name in ("doorway", "nested_blockers", "swap_pocket")] + [
+    (name, range(5)) for name in ("m_block_12", "m_block_16")
+]
+
+
+@pytest.mark.parametrize("name,seeds", SEARCHED, ids=[name for name, _ in SEARCHED])
+def test_deferred_search_matches_the_eager_loop(monkeypatch, name, seeds):
+    calls = []
+    inner = gs.search_relocations
+
+    def record(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(planner, "search_relocations", record)
+    for seed in seeds:
+        cfg = planner.PlannerConfig().merged({"seed": seed}, "test")
+        planner.plan_rearrangement(make_scene(name, seed), cfg)
+    assert calls
+    deferred = resolved = 0
+    for args, kwargs, got in calls:
+        assert got.reason != "timeout"
+        want = ref_search_relocations(*args, **{**kwargs, "deadline": None})
+        assert (got.success, got.scene, got.plans, got.iterations, got.failed_attempts, got.reason) == (
+            want.success, want.scene, want.plans, want.iterations, want.failed_attempts, want.reason,
+        )
+        trace = dict(got.trace)
+        deferred += trace.pop("deferred")
+        resolved += trace.pop("resolved")
+        assert trace == want.trace
+        assert not any(isinstance(p, PendingPlan) for p in got.plans)
+    assert resolved <= deferred
+    if name == "nested_blockers":
+        assert resolved

@@ -177,12 +177,6 @@ def ref_path_crosses_rect(mu: Path, footprint_rect: Rect, w: float, h: float) ->
         footprint_rect.ymax + h / 2.0,
     )
     pts = mu.waypoints
-    if len(pts) == 1:
-        p = pts[0]
-        return (
-            inflated.xmin + EPS < p.x < inflated.xmax - EPS
-            and inflated.ymin + EPS < p.y < inflated.ymax - EPS
-        )
     return any(sequencer.segment_hits_rect(a, b, inflated) for a, b in zip(pts, pts[1:]))
 
 
