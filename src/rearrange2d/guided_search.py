@@ -28,7 +28,6 @@ from .motion import (
     _mix_seed,
     assign_leg_side,
     compound_parts,
-    contact_point,
     grasp_pose,
     solve_pick_config,
 )
@@ -183,8 +182,8 @@ def score_scene(gom, reach) -> float:
     return float((gom * reach).sum())
 
 
-def score_node(s_scene: float, visits: int, c0: float) -> float:
-    return s_scene + c0 / math.sqrt(1.0 + visits)
+def score_node(s_scene: float, visits: int) -> float:
+    return s_scene + C0 / math.sqrt(1.0 + visits)
 
 
 def weight_objects(scene: Scene, ids) -> dict[str, float]:
@@ -288,8 +287,7 @@ def plan_relocation(
     sg0 = solve_pick_config(scene, object_id)
     if sg0 is None:
         return None
-    body = scene.body(object_id)
-    sg1 = Subgoal(target, contact_point(sg0.grasp_side, target, body.w, body.h), sg0.grasp_side)
+    sg1 = Subgoal(target, sg0.grasp_side)
     try:
         plan, after = motion.plan_pick_place(
             scene, object_id, [sg0, sg1], seed=seed, spec=spec,
@@ -424,7 +422,7 @@ def search_relocations(
             break
         nid = max(
             open_ids,
-            key=lambda i: (score_node(nodes[i].s_scene, nodes[i].visits, C0), -i),
+            key=lambda i: (score_node(nodes[i].s_scene, nodes[i].visits), -i),
         )
         node = nodes[nid]
         node.visits += 1

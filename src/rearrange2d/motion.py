@@ -55,11 +55,6 @@ def side_offset(side: str, ow: float, oh: float, rs: float) -> tuple[float, floa
     return (dx * (ow + rs) / 2.0, dy * (oh + rs) / 2.0)
 
 
-def contact_point(side: str, pose: Pose2, ow: float, oh: float) -> Pose2:
-    dx, dy = _SIDE_DIR[side]
-    return Pose2(pose.x + dx * ow / 2.0, pose.y + dy * oh / 2.0)
-
-
 def compound_parts(side: str, ow: float, oh: float, rs: float):
     """Object + attached robot, in the object's reference frame."""
     rx, ry = side_offset(side, ow, oh, rs)
@@ -84,7 +79,6 @@ class Path:
 @dataclass(frozen=True)
 class Subgoal:
     object_pose: Pose2
-    contact_point: Pose2
     grasp_side: str
     # object poses the transport leg must pass through before object_pose
     # (the placement-path geometry between this subgoal and the previous one)
@@ -96,7 +90,7 @@ class PickPlacePair:
     pick: Path                      # robot alone, ends at the grasp pose
     place: Path                     # robot poses while rigidly attached
     object_waypoints: tuple[Pose2, ...]
-    subgoal: Subgoal
+    side: str                       # the grasped face
     robot_offset: tuple[float, float]   # robot center minus object center
 
 
@@ -152,12 +146,12 @@ def _planned(leg: Path | DeferredLeg) -> Path:
     return leg.plan() if isinstance(leg, DeferredLeg) else leg
 
 
-def _pair(gp: Pose2, off, pick: Path, route: Path, sg: Subgoal) -> PickPlacePair:
+def _pair(gp: Pose2, off, pick: Path, route: Path, side: str) -> PickPlacePair:
     """The pick to grasp pose gp, then the place carrying the object along
-    route with the robot at offset off."""
+    route, grasped by side with the robot at offset off."""
     obj_wps = route.waypoints
     place_wps = (gp,) + tuple(Pose2(p.x + off[0], p.y + off[1]) for p in obj_wps[1:])
-    return PickPlacePair(pick=pick, place=Path(place_wps), object_waypoints=obj_wps, subgoal=sg, robot_offset=off)
+    return PickPlacePair(pick=pick, place=Path(place_wps), object_waypoints=obj_wps, side=side, robot_offset=off)
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class PendingPlan:
     """A MotionPlan whose grasp sides and end scene are settled but some of
     whose Bi-RRT legs are DeferredLegs.
 
-    legs holds (grasp pose, robot offset, pick, object route, subgoal) per
+    legs holds (grasp pose, robot offset, pick, object route, side) per
     leg, the pick and the route each a Path or a DeferredLeg; scene is the
     scene the plan starts in and after the one plan_pick_place predicted.
     """
@@ -180,7 +174,7 @@ class PendingPlan:
         """Plan the deferred legs.  RuntimeError when one finds no path, or
         when the planned motions leave the object or the robot elsewhere
         than after has them."""
-        pairs = tuple(_pair(gp, off, _planned(pick), _planned(route), sg) for gp, off, pick, route, sg in self.legs)
+        pairs = tuple(_pair(gp, off, _planned(pick), _planned(route), side) for gp, off, pick, route, side in self.legs)
         last = pairs[-1]
         planned = self.scene.with_pose(self.object_id, last.object_waypoints[-1]).with_pose(
             self.scene.robot.id, last.place.waypoints[-1]
@@ -326,7 +320,8 @@ def birrt(
     *,
     ignore=frozenset(),
     spec: GridSpec,
-) -> Path | None:
+    defer: bool = False,
+) -> Path | DeferredLeg | None:
     """Bi-directional RRT over a translating footprint, with shortcut smoothing.
 
     parts are the footprint's (dx, dy, w, h) rects, offset from the
@@ -343,6 +338,11 @@ def birrt(
     fallback so narrow but feasible corridors do not read as infeasible;
     that route, like a sampled one, ends at goal itself.  With no anchored
     start there is no grid route.
+
+    With defer, a query whose max_iters exceeds LOOKAHEAD_WARMUP, that has
+    not bridged in those first iterations and whose grid fallback route is
+    clear stops there as a DeferredLeg; every other query runs on and
+    returns the answer it gives without defer.
 
     Samples, tree nodes and waypoints are plain (x, y) tuples, tested with
     the collision kernel's point-level entries: a tree holds only its
@@ -396,14 +396,6 @@ def birrt(
     where no such pair exists.  rng is not read after the loop, so ending
     it early returns the path all SHORTCUT_ATTEMPTS attempts would.
     """
-    return _birrt(scene, parts, start, goal, seed, max_iters, ignore, spec, False)
-
-
-def _birrt(scene, parts, start, goal, seed, max_iters, ignore, spec, defer) -> Path | DeferredLeg | None:
-    """birrt's run.  With defer, a query whose max_iters exceeds
-    LOOKAHEAD_WARMUP, that has not bridged in those first iterations and
-    whose grid fallback route is clear stops there as a DeferredLeg; every
-    other query runs on and returns birrt's answer."""
     step = 0.5 * scene.robot.w
     obstacles = inflate(scene, parts, ignore)
 
@@ -628,7 +620,7 @@ def solve_pick_config(scene: Scene, object_id: str) -> Subgoal | None:
     for side in order:
         gp = grasp_pose(body.pose, side, body.w, body.h, robot.w)
         if not footprint_collides(scene, robot.footprint, gp, frozenset({robot.id})):
-            return Subgoal(body.pose, contact_point(side, body.pose, body.w, body.h), side)
+            return Subgoal(body.pose, side)
     return None
 
 
@@ -767,36 +759,26 @@ def select_subgoals(
             # a first leg with no side leaves the initial grasp without one
             raise SubgoalBlocked(k, b) if sides else SubgoalBlocked(0, a)
         sides.append(side)
-    return [
-        Subgoal(p, contact_point(side, p, body.w, body.h), side, via)
-        for p, side, via in zip(poses, [sides[0], *sides], [(), *vias])
-    ]
+    return [Subgoal(p, side, via) for p, side, via in zip(poses, [sides[0], *sides], [(), *vias])]
 
 
-def _local_cp(sg: Subgoal) -> tuple[float, float]:
-    return (sg.contact_point.x - sg.object_pose.x, sg.contact_point.y - sg.object_pose.y)
-
-
-def refine_subgoals(
-    subgoals: list[Subgoal],
-    scene: Scene,
-    epsilon: float,
-    *,
-    object_id: str,
-) -> list[Subgoal]:
-    """Merge consecutive legs whose contact points (object frame) are
-    within epsilon, when the combined sweep stays collision-free.
+def refine_subgoals(subgoals: list[Subgoal], scene: Scene, *, object_id: str) -> list[Subgoal]:
+    """Merge consecutive legs whose grasps agree, when the combined sweep
+    stays collision-free.  Grasps agree when the centres of the grasped
+    faces (object frame) lie within half the robot side.
 
     Dropped subgoals become via points of the surviving leg, so the
     object still follows the same geometry but is released fewer times.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     if len(subgoals) <= 2:
         return list(subgoals)
     body = scene.body(object_id)
     rs = scene.robot.w
     ignore = frozenset({object_id, scene.robot.id})
+
+    def face(side):
+        dx, dy = _SIDE_DIR[side]
+        return (dx * body.w / 2.0, dy * body.h / 2.0)
 
     out = list(subgoals)
     merged = True
@@ -804,8 +786,8 @@ def refine_subgoals(
         merged = False
         for k in range(1, len(out) - 1):
             a, b = out[k], out[k + 1]
-            ca, cb = _local_cp(a), _local_cp(b)
-            if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) >= epsilon:
+            ca, cb = face(a.grasp_side), face(b.grasp_side)
+            if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) >= 0.5 * rs:
                 continue
             poly = [out[k - 1].object_pose, *a.via, a.object_pose, *b.via, b.object_pose]
             if not _leg_side_ok(scene, b.grasp_side, body.w, body.h, rs, poly, ignore):
@@ -848,23 +830,13 @@ def plan_pick_place(
     cur_scene = scene
     cur_robot = robot.pose
     legs = []
-
-    def leg(parts, start, goal, leg_seed, ignore):
-        # an undeferred leg is a plain birrt call, the name perfbench/tracer.py wraps
-        if defer:
-            return _birrt(cur_scene, parts, start, goal, leg_seed, max_iters, ignore, spec, True)
-        return birrt(cur_scene, parts, start, goal, leg_seed, max_iters, ignore=ignore, spec=spec)
-
     for k in range(1, len(subgoals)):
         prev, cur = subgoals[k - 1], subgoals[k]
         poly_obj = (prev.object_pose, *cur.via, cur.object_pose)
         # side preference: the planned side, then the side already grasped
-        held = legs[-1][4].grasp_side if legs else None
-        chosen = None
-        last_fail = None
+        held = legs[-1][4] if legs else None
         for side in _side_order(cur.grasp_side, held):
-            off = side_offset(side, body.w, body.h, rs)
-            gp = Pose2(prev.object_pose.x + off[0], prev.object_pose.y + off[1])
+            gp = grasp_pose(prev.object_pose, side, body.w, body.h, rs)
             if footprint_collides(cur_scene, robot.footprint, gp, frozenset({robot.id})):
                 last_fail = ("pick", side, cur_robot, gp)
                 continue
@@ -879,28 +851,29 @@ def plan_pick_place(
                 last_fail = ("place", side, prev.object_pose, cur.object_pose)
                 continue
             else:
-                route = leg(parts, prev.object_pose, cur.object_pose, _mix_seed(seed, k, side, 1), ignore)
+                route = birrt(
+                    cur_scene, parts, prev.object_pose, cur.object_pose, _mix_seed(seed, k, side, 1), max_iters,
+                    ignore=ignore, spec=spec, defer=defer,
+                )
                 if route is None:
                     last_fail = ("place", side, prev.object_pose, cur.object_pose)
                     continue
-            pick = leg(robot.footprint, cur_robot, gp, _mix_seed(seed, k, side, 0), frozenset({robot.id}))
+            pick = birrt(
+                cur_scene, robot.footprint, cur_robot, gp, _mix_seed(seed, k, side, 0), max_iters,
+                ignore=frozenset({robot.id}), spec=spec, defer=defer,
+            )
             if pick is None:
                 last_fail = ("pick", side, cur_robot, gp)
                 continue
-            chosen = (side, off, gp, pick, route)
+            legs.append((gp, side_offset(side, body.w, body.h, rs), pick, route, side))
             break
-
-        if chosen is None:
-            kind, side, start, goal = last_fail if last_fail else ("pick", cur.grasp_side, cur_robot, prev.object_pose)
+        else:
+            # no side admits the leg; report the last side tried
+            kind, side, start, goal = last_fail
             raise InfeasibleLeg(kind, object_id, k, side, start, goal)
 
-        side, off, gp, pick, route = chosen
-        sg = cur if side == cur.grasp_side else replace(
-            cur, grasp_side=side, contact_point=contact_point(side, cur.object_pose, body.w, body.h)
-        )
-        legs.append((gp, off, pick, route, sg))
         # where the place leg leaves the robot: every route ends at its goal
-        cur_robot = Pose2(cur.object_pose.x + off[0], cur.object_pose.y + off[1])
+        cur_robot = grasp_pose(cur.object_pose, side, body.w, body.h, rs)
         cur_scene = cur_scene.with_pose(object_id, cur.object_pose).with_pose(robot.id, cur_robot)
 
     if any(isinstance(x, DeferredLeg) for _, _, pick, route, _ in legs for x in (pick, route)):

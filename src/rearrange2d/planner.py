@@ -186,7 +186,6 @@ def gen_motion_plan(
     ALT_CRIT_LIMIT runs out.  Once time.monotonic() passes deadline, no
     further attempt starts and the outcome fails with reason "timeout".
     """
-    rs = scene.robot.w
     mu = motion.plan_object_path(
         scene, object_id, scene.goal_of(object_id), _mix_seed(seed, "mu", object_id),
         max_iters=cfg.rrt_max_iters, spec=spec,
@@ -209,7 +208,7 @@ def gen_motion_plan(
         try:
             subgoals = motion.select_subgoals(mu, cur, object_id=object_id, spec=spec)
             if cfg.refine:
-                subgoals = motion.refine_subgoals(subgoals, cur, 0.5 * rs, object_id=object_id)
+                subgoals = motion.refine_subgoals(subgoals, cur, object_id=object_id)
             plan, after = motion.plan_pick_place(
                 cur, object_id, subgoals, seed=_mix_seed(seed, "pp", object_id, guard),
                 max_iters=cfg.rrt_max_iters, spec=spec,
@@ -423,7 +422,7 @@ def serialize_result(result: PlanResult) -> dict:
                 "purpose": p.purpose,
                 "pairs": [
                     {
-                        "side": pair.subgoal.grasp_side,
+                        "side": pair.side,
                         "robot_offset": list(pair.robot_offset),
                         "pick": [pose(w) for w in pair.pick.waypoints],
                         "place": [pose(w) for w in pair.place.waypoints],

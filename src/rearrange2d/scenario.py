@@ -119,7 +119,7 @@ def parse_scene(text: str) -> Scene:
 
 
 def load_scene(path: str | Path) -> Scene:
-    return parse_scene(Path(path).read_text())
+    return parse_scene(Path(path).read_text(encoding="utf-8"))
 
 
 def scene_to_json(scene: Scene) -> str:
@@ -146,4 +146,4 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def save_scene(scene: Scene, path: str | Path):
-    Path(path).write_text(scene_to_json(scene))
+    Path(path).write_text(scene_to_json(scene), encoding="utf-8")

@@ -33,9 +33,9 @@ edges on the loosened workspace bounds.
 The reference's grid precheck is ``birrt``'s: it runs only when the start
 has a grid anchor (``grids.grid_anchor``), and a start with none samples.
 
-The relocation search's legs run with ``defer`` (``motion._birrt``): a
-query that has not bridged within LOOKAHEAD_WARMUP iterations but whose
-grid route is clear comes back as a ``DeferredLeg``.  The reference must
+The relocation search's legs run ``birrt`` with ``defer``: a query that
+has not bridged within LOOKAHEAD_WARMUP iterations but whose grid route is
+clear comes back as a ``DeferredLeg``.  The reference must
 find a path for every deferred query, none for a failed one, and the same
 path for a found one; a run bounded at LOOKAHEAD_WARMUP iterations that
 bridges must return the full run's path.
@@ -294,28 +294,35 @@ PLANNED = [
 ]
 
 
-@pytest.mark.parametrize("name,seed", PLANNED)
-def test_planning_queries_match_reference(monkeypatch, name, seed):
-    # every birrt call, every query plan_pick_place ran with defer (the
-    # relocation search's), and every query it deferred
-    calls, deferred = [], []
-    inner, inner_run = motion.birrt, motion._birrt
+def birrt_recorder(calls, deferred):
+    """A motion.birrt spy: each run it ends appends (args, kwargs, result)
+    to calls, in the form ref_birrt takes, and each DeferredLeg it returns
+    goes to deferred."""
+    inner = motion.birrt
 
-    def record(*args, **kwargs):
-        out = inner(*args, **kwargs)
-        calls.append((args, kwargs, out))
-        return out
-
-    def record_run(sc, parts, start, goal, seed, max_iters, ignore, spec, defer):
-        out = inner_run(sc, parts, start, goal, seed, max_iters, ignore, spec, defer)
+    def record(*args, defer=False, **kwargs):
+        out = inner(*args, defer=defer, **kwargs)
         if isinstance(out, motion.DeferredLeg):
             deferred.append(out)
-        elif defer:
-            calls.append(((sc, parts, start, goal, seed, max_iters), {"ignore": ignore, "spec": spec}, out))
+        else:
+            calls.append((args, kwargs, out))
         return out
 
-    monkeypatch.setattr(motion, "birrt", record)
-    monkeypatch.setattr(motion, "_birrt", record_run)
+    return record
+
+
+def assert_deferred_find_paths(deferred):
+    """A deferred query cannot fail: the reference finds a path for each."""
+    for d in deferred:
+        assert ref_birrt(d.scene, d.parts, d.start, d.goal, d.seed, d.max_iters, ignore=d.ignore, spec=d.spec)
+
+
+@pytest.mark.parametrize("name,seed", PLANNED)
+def test_planning_queries_match_reference(monkeypatch, name, seed):
+    # every birrt run, the relocation search's deferring ones among them,
+    # and every query deferred
+    calls, deferred = [], []
+    monkeypatch.setattr(motion, "birrt", birrt_recorder(calls, deferred))
     cfg = planner.PlannerConfig().merged({"seed": seed}, "test")
     result = planner.plan_rearrangement(make_scene(name, seed), cfg)
     assert result.status == "success"
@@ -324,9 +331,7 @@ def test_planning_queries_match_reference(monkeypatch, name, seed):
     fallbacks = FallbackCounter(monkeypatch)
     for args, kwargs, out in calls:
         assert waypoints(out) == waypoints(ref_birrt(*args, **kwargs))
-    # a deferred query cannot fail
-    for d in deferred:
-        assert ref_birrt(d.scene, d.parts, d.start, d.goal, d.seed, d.max_iters, ignore=d.ignore, spec=d.spec)
+    assert_deferred_find_paths(deferred)
     assert calls
     if name == "nested_blockers":
         assert deferred
@@ -432,7 +437,7 @@ def assert_decision_agrees(outcomes, monkeypatch, sc, parts, start, goal, seed, 
     deferred query finds a path, a failed one none, and a found path is the
     reference's.  A birrt run bounded at LOOKAHEAD_WARMUP iterations that
     bridges returns the full run's path."""
-    got = motion._birrt(sc, parts, start, goal, seed, max_iters, ignore, spec, True)
+    got = motion.birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec, defer=True)
     want = waypoints(ref_birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec))
     query = (parts, start, goal, seed, max_iters, ignore)
     if isinstance(got, motion.DeferredLeg):
@@ -959,21 +964,16 @@ def test_smoothing_stops_once_every_pair_is_blocked(counting):
 
 @pytest.mark.parametrize("name,seed", [("nested_blockers", 0), ("m_block_12", 2)])
 def test_planning_queries_match_reference_in_blocks(monkeypatch, dense_lookahead, name, seed):
-    calls = []
+    calls, deferred = [], []
     inner = motion.birrt
-
-    def record(*args, **kwargs):
-        out = inner(*args, **kwargs)
-        calls.append((args, kwargs, out))
-        return out
-
-    monkeypatch.setattr(motion, "birrt", record)
+    monkeypatch.setattr(motion, "birrt", birrt_recorder(calls, deferred))
     rows = BlockRows(monkeypatch)
     cfg = planner.PlannerConfig().merged({"seed": seed}, "test")
     planner.plan_rearrangement(make_scene(name, seed), cfg)
     monkeypatch.setattr(motion, "birrt", inner)
     for args, kwargs, out in calls:
         assert waypoints(out) == waypoints(ref_birrt(*args, **kwargs))
+    assert_deferred_find_paths(deferred)
     assert rows.total > 1000
 
 

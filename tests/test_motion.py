@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import pytest
 
-from rearrange2d import grids, motion
+from rearrange2d import bench, grids, motion, planner
 from rearrange2d.motion import (
     InfeasibleLeg,
     Path,
@@ -11,7 +12,6 @@ from rearrange2d.motion import (
     SubgoalBlocked,
     birrt,
     compound_parts,
-    contact_point,
     grasp_pose,
     plan_object_path,
     plan_pick_place,
@@ -34,13 +34,6 @@ class TestGraspGeometry:
         assert side_offset("W", ow, oh, rs) == pytest.approx((-0.5, 0.0))
         assert side_offset("N", ow, oh, rs) == pytest.approx((0.0, 0.6))
         assert side_offset("S", ow, oh, rs) == pytest.approx((0.0, -0.6))
-
-    def test_contact_point_on_boundary(self):
-        p = Pose2(3.0, 4.0)
-        cp = contact_point("E", p, 0.6, 0.8)
-        assert (cp.x, cp.y) == pytest.approx((3.3, 4.0))
-        cp = contact_point("S", p, 0.6, 0.8)
-        assert (cp.x, cp.y) == pytest.approx((3.0, 3.6))
 
     def test_grasp_pose_flush(self):
         gp = grasp_pose(Pose2(5.0, 5.0), "W", 0.6, 0.6, 0.4)
@@ -369,16 +362,12 @@ class TestSelectSubgoals:
 
 
 class TestRefineSubgoals:
-    def test_requires_positive_epsilon(self, empty_scene):
-        with pytest.raises(ValueError):
-            refine_subgoals([], empty_scene, 0.0, object_id="o")
-
     def test_straight_line_merges_to_two(self):
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(9, 5)})
         mu = Path((Pose2(1, 5), Pose2(9, 5)))
         sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         assert len(sgs) > 2
-        out = refine_subgoals(sgs, sc, 0.1, object_id="o")
+        out = refine_subgoals(sgs, sc, object_id="o")
         assert len(out) == 2
         assert out[0].object_pose == Pose2(1, 5)
         assert out[-1].object_pose == Pose2(9, 5)
@@ -387,18 +376,90 @@ class TestRefineSubgoals:
         assert seq == sorted(seq)
 
     def test_wall_stops_merging(self):
-        # a slab close to the path keeps the combined sweep blocked for
-        # the N side but E/W pushes survive; with a tight epsilon on
-        # differing contact points nothing merges
+        # legs grasped by one side merge; two subgoals are one leg, which
+        # stays as it is
         sc = scene([robot(1, 4), goal_obj("o", 1, 5)], {"o": Pose2(9, 5)})
         mu = Path((Pose2(1, 5), Pose2(9, 5)))
         sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         sides = {sg.grasp_side for sg in sgs[1:]}
         if len(sides) == 1:
-            out = refine_subgoals(sgs, sc, 1e-6, object_id="o")
-            assert len(out) == 2  # identical contact points still merge
-        short = refine_subgoals(sgs[:2], sc, 0.1, object_id="o")
+            out = refine_subgoals(sgs, sc, object_id="o")
+            assert len(out) == 2
+        short = refine_subgoals(sgs[:2], sc, object_id="o")
         assert short == sgs[:2]
+
+
+def ref_refine_subgoals(subgoals, scene, epsilon, *, object_id):
+    """refine_subgoals as it was when each subgoal carried its world-frame
+    contact point (the centre of its grasped face), with epsilon the
+    caller's, half the robot side in planning: two legs' grasps agree when
+    the contact points' offsets from their object poses lie within
+    epsilon."""
+    if len(subgoals) <= 2:
+        return list(subgoals)
+    body = scene.body(object_id)
+    rs = scene.robot.w
+    ignore = frozenset({object_id, scene.robot.id})
+
+    def local_cp(sg):
+        dx, dy = motion._SIDE_DIR[sg.grasp_side]
+        p = sg.object_pose
+        cp = Pose2(p.x + dx * body.w / 2.0, p.y + dy * body.h / 2.0)
+        return (cp.x - p.x, cp.y - p.y)
+
+    out = list(subgoals)
+    merged = True
+    while merged:
+        merged = False
+        for k in range(1, len(out) - 1):
+            a, b = out[k], out[k + 1]
+            ca, cb = local_cp(a), local_cp(b)
+            if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) >= epsilon:
+                continue
+            poly = [out[k - 1].object_pose, *a.via, a.object_pose, *b.via, b.object_pose]
+            if not motion._leg_side_ok(scene, b.grasp_side, body.w, body.h, rs, poly, ignore):
+                continue
+            out[k + 1] = replace(b, via=a.via + (a.object_pose,) + b.via)
+            del out[k]
+            merged = True
+            break
+    return out
+
+
+# the desk and relocation suites and m_block_16, each at seeds 0-9
+REFINED = list(dict.fromkeys(bench.SUITES["desk"] + bench.SUITES["relocation"] + ("m_block_16",)))
+
+
+@pytest.mark.parametrize("name", REFINED)
+def test_refinement_merges_as_the_contact_point_rule(monkeypatch, name):
+    calls = merges = 0
+    inner = motion.refine_subgoals
+
+    def spy(subgoals, scene, *, object_id):
+        nonlocal calls, merges
+        out = inner(subgoals, scene, object_id=object_id)
+        assert out == ref_refine_subgoals(subgoals, scene, 0.5 * scene.robot.w, object_id=object_id)
+        calls += 1
+        merges += len(subgoals) - len(out)
+        return out
+
+    monkeypatch.setattr(motion, "refine_subgoals", spy)
+    for seed in range(10):
+        planner.plan_rearrangement(bench.make_scene(name, seed), planner.PlannerConfig(seed=seed))
+    assert calls and merges
+
+
+def test_thin_object_merges_across_sides():
+    # faces of a 0.1 x 0.1 object lie 0.07 or 0.1 apart, within half the
+    # 0.4 robot side, so legs grasped by different sides merge; a 0.6
+    # object's faces lie at least 0.42 apart and keep their legs
+    poses = [Pose2(2, 5), Pose2(4, 5), Pose2(6, 5), Pose2(8, 5)]
+    sgs = [Subgoal(p, side) for p, side in zip(poses, ["W", "W", "N", "E"])]
+    for size, legs in ((0.1, 1), (0.6, 3)):
+        sc = scene([robot(1, 1), goal_obj("o", 2, 5, size, size)], {"o": Pose2(8, 5)})
+        out = refine_subgoals(sgs, sc, object_id="o")
+        assert out == ref_refine_subgoals(sgs, sc, 0.2, object_id="o")
+        assert len(out) - 1 == legs
 
 
 class TestPlanPickPlace:
@@ -406,7 +467,7 @@ class TestPlanPickPlace:
         sc = scene([robot(1, 5), goal_obj("o", 3, 5)], {"o": Pose2(7, 5)})
         mu = Path((Pose2(3, 5), Pose2(7, 5)))
         sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
-        sgs = refine_subgoals(sgs, sc, 0.25 * sc.robot.w, object_id="o")
+        sgs = refine_subgoals(sgs, sc, object_id="o")
         return sc, plan_pick_place(sc, "o", sgs, seed=seed, spec=GridSpec.from_scene(sc))
 
     def test_reaches_target(self):
@@ -475,7 +536,7 @@ class TestDeferredLegs:
         sc = scene([robot(2, 2), wall("wn", 5, 10 - h / 2, 3, h), wall("ws", 5, h / 2, 3, h), obstacle("o", 8, 8)])
         sg0 = solve_pick_config(sc, "o")
         target = Pose2(8, 6)
-        sg1 = Subgoal(target, contact_point(sg0.grasp_side, target, 0.6, 0.6), sg0.grasp_side)
+        sg1 = Subgoal(target, sg0.grasp_side)
         return sc, [sg0, sg1], GridSpec.from_scene(sc)
 
     def _pending(self):

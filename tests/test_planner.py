@@ -13,7 +13,7 @@ import rearrange2d
 from rearrange2d import bench, cli, guided_search, motion, planner, scenario, sequencer
 from rearrange2d.guided_search import RelocationSearchResult
 from rearrange2d.grids import GridSpec
-from rearrange2d.motion import MotionPlan, Path, PickPlacePair, Subgoal
+from rearrange2d.motion import MotionPlan, Path, PickPlacePair
 from rearrange2d.planner import (
     ConfigError,
     PlannerConfig,
@@ -257,8 +257,7 @@ def test_every_birrt_call_gets_rrt_max_iters(monkeypatch):
 def _toy_plan():
     pick = Path((Pose2(0, 0), Pose2(3, 4)))
     place = Path((Pose2(3, 4), Pose2(3, 10)))
-    sg = Subgoal(Pose2(3, 4.5), Pose2(3, 4.2), "S")
-    pair = PickPlacePair(pick, place, (Pose2(3, 4.5), Pose2(3, 10.5)), sg, (0.0, -0.5))
+    pair = PickPlacePair(pick, place, (Pose2(3, 4.5), Pose2(3, 10.5)), "S", (0.0, -0.5))
     return MotionPlan("x", (pair,))
 
 
@@ -571,8 +570,7 @@ class TestReplayPlans:
         )
         pick = Path((Pose2(1, 5), Pose2(2.5, 5)))
         place = Path((Pose2(2.5, 5), Pose2(7.5, 5)))
-        sg = Subgoal(Pose2(8, 5), Pose2(7.7, 5), "W")
-        pair = PickPlacePair(pick, place, (Pose2(3, 5), Pose2(8, 5)), sg, (-0.5, 0.0))
+        pair = PickPlacePair(pick, place, (Pose2(3, 5), Pose2(8, 5)), "W", (-0.5, 0.0))
         bad, _ = replay_plans(sc, (MotionPlan("g1", (pair,)),))
         assert any("collides" in b for b in bad)
 
@@ -632,6 +630,15 @@ class TestCli:
         p.write_text(json.dumps(doc))
         assert cli.main(["plan", str(p)]) == 2
         assert "robot overlaps wall_s" in capsys.readouterr().err
+        # a directory, or a file that is not UTF-8, as the scenario or the
+        # config file
+        sc = tmp_path / "scene.json"
+        scenario.save_scene(bench.make_scene("four_blocks"), sc)
+        p.write_bytes(b"\xff\xfe")
+        for argv in (["plan", str(tmp_path)], ["plan", str(p)], ["render", str(p), "--out", str(tmp_path / "x.svg")],
+                     ["plan", str(sc), "--config", str(tmp_path)], ["plan", str(sc), "--config", str(p)]):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
 
     def test_bad_config_exit_code(self, tmp_path, capsys, simple_scene):
         path = self._write_scene(tmp_path, simple_scene)

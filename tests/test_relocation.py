@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from rearrange2d import grids, planner
+from rearrange2d import grids, motion, planner
 from rearrange2d import guided_search as gs
 from rearrange2d.bench import make_scene
 from rearrange2d.grids import GridSpec, rasterize_gom, reachability
@@ -34,7 +34,6 @@ from rearrange2d.motion import (
     PendingPlan,
     Subgoal,
     _mix_seed,
-    contact_point,
     grasp_pose,
     plan_pick_place,
 )
@@ -196,8 +195,9 @@ class TestScores:
         assert gs.score_scene(gom, reach) == pytest.approx(62 * 62 + 2 * 2.0)
 
     def test_score_node(self):
-        assert gs.score_node(10.0, 0, 25.0) == pytest.approx(35.0)
-        assert gs.score_node(10.0, 3, 25.0) == pytest.approx(10.0 + 25.0 / 2.0)
+        assert gs.C0 == 25.0
+        assert gs.score_node(10.0, 0) == pytest.approx(35.0)
+        assert gs.score_node(10.0, 3) == pytest.approx(10.0 + 25.0 / 2.0)
 
     def test_weight_objects(self):
         sc = scene(
@@ -636,8 +636,7 @@ def ref_plan_relocation(scene, object_id, target, seed, *, spec, rrt_max_iters=5
     sg0 = gs.solve_pick_config(scene, object_id)
     if sg0 is None:
         return None
-    body = scene.body(object_id)
-    sg1 = Subgoal(target, contact_point(sg0.grasp_side, target, body.w, body.h), sg0.grasp_side)
+    sg1 = Subgoal(target, sg0.grasp_side)
     try:
         return plan_pick_place(
             scene, object_id, [sg0, sg1], seed=seed, spec=spec, max_iters=rrt_max_iters, purpose="relocation",
@@ -680,7 +679,7 @@ def ref_search_relocations(scene, task, skip_count=0, *, seed=0, spec, rrt_max_i
         if deadline is not None and time.monotonic() > deadline:
             reason, iterations = "timeout", it - 1
             break
-        nid = max(open_ids, key=lambda i: (gs.score_node(nodes[i].s_scene, nodes[i].visits, gs.C0), -i))
+        nid = max(open_ids, key=lambda i: (gs.score_node(nodes[i].s_scene, nodes[i].visits), -i))
         node = nodes[nid]
         node.visits += 1
         improved = False
@@ -787,3 +786,38 @@ def test_deferred_search_matches_the_eager_loop(monkeypatch, name, seeds):
     assert resolved <= deferred
     if name == "nested_blockers":
         assert resolved
+
+
+def test_relocation_legs_run_through_motion_birrt(monkeypatch):
+    # a wrapper on motion.birrt, as the benchmark tracer installs, sees the
+    # legs of every relocation plan, deferred or planned
+    inner_birrt, inner_plan = motion.birrt, gs.plan_relocation
+    inside, seen, picks = [], [], []
+
+    def count(*args, **kwargs):
+        out = inner_birrt(*args, **kwargs)
+        if inside:
+            seen.append(out)
+        return out
+
+    def plan_relocation(*args, **kwargs):
+        inside.append(True)
+        try:
+            res = inner_plan(*args, **kwargs)
+        finally:
+            inside.pop()
+        if res is not None:
+            plan = res[0]
+            legs = plan.legs if isinstance(plan, PendingPlan) else [(None, None, p.pick) for p in plan.pairs]
+            picks.extend(leg[2] for leg in legs)
+        return res
+
+    monkeypatch.setattr(motion, "birrt", count)
+    monkeypatch.setattr(gs, "plan_relocation", plan_relocation)
+    for name in ("doorway", "nested_blockers"):
+        picks.clear()
+        planner.plan_rearrangement(make_scene(name, 0), planner.PlannerConfig(seed=0))
+        assert picks, name
+        ids = {id(out) for out in seen}
+        assert all(id(pick) in ids for pick in picks), name
+    assert any(isinstance(out, motion.DeferredLeg) for out in seen)
