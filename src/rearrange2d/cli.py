@@ -146,9 +146,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    # a path that cannot be read or written, or a file that is not UTF-8,
-    # is bad input too
-    except (ScenarioError, ConfigError, bench.BenchError, OSError, UnicodeDecodeError) as e:
+    # a path that cannot be read or written is bad input too
+    except (ScenarioError, ConfigError, bench.BenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

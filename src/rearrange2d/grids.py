@@ -45,7 +45,6 @@ dependency only).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -527,26 +526,42 @@ def grid_connected(free: np.ndarray, a: tuple[int, int], b: tuple[int, int], spe
 
 
 def grid_path(free: np.ndarray, a, b) -> list[tuple[int, int]] | None:
-    """Shortest 4-connected cell path a -> b (BFS)."""
+    """Shortest 4-connected cell path a -> b (BFS), from a and b snapped
+    to free cells.
+
+    The search runs on flat lists: free framed by one blocked cell on each
+    side, so no step needs a bounds test, and cell (ix, iy) is id
+    (iy + 1) * w + ix + 1 for the framed width w.  Neighbours are tried in
+    NEIGH4 order and marked when queued, first in, first out."""
     a = snap_to_free(free, a)
     b = snap_to_free(free, b)
     if a is None or b is None:
         return None
-    ny, nx = free.shape
-    prev: dict[tuple[int, int], tuple[int, int] | None] = {a: None}
-    q = deque([a])
-    while q:
-        cur = q.popleft()
-        if cur == b:
+    w = free.shape[1] + 2
+    unseen = np.pad(free, 1).ravel().tolist()
+    start = (a[1] + 1) * w + a[0] + 1
+    goal = (b[1] + 1) * w + b[0] + 1
+    steps = [dx + dy * w for dx, dy in NEIGH4]
+    prev = [-1] * len(unseen)
+    prev[start] = start
+    unseen[start] = False
+    queue = [start]
+    for cur in queue:   # the loop reads the cells queue.append adds
+        if cur == goal:
             break
-        for dx, dy in NEIGH4:
-            nxt = (cur[0] + dx, cur[1] + dy)
-            if 0 <= nxt[0] < nx and 0 <= nxt[1] < ny and free[nxt[1], nxt[0]] and nxt not in prev:
+        for d in steps:
+            nxt = cur + d
+            if unseen[nxt]:
+                unseen[nxt] = False
                 prev[nxt] = cur
-                q.append(nxt)
-    if b not in prev:
+                queue.append(nxt)
+    if prev[goal] < 0:
         return None
-    path = [b]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
+    path = []
+    cur = goal
+    while True:
+        iy, ix = divmod(cur, w)
+        path.append((ix - 1, iy - 1))
+        if cur == start:
+            return path[::-1]
+        cur = prev[cur]

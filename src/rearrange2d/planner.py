@@ -87,7 +87,7 @@ class PlannerConfig:
             with open(file, encoding="utf-8") as fh:
                 try:
                     data = json.load(fh)
-                except json.JSONDecodeError as e:
+                except (json.JSONDecodeError, UnicodeDecodeError) as e:
                     raise ConfigError(f"config file {file}: {e}") from e
             if not isinstance(data, dict):
                 raise ConfigError(f"config file {file}: expected an object")

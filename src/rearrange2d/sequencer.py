@@ -10,6 +10,7 @@ be lazily upgraded from straight-line to planned path lengths.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,69 +134,91 @@ def _adjacency(n: int, pairs) -> list[list[int]]:
     return adj
 
 
+class _CapReached(Exception):
+    """The cap-th cycle: unwinds _pair_counts' search.  found holds the
+    cycles found since the frame it is passing through was entered."""
+
+    def __init__(self, found: int):
+        self.found = found
+
+
 def _pair_counts(adj: list[list[int]], starts, cap: int) -> list[int]:
     """How many of the first max(cap, 1) elementary cycles use each vertex
     pair, indexed by pair id a * n + b.
 
-    Johnson's search over ranked vertices: from each start s, in the given
-    order, it follows adj[v] in list order and enters only vertices that
-    rank above s, so each cycle is found once, from its lowest vertex, in
-    the order a plain simple-path DFS reports it.  Blocking skips a vertex
-    only while every path from it back to s crosses the current path, i.e.
-    only subtrees that hold no cycle through s.
+    Johnson's search over ranked vertices (CIRCUIT and UNBLOCK, as
+    recursive calls): from each start s, in the given order, it follows
+    adj[v] in list order and enters only vertices that rank above s (those
+    at or below it begin blocked), so each cycle is found once, from its
+    lowest vertex, in the order a plain simple-path DFS reports it.
+    Blocking skips a vertex only while every path from it back to s
+    crosses the current path, i.e. only subtrees that hold no cycle
+    through s.
 
     Cycles are counted per DFS frame, not one by one: every cycle found
     while a vertex is on the path runs through the whole path up to it, so
-    when the vertex leaves the path its pair from the parent gets the
-    cycles found since it was entered, and it found a cycle iff that number
-    is not zero.  At the cap-th cycle every pair still on the path gets its
-    share the same way.
+    each frame returns the cycles found below it, its caller adds them to
+    the pair between the two, and the frame found a cycle iff that number
+    is not zero.  The cap-th cycle raises _CapReached, which each frame on
+    the path catches to add its share to its pair the same way, then
+    passes on with its own count.  A search is at most n frames deep, and
+    an unblocking chain at most n more, so the recursion limit is raised
+    by 2n for the call and restored when it ends.
     """
     n = len(adj)
     limit = max(cap, 1)
     counts = [0] * (n * n)
     total = 0
-    for s in starts:
-        blocked = [False] * n
-        # Johnson's B-lists; thawing reads only membership, so repeats are harmless
-        waiting: list[list[int]] = [[] for _ in range(n)]
-        blocked[s] = True
-        path = [s]
-        marks = [0]   # total when each path vertex was entered
-        nbrs = [iter(adj[s])]
-        while nbrs:
-            v = path[-1]
-            for w in nbrs[-1]:
-                if w == s:
-                    counts[v * n + s] += 1
-                    total += 1
-                    if total == limit:
-                        for a, b, mark in zip(path, path[1:], marks[1:]):
-                            counts[a * n + b] += total - mark
-                        return counts
-                elif w > s and not blocked[w]:
-                    blocked[w] = True
-                    path.append(w)
-                    marks.append(total)
-                    nbrs.append(iter(adj[w]))
-                    break
-            else:
-                nbrs.pop()
-                path.pop()
-                found = total - marks.pop()
+    saved_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(saved_limit + 2 * n)
+    try:
+        for s in starts:
+            blocked = [True] * (s + 1) + [False] * (n - s - 1)
+            # Johnson's B-lists; unblock reads only membership, so repeats
+            # are harmless
+            waiting: list[list[int]] = [[] for _ in range(n)]
+
+            def unblock(u: int) -> None:
+                blocked[u] = False
+                for w in waiting[u]:
+                    if blocked[w]:
+                        unblock(w)
+                waiting[u].clear()
+
+            def visit(v: int) -> int:
+                nonlocal total
+                blocked[v] = True
+                found = 0
+                row = v * n
+                for w in adj[v]:
+                    if w == s:
+                        counts[row + s] += 1
+                        found += 1
+                        total += 1
+                        if total == limit:
+                            raise _CapReached(found)
+                    elif not blocked[w]:
+                        try:
+                            k = visit(w)
+                        except _CapReached as stop:
+                            counts[row + w] += stop.found
+                            stop.found += found
+                            raise
+                        if k:
+                            counts[row + w] += k
+                            found += k
                 if found:
-                    if path:
-                        counts[path[-1] * n + v] += found
-                    thaw = [v]
-                    while thaw:
-                        u = thaw.pop()
-                        if blocked[u]:
-                            blocked[u] = False
-                            thaw.extend(waiting[u])
-                            waiting[u].clear()
+                    unblock(v)
                 else:
                     for w in adj[v]:
                         waiting[w].append(v)
+                return found
+
+            visit(s)
+    except _CapReached:
+        pass
+    finally:
+        sys.setrecursionlimit(saved_limit)
     return counts
 
 
@@ -235,12 +258,16 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
     ordered vertex pair.  Each cycle is found once, from its smallest
     vertex: starts run in graph.vertices order, successors in sorted
     (src, dst) order, and a start only visits vertices that sort above it.
-    Each enumeration stops at its own cap-th cycle (at the first for
-    cap <= 0).  Normally the live graph is enumerated again after each
-    removal, until no cycle is left; greedy mode keeps the frequencies
-    from the first enumeration (cheaper, can remove more edges than
-    needed).  Ties prefer weak edges, then sources shedding the least net
-    out-degree, then lexicographic order.
+    Each enumeration is one _pair_counts call: a recursive Johnson search
+    whose frames return the cycles found below them, stopped at its own
+    cap-th cycle (at the first for cap <= 0) by an exception that hands
+    each frame on the path its count; it raises the recursion limit by
+    twice the vertex count and restores it before returning.  Normally
+    the live graph is enumerated again after each removal, until no
+    cycle is left; greedy mode keeps the frequencies from the first
+    enumeration (cheaper, can remove more edges than needed).  Ties prefer
+    weak edges, then sources shedding the least net out-degree, then
+    lexicographic order.
     """
     names, rank, live = _ranked_pairs(graph)
     n = len(names)

@@ -10,16 +10,26 @@ reference's first ``cap`` cycles (so ``cap`` cuts at the same cycle, even
 in the middle of a path), and ``break_cycles`` the same removed edges in
 the same order and the same remaining graph, because the removed edges
 decide the precedence every placement sequence honours.
+
+``ref_stack_pair_counts`` is the counter's earlier form, an explicit-stack
+Johnson search; the recursive counter must give its count lists on every
+enumeration ``break_cycles`` makes for the ``sequence`` benchmark's graphs,
+at every cap that cuts the complete digraph on 8 vertices deep in the
+search, and on a ring longer than the interpreter's recursion limit, after
+which the limit must read as before.
 """
 
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
-from rearrange2d import sequencer
+from rearrange2d import bench, sequencer
+from rearrange2d.grids import GridSpec
+from rearrange2d.planner import PlannerConfig
 from rearrange2d.sequencer import (
     STRONG,
     WEAK,
@@ -28,6 +38,7 @@ from rearrange2d.sequencer import (
     break_cycles,
     topo_order,
 )
+from rearrange2d.world import default_tolerance, verify_placements
 
 
 @dataclass(frozen=True)
@@ -407,3 +418,133 @@ def test_simple_cycles_are_simple_real_and_start_lowest(seed):
         assert pair_counts(g, len(cycles) + 1) == want
         checked += 1
     assert checked >= 20
+
+
+# -- against the explicit-stack counter -------------------------------------
+
+
+def ref_stack_pair_counts(adj: list[list[int]], starts, cap: int) -> list[int]:
+    """The counter as an explicit-stack Johnson search: one list entry per
+    path vertex for the vertex, the cycle total when it was entered and its
+    successor iterator, and a thaw loop for Johnson's UNBLOCK."""
+    n = len(adj)
+    limit = max(cap, 1)
+    counts = [0] * (n * n)
+    total = 0
+    for s in starts:
+        blocked = [False] * n
+        # Johnson's B-lists; thawing reads only membership, so repeats are harmless
+        waiting: list[list[int]] = [[] for _ in range(n)]
+        blocked[s] = True
+        path = [s]
+        marks = [0]   # total when each path vertex was entered
+        nbrs = [iter(adj[s])]
+        while nbrs:
+            v = path[-1]
+            for w in nbrs[-1]:
+                if w == s:
+                    counts[v * n + s] += 1
+                    total += 1
+                    if total == limit:
+                        for a, b, mark in zip(path, path[1:], marks[1:]):
+                            counts[a * n + b] += total - mark
+                        return counts
+                elif w > s and not blocked[w]:
+                    blocked[w] = True
+                    path.append(w)
+                    marks.append(total)
+                    nbrs.append(iter(adj[w]))
+                    break
+            else:
+                nbrs.pop()
+                path.pop()
+                found = total - marks.pop()
+                if found:
+                    if path:
+                        counts[path[-1] * n + v] += found
+                    thaw = [v]
+                    while thaw:
+                        u = thaw.pop()
+                        if blocked[u]:
+                            blocked[u] = False
+                            thaw.extend(waiting[u])
+                            waiting[u].clear()
+                else:
+                    for w in adj[v]:
+                        waiting[w].append(v)
+    return counts
+
+
+@pytest.fixture
+def stack_checked(monkeypatch) -> list[int]:
+    """Check every _pair_counts call against ref_stack_pair_counts on the
+    same arguments, and that the recursion limit reads as before the call;
+    yields the list of the caps called with."""
+    caps: list[int] = []
+    inner = sequencer._pair_counts
+
+    def spy(adj, starts, cap):
+        want = ref_stack_pair_counts(adj, starts, cap)
+        before = sys.getrecursionlimit()
+        got = inner(adj, starts, cap)
+        assert sys.getrecursionlimit() == before
+        assert got == want
+        caps.append(cap)
+        return got
+
+    monkeypatch.setattr(sequencer, "_pair_counts", spy)
+    return caps
+
+
+def benchmark_graph(name: str, seed: int) -> DependencyGraph:
+    """The dependency graph the sequence benchmark breaks for one scene:
+    built with the arguments plan_rearrangement passes."""
+    scene = bench.make_scene(name, seed)
+    cfg = PlannerConfig().merged({"seed": seed}, "test")
+    spec = GridSpec.from_scene(scene, cfg.grid_n)
+    tol = default_tolerance(scene)
+    unplaced = tuple(sorted(set(scene.goals) - verify_placements(scene, tol)))
+    return sequencer.build_dependency_graph(
+        scene, unplaced=unplaced, tol=tol, seed=cfg.seed, spec=spec,
+        rrt_max_iters=cfg.rrt_max_iters,
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", ["m_block_20", "m_block_24"])
+def test_benchmark_enumerations_match_the_stack_counter(stack_checked, name, seed):
+    g = benchmark_graph(name, seed)
+    cap = PlannerConfig().cycle_cap
+    broke = break_cycles(g, cap)
+    assert stack_checked == [cap] * (len(broke.removed) + 1)
+
+
+def test_cap_deep_in_the_search_matches_the_stack_counter(stack_checked):
+    # K8 holds 16,064 cycles, and every cap here cuts the list with vertex
+    # pairs still on the search path (for caps 1-7, the cap-th cycle is
+    # the first one cap + 1 vertices long)
+    g = complete_digraph(8)
+    for cap in range(301):
+        pair_counts(g, cap)
+    assert stack_checked == list(range(301))
+
+
+def ring(n: int) -> DependencyGraph:
+    verts = tuple(f"v{i:06d}" for i in range(n))
+    return DependencyGraph(
+        verts, tuple(Edge(verts[i], verts[(i + 1) % n], WEAK) for i in range(n))
+    )
+
+
+def test_ring_longer_than_the_recursion_limit(stack_checked):
+    # one cycle through every vertex: the search is n frames deep
+    limit = sys.getrecursionlimit()
+    n = limit + 200
+    g = ring(n)
+    counts = pair_counts(g, 1)   # ends at the cap, with the whole ring on the path
+    assert sys.getrecursionlimit() == limit
+    assert counts == {(e.src, e.dst): 1 for e in g.edges}
+    broke = break_cycles(g)
+    assert sys.getrecursionlimit() == limit
+    assert broke.removed == (Edge("v000000", "v000001", WEAK),)
+    assert stack_checked == [1, 10000, 10000]

@@ -10,6 +10,7 @@ from rearrange2d.grids import (
     ALPHA_R,
     BETA_M,
     BETA_R,
+    NEIGH4,
     GridSpec,
     edt,
     fit_mask,
@@ -477,6 +478,32 @@ def _bfs_dist(free, a, b):
     return None
 
 
+def ref_grid_path(free, a, b):
+    """grid_path as a BFS over (ix, iy) tuples with a parent dict."""
+    a = snap_to_free(free, a)
+    b = snap_to_free(free, b)
+    if a is None or b is None:
+        return None
+    ny, nx = free.shape
+    prev = {a: None}
+    q = collections.deque([a])
+    while q:
+        cur = q.popleft()
+        if cur == b:
+            break
+        for dx, dy in NEIGH4:
+            nxt = (cur[0] + dx, cur[1] + dy)
+            if 0 <= nxt[0] < nx and 0 <= nxt[1] < ny and free[nxt[1], nxt[0]] and nxt not in prev:
+                prev[nxt] = cur
+                q.append(nxt)
+    if b not in prev:
+        return None
+    path = [b]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
 class TestGridPath:
     def test_shortest_in_steps_matches_bfs(self):
         rng = np.random.default_rng(23)
@@ -502,6 +529,36 @@ class TestGridPath:
         path = grid_path(free, (0, 0), (7, 7))
         assert path is not None
         assert path[0] in {(1, 0), (0, 1)}
+
+    def test_flat_search_matches_the_reference(self):
+        # cell for cell: the same snapped endpoints, FIFO order and NEIGH4
+        # order give the same parents, so the same path or the same None
+        rng = np.random.default_rng(91)
+        seen = collections.Counter()
+        for shape in ((1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (5, 13), (13, 5), (24, 24), (64, 64)):
+            ny, nx = shape
+            for density in (0.0, 0.1, 0.3, 0.5):
+                for _ in range(6):
+                    free = rng.random(shape) >= density
+                    if rng.random() < 0.3 and nx > 2:
+                        free[:, nx // 2] = False    # a wall between the halves
+                    for _ in range(8):
+                        a = (int(rng.integers(-2, nx + 2)), int(rng.integers(-2, ny + 2)))
+                        b = a if rng.random() < 0.15 else (
+                            int(rng.integers(-2, nx + 2)), int(rng.integers(-2, ny + 2)))
+                        want = ref_grid_path(free, a, b)
+                        assert grid_path(free, a, b) == want, (shape, a, b)
+                        sa, sb = snap_to_free(free, a), snap_to_free(free, b)
+                        seen["snapped"] += sa not in (None, a) or sb not in (None, b)
+                        seen["same cell"] += sa is not None and sa == sb
+                        seen["unreachable"] += want is None and None not in (sa, sb)
+                        seen["found"] += want is not None
+        assert min(seen.values()) >= 20, seen
+
+    def test_flat_search_on_non_bool_masks(self):
+        free = np.ones((6, 7), dtype=np.uint8)
+        free[2, 1:6] = 0
+        assert grid_path(free, (3, 0), (3, 5)) == ref_grid_path(free.astype(bool), (3, 0), (3, 5))
 
     def test_grid_connected(self):
         spec = GridSpec(Pose2(0.0, 0.0), 6, 6, 1.0, 1.0)

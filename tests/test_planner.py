@@ -640,6 +640,27 @@ class TestCli:
             assert cli.main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("error: "), argv
 
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys):
+        # the error says which file is bad, also when the other one is fine
+        sc = tmp_path / "scene.json"
+        scenario.save_scene(bench.make_scene("four_blocks"), sc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        bad = tmp_path / "not-utf8.json"
+        bad.write_bytes(b"\xff\xfe")
+        svg = str(tmp_path / "x.svg")
+        for argv, kind in ((["plan", str(bad), "--config", str(cfg)], "scenario"),
+                           (["render", str(bad), "--out", svg], "scenario"),
+                           (["plan", str(sc), "--config", str(bad)], "config")):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {kind} file {bad}: "), argv
+            assert "codec can't decode" in err, argv
+        with pytest.raises(scenario.ScenarioError, match="not-utf8.json"):
+            scenario.load_scene(bad)
+        with pytest.raises(ConfigError, match="not-utf8.json"):
+            PlannerConfig.from_layers(file=str(bad), env={})
+
     def test_bad_config_exit_code(self, tmp_path, capsys, simple_scene):
         path = self._write_scene(tmp_path, simple_scene)
         assert cli.main(["plan", path, "--set", "frobnicate=1"]) == 2
