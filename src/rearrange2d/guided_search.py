@@ -265,13 +265,13 @@ def gen_relocation_points(
     return [spec.center(cell) for cell in zip(ix[best].tolist(), iy[best].tolist())]
 
 
-def expand_crit(scene: Scene, crit, counts: dict[str, int]) -> str | None:
-    """The non-critical movable most often found blocking relocation
+def expand_crit(scene: Scene, skip, counts: dict[str, int]) -> str | None:
+    """The movable outside skip most often found blocking relocation
     attempts; ties go to the larger object, then the smaller id."""
     pool = [
         (cnt, oid)
         for oid, cnt in counts.items()
-        if cnt > 0 and oid not in crit and scene.has_body(oid)
+        if cnt > 0 and oid not in skip and scene.has_body(oid)
     ]
     if not pool:
         return None
@@ -283,7 +283,8 @@ def plan_relocation(
     rrt_max_iters: int = 5000,
 ) -> tuple[MotionPlan | PendingPlan, Scene] | None:
     """One pick and one place moving object_id to target, or None.  Legs
-    that cannot fail are left unplanned (plan_pick_place's defer)."""
+    that pass birrt's prechecks are left unsampled (plan_pick_place's
+    defer)."""
     sg0 = solve_pick_config(scene, object_id)
     if sg0 is None:
         return None
@@ -368,26 +369,28 @@ def search_relocations(
     C0), tries up to K_MAX candidates per critical object scaled by its
     weight, and keeps the BEAM_WIDTH best-scored nodes open; the search
     gives up after ITERATION_LIMIT iterations, and STALL_LIMIT iterations
-    without a better scene add one blocker to the critical set.
+    without a better scene add one blocker to the critical set, never the
+    task's own object.
     Once time.monotonic() passes deadline, no further iteration starts and
     the search fails with reason "timeout".  A first iteration that reaches
     no critical object ends the search with reason "no critical object
     reachable", as every later one would repeat it.
 
-    A child's motions are planned lazily, with no change to any result.
-    plan_relocation decides exactly whether its two Bi-RRT legs succeed,
-    without running a leg that cannot fail (motion.DeferredLeg): birrt's
-    sample stream does not depend on its trees, so a leg that bridges
-    within LOOKAHEAD_WARMUP iterations keeps that path, the full run's, and
-    a leg that has not bridged by then while its grid fallback route is
-    clear is certain to find a path.  Every leg ends at its goal, so the
-    child's scene (the object at its target, the robot at the chosen side's
-    offset from it) is known either way, and scores, task_feasible, node
-    ids, seeds and blame counts are those of eager planning.  Deferred legs
-    are planned only on the returned chain (PendingPlan.resolve, which
-    raises RuntimeError if the planned scene differs from the predicted
-    one).  trace counts the children left pending ("deferred") and the
-    pending plans the returned chain resolved ("resolved").
+    A child's motions are planned lazily (Bohlin and Kavraki's lazy edge
+    evaluation).  plan_relocation leaves every Bi-RRT leg that passes
+    birrt's prechecks unsampled (motion.DeferredLeg).  Every leg ends at
+    its goal, so the child's scene (the object at its target, the robot at
+    the chosen side's offset from it) is known either way, and scores,
+    task_feasible, node ids, seeds and blame counts are those of eager
+    planning as long as every deferred leg finds its path, as nearly all
+    do.  Deferred legs are planned only on the returned chain
+    (PendingPlan.resolve).  Should one find no path there, the plan that
+    holds it counts as one failed relocation: its intent route is blamed as
+    for a plan that fails at once, every node whose chain holds it leaves
+    the open set (the expanded node too, which is then expanded no
+    further), and the search goes on; it never returns an unplanned chain.
+    trace counts the children left pending ("deferred") and the pending
+    plans the returned chain resolved ("resolved").
     """
     colliders = find_colliding(scene, task, spec)
     trace: dict = {"colliders": list(colliders), "expanded": [], "candidates": 0, "deferred": 0, "resolved": 0}
@@ -406,6 +409,30 @@ def search_relocations(
 
     def scene_score(s: Scene) -> float:
         return score_scene(grids.rasterize_gom(s, task.cells, spec), grids.reachability(s, spec))
+
+    def blame(s: Scene, oid: str, target: Pose2):
+        # blame whatever sits on the statics-feasible route to the target;
+        # a straight segment misses blockers that only matter once walls
+        # force a detour
+        route = _intent_route(s, oid, target, spec)
+        if route is not None:
+            cells = grids.swept_cells(spec, s.body(oid).footprint, route)
+            intent = TaskTrajectory("place", oid, route, tuple(cells))
+            for blocker in find_colliding(s, intent, spec):
+                counts[blocker] = counts.get(blocker, 0) + 1
+
+    def resolve(chain):
+        """The chain's plans, each PendingPlan planned; on a plan that
+        fails, None and that plan."""
+        plans = []
+        for p in chain:
+            if isinstance(p, PendingPlan):
+                try:
+                    p = p.resolve()
+                except RuntimeError:
+                    return None, p
+            plans.append(p)
+        return tuple(plans), None
 
     nodes: list[SearchNode] = [SearchNode(0, scene, (), scene_score(scene))]
     open_ids = [0]
@@ -440,6 +467,7 @@ def search_relocations(
                 weights = decay_weight(weights, oid)
                 continue
             success_any = False
+            dropped = False
             for ci, target in enumerate(points):
                 res = plan_relocation(
                     node.scene, oid, target,
@@ -448,32 +476,36 @@ def search_relocations(
                 )
                 if res is None:
                     failed += 1
-                    # blame whatever sits on the statics-feasible route to
-                    # the target; a straight segment misses blockers that
-                    # only matter once walls force a detour
-                    route = _intent_route(node.scene, oid, target, spec)
-                    if route is not None:
-                        b = node.scene.body(oid)
-                        cells = grids.swept_cells(spec, b.footprint, route)
-                        intent = TaskTrajectory("place", oid, route, tuple(cells))
-                        for blocker in find_colliding(node.scene, intent, spec):
-                            counts[blocker] = counts.get(blocker, 0) + 1
+                    blame(node.scene, oid, target)
                     continue
                 plan, after = res
                 trace["deferred"] += isinstance(plan, PendingPlan)
-                child = SearchNode(len(nodes), after, node.plans + (plan,), scene_score(after))
+                chain = node.plans + (plan,)
+                if task_feasible(after, task, frozenset(), spec):
+                    plans, bad = resolve(chain)
+                    if bad is None:
+                        trace["nodes"] = len(nodes) + 1
+                        trace["final_crit"] = list(crit)
+                        trace["resolved"] = sum(isinstance(p, PendingPlan) for p in chain)
+                        return RelocationSearchResult(True, after, plans, it, failed, trace)
+                    # a deferred leg found no path: the plan failed after all
+                    failed += 1
+                    blame(bad.scene, bad.object_id, bad.after.body(bad.object_id).pose)
+                    open_ids = [i for i in open_ids if not any(p is bad for p in nodes[i].plans)]
+                    if bad is plan:
+                        continue
+                    # the expanded node's own chain failed: stop expanding it
+                    dropped = True
+                    break
+                child = SearchNode(len(nodes), after, chain, scene_score(after))
                 nodes.append(child)
                 open_ids.append(child.nid)
                 success_any = True
                 if child.s_scene > best_score + 1e-9:
                     best_score = child.s_scene
                     improved = True
-                if task_feasible(after, task, frozenset(), spec):
-                    trace["nodes"] = len(nodes)
-                    trace["final_crit"] = list(crit)
-                    trace["resolved"] = sum(isinstance(p, PendingPlan) for p in child.plans)
-                    plans = tuple(p.resolve() if isinstance(p, PendingPlan) else p for p in child.plans)
-                    return RelocationSearchResult(True, after, plans, it, failed, trace)
+            if dropped:
+                break
             if not success_any:
                 weights = decay_weight(weights, oid)
 
@@ -492,7 +524,9 @@ def search_relocations(
         else:
             stall += 1
             if stall >= STALL_LIMIT:
-                extra = expand_crit(scene, crit, counts)
+                # the served object may be blamed, but moving it would
+                # leave the task's route behind
+                extra = expand_crit(scene, (*crit, task.object_id), counts)
                 if extra is not None:
                     crit.append(extra)
                     weights = weight_objects(scene, crit)

@@ -111,13 +111,15 @@ class MotionPlan:
 
 @dataclass(frozen=True)
 class DeferredLeg:
-    """A birrt query held back because it cannot fail.
+    """A birrt query held back, unsampled, once it has passed birrt's
+    prechecks: both endpoints free, no straight segment between them, and a
+    grid route or no anchored start.
 
-    birrt's sample stream does not depend on its trees, so its first
-    LOOKAHEAD_WARMUP iterations are the same in any run of the query.  Past
-    them, with no bridge yet, the run either bridges later or takes the grid
-    fallback route; when that route is clear, both end in a path, and every
-    path ends at goal itself.
+    Such a query almost always finds a path, and every path ends at goal
+    itself, but it is not certain to: sampling can still run out with the
+    grid route blocked.  plan runs the query as birrt without defer, the
+    same call, and raises RuntimeError when it finds no path; the callers
+    fall back as PendingPlan says.
     """
 
     scene: Scene
@@ -162,6 +164,11 @@ class PendingPlan:
     legs holds (grasp pose, robot offset, pick, object route, side) per
     leg, the pick and the route each a Path or a DeferredLeg; scene is the
     scene the plan starts in and after the one plan_pick_place predicted.
+    A deferred leg may still fail when planned, so resolve may raise.  Its
+    callers fall back: planner.gen_motion_plan replans the goal attempt
+    with defer off and the same seed, and
+    guided_search.search_relocations drops every node whose chain holds
+    the plan and counts it as a failed relocation.
     """
 
     object_id: str
@@ -339,10 +346,10 @@ def birrt(
     that route, like a sampled one, ends at goal itself.  With no anchored
     start there is no grid route.
 
-    With defer, a query whose max_iters exceeds LOOKAHEAD_WARMUP, that has
-    not bridged in those first iterations and whose grid fallback route is
-    clear stops there as a DeferredLeg; every other query runs on and
-    returns the answer it gives without defer.
+    With defer, a query that passes the prechecks (both endpoints free, no
+    straight segment between them, and a grid route or no anchored start)
+    comes back as a DeferredLeg before it samples; a query that fails one
+    returns what it returns without defer.
 
     Samples, tree nodes and waypoints are plain (x, y) tuples, tested with
     the collision kernel's point-level entries: a tree holds only its
@@ -420,6 +427,8 @@ def birrt(
     anchor = grids.grid_anchor(free, spec, start)
     if anchor is not None and not grids.grid_connected(free, anchor, spec.cell_of(goal), spec):
         return None
+    if defer:
+        return DeferredLeg(scene, parts, start, goal, seed, max_iters, ignore, spec)
 
     rng = random.Random(seed)
     uniform = rng.uniform
@@ -495,28 +504,6 @@ def birrt(
         d = np.fromiter(map(math.dist, map(pts.__getitem__, rows), qs), float, len(qs))
         return rows, _steps_collide(scene, parts, ignore, step, p[:, rows], q, d)
 
-    def grid_route():
-        """The grid fallback's waypoints, from the start point to the goal
-        point, or None when there is no grid route or a segment of it is
-        blocked; it depends on neither the trees nor rng."""
-        cells = grids.grid_path(free, spec.cell_of(start), spec.cell_of(goal))
-        if cells is None:
-            return None
-        waypoints = [(sx, sy)]
-        for cell in cells:
-            c = spec.center(cell)
-            p = (c.x, c.y)
-            if math.dist(p, waypoints[-1]) > 1e-12:
-                waypoints.append(p)
-        # end at goal itself: a last cell center within 1e-12 of it gives way
-        if len(waypoints) > 1 and math.dist((gx, gy), waypoints[-1]) <= 1e-12:
-            waypoints.pop()
-        waypoints.append((gx, gy))
-        for (ax, ay), (bx, by) in zip(waypoints, waypoints[1:]):
-            if not edge_free(ax, ay, bx, by):
-                return None
-        return waypoints
-
     bridge = None  # (index in ta, index in tb)
     k = 0
     warm = min(max_iters, LOOKAHEAD_WARMUP)
@@ -524,12 +511,6 @@ def birrt(
         q = draw(k)
         bridge = iterate(k, q, *_nearest(trees[k & 1][0], q))
         k += 1
-    # with defer, a query still unbridged here whose grid route is clear
-    # cannot fail (DeferredLeg); any other runs on, and when checked, the
-    # grid route it would fall back to is known to be blocked
-    checked = defer and bridge is None and k < max_iters
-    if checked and grid_route() is not None:
-        return DeferredLeg(scene, parts, start, goal, seed, max_iters, ignore, spec)
     size = LOOKAHEAD_BLOCK
     while k < max_iters and bridge is None:
         n0 = (len(ta[0]), len(tb[0]))
@@ -557,9 +538,22 @@ def birrt(
 
     if bridge is None:
         # sampling failed; fall back to the grid route when one exists
-        waypoints = None if checked else grid_route()
-        if waypoints is None:
+        cells = grids.grid_path(free, spec.cell_of(start), spec.cell_of(goal))
+        if cells is None:
             return None
+        waypoints = [(sx, sy)]
+        for cell in cells:
+            c = spec.center(cell)
+            p = (c.x, c.y)
+            if math.dist(p, waypoints[-1]) > 1e-12:
+                waypoints.append(p)
+        # end at goal itself: a last cell center within 1e-12 of it gives way
+        if len(waypoints) > 1 and math.dist((gx, gy), waypoints[-1]) <= 1e-12:
+            waypoints.pop()
+        waypoints.append((gx, gy))
+        for (ax, ay), (bx, by) in zip(waypoints, waypoints[1:]):
+            if not edge_free(ax, ay, bx, by):
+                return None
     else:
         ia, ib = bridge
         left = []
@@ -815,16 +809,25 @@ def plan_pick_place(
     Raises InfeasibleLeg when a leg cannot be planned with any usable
     grasp side (the relocation search consumes that).
 
-    With defer, a Bi-RRT leg that cannot fail (see DeferredLeg) is not
-    planned: it counts as planned when the grasp side is chosen, and the
-    plan comes back as a PendingPlan when it holds such a leg.  Every leg
-    ends at its goal, so the scene a pending plan leaves is known: the
+    With defer, a Bi-RRT leg that passes birrt's prechecks is not sampled
+    (DeferredLeg): it counts as planned when the grasp side is chosen, and
+    the plan comes back as a PendingPlan when it holds such a leg.  Every
+    leg ends at its goal, so the scene a pending plan leaves is known: the
     object at the last subgoal and the robot at the chosen side's offset
-    from it.
+    from it.  The answer is the one without defer whenever every deferred
+    leg finds its path, as nearly all do; when one would not, the side it
+    took would have been passed over without defer, so the pending plan
+    fails to resolve, or a later leg's InfeasibleLeg may differ from the
+    one planning without defer raises.
+
+    The first subgoal's object pose must be the object's pose in scene
+    (ValueError otherwise): a transport starts where its object is.
     """
     if not subgoals:
         raise ValueError("no subgoals")
     body = scene.body(object_id)
+    if subgoals[0].object_pose != body.pose:
+        raise ValueError(f"the first subgoal is not where {object_id} is")
     robot = scene.robot
     rs = robot.w
     cur_scene = scene

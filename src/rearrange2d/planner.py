@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from . import motion, sequencer
 from .grids import GridSpec
 from .guided_search import pick_task, place_task, search_relocations
-from .motion import InfeasibleLeg, MotionPlan, SubgoalBlocked, _mix_seed
+from .motion import InfeasibleLeg, MotionPlan, PendingPlan, SubgoalBlocked, _mix_seed
 from .sequencer import CostMatrix, PlacementSequence, SequencerCaches, SequenceInfeasible
 from .world import KIND_GOAL, Pose2, Scene, default_tolerance, left_sum, verify_placements
 
@@ -185,6 +185,14 @@ def gen_motion_plan(
     retried with the next alternative critical subset until
     ALT_CRIT_LIMIT runs out.  Once time.monotonic() passes deadline, no
     further attempt starts and the outcome fails with reason "timeout".
+
+    Each attempt plans with defer (motion.plan_pick_place), so an attempt
+    that ends in InfeasibleLeg samples none of its earlier legs that passed
+    their prechecks; a successful one resolves its PendingPlan.  Should
+    a deferred leg find no path there, the attempt is planned again with
+    defer off and the same seed, which gives the answer of planning without
+    defer exactly.  An InfeasibleLeg is the one planning without defer
+    raises unless an earlier deferred leg would have found no path.
     """
     mu = motion.plan_object_path(
         scene, object_id, scene.goal_of(object_id), _mix_seed(seed, "mu", object_id),
@@ -209,10 +217,17 @@ def gen_motion_plan(
             subgoals = motion.select_subgoals(mu, cur, object_id=object_id, spec=spec)
             if cfg.refine:
                 subgoals = motion.refine_subgoals(subgoals, cur, object_id=object_id)
+            pp_seed = _mix_seed(seed, "pp", object_id, guard)
             plan, after = motion.plan_pick_place(
-                cur, object_id, subgoals, seed=_mix_seed(seed, "pp", object_id, guard),
-                max_iters=cfg.rrt_max_iters, spec=spec,
+                cur, object_id, subgoals, seed=pp_seed, max_iters=cfg.rrt_max_iters, spec=spec, defer=True,
             )
+            if isinstance(plan, PendingPlan):
+                try:
+                    plan = plan.resolve()
+                except RuntimeError:
+                    plan, after = motion.plan_pick_place(
+                        cur, object_id, subgoals, seed=pp_seed, max_iters=cfg.rrt_max_iters, spec=spec,
+                    )
             plans.append(plan)
             return GenPlanOutcome(True, tuple(plans), after, failures, tuple(relocated))
         except SubgoalBlocked as e:
@@ -439,8 +454,9 @@ def serialize_result(result: PlanResult) -> dict:
 def replay_plans(scene: Scene, plans) -> tuple[list[str], Scene]:
     """Re-execute plans against the world model and report violations.
 
-    Checks robot pose continuity across legs, the rigid grasp offset
-    during transport, and exact swept collision-freedom of every leg.
+    Checks robot pose continuity across legs, that each transport starts
+    at its object's pose, the rigid grasp offset during transport, and
+    exact swept collision-freedom of every leg.
     """
     cur = scene
     robot = scene.robot
@@ -458,6 +474,8 @@ def replay_plans(scene: Scene, plans) -> tuple[list[str], Scene]:
                 cur, robot.footprint, pair.pick.waypoints, frozenset({robot.id}),
             ):
                 bad.append(f"{tag}: pick path collides")
+            if pair.object_waypoints[0] != cur.body(plan.object_id).pose:
+                bad.append(f"{tag}: transport does not start at the object's pose")
             if pair.place.waypoints[0] is not pair.pick.waypoints[-1] and (
                 pair.place.waypoints[0].x != pair.pick.waypoints[-1].x
                 or pair.place.waypoints[0].y != pair.pick.waypoints[-1].y

@@ -119,11 +119,11 @@ def parse_scene(text: str) -> Scene:
 
 
 def load_scene(path: str | Path) -> Scene:
+    """The scene in a scenario file; every ScenarioError names the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
+        return parse_scene(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, ScenarioError) as e:
         raise ScenarioError(f"scenario file {path}: {e}") from e
-    return parse_scene(text)
 
 
 def scene_to_json(scene: Scene) -> str:

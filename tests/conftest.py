@@ -57,6 +57,17 @@ def wedged_scene():
     return scene(bodies, {"g1": Pose2(8.0, 6.0)})
 
 
+def slot_scene(extra=(), goals=None):
+    """A robot of side 0.1 in a slot 0.11 wide, between a wall and a wall
+    0.02 thick, that holds no 0.125 cell center it fits at: its grid anchor
+    snaps across the thin wall, so queries to the far side pass the grid
+    precheck, never bridge, and their grid route's first segment crosses
+    the thin wall.  extra bodies go in the 8 x 8 workspace with it."""
+    xl, xr = 3.2, 3.31
+    bodies = [robot(3.255, 4.0, 0.1), wall("wl", xl / 2, 4.0, xl, 8.0), wall("w", xr + 0.01, 4.0, 0.02, 8.0)]
+    return scene([*bodies, *extra], goals, ws=Rect(0.0, 0.0, 8.0, 8.0))
+
+
 @pytest.fixture
 def empty_scene():
     """Robot alone in a 10x10 workspace."""

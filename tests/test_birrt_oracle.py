@@ -33,12 +33,13 @@ edges on the loosened workspace bounds.
 The reference's grid precheck is ``birrt``'s: it runs only when the start
 has a grid anchor (``grids.grid_anchor``), and a start with none samples.
 
-The relocation search's legs run ``birrt`` with ``defer``: a query that
-has not bridged within LOOKAHEAD_WARMUP iterations but whose grid route is
-clear comes back as a ``DeferredLeg``.  The reference must
-find a path for every deferred query, none for a failed one, and the same
-path for a found one; a run bounded at LOOKAHEAD_WARMUP iterations that
-bridges must return the full run's path.
+Pick-and-place legs run ``birrt`` with ``defer``: a query that passes the
+prechecks (both endpoints free, no straight segment, a grid route or no
+anchored start) comes back as a ``DeferredLeg`` before it samples.  A
+query must be deferred exactly when the reference's prechecks pass; a
+deferred one must plan to the reference's path, or raise where the
+reference finds none (the narrow slot below), and any other must give
+the reference's answer.
 
 The reference keeps one known defect: when the last grid cell center lies
 within 1e-12 of the goal, its grid route ends at that center.
@@ -72,7 +73,7 @@ from rearrange2d.world import (
     segment_hits,
 )
 
-from conftest import obstacle, robot, scene, wall
+from conftest import obstacle, robot, scene, slot_scene, wall
 
 # -- reference --------------------------------------------------------------
 
@@ -312,7 +313,8 @@ def birrt_recorder(calls, deferred):
 
 
 def assert_deferred_find_paths(deferred):
-    """A deferred query cannot fail: the reference finds a path for each."""
+    """Every query these runs deferred finds a path: the reference finds one
+    for each."""
     for d in deferred:
         assert ref_birrt(d.scene, d.parts, d.start, d.goal, d.seed, d.max_iters, ignore=d.ignore, spec=d.spec)
 
@@ -432,75 +434,74 @@ def test_lattice_queries_match_reference(seed):
 # -- deferred queries -------------------------------------------------------
 
 
-def assert_decision_agrees(outcomes, monkeypatch, sc, parts, start, goal, seed, max_iters, ignore, spec):
-    """plan_pick_place's leg run with defer against the reference: a
-    deferred query finds a path, a failed one none, and a found path is the
-    reference's.  A birrt run bounded at LOOKAHEAD_WARMUP iterations that
-    bridges returns the full run's path."""
+def passes_prechecks(sc, parts, start, goal, ignore, spec) -> bool:
+    """The reference's tests before it samples: both endpoints free, no
+    straight segment between them, and a grid route or no anchored start."""
+    if footprint_collides(sc, parts, start, ignore) or footprint_collides(sc, parts, goal, ignore):
+        return False
+    if start.dist(goal) < 1e-12 or not segment_hits(inflate(sc, parts, ignore), start, goal):
+        return False
+    free = grids.fit_mask(sc, spec, parts, ignore)
+    anchor = grids.grid_anchor(free, spec, start)
+    return anchor is None or grids.grid_connected(free, anchor, spec.cell_of(goal), spec)
+
+
+def assert_decision_agrees(outcomes, sc, parts, start, goal, seed, max_iters, ignore, spec):
+    """plan_pick_place's leg run with defer against the reference: deferred
+    exactly when the prechecks pass, and then planned to the reference's
+    path, or raising when the reference finds none; any other query gives
+    the reference's answer at once."""
     got = motion.birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec, defer=True)
     want = waypoints(ref_birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec))
     query = (parts, start, goal, seed, max_iters, ignore)
-    if isinstance(got, motion.DeferredLeg):
-        assert max_iters > motion.LOOKAHEAD_WARMUP, query
-        assert want is not None, query
-        outcomes["deferred"] += 1
-    else:
+    deferred = isinstance(got, motion.DeferredLeg)
+    assert deferred == passes_prechecks(sc, parts, start, goal, ignore, spec), query
+    if not deferred:
         assert waypoints(got) == want, query
-        outcomes["failed" if got is None else "found"] += 1
-    fallbacks = FallbackCounter(monkeypatch)
-    bound = min(max_iters, motion.LOOKAHEAD_WARMUP)
-    bounded = motion.birrt(sc, parts, start, goal, seed, bound, ignore=ignore, spec=spec)
-    monkeypatch.undo()
-    if bounded is not None and not fallbacks.count:
-        assert bounded.waypoints == want, query
-        outcomes["bridged"] += 1
+        outcomes["failed" if got is None else "straight"] += 1
+    elif want is None:
+        with pytest.raises(RuntimeError, match="found no path"):
+            got.plan()
+        outcomes["unresolved"] += 1
+    else:
+        assert got.plan().waypoints == want, query
+        outcomes["deferred"] += 1
 
 
 @pytest.mark.parametrize("name", ["narrow_room", "doorway", "nested_blockers"])
-def test_deferral_decides_as_the_reference(monkeypatch, name):
+def test_deferral_decides_as_the_reference(name):
     rng = random.Random(f"defer-{name}")
     sc = make_scene(name, 1)
     spec = GridSpec.from_scene(sc)
-    outcomes = dict.fromkeys(("deferred", "failed", "found", "bridged"), 0)
+    outcomes = dict.fromkeys(("deferred", "failed", "straight", "unresolved"), 0)
     for qsc, parts, start, goal, ignore in random_queries(sc, rng, 60):
         max_iters = rng.choice((100, 400, 1500))
-        assert_decision_agrees(outcomes, monkeypatch, qsc, parts, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
-    assert all(outcomes.values()), outcomes
+        assert_decision_agrees(outcomes, qsc, parts, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
+    assert outcomes["deferred"] and outcomes["failed"] and outcomes["straight"], outcomes
 
 
-def test_deferral_on_lattice_scenes(monkeypatch):
+def test_deferral_on_lattice_scenes():
     rng = random.Random(5200)
-    outcomes = dict.fromkeys(("deferred", "failed", "found", "bridged"), 0)
+    outcomes = dict.fromkeys(("deferred", "failed", "straight", "unresolved"), 0)
     for _ in range(24):
         sc = lattice_scene(rng)
         spec = GridSpec.from_scene(sc)
         for qsc, parts, start, goal, ignore in random_queries(sc, rng, 6):
             max_iters = rng.choice((100, 400, 1500))
-            assert_decision_agrees(outcomes, monkeypatch, qsc, parts, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
-    assert all(outcomes.values()), outcomes
+            assert_decision_agrees(outcomes, qsc, parts, start, goal, rng.randrange(2**32), max_iters, ignore, spec)
+    assert outcomes["deferred"] and outcomes["failed"] and outcomes["straight"], outcomes
 
 
-def slot_scene() -> Scene:
-    """A robot of side 0.1 in a slot 0.11 wide, between a wall and a wall
-    0.02 thick, that holds no 0.125 cell center it fits at: its grid anchor
-    snaps across the thin wall, so queries to the far side pass the grid
-    precheck, never bridge, and their grid route's first segment crosses
-    the thin wall."""
-    xl, xr = 3.2, 3.31
-    bodies = [robot(3.255, 4.0, 0.1), wall("wl", xl / 2, 4.0, xl, 8.0), wall("w", xr + 0.01, 4.0, 0.02, 8.0)]
-    return scene(bodies, ws=Rect(0.0, 0.0, 8.0, 8.0))
-
-
-def test_deferral_runs_on_when_the_grid_route_is_blocked(monkeypatch):
+def test_deferral_fails_to_resolve_when_the_grid_route_is_blocked():
     sc = slot_scene()
     spec = GridSpec.from_scene(sc)
     start = sc.robot.pose
     free = grids.fit_mask(sc, spec, square(0.1), frozenset({"robot"}))
     assert grids.grid_anchor(free, spec, start)[0] > spec.cell_of(start)[0]
-    outcomes = dict.fromkeys(("deferred", "failed", "found", "bridged"), 0)
+    outcomes = dict.fromkeys(("deferred", "failed", "straight", "unresolved"), 0)
     for k, goal in enumerate([Pose2(6.0, 2.0), Pose2(5.0, 7.0), Pose2(7.0, 4.0)]):
-        assert_decision_agrees(outcomes, monkeypatch, sc, square(0.1), start, goal, k, 400, frozenset({"robot"}), spec)
-    assert outcomes == {"deferred": 0, "failed": 3, "found": 0, "bridged": 0}
+        assert_decision_agrees(outcomes, sc, square(0.1), start, goal, k, 400, frozenset({"robot"}), spec)
+    assert outcomes == {"deferred": 0, "failed": 0, "straight": 0, "unresolved": 3}
 
 
 class LatticeRandom(random.Random):

@@ -507,6 +507,14 @@ class TestPlanPickPlace:
         with pytest.raises(ValueError):
             plan_pick_place(simple_scene, "b1", [], spec=GridSpec.from_scene(simple_scene))
 
+    def test_first_subgoal_off_the_object_rejected(self):
+        # a transport starts where its object is, with or without defer
+        sc = scene([robot(1, 5), goal_obj("o", 3, 5)], {"o": Pose2(7, 5)})
+        sgs = [Subgoal(Pose2(3.5, 5), "W"), Subgoal(Pose2(7, 5), "W")]
+        for defer in (False, True):
+            with pytest.raises(ValueError, match="first subgoal is not where o is"):
+                plan_pick_place(sc, "o", sgs, spec=GridSpec.from_scene(sc), defer=defer)
+
     def test_blocked_corridor_raises_infeasible(self):
         sc = scene(
             [
@@ -528,12 +536,12 @@ class TestPlanPickPlace:
 
 class TestDeferredLegs:
     """A relocation of an object behind a 0.6 door in a 3-unit wall: the
-    pick leg takes from tens to thousands of Bi-RRT iterations, so some
-    seeds defer it and some bridge within LOOKAHEAD_WARMUP."""
+    pick leg takes from tens to thousands of Bi-RRT iterations, and at
+    every seed it passes birrt's prechecks and is deferred."""
 
-    def _relocation(self):
+    def _relocation(self, robot_pose=(2, 2)):
         h = 5.0 - 0.3
-        sc = scene([robot(2, 2), wall("wn", 5, 10 - h / 2, 3, h), wall("ws", 5, h / 2, 3, h), obstacle("o", 8, 8)])
+        sc = scene([robot(*robot_pose), wall("wn", 5, 10 - h / 2, 3, h), wall("ws", 5, h / 2, 3, h), obstacle("o", 8, 8)])
         sg0 = solve_pick_config(sc, "o")
         target = Pose2(8, 6)
         sg1 = Subgoal(target, sg0.grasp_side)
@@ -549,17 +557,22 @@ class TestDeferredLegs:
 
     def test_deferred_plans_resolve_to_the_eager_plan(self):
         sc, sgs, spec = self._relocation()
-        pending = 0
         for seed in range(20):
             want, want_after = plan_pick_place(sc, "o", sgs, seed, spec=spec)
             got, after = plan_pick_place(sc, "o", sgs, seed, spec=spec, defer=True)
             assert after == want_after
-            if isinstance(got, PendingPlan):
-                pending += 1
-                assert got.after == after
-                got = got.resolve()
-            assert got == want
-        assert 0 < pending < 20
+            # the pick through the door is deferred, the place is straight
+            assert isinstance(got, PendingPlan)
+            ((_, _, pick, route, _),) = got.legs
+            assert isinstance(pick, motion.DeferredLeg) and isinstance(route, Path)
+            assert got.after == after
+            assert got.resolve() == want
+        # the robot by the object: both legs straight, so nothing is deferred
+        sc, sgs, spec = self._relocation(robot_pose=(8, 7))
+        want = plan_pick_place(sc, "o", sgs, 0, spec=spec)
+        got = plan_pick_place(sc, "o", sgs, 0, spec=spec, defer=True)
+        assert isinstance(got[0], motion.MotionPlan)
+        assert got == want
 
     def test_resolve_checks_the_predicted_scene(self):
         plan = self._pending()

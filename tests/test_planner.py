@@ -13,7 +13,7 @@ import rearrange2d
 from rearrange2d import bench, cli, guided_search, motion, planner, scenario, sequencer
 from rearrange2d.guided_search import RelocationSearchResult
 from rearrange2d.grids import GridSpec
-from rearrange2d.motion import MotionPlan, Path, PickPlacePair
+from rearrange2d.motion import InfeasibleLeg, MotionPlan, Path, PendingPlan, PickPlacePair
 from rearrange2d.planner import (
     ConfigError,
     PlannerConfig,
@@ -25,7 +25,7 @@ from rearrange2d.planner import (
 )
 from rearrange2d.world import Pose2, verify_placements
 
-from conftest import goal_obj, obstacle, robot, scene, wall, wedged_scene
+from conftest import goal_obj, obstacle, robot, scene, slot_scene, wall, wedged_scene
 
 
 class TestPlannerConfig:
@@ -342,6 +342,76 @@ class TestGenMotionPlan:
         assert out.reason == "no route past the walls"
 
 
+def goal_attempt(call):
+    """A plan_pick_place call's outcome: the plan and the scene it leaves,
+    or the InfeasibleLeg it raises, as comparable values."""
+    try:
+        plan, after = call()
+    except InfeasibleLeg as e:
+        return ("infeasible", e.kind, e.object_id, e.leg, e.side, e.start, e.goal)
+    if isinstance(plan, PendingPlan):
+        try:
+            plan = plan.resolve()
+        except RuntimeError:
+            return ("unresolved",)
+    return (plan, after)
+
+
+# the desk and relocation suites, and m_block_16
+GOAL_ATTEMPTS = ["four_blocks", "narrow_room", "swap_pocket", "triple_swap", "m_block_2", "m_block_4",
+                 "m_block_8", "doorway", "nested_blockers", "m_block_16"]
+
+
+@pytest.mark.parametrize("name", GOAL_ATTEMPTS)
+def test_deferred_goal_attempts_match_the_eager_ones(monkeypatch, name):
+    # every goal attempt planning makes at seeds 0-9, replanned with defer,
+    # then resolved, and without: the same plan, or the same InfeasibleLeg
+    inner = motion.plan_pick_place
+    attempts = []
+
+    def record(*args, defer=False, **kwargs):
+        if kwargs.get("purpose", "goal") == "goal" and defer:
+            attempts.append((args, kwargs))
+        return inner(*args, defer=defer, **kwargs)
+
+    monkeypatch.setattr(motion, "plan_pick_place", record)
+    for seed in range(10):
+        plan_rearrangement(bench.make_scene(name, seed), PlannerConfig(seed=seed))
+    monkeypatch.undo()
+    assert attempts
+    infeasible = 0
+    for args, kwargs in attempts:
+        got = goal_attempt(lambda: inner(*args, defer=True, **kwargs))
+        assert got == goal_attempt(lambda: inner(*args, **kwargs))
+        infeasible += got[0] == "infeasible"
+    if name in ("nested_blockers", "m_block_16"):
+        assert infeasible
+
+
+def test_a_goal_attempt_that_fails_to_resolve_is_planned_eagerly(monkeypatch):
+    # from the narrow slot the goal attempt's pick passes birrt's prechecks
+    # and is deferred, and finds no path once planned: the attempt is
+    # planned again without defer, at the same seed, and gen_motion_plan
+    # gives what it gives when nothing is deferred
+    sc = slot_scene([goal_obj("g1", 6.0, 4.0)], {"g1": Pose2(6.0, 6.0)})
+    cfg = PlannerConfig(rrt_max_iters=300)
+    inner = motion.plan_pick_place
+    calls = []
+
+    def record(*args, defer=False, **kwargs):
+        if kwargs.get("purpose", "goal") == "goal":
+            calls.append((defer, kwargs["seed"]))
+        return inner(*args, defer=defer, **kwargs)
+
+    monkeypatch.setattr(motion, "plan_pick_place", record)
+    got = gen_motion_plan(sc, "g1", cfg, 0, GridSpec.from_scene(sc))
+    assert calls[:2] == [(True, calls[0][1]), (False, calls[0][1])]
+    monkeypatch.setattr(motion, "plan_pick_place", lambda *a, defer=False, **k: inner(*a, **k))
+    want = gen_motion_plan(sc, "g1", cfg, 0, GridSpec.from_scene(sc))
+    assert got == want
+    assert not got.success and got.failures
+
+
 def _gap_scene():
     """g1 must pass a one-object gap in a wall that b1 blocks."""
     return scene(
@@ -562,6 +632,23 @@ class TestReplayPlans:
         bad, _ = replay_plans(simple_scene, (tampered,) + res.plans[1:])
         assert any("does not start at the robot pose" in b for b in bad)
 
+    def test_detects_a_transport_off_its_object(self, simple_scene):
+        # the whole transport shifted by 0.3: offsets and sweep stay clean,
+        # but it starts where the object is not
+        res = plan_rearrangement(simple_scene)
+        plan = res.plans[0]
+        pair = plan.pairs[0]
+
+        def shift(wps):
+            return tuple(Pose2(p.x, p.y + 0.3) for p in wps)
+
+        moved = dataclasses.replace(pair, object_waypoints=shift(pair.object_waypoints),
+                                    place=Path(pair.place.waypoints[:1] + shift(pair.place.waypoints[1:])))
+        tampered = dataclasses.replace(plan, pairs=(moved,) + plan.pairs[1:])
+        assert replay_plans(simple_scene, res.plans)[0] == []
+        bad, _ = replay_plans(simple_scene, (tampered,) + res.plans[1:])
+        assert f"plan 0 ({plan.object_id}) pair 0: transport does not start at the object's pose" in bad
+
     def test_detects_collision(self):
         # a straight transport through an obstacle the planner never saw
         sc = scene(
@@ -660,6 +747,21 @@ class TestCli:
             scenario.load_scene(bad)
         with pytest.raises(ConfigError, match="not-utf8.json"):
             PlannerConfig.from_layers(file=str(bad), env={})
+
+    def test_bad_scenario_names_its_file(self, tmp_path, capsys):
+        # invalid JSON, and a scene that fails Scene.validate()
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{nope")
+        doorway = bench.make_scene("doorway", 0)
+        wall_s = doorway.body("wall_s")
+        in_wall = tmp_path / "robot-in-wall.json"
+        scenario.save_scene(doorway.with_pose("robot", wall_s.pose), in_wall)
+        for path, why in ((bad_json, "invalid JSON"), (in_wall, "invalid scene: robot overlaps wall_s")):
+            assert cli.main(["plan", str(path)]) == 2, path
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: scenario file {path}: {why}"), err
+            with pytest.raises(scenario.ScenarioError, match=f"^scenario file {re.escape(str(path))}: "):
+                scenario.load_scene(path)
 
     def test_bad_config_exit_code(self, tmp_path, capsys, simple_scene):
         path = self._write_scene(tmp_path, simple_scene)

@@ -10,13 +10,15 @@ rect or overlapping one by exactly EPS, footprint edges within 1e-9 of an
 avoid cell, avoid cells off the grid, windows clipped by the grid edge,
 clearance ties, a budget beyond the candidates).
 
-``search_relocations`` leaves the motions of a child unplanned while they
-cannot fail, and plans them only for the children it returns.  Its loop as
-it was when every child was planned at once is kept as the reference
-(``ref_search_relocations``, with ``ref_plan_relocation``): on every search
-that planning makes on the relocation suite at seeds 0-9 and on
-m_block_12/16 at seeds 0-4, both must give equal results, plans and traces
-(the deferral counts aside).
+``search_relocations`` leaves unsampled every Bi-RRT leg of a child that
+passes birrt's prechecks, and plans them only for the children it
+returns.  Its loop as it was when every child was planned at once is kept
+as the reference (``ref_search_relocations``, with
+``ref_plan_relocation``): on every search that planning makes on the
+relocation suite at seeds 0-9 and on m_block_12/16 at seeds 0-4, both must
+give equal results, plans and traces (the deferral counts aside).  From
+the narrow slot, where every deferred pick fails once planned, the search
+must drop each such child and match the reference too.
 """
 import math
 import random
@@ -39,7 +41,7 @@ from rearrange2d.motion import (
 )
 from rearrange2d.world import EPS, Pose2, Rect, collides, rect_at, rects_overlap
 
-from conftest import goal_obj, obstacle, robot, scene, wall, wedged_scene
+from conftest import goal_obj, obstacle, robot, scene, slot_scene, wall, wedged_scene
 
 
 def _gap_scene(blocker=True):
@@ -298,7 +300,11 @@ class TestPlanRelocation:
         spec = GridSpec.from_scene(simple_scene)
         out = gs.plan_relocation(simple_scene, "b1", Pose2(6.0, 8.5), 0, spec=spec)
         assert out is not None
-        plan, after = out
+        pending, after = out
+        # the pick from the far corner passes birrt's prechecks: deferred
+        assert isinstance(pending, PendingPlan) and pending.after == after
+        plan = pending.resolve()
+        assert (plan, after) == ref_plan_relocation(simple_scene, "b1", Pose2(6.0, 8.5), 0, spec=spec)
         assert plan.purpose == "relocation"
         assert plan.object_id == "b1"
         assert after.body("b1").pose == Pose2(6.0, 8.5)
@@ -786,6 +792,87 @@ def test_deferred_search_matches_the_eager_loop(monkeypatch, name, seeds):
     assert resolved <= deferred
     if name == "nested_blockers":
         assert resolved
+
+
+def test_the_served_object_is_never_relocated(monkeypatch):
+    # b1 sits flush by g1 on g1's route, and every relocation of b1 fails:
+    # each is blamed on g1, the one movable its intent route meets.  The
+    # critical set must not grow to g1, whose transport starts where it is
+    sc = scene([robot(1, 1), goal_obj("g1", 4.6, 5.0), obstacle("b1", 5.25, 5.0)], {"g1": Pose2(8.0, 5.0)})
+    spec = GridSpec.from_scene(sc)
+    task = gs.place_task(sc, "g1", (Pose2(4.6, 5.0), Pose2(8.0, 5.0)), spec)
+    inner, find = gs.plan_relocation, gs.find_colliding
+    moved, blamed = [], []
+
+    def fail_b1(scene, oid, *args, **kwargs):
+        moved.append(oid)
+        return None if oid == "b1" else inner(scene, oid, *args, **kwargs)
+
+    def intent_hits(scene, route, spec):
+        out = find(scene, route, spec)
+        if route.object_id == "b1":
+            blamed.extend(out)
+        return out
+
+    monkeypatch.setattr(gs, "plan_relocation", fail_b1)
+    monkeypatch.setattr(gs, "find_colliding", intent_hits)
+    res = gs.search_relocations(sc, task, seed=0, spec=spec)
+    assert not res.success and res.failed_attempts == len(moved) == len(blamed) > 0
+    assert set(blamed) == {"g1"}
+    assert set(moved) == {"b1"}
+    assert res.trace["final_crit"] == ["b1"] and res.trace["expanded"] == []
+
+
+def test_a_chain_that_fails_to_resolve_is_dropped():
+    # from the narrow slot every relocation's pick passes birrt's prechecks
+    # and is deferred, and each child clears the task, so the search tries
+    # to return it; the pick then finds no path.  Each such child is
+    # dropped and counted as a failed relocation, as the eager loop counts
+    # a plan that fails at once, and no chain comes back
+    sc = slot_scene([goal_obj("g1", 5.0, 4.0), obstacle("b1", 6.0, 4.0)], {"g1": Pose2(7.0, 4.0)})
+    spec = GridSpec.from_scene(sc)
+    task = gs.place_task(sc, "g1", (Pose2(5.0, 4.0), Pose2(7.0, 4.0)), spec)
+    got = gs.search_relocations(sc, task, seed=0, spec=spec, rrt_max_iters=300)
+    want = ref_search_relocations(sc, task, seed=0, spec=spec, rrt_max_iters=300)
+    assert (got.success, got.scene, got.plans, got.iterations, got.failed_attempts, got.reason) == (
+        False, sc, (), gs.ITERATION_LIMIT, want.failed_attempts, "iteration limit",
+    )
+    trace = dict(got.trace)
+    assert trace.pop("deferred") == got.failed_attempts > 0
+    assert trace.pop("resolved") == 0
+    assert trace == want.trace
+
+
+def test_a_failed_plan_drops_its_descendants(monkeypatch):
+    # nested_blockers@0's first search returns a chain of three relocations,
+    # the first two pending.  Should the first fail once planned, the search
+    # drops the node that made it and every node below, goes on, and returns
+    # no chain that holds it
+    calls = []
+    inner = gs.search_relocations
+    monkeypatch.setattr(planner, "search_relocations", lambda *a, **k: calls.append((a, k)) or inner(*a, **k))
+    planner.plan_rearrangement(make_scene("nested_blockers", 0), planner.PlannerConfig(seed=0))
+    monkeypatch.undo()
+    args, kwargs = calls[0]
+    first = inner(*args, **kwargs)
+    assert len(first.plans) == 3 and first.trace["resolved"] == 2
+
+    resolve = PendingPlan.resolve
+    failed = []
+
+    def fail_first(plan):
+        out = resolve(plan)
+        if out == first.plans[0]:
+            failed.append(plan)
+            raise RuntimeError("deferred Bi-RRT query found no path")
+        return out
+
+    monkeypatch.setattr(PendingPlan, "resolve", fail_first)
+    got = inner(*args, **kwargs)
+    assert len(failed) == 1
+    assert got.failed_attempts > first.failed_attempts
+    assert all(isinstance(p, motion.MotionPlan) for p in got.plans)
+    assert first.plans[0] not in got.plans
 
 
 def test_relocation_legs_run_through_motion_birrt(monkeypatch):
