@@ -41,6 +41,14 @@ dependency only).
 - ``component_labels``: runs of free cells joined across rows
   (He, Chao & Suzuki 2008) give 4-connected components, numbered from 1 in
   raster order of their first cell as ``label`` numbers them; int32.
+
+Sweep.  ``swept_cells`` computes every stamp of a footprint along a
+polyline in one numpy pass, with the arithmetic of stamping pose by pose
+(per-segment stamp counts in Python, then float64 ufuncs that do each
+Python operation once), and enumerates the cells in (stamp, part, iy, ix)
+order.  So its cells and their first-coverage order equal the per-pose
+loop's exactly; ``tests/test_grid_memo.py`` keeps that loop as the
+reference (``ref_swept_cells``).
 """
 from __future__ import annotations
 
@@ -364,9 +372,17 @@ def swept_cells(spec: GridSpec, parts, poses) -> list[tuple[int, int]]:
     """Cells covered by a multi-rect footprint swept along a polyline.
 
     parts: (dx, dy, w, h) offsets from the reference pose.  The footprint
-    is stamped at intervals of half the smaller cell side.  Returns cells
-    ordered by first coverage along the sweep, as a fresh list of the
+    is stamped at the first pose, then at n evenly spaced poses along each
+    segment a -> b, n = max(1, ceil(|ab| / step)) with step half the
+    smaller cell side; stamp k is a + (b - a) * (k / n) per axis.  Each
+    part covers the cells ``spec.rect_cells`` gives its rect
+    ((x + dx) -/+ w / 2, (y + dy) -/+ h / 2).  Returns cells ordered by
+    first coverage, in (stamp, part, iy, ix) order, as a fresh list of the
     spec's memoized cells.
+
+    One numpy pass computes every stamp with that arithmetic, operation for
+    operation in float64, and ``_cell_ranges`` gives each rect's cells, so
+    the cells and their order are those of stamping pose by pose.
     """
     parts = tuple(map(tuple, parts))
     pts = tuple(poses)
@@ -374,31 +390,35 @@ def swept_cells(spec: GridSpec, parts, poses) -> list[tuple[int, int]]:
 
 
 def _swept_cells(spec: GridSpec, parts, pts) -> tuple[tuple[int, int], ...]:
-    step = 0.5 * min(spec.cell_w, spec.cell_h)
-    seen: dict[tuple[int, int], int] = {}
-    order = 0
-
-    def stamp(p: Pose2):
-        nonlocal order
-        for dx, dy, w, h in parts:
-            r = Rect(p.x + dx - w / 2, p.y + dy - h / 2, p.x + dx + w / 2, p.y + dy + h / 2)
-            ix0, ix1, iy0, iy1 = spec.rect_cells(r)
-            for iy in range(iy0, iy1 + 1):
-                for ix in range(ix0, ix1 + 1):
-                    if (ix, iy) not in seen:
-                        seen[(ix, iy)] = order
-                        order += 1
-
     if not pts:
         return ()
-    stamp(pts[0])
-    for a, b in zip(pts, pts[1:]):
-        d = a.dist(b)
-        n = max(1, int(math.ceil(d / step)))
-        for k in range(1, n + 1):
-            t = k / n
-            stamp(Pose2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t))
-    return tuple(sorted(seen, key=seen.get))
+    step = 0.5 * min(spec.cell_w, spec.cell_h)
+    # stamps per segment, then stamp k = 1..n of each segment a -> b at
+    # a + (b - a) * (k / n), after the first pose as given
+    ns = [max(1, int(math.ceil(a.dist(b) / step))) for a, b in zip(pts, pts[1:])]
+    xy = np.array([(p.x, p.y) for p in pts], dtype=float)
+    counts = np.array(ns, dtype=np.intp)
+    seg = np.repeat(np.arange(len(ns)), counts)
+    k = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = k / counts[seg]
+    a = xy[seg]
+    stamps = np.concatenate((xy[:1], a + (xy[seg + 1] - a) * t[:, None]))
+    # every stamp's part rects, stamp-major: (stamps x parts)
+    dx, dy, w, h = np.array(parts, dtype=float).reshape(-1, 4).T
+    cx = stamps[:, :1] + dx
+    cy = stamps[:, 1:] + dy
+    x0, x1, y0, y1 = (r.ravel() for r in _cell_ranges(spec, cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+    # each rect's cells in (iy, ix) order, rects in order
+    wid = np.maximum(x1 - x0, 0)
+    size = wid * np.maximum(y1 - y0, 0)
+    rect = np.repeat(np.arange(size.size), size)
+    local = np.arange(rect.size) - np.repeat(np.cumsum(size) - size, size)
+    row, col = np.divmod(local, wid[rect])
+    ids = (y0[rect] + row) * spec.nx + x0[rect] + col
+    # distinct cells ranked by first coverage
+    cells, first = np.unique(ids, return_index=True)
+    iy, ix = np.divmod(cells[np.argsort(first)], spec.nx)
+    return tuple(zip(ix.tolist(), iy.tolist()))
 
 
 NEIGH4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -522,7 +542,7 @@ def grid_connected(free: np.ndarray, a: tuple[int, int], b: tuple[int, int], spe
     if a is None or b is None:
         return False
     labels = component_labels(free, spec)
-    return labels[a[1], a[0]] == labels[b[1], b[0]]
+    return bool(labels[a[1], a[0]] == labels[b[1], b[0]])
 
 
 def grid_path(free: np.ndarray, a, b) -> list[tuple[int, int]] | None:

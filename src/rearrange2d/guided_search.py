@@ -385,12 +385,22 @@ def search_relocations(
     planning as long as every deferred leg finds its path, as nearly all
     do.  Deferred legs are planned only on the returned chain
     (PendingPlan.resolve).  Should one find no path there, the plan that
-    holds it counts as one failed relocation: its intent route is blamed as
-    for a plan that fails at once, every node whose chain holds it leaves
-    the open set (the expanded node too, which is then expanded no
-    further), and the search goes on; it never returns an unplanned chain.
-    trace counts the children left pending ("deferred") and the pending
-    plans the returned chain resolved ("resolved").
+    holds it counts as one failed relocation: it is blamed as a plan that
+    fails at once is, every node whose chain holds it leaves the open set
+    (the expanded node too, which is then expanded no further), and the
+    search goes on; it never returns an unplanned chain.  trace counts the
+    children left pending ("deferred") and the pending plans the returned
+    chain resolved ("resolved").
+
+    Blame is lazy too.  A failed relocation blames the movables on its
+    intent route (the object's statics-only grid route to its target), and
+    only expand_crit reads those counts.  So each failure is recorded as
+    (scene, object, target), and the recorded failures are blamed, in the
+    order they failed, just before expand_crit is called; those still
+    unblamed when the search returns or times out are dropped.  Blaming
+    reads only those immutable inputs and the counts are sums, so every
+    expansion sees, and the trace records, the counts of blaming each
+    failure at once.
     """
     colliders = find_colliding(scene, task, spec)
     trace: dict = {"colliders": list(colliders), "expanded": [], "candidates": 0, "deferred": 0, "resolved": 0}
@@ -409,6 +419,10 @@ def search_relocations(
 
     def scene_score(s: Scene) -> float:
         return score_scene(grids.rasterize_gom(s, task.cells, spec), grids.reachability(s, spec))
+
+    # failed relocations (scene, object, target), blamed only when
+    # expand_crit is about to read the counts
+    unblamed: list[tuple[Scene, str, Pose2]] = []
 
     def blame(s: Scene, oid: str, target: Pose2):
         # blame whatever sits on the statics-feasible route to the target;
@@ -476,7 +490,7 @@ def search_relocations(
                 )
                 if res is None:
                     failed += 1
-                    blame(node.scene, oid, target)
+                    unblamed.append((node.scene, oid, target))
                     continue
                 plan, after = res
                 trace["deferred"] += isinstance(plan, PendingPlan)
@@ -490,7 +504,7 @@ def search_relocations(
                         return RelocationSearchResult(True, after, plans, it, failed, trace)
                     # a deferred leg found no path: the plan failed after all
                     failed += 1
-                    blame(bad.scene, bad.object_id, bad.after.body(bad.object_id).pose)
+                    unblamed.append((bad.scene, bad.object_id, bad.after.body(bad.object_id).pose))
                     open_ids = [i for i in open_ids if not any(p is bad for p in nodes[i].plans)]
                     if bad is plan:
                         continue
@@ -524,6 +538,9 @@ def search_relocations(
         else:
             stall += 1
             if stall >= STALL_LIMIT:
+                for entry in unblamed:
+                    blame(*entry)
+                unblamed.clear()
                 # the served object may be blamed, but moving it would
                 # leave the task's route behind
                 extra = expand_crit(scene, (*crit, task.object_id), counts)

@@ -18,7 +18,7 @@ from . import motion, sequencer
 from .grids import GridSpec
 from .guided_search import pick_task, place_task, search_relocations
 from .motion import InfeasibleLeg, MotionPlan, PendingPlan, SubgoalBlocked, _mix_seed
-from .sequencer import CostMatrix, PlacementSequence, SequencerCaches, SequenceInfeasible
+from .sequencer import CostMatrix, PlacementSequence, SequencerCaches, SequenceInfeasible, SequenceTimeout
 from .world import KIND_GOAL, Pose2, Scene, default_tolerance, left_sum, verify_placements
 
 
@@ -207,6 +207,10 @@ def gen_motion_plan(
     failures = 0
     skip = 0
     guard = 0
+    # the subgoals and the place task read only the walls, the object's
+    # size, the robot's side and mu, which no relocation changes (the
+    # served object is never relocated): each is made on first use
+    selected = place = None
     while True:
         if deadline is not None and time.monotonic() > deadline:
             return GenPlanOutcome(False, (), scene, failures, reason="timeout")
@@ -214,7 +218,9 @@ def gen_motion_plan(
         if guard > 2 * ALT_CRIT_LIMIT + 4:
             return GenPlanOutcome(False, (), scene, failures, reason="relocation loop guard")
         try:
-            subgoals = motion.select_subgoals(mu, cur, object_id=object_id, spec=spec)
+            if selected is None:
+                selected = motion.select_subgoals(mu, cur, object_id=object_id, spec=spec)
+            subgoals = selected
             if cfg.refine:
                 subgoals = motion.refine_subgoals(subgoals, cur, object_id=object_id)
             pp_seed = _mix_seed(seed, "pp", object_id, guard)
@@ -239,7 +245,9 @@ def gen_motion_plan(
                     cur, object_id, e.goal, _mix_seed(seed, "task", guard), spec, cfg.rrt_max_iters,
                 )
             else:
-                task = place_task(cur, object_id, mu.waypoints, spec)
+                if place is None:
+                    place = place_task(cur, object_id, mu.waypoints, spec)
+                task = place
             res = search_relocations(
                 cur, task, skip, seed=_mix_seed(seed, "reloc", object_id, guard),
                 spec=spec, rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
@@ -293,6 +301,12 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
     retry (the scene may have improved), then regenerate the sequence
     from the current scene.  Relocations that touch goal objects force a
     regeneration too, since the dependency structure has changed.
+
+    cfg.time_limit bounds the call: the deadline is checked before each
+    object, relocation retry and search iteration, and while a sequence is
+    made, before each route, cycle enumeration and lazy leg
+    (sequencer.SequenceTimeout); once it has passed, the call finishes
+    with status "timeout".
     """
     if cfg is None:
         cfg = PlannerConfig()
@@ -329,14 +343,14 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
                 return PlacementSequence(tuple(order), 0.0)
             graph = sequencer.build_dependency_graph(
                 s, unplaced=unplaced, tol=tol, seed=cfg.seed, spec=spec,
-                rrt_max_iters=cfg.rrt_max_iters,
+                rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
             )
-            broke = sequencer.break_cycles(graph, cfg.cycle_cap, greedy=cfg.greedy_cycles)
+            broke = sequencer.break_cycles(graph, cfg.cycle_cap, greedy=cfg.greedy_cycles, deadline=deadline)
             precedence = [(e.src, e.dst) for e in broke.graph.edges]
             costs = CostMatrix.euclidean(s, broke.graph.vertices)
             refined, _ = sequencer.lazy_refine(
                 costs, s, cfg.seed, precedence=precedence, rounds=cfg.lazy_rounds,
-                spec=spec, caches=caches, rrt_max_iters=cfg.rrt_max_iters,
+                spec=spec, caches=caches, rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
             )
             return refined
         finally:
@@ -356,6 +370,9 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
     except SequenceInfeasible:
         seq = PlacementSequence((), 0.0)
         return finish("infeasible")
+    except SequenceTimeout:
+        seq = PlacementSequence((), 0.0)
+        return finish("timeout")
 
     iters = 0
     skip = 0
@@ -410,6 +427,8 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
                 seq = gen_sequence(cur, unplaced, regen_count)
             except SequenceInfeasible:
                 return finish("infeasible")
+            except SequenceTimeout:
+                return finish("timeout")
 
 
 def serialize_result(result: PlanResult) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,16 @@ STRONG = "strong"
 
 class SequenceInfeasible(Exception):
     """A goal object has no statics-only route to its goal."""
+
+
+class SequenceTimeout(Exception):
+    """The planning call's deadline passed while a sequence was being made."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    """Raise SequenceTimeout once time.monotonic() has passed deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SequenceTimeout
 
 
 @dataclass(frozen=True, order=True)
@@ -55,6 +66,7 @@ def build_dependency_graph(
     seed: int = 0,
     spec: GridSpec,
     rrt_max_iters: int = 5000,
+    deadline: float | None = None,
 ) -> DependencyGraph:
     """Precedence edges among the unplaced goal objects.
 
@@ -64,12 +76,14 @@ def build_dependency_graph(
     is planned once; weak edge j -> i when mu_i crosses j's current
     footprint, strong edge i -> j when mu_i crosses j's goal footprint.
     Raises SequenceInfeasible when some object has no route even with
-    every movable removed.
+    every movable removed, and SequenceTimeout when time.monotonic() has
+    passed deadline before a route is planned.
     """
     unplaced = tuple(sorted(unplaced))
 
     paths: dict[str, Path] = {}
     for oid in unplaced:
+        _check_deadline(deadline)
         mu = motion.plan_object_path(
             scene, oid, scene.goal_of(oid), _mix_seed(seed, "mu", oid),
             max_iters=rrt_max_iters, spec=spec,
@@ -251,7 +265,9 @@ class BreakResult:
     removed: tuple[Edge, ...]
 
 
-def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False) -> BreakResult:
+def break_cycles(
+    graph: DependencyGraph, cap: int = 10000, greedy: bool = False, *, deadline: float | None = None,
+) -> BreakResult:
     """Delete edges until acyclic, most-contested first.
 
     An edge's frequency is the number of enumerated cycles through its
@@ -267,7 +283,8 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
     cycle is left; greedy mode keeps the frequencies from the first
     enumeration (cheaper, can remove more edges than needed).  Ties prefer
     weak edges, then sources shedding the least net out-degree, then
-    lexicographic order.
+    lexicographic order.  Raises SequenceTimeout when time.monotonic() has
+    passed deadline before an enumeration.
     """
     names, rank, live = _ranked_pairs(graph)
     n = len(names)
@@ -281,6 +298,7 @@ def break_cycles(graph: DependencyGraph, cap: int = 10000, greedy: bool = False)
 
     def frequencies() -> dict[Edge, int]:
         """Edge frequencies over the live graph's first cap cycles."""
+        _check_deadline(deadline)
         counts = _pair_counts(_adjacency(n, live), starts, cap)
         freq: dict[Edge, int] = {}
         for p, es in live.items():
@@ -592,6 +610,7 @@ def lazy_refine(
     spec: GridSpec,
     caches: SequencerCaches,
     rrt_max_iters: int = 5000,
+    deadline: float | None = None,
 ) -> tuple[PlacementSequence, int]:
     """Upgrade the incumbent order's legs to planned robot path lengths,
     re-solving after each batch, until the incumbent stops changing or the
@@ -602,6 +621,8 @@ def lazy_refine(
     at least as large as any competitor's true costs, provided solve_patsp
     searched exactly: up to EXACT_LIMIT objects.  Above that the incumbent
     is solve_patsp's heuristic answer and carries no such guarantee.
+    Raises SequenceTimeout when time.monotonic() has passed deadline before
+    a leg is upgraded.
     """
     statics = scene.statics_only()
     robot = scene.robot
@@ -642,6 +663,7 @@ def lazy_refine(
                 if not costs.between_exact[i, j]:
                     legs.append(("between", (i, j), scene.goal_of(oa), scene.body(ob).pose))
         for kind, where, a, b in legs:
+            _check_deadline(deadline)
             length = planned_length(a, b)
             if length is None:
                 caches.failures += 1

@@ -7,6 +7,13 @@ successors, all queried through one spec so that entries from earlier
 scenes are there to be (wrongly) hit, the memoized outputs must equal the
 reference exactly.  Cached arrays must be read-only, cached lists must come
 out as copies, and no entry may outlive the planning call that made it.
+
+``ref_swept_cells`` is the stamping loop that the numpy sweep replaced.
+Both must give identical cell tuples on every ``swept_cells`` call that
+planning makes on the desk and relocation suites and m_block_16 at seeds
+0-9, and on polylines with zero-length segments, a single pose and no
+poses, poses and rect edges on cell edges and one ulp either side,
+footprints hanging off each grid edge, and two-part footprints.
 """
 
 import dataclasses
@@ -17,7 +24,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from rearrange2d import grids
+from rearrange2d import bench, grids
 from rearrange2d.bench import make_scene
 from rearrange2d.grids import (
     GridSpec,
@@ -248,6 +255,114 @@ def test_swept_cells_hands_out_copies():
     want = list(first)
     first.clear()
     assert swept_cells(spec, parts, poses) == want
+
+
+# -- the numpy sweep against the stamping loop -------------------------------
+
+
+def assert_sweeps_match(spec, parts, poses):
+    """swept_cells, the memo bypassed and through it, equals the loop."""
+    want = ref_swept_cells(spec, parts, poses)
+    assert list(grids._swept_cells(spec, tuple(map(tuple, parts)), tuple(poses))) == want
+    assert swept_cells(spec, parts, poses) == want
+
+
+SWEPT_RUNS = [
+    ("desk", bench.SUITES["desk"]),
+    ("relocation", bench.SUITES["relocation"]),
+    ("m_block_16", ("m_block_16",)),
+]
+
+
+@pytest.mark.parametrize("names", [names for _, names in SWEPT_RUNS], ids=[run for run, _ in SWEPT_RUNS])
+def test_every_sweep_of_planning_matches_the_loop(monkeypatch, names):
+    # every swept_cells call planning makes at seeds 0-9
+    calls = []
+    inner = grids.swept_cells
+
+    def record(spec, parts, poses):
+        poses = tuple(poses)
+        # a copy of the spec with an empty memo: planning's memos are freed
+        calls.append((dataclasses.replace(spec), parts, poses))
+        return inner(spec, parts, poses)
+
+    monkeypatch.setattr(grids, "swept_cells", record)
+    for name in names:
+        for seed in range(10):
+            plan_rearrangement(make_scene(name, seed), PlannerConfig(seed=seed))
+    monkeypatch.undo()
+    assert calls
+    for spec, parts, poses in calls:
+        assert_sweeps_match(spec, parts, poses)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polylines_with_zero_length_segments(seed):
+    rng = random.Random(7100 + seed)
+    n = rng.choice((16, 32, 64))
+    spec = GridSpec(Pose2(0.0, 0.0), n, n, 10.0 / n, 10.0 / n)
+    for _ in range(20):
+        poses = [Pose2(rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.5))]
+        for _ in range(rng.randint(1, 5)):
+            # repeat a pose as often as move on
+            poses.append(poses[-1] if rng.random() < 0.5 else Pose2(rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.5)))
+        w, h = rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)
+        assert_sweeps_match(spec, ((0.0, 0.0, w, h),), poses)
+        assert_sweeps_match(spec, compound_parts(rng.choice("NESW"), w, h, 0.4), poses)
+
+
+def test_a_single_pose_and_no_poses():
+    spec = GridSpec(Pose2(0.0, 0.0), 40, 40, 0.25, 0.25)
+    for parts in (((0.0, 0.0, 0.4, 0.4),), compound_parts("S", 0.6, 0.9, 0.4)):
+        assert_sweeps_match(spec, parts, [Pose2(3.3, 4.1)])
+        assert_sweeps_match(spec, parts, [])
+    assert swept_cells(spec, ((0.0, 0.0, 0.4, 0.4),), []) == []
+
+
+def _ulps(v):
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+def test_poses_and_rects_on_cell_edges():
+    # cells of 0.25 on a 10-wide grid: the poses, and with w and h whole
+    # cells the rect edges too, sit on cell edges or one ulp either side
+    spec = GridSpec(Pose2(0.0, 0.0), 40, 40, 0.25, 0.25)
+    for w, h in ((0.5, 0.5), (0.25, 0.75), (0.4, 0.4)):
+        for parts in (((0.0, 0.0, w, h),), compound_parts("E", w, h, 0.25)):
+            for x in _ulps(2.5):
+                for y in _ulps(3.75):
+                    assert_sweeps_match(spec, parts, [Pose2(x, y)])
+                    # a segment along a cell edge, and one across cell edges
+                    assert_sweeps_match(spec, parts, [Pose2(x, y), Pose2(x, y + 1.0)])
+                    assert_sweeps_match(spec, parts, [Pose2(x, y), Pose2(x + 0.75, y + 0.25), Pose2(x, y)])
+
+
+@pytest.mark.parametrize("corner", [(0.0, 5.0), (10.0, 5.0), (5.0, 0.0), (5.0, 10.0), (0.0, 0.0), (10.0, 10.0)])
+def test_footprints_hanging_off_the_grid(corner):
+    # rects reaching past an edge are clamped to the grid; one wholly off
+    # it covers nothing
+    spec = GridSpec(Pose2(0.0, 0.0), 32, 32, 10.0 / 32, 10.0 / 32)
+    x, y = corner
+    for parts in (((0.0, 0.0, 1.2, 0.8),), compound_parts("N", 1.0, 0.6, 0.4), ((3.0, -3.0, 0.5, 0.5),)):
+        assert_sweeps_match(spec, parts, [Pose2(x, y)])
+        assert_sweeps_match(spec, parts, [Pose2(x, y), Pose2(5.0, 5.0), Pose2(x, y)])
+        assert_sweeps_match(spec, parts, [Pose2(x - 2.0, y - 2.0), Pose2(x + 2.0, y - 2.0)])
+    assert swept_cells(spec, ((0.0, 0.0, 0.5, 0.5),), [Pose2(-3.0, -3.0)]) == []
+
+
+def test_two_part_footprints_keep_part_order():
+    # the second part covers cells first reached in the same stamp after
+    # the first part's, so the order tells the parts apart
+    spec = GridSpec(Pose2(0.0, 0.0), 40, 40, 0.25, 0.25)
+    rng = random.Random(7200)
+    for side in "NESW":
+        for _ in range(10):
+            w, h = rng.uniform(0.2, 1.2), rng.uniform(0.2, 1.2)
+            poses = [Pose2(rng.uniform(1, 9), rng.uniform(1, 9)) for _ in range(rng.randint(1, 4))]
+            parts = compound_parts(side, w, h, 0.4)
+            assert len(parts) == 2
+            assert_sweeps_match(spec, parts, poses)
+            assert_sweeps_match(spec, parts[::-1], poses)
 
 
 # -- lifetime and keys ------------------------------------------------------

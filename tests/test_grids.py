@@ -567,3 +567,18 @@ class TestGridPath:
         assert not grid_connected(free, (0, 0), (5, 5), spec)
         free[0, 3] = True
         assert grid_connected(free, (0, 0), (5, 5), spec)
+
+    def test_grid_connected_answers_plain_bools(self):
+        # json.dumps takes a bool but not a numpy.bool_
+        spec = GridSpec(Pose2(0.0, 0.0), 8, 8, 1.0, 1.0)
+        free = np.ones((8, 8), dtype=bool)
+        free[:, 4] = False
+        free[0, 0] = False      # snapped to a neighbour
+        free[5:, 5:] = False    # (7, 7) has no free cell within SNAP_RADIUS
+        answers = [
+            grid_connected(free, (0, 0), (1, 3), spec),   # snapped, connected
+            grid_connected(free, (0, 0), (5, 0), spec),   # snapped, another component
+            grid_connected(free, (0, 0), (7, 7), spec),   # unreachable end
+        ]
+        assert answers == [True, False, False]
+        assert all(type(a) is bool for a in answers)

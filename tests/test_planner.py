@@ -412,6 +412,56 @@ def test_a_goal_attempt_that_fails_to_resolve_is_planned_eagerly(monkeypatch):
     assert not got.success and got.failures
 
 
+def test_subgoals_and_place_task_are_made_once_per_object_attempt(monkeypatch):
+    # on the desk suite at seeds 0-9, one select_subgoals call per
+    # gen_motion_plan call that has a route, and at most one place task,
+    # however many relocation retries the call makes; m_block_16@1 has a
+    # call whose place search runs three times
+    frames, active = [], []
+    inner_gen, inner_route = planner.gen_motion_plan, motion.plan_object_path
+    inner_select, inner_place = motion.select_subgoals, planner.place_task
+
+    def gen(*args, **kwargs):
+        frame = {"routes": [], "selected": 0, "places": 0}
+        frames.append(frame)
+        active.append(frame)
+        try:
+            frame["outcome"] = inner_gen(*args, **kwargs)
+        finally:
+            active.pop()
+        return frame["outcome"]
+
+    def route(*args, **kwargs):
+        out = inner_route(*args, **kwargs)
+        if active:
+            active[-1]["routes"].append(out)
+        return out
+
+    def select(*args, **kwargs):
+        active[-1]["selected"] += 1
+        return inner_select(*args, **kwargs)
+
+    def place(*args, **kwargs):
+        active[-1]["places"] += 1
+        return inner_place(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "gen_motion_plan", gen)
+    monkeypatch.setattr(motion, "plan_object_path", route)
+    monkeypatch.setattr(motion, "select_subgoals", select)
+    monkeypatch.setattr(planner, "place_task", place)
+    runs = [(name, seed) for name in bench.SUITES["desk"] for seed in range(10)] + [("m_block_16", 1)]
+    for name, seed in runs:
+        plan_rearrangement(bench.make_scene(name, seed), PlannerConfig(seed=seed))
+    monkeypatch.undo()
+    assert frames
+    for f in frames:
+        assert f["selected"] == (f["routes"][0] is not None)
+        assert f["places"] <= 1
+    # calls that retried after a relocation search, and so would select
+    # their subgoals again
+    assert any(f["outcome"].failures and f["outcome"].relocated for f in frames)
+
+
 def _gap_scene():
     """g1 must pass a one-object gap in a wall that b1 blocks."""
     return scene(
@@ -441,6 +491,7 @@ def clock(monkeypatch):
     c = FakeClock()
     monkeypatch.setattr(planner, "time", c)
     monkeypatch.setattr(guided_search, "time", c)
+    monkeypatch.setattr(sequencer, "time", c)
     return c
 
 
@@ -513,6 +564,109 @@ class TestDeadline:
         # the first failed relocation plan passes the deadline, so the search
         # ends with its first iteration and nothing is retried after it
         assert 1 <= len(tried) <= guided_search.K_MAX
+
+    def _ticking(self, monkeypatch, clock, module, name):
+        """module.name moves the clock on by 1.0 per call; returns the
+        list of calls."""
+        calls = []
+        inner = getattr(module, name)
+
+        def tick(*args, **kwargs):
+            calls.append(args)
+            clock.now += 1.0
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, tick)
+        return calls
+
+    def test_dependency_graph_stops_between_routes(self, monkeypatch, clock):
+        sc = _three_goal_scene()
+        spec = GridSpec.from_scene(sc)
+        routes = self._ticking(monkeypatch, clock, motion, "plan_object_path")
+        with pytest.raises(sequencer.SequenceTimeout):
+            sequencer.build_dependency_graph(sc, unplaced=sorted(sc.goals), tol=0.1, spec=spec, deadline=0.5)
+        assert len(routes) == 1
+        graph = sequencer.build_dependency_graph(sc, unplaced=sorted(sc.goals), tol=0.1, spec=spec)
+        assert len(routes) == 1 + len(sc.goals) and graph.vertices == tuple(sorted(sc.goals))
+
+    def test_break_cycles_stops_between_enumerations(self, monkeypatch, clock):
+        # two separate 2-cycles: three enumerations without a deadline
+        E = sequencer.Edge
+        graph = sequencer.DependencyGraph(
+            ("a", "b", "c", "d"),
+            (E("a", "b", "weak"), E("b", "a", "weak"), E("c", "d", "weak"), E("d", "c", "weak")),
+        )
+        enumerations = self._ticking(monkeypatch, clock, sequencer, "_pair_counts")
+        with pytest.raises(sequencer.SequenceTimeout):
+            sequencer.break_cycles(graph, deadline=0.5)
+        assert len(enumerations) == 1
+        assert len(sequencer.break_cycles(graph).removed) == 2
+        assert len(enumerations) == 4
+        with pytest.raises(sequencer.SequenceTimeout):
+            sequencer.break_cycles(graph, greedy=True, deadline=clock.now - 1.0)
+        assert len(enumerations) == 4
+
+    def test_lazy_refine_stops_between_legs(self, monkeypatch, clock):
+        sc = _three_goal_scene()
+        spec = GridSpec.from_scene(sc)
+        legs = self._ticking(monkeypatch, clock, motion, "birrt")
+
+        def refine(deadline):
+            costs = sequencer.CostMatrix.euclidean(sc, sorted(sc.goals))
+            return sequencer.lazy_refine(
+                costs, sc, 0, spec=spec, caches=sequencer.SequencerCaches(), deadline=deadline,
+            )
+
+        with pytest.raises(sequencer.SequenceTimeout):
+            refine(0.5)
+        assert len(legs) == 1
+        seq, _ = refine(None)
+        assert len(legs) > 2 and sorted(seq.order) == sorted(sc.goals)
+
+    def test_plan_times_out_inside_sequencing(self, monkeypatch, clock):
+        routes = self._ticking(monkeypatch, clock, motion, "plan_object_path")
+        res = plan_rearrangement(_three_goal_scene(), PlannerConfig(time_limit=0.5))
+        assert res.status == "timeout"
+        assert res.plans == () and res.sequence == ()
+        assert len(routes) == 1
+
+    def test_regeneration_times_out_inside_sequencing(self, monkeypatch, clock):
+        # swap_pocket@0 relocates a goal object in its first pass, which
+        # makes a new sequence; the deadline passes just before it
+        sc = bench.make_scene("swap_pocket", 0)
+        full = plan_rearrangement(sc, PlannerConfig(seed=0))
+        assert full.status == "success" and full.regenerations == 1
+        inner = sequencer.build_dependency_graph
+        graphs = []
+
+        def graph(*args, **kwargs):
+            graphs.append(kwargs["deadline"])
+            if len(graphs) == 2:
+                clock.now = kwargs["deadline"] + 1.0
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sequencer, "build_dependency_graph", graph)
+        res = plan_rearrangement(sc, PlannerConfig(seed=0))
+        assert res.status == "timeout" and graphs == [120.0, 120.0]
+        # the plans and sequence of the pass before the regeneration
+        assert res.regenerations == 1
+        assert res.plans and res.plans == full.plans[: len(res.plans)] and len(res.plans) < len(full.plans)
+        assert res.sequence
+
+    def test_an_unexpired_deadline_changes_nothing(self, clock):
+        sc = _three_goal_scene()
+        got = plan_rearrangement(sc, PlannerConfig(seed=0))
+        want = plan_rearrangement(sc, PlannerConfig(seed=0, time_limit=math.inf))
+        assert got.status == "success"
+        assert serialize_result(got) == serialize_result(want)
+
+
+def _three_goal_scene():
+    """Three goal objects whose routes cross each other's goals."""
+    return scene(
+        [robot(1, 1), goal_obj("a", 3, 3), goal_obj("b", 3, 7), goal_obj("c", 5, 5)],
+        {"a": Pose2(8, 7), "b": Pose2(8, 3), "c": Pose2(8, 5)},
+    )
 
 
 class TestPlanRearrangement:

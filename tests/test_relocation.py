@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from rearrange2d import grids, motion, planner
+from rearrange2d import bench, grids, motion, planner
 from rearrange2d import guided_search as gs
 from rearrange2d.bench import make_scene
 from rearrange2d.grids import GridSpec, rasterize_gom, reachability
@@ -134,6 +134,18 @@ class TestTaskFeasible:
         t = gs.pick_task(sc, "g1", Pose2(7.5, 5.0), 0, spec)
         # the staggered blockers leave a zigzag for the robot
         assert gs.task_feasible(sc, t, frozenset(), spec)
+
+    def test_answers_are_plain_bools(self):
+        # json.dumps takes a bool but not a numpy.bool_; b1 fills the gap
+        sc = _gap_scene(blocker=False)
+        sc = scene([*sc.bodies, obstacle("b1", 5.0, 5.0, 0.6, 1.6)], dict(sc.goals))
+        spec = GridSpec.from_scene(sc)
+        pick = gs.pick_task(sc, "g1", Pose2(8.0, 5.0), 0, spec)
+        place = gs.place_task(sc, "g1", (Pose2(3, 5), Pose2(8, 5)), spec)
+        for task in (pick, place):
+            answers = [gs.task_feasible(sc, task, removed, spec) for removed in (frozenset(), frozenset({"b1"}))]
+            assert answers == [False, True]
+            assert all(type(a) is bool for a in answers)
 
     def test_statics_block_regardless(self):
         sc = _gap_scene(blocker=False)
@@ -908,3 +920,76 @@ def test_relocation_legs_run_through_motion_birrt(monkeypatch):
         ids = {id(out) for out in seen}
         assert all(id(pick) in ids for pick in picks), name
     assert any(isinstance(out, motion.DeferredLeg) for out in seen)
+
+
+def test_blame_waits_for_expand_crit(monkeypatch):
+    # every search of the relocation suite at seeds 0-9, as an event log:
+    # a relocation that fails (at once or when its chain is resolved), an
+    # intent route planned for blame, and an expand_crit call.  Blames come
+    # in one batch right before an expand_crit call, one per failure since
+    # the batch before, and failures after the last call go unblamed
+    logs = []
+    inner_search, inner_plan, inner_resolve = gs.search_relocations, gs.plan_relocation, PendingPlan.resolve
+    inner_route, inner_expand = gs._intent_route, gs.expand_crit
+
+    def search(*args, **kwargs):
+        logs.append([])
+        out = inner_search(*args, **kwargs)
+        logs[-1] = (logs[-1], out)
+        return out
+
+    def plan_relocation(*args, **kwargs):
+        res = inner_plan(*args, **kwargs)
+        if res is None:
+            logs[-1].append("fail")
+        return res
+
+    def resolve(self):
+        try:
+            return inner_resolve(self)
+        except RuntimeError:
+            if self.purpose == "relocation":
+                logs[-1].append("fail")
+            raise
+
+    def intent_route(*args):
+        logs[-1].append("blame")
+        return inner_route(*args)
+
+    def expand(*args):
+        logs[-1].append("expand")
+        return inner_expand(*args)
+
+    monkeypatch.setattr(planner, "search_relocations", search)
+    monkeypatch.setattr(gs, "plan_relocation", plan_relocation)
+    monkeypatch.setattr(PendingPlan, "resolve", resolve)
+    monkeypatch.setattr(gs, "_intent_route", intent_route)
+    monkeypatch.setattr(gs, "expand_crit", expand)
+    for name in bench.SUITES["relocation"]:
+        for seed in range(10):
+            planner.plan_rearrangement(make_scene(name, seed), planner.PlannerConfig(seed=seed))
+    monkeypatch.undo()
+    assert logs
+    blamed = failed = read = 0
+    for log, res in logs:
+        assert log.count("fail") == res.failed_attempts
+        fails = blames = 0
+        for i, event in enumerate(log):
+            if event == "fail":
+                fails += 1
+            elif event == "blame":
+                blames += 1
+                assert log[i + 1] in ("blame", "expand")
+            else:
+                # every failure so far is blamed, none twice
+                assert blames == fails
+        last = max((i for i, event in enumerate(log) if event == "expand"), default=0)
+        assert blames == log[:last].count("fail") <= fails
+        if "fail" not in log[last:]:
+            assert blames == fails
+        blamed += blames
+        failed += fails
+        read += "expand" in log
+    # some searches expand their critical set, and some failures are never
+    # blamed because no expansion follows them
+    assert read and 0 < blamed < failed

@@ -14,12 +14,17 @@ results against a pinned digest; CI runs it on every rung:
 
     PYTHONPATH=src python tests/test_scale_ladder.py 16 20 24 32
 
+Each rung's summary line ends with the CPU seconds (``time.process_time``)
+the rung took, so the CI log records what every rung costs.  The figure is
+reported, never checked: it follows the machine.
+
 M = 32 is also the largest sequence the planner's local search meets (up
 to 32 goal objects), so its pin guards that search's answers too.
 """
 import hashlib
 import json
 import sys
+import time
 
 from rearrange2d import planner
 from rearrange2d.bench import make_scene
@@ -73,11 +78,16 @@ def test_m_block_16():
 if __name__ == "__main__":
     status = 0
     for m in map(int, sys.argv[1:]):
+        cpu = time.process_time()
         problems, failed, digest = climb(m)
+        cpu = time.process_time() - cpu
         if digest != DIGESTS[m]:
             problems.append(f"m_block_{m}: digest {digest}, pinned {DIGESTS[m]}")
         ok = len(SEEDS) - len(failed)
-        print(f"m_block_{m}: {ok}/{len(SEEDS)} succeed, failing seeds {sorted(failed)}, digest {digest}")
+        print(
+            f"m_block_{m}: {ok}/{len(SEEDS)} succeed, failing seeds {sorted(failed)}, digest {digest}, "
+            f"{cpu:.1f} s CPU"
+        )
         for p in problems:
             print(f"  {p}")
         status |= bool(problems)
