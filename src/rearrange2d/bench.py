@@ -291,6 +291,7 @@ CSV_FIELDS = (
     "travel_distance_m",
     "wall_time_s",
     "sequence_time_s",
+    "reason",
 )
 
 
@@ -311,6 +312,7 @@ class SuiteRow:
             "travel_distance_m": f"{m.travel_distance:.6f}",
             "wall_time_s": f"{m.wall_time:.3f}",
             "sequence_time_s": f"{m.sequence_time:.3f}",
+            "reason": self.result.reason or "",
         }
 
 

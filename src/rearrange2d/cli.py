@@ -60,6 +60,8 @@ def _cmd_plan(args) -> int:
         f"travel={m.travel_distance:.2f}m wall={m.wall_time:.1f}s",
         file=sys.stderr,
     )
+    if result.reason is not None:
+        print(f"reason: {result.reason}", file=sys.stderr)
     return 0 if result.status == "success" else 1
 
 
@@ -68,6 +70,10 @@ def _cmd_bench(args) -> int:
         names = bench.SUITES[args.suite]
     else:
         names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+    if not names:
+        raise bench.BenchError(f"suite {args.suite!r} names no scenario")
+    if args.seeds < 1:
+        raise bench.BenchError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = range(args.seeds)
     cfg = _build_config(args)
 

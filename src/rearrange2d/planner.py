@@ -169,6 +169,9 @@ class GenPlanOutcome:
     failures: int = 0
     relocated: tuple[str, ...] = ()
     reason: str | None = None
+    # the reason of the last relocation search the call ran ("succeeded"
+    # when that search moved its blockers); None when it ran none
+    search_reason: str | None = None
 
 
 def gen_motion_plan(
@@ -193,30 +196,38 @@ def gen_motion_plan(
     defer off and the same seed, which gives the answer of planning without
     defer exactly.  An InfeasibleLeg is the one planning without defer
     raises unless an earlier deferred leg would have found no path.
+
+    A failed outcome keeps the reason of its last relocation search in
+    search_reason, next to its own reason.
     """
     mu = motion.plan_object_path(
         scene, object_id, scene.goal_of(object_id), _mix_seed(seed, "mu", object_id),
         max_iters=cfg.rrt_max_iters, spec=spec,
     )
-    if mu is None:
-        return GenPlanOutcome(False, (), scene, reason="no route past the walls")
-
     cur = scene
     plans: list[MotionPlan] = []
     relocated: list[str] = []
     failures = 0
     skip = 0
     guard = 0
+    searched = None
+
+    def fail(reason: str) -> GenPlanOutcome:
+        return GenPlanOutcome(False, (), scene, failures, reason=reason, search_reason=searched)
+
+    if mu is None:
+        return fail("no route past the walls")
+
     # the subgoals and the place task read only the walls, the object's
     # size, the robot's side and mu, which no relocation changes (the
     # served object is never relocated): each is made on first use
     selected = place = None
     while True:
         if deadline is not None and time.monotonic() > deadline:
-            return GenPlanOutcome(False, (), scene, failures, reason="timeout")
+            return fail("timeout")
         guard += 1
         if guard > 2 * ALT_CRIT_LIMIT + 4:
-            return GenPlanOutcome(False, (), scene, failures, reason="relocation loop guard")
+            return fail("relocation loop guard")
         try:
             if selected is None:
                 selected = motion.select_subgoals(mu, cur, object_id=object_id, spec=spec)
@@ -237,7 +248,7 @@ def gen_motion_plan(
             plans.append(plan)
             return GenPlanOutcome(True, tuple(plans), after, failures, tuple(relocated))
         except SubgoalBlocked as e:
-            return GenPlanOutcome(False, (), scene, failures, reason=str(e))
+            return fail(str(e))
         except InfeasibleLeg as e:
             failures += 1
             if e.kind == "pick":
@@ -252,8 +263,9 @@ def gen_motion_plan(
                 cur, task, skip, seed=_mix_seed(seed, "reloc", object_id, guard),
                 spec=spec, rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
             )
+            searched = res.reason or "succeeded"
             if res.reason == "timeout":
-                return GenPlanOutcome(False, (), scene, failures, reason="timeout")
+                return fail("timeout")
             if res.success:
                 cur = res.scene
                 plans.extend(res.plans)
@@ -261,7 +273,7 @@ def gen_motion_plan(
                 continue
             skip += 1
             if skip >= ALT_CRIT_LIMIT:
-                return GenPlanOutcome(False, (), scene, failures, reason="relocation search exhausted")
+                return fail("relocation search exhausted")
 
 
 @dataclass
@@ -292,6 +304,8 @@ class PlanResult:
     metrics: Metrics
     sequence: tuple[str, ...] = ()
     regenerations: int = 0
+    # None on success; otherwise why the run ended (plan_rearrangement)
+    reason: str | None = None
 
 
 def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanResult:
@@ -307,6 +321,13 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
     made, before each route, cycle enumeration and lazy leg
     (sequencer.SequenceTimeout); once it has passed, the call finishes
     with status "timeout".
+
+    A result that is not a success says why in its reason: an infeasible
+    one carries the SequenceInfeasible message, a timeout says where the
+    call stopped, and an iter-exhausted one names the unplaced object that
+    failed last, that object's last GenPlanOutcome.reason and its last
+    relocation search's reason.  The reason holds no timing, so it is
+    deterministic wherever the status is.
     """
     if cfg is None:
         cfg = PlannerConfig()
@@ -322,15 +343,22 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
     replan_failures = 0
     executed: list[MotionPlan] = []
     cur = scene
+    # each object's last failure, in the order the failures came
+    failed: dict[str, str] = {}
 
     def out_of_time() -> bool:
         return time.monotonic() > deadline
 
-    def finish(status: str) -> PlanResult:
+    def finish(status: str, reason: str | None = None) -> PlanResult:
         m = count_metrics(executed, failures=replan_failures, regenerations=regen_count)
         m.wall_time = time.monotonic() - t0
         m.sequence_time = seq_time
-        return PlanResult(status, cur, tuple(executed), m, seq.order if seq else (), regen_count)
+        return PlanResult(status, cur, tuple(executed), m, seq.order if seq else (), regen_count, reason)
+
+    def exhausted() -> PlanResult:
+        left = [o for o in failed if o in unplaced]
+        why = f"{left[-1]}: {failed[left[-1]]}; " if left else ""
+        return finish("iter-exhausted", f"{why}unplaced after {iter_max} passes: {', '.join(unplaced)}")
 
     def gen_sequence(s: Scene, unplaced, regen_idx: int) -> PlacementSequence:
         nonlocal seq_time
@@ -367,27 +395,27 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
 
     try:
         seq = gen_sequence(cur, unplaced, 0)
-    except SequenceInfeasible:
+    except SequenceInfeasible as e:
         seq = PlacementSequence((), 0.0)
-        return finish("infeasible")
+        return finish("infeasible", str(e))
     except SequenceTimeout:
         seq = PlacementSequence((), 0.0)
-        return finish("timeout")
+        return finish("timeout", "timeout while making the first sequence")
 
     iters = 0
     skip = 0
     while True:
         iters += 1
         if iters > iter_max:
-            return finish("iter-exhausted")
+            return exhausted()
         if out_of_time():
-            return finish("timeout")
+            return finish("timeout", f"timeout before pass {iters}")
 
         progress = False
         goal_reloc = False
         for oid in seq.order:
             if out_of_time():
-                return finish("timeout")
+                return finish("timeout", f"timeout in pass {iters}, before planning {oid}")
             placed = verify_placements(cur, tol)
             if oid in placed:
                 continue
@@ -396,15 +424,22 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
             )
             replan_failures += outcome.failures
             if outcome.reason == "timeout":
-                return finish("timeout")
+                if outcome.search_reason == "timeout":
+                    return finish("timeout", f"timeout in pass {iters}, in {oid}'s relocation search")
+                return finish("timeout", f"timeout in pass {iters}, while planning {oid}")
+            failed.pop(oid, None)
             if outcome.success:
                 executed.extend(outcome.plans)
                 cur = outcome.scene
                 progress = True
                 if any(cur.body(r).kind == KIND_GOAL for r in outcome.relocated):
                     goal_reloc = True
-            elif outcome.reason is not None and not outcome.failures:
-                replan_failures += 1  # hard failure without a planning attempt
+            else:
+                failed[oid] = outcome.reason
+                if outcome.search_reason is not None:
+                    failed[oid] += f" (last relocation search: {outcome.search_reason})"
+                if not outcome.failures:
+                    replan_failures += 1  # hard failure without a planning attempt
 
         placed = verify_placements(cur, tol)
         unplaced = [o for o in goal_ids if o not in placed]
@@ -425,10 +460,10 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
             regen_count += 1
             try:
                 seq = gen_sequence(cur, unplaced, regen_count)
-            except SequenceInfeasible:
-                return finish("infeasible")
+            except SequenceInfeasible as e:
+                return finish("infeasible", str(e))
             except SequenceTimeout:
-                return finish("timeout")
+                return finish("timeout", f"timeout while regenerating the sequence ({regen_count})")
 
 
 def serialize_result(result: PlanResult) -> dict:

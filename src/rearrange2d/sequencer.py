@@ -167,7 +167,9 @@ def _pair_counts(adj: list[list[int]], starts, cap: int) -> list[int]:
     lowest vertex, in the order a plain simple-path DFS reports it.
     Blocking skips a vertex only while every path from it back to s
     crosses the current path, i.e. only subtrees that hold no cycle
-    through s.
+    through s.  UNBLOCK is called only for a vertex whose B-list is not
+    empty; one with an empty B-list has its flag cleared in place, which
+    is all UNBLOCK would do for it.
 
     Cycles are counted per DFS frame, not one by one: every cycle found
     while a vertex is on the path runs through the whole path up to it, so
@@ -196,7 +198,10 @@ def _pair_counts(adj: list[list[int]], starts, cap: int) -> list[int]:
                 blocked[u] = False
                 for w in waiting[u]:
                     if blocked[w]:
-                        unblock(w)
+                        if waiting[w]:
+                            unblock(w)
+                        else:
+                            blocked[w] = False
                 waiting[u].clear()
 
             def visit(v: int) -> int:
@@ -222,7 +227,10 @@ def _pair_counts(adj: list[list[int]], starts, cap: int) -> list[int]:
                             counts[row + w] += k
                             found += k
                 if found:
-                    unblock(v)
+                    if waiting[v]:
+                        unblock(v)
+                    else:
+                        blocked[v] = False
                 else:
                     for w in adj[v]:
                         waiting[w].append(v)

@@ -114,13 +114,21 @@ class TestRunSuite:
 
         text = rows_to_csv(rows)
         lines = text.strip().splitlines()
-        assert lines[0] == "scenario,seed,status,pnp,replanning,travel_distance_m,wall_time_s,sequence_time_s"
+        assert lines[0] == "scenario,seed,status,pnp,replanning,travel_distance_m,wall_time_s,sequence_time_s,reason"
         assert len(lines) == 3
         assert lines[1].startswith("four_blocks,0,success,")
+        assert lines[1].endswith(",")   # a success has no reason
 
         out = tmp_path / "rows.csv"
         write_csv(rows, str(out))
         assert out.read_text() == text
+
+    def test_csv_carries_the_reason(self):
+        rows = run_suite(["m_block_16"], [3], PlannerConfig())
+        (rec,) = csv.DictReader(io.StringIO(rows_to_csv(rows)))
+        assert rec["status"] == "iter-exhausted"
+        assert rec["reason"] == rows[0].result.reason
+        assert rec["reason"].startswith("o15: relocation search exhausted")
 
     def test_per_seed_config(self):
         # the suite reseeds the planner per run, so a fixed-seed config

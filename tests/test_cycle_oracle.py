@@ -548,3 +548,112 @@ def test_ring_longer_than_the_recursion_limit(stack_checked):
     assert sys.getrecursionlimit() == limit
     assert broke.removed == (Edge("v000000", "v000001", WEAK),)
     assert stack_checked == [1, 10000, 10000]
+
+
+# -- UNBLOCK and the B-lists ------------------------------------------------
+
+
+def unblock_profile(graph: DependencyGraph) -> tuple[int, int]:
+    """Johnson's search on graph, uncapped, run for its UNBLOCK calls only:
+    how many vertices that found a cycle had a non-empty B-list, and the
+    longest chain of non-empty B-lists one unblocking passed through."""
+    names, rank, pairs = sequencer._ranked_pairs(graph)
+    n = len(names)
+    adj = sequencer._adjacency(n, pairs)
+    readers = deepest = 0
+    for s in (rank[v] for v in graph.vertices):
+        blocked = [v <= s for v in range(n)]
+        waiting: list[list[int]] = [[] for _ in range(n)]
+
+        def unblock(u: int) -> int:
+            blocked[u] = False
+            below = 0
+            for w in waiting[u]:
+                if blocked[w]:
+                    below = max(below, unblock(w))
+            depth = below + bool(waiting[u])
+            waiting[u].clear()
+            return depth
+
+        def visit(v: int) -> bool:
+            nonlocal readers, deepest
+            blocked[v] = True
+            found = False
+            for w in adj[v]:
+                if w == s:
+                    found = True
+                elif not blocked[w] and visit(w):
+                    found = True
+            if found:
+                readers += bool(waiting[v])
+                deepest = max(deepest, unblock(v))
+            else:
+                for w in adj[v]:
+                    waiting[w].append(v)
+            return found
+
+        visit(s)
+    return readers, deepest
+
+
+def cascade_digraph(depth: int, branches: int, cross: bool = False) -> DependencyGraph:
+    """a <-> b, and per branch i a chain b -> c{i}_1 -> ... -> c{i}_depth -> b
+    that a enters at c{i}_1 too.  From start a, b closes its 2-cycle first,
+    then walks each chain to a dead end at b (on the path), so each chain
+    vertex waits in the B-list of the next one and the last in b's.  Only
+    once b's UNBLOCK has thawed every chain from its end can a walk them
+    to cycles through b.  cross adds c{i}_j -> c{i+1}_j, so a vertex waits
+    in several B-lists and the chains thaw each other."""
+    chains = [[f"c{i}_{j}" for j in range(1, depth + 1)] for i in range(branches)]
+    edges = [Edge("a", "b", WEAK), Edge("b", "a", WEAK)]
+    for chain in chains:
+        hops = ["b", *chain, "b"]
+        edges += [Edge(x, y, WEAK) for x, y in zip(hops, hops[1:])]
+        edges.append(Edge("a", chain[0], STRONG))
+    if cross:
+        for upper, lower in zip(chains, chains[1:]):
+            edges += [Edge(x, y, WEAK) for x, y in zip(upper, lower)]
+    verts = ("a", "b", *(v for chain in chains for v in chain))
+    return DependencyGraph(verts, tuple(edges))
+
+
+def wheel(n: int) -> DependencyGraph:
+    """Hub h and a ring of n spokes, each spoke with an edge back to h."""
+    spokes = [f"s{i}" for i in range(n)]
+    edges = [Edge("h", x, WEAK) for x in spokes] + [Edge(x, "h", WEAK) for x in spokes]
+    edges += [Edge(x, y, WEAK) for x, y in zip(spokes, spokes[1:] + spokes[:1])]
+    return DependencyGraph(("h", *spokes), tuple(edges))
+
+
+CASCADES = [(d, b, x) for d in (1, 2, 3, 5) for b in (1, 2, 3) for x in (False, True) if b > 1 or not x]
+NO_B_LISTS = {
+    **{f"K{n}": complete_digraph(n) for n in (2, 3, 4, 5, 6)},
+    **{f"ring{n}": ring(n) for n in (2, 3, 7)},
+    **{f"wheel{n}": wheel(n) for n in (3, 5)},
+}
+
+
+def assert_every_cap_matches(g: DependencyGraph, stack_checked) -> None:
+    """_pair_counts on g at every cap from 0 to one past its cycle count:
+    the stack counter's lists (checked by the spy) and the reference's."""
+    total = len(ref_enumerate_cycles(g, 10**9).cycles)
+    for cap in range(total + 2):
+        assert pair_counts(g, cap) == ref_pair_counts(g, cap)
+    assert stack_checked == list(range(total + 2))
+
+
+@pytest.mark.parametrize("depth,branches,cross", CASCADES)
+def test_unblocking_cascades_through_b_lists(stack_checked, depth, branches, cross):
+    g = cascade_digraph(depth, branches, cross)
+    readers, deepest = unblock_profile(g)
+    # b's unblocking passes through b's B-list and every chain vertex's but
+    # the first
+    assert readers >= 1 and deepest >= depth
+    assert_every_cap_matches(g, stack_checked)
+
+
+@pytest.mark.parametrize("name", sorted(NO_B_LISTS))
+def test_unblocking_with_every_b_list_empty(stack_checked, name):
+    g = NO_B_LISTS[name]
+    assert unblock_profile(g) == (0, 0)
+    assert_every_cap_matches(g, stack_checked)

@@ -340,6 +340,15 @@ class TestGenMotionPlan:
         out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
         assert not out.success
         assert out.reason == "no route past the walls"
+        assert out.search_reason is None
+
+    def test_a_loop_that_never_clears_its_leg_keeps_the_search_reason(self, monkeypatch):
+        # every search succeeds without moving anything, so the leg fails
+        # again until the loop guard ends the attempt
+        sc = _gap_scene()
+        monkeypatch.setattr(planner, "search_relocations", lambda scene, *a, **k: RelocationSearchResult(True, scene))
+        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
+        assert (out.success, out.reason, out.search_reason) == (False, "relocation loop guard", "succeeded")
 
 
 def goal_attempt(call):
@@ -549,18 +558,19 @@ class TestDeadline:
         monkeypatch.setattr(planner, "search_relocations", search)
         cfg = PlannerConfig()
         out = gen_motion_plan(sc, "g1", cfg, seed=0, spec=GridSpec.from_scene(sc), deadline=0.5)
-        assert out.reason == "timeout"
+        assert (out.reason, out.search_reason) == ("timeout", "iteration limit")
         assert searches == [0]
         # without a deadline every alternative critical subset is tried
         searches.clear()
         out = gen_motion_plan(sc, "g1", cfg, seed=0, spec=GridSpec.from_scene(sc))
-        assert out.reason == "relocation search exhausted"
+        assert (out.reason, out.search_reason) == ("relocation search exhausted", "iteration limit")
         assert searches == list(range(planner.ALT_CRIT_LIMIT))
 
     def test_plan_returns_timeout_mid_search(self, monkeypatch, clock):
         tried = _failing_relocations(monkeypatch, clock, 200.0)
         res = plan_rearrangement(_gap_scene(), PlannerConfig(time_limit=120.0))
         assert res.status == "timeout"
+        assert res.reason == "timeout in pass 1, in g1's relocation search"
         # the first failed relocation plan passes the deadline, so the search
         # ends with its first iteration and nothing is retried after it
         assert 1 <= len(tried) <= guided_search.K_MAX
@@ -627,6 +637,7 @@ class TestDeadline:
         routes = self._ticking(monkeypatch, clock, motion, "plan_object_path")
         res = plan_rearrangement(_three_goal_scene(), PlannerConfig(time_limit=0.5))
         assert res.status == "timeout"
+        assert res.reason == "timeout while making the first sequence"
         assert res.plans == () and res.sequence == ()
         assert len(routes) == 1
 
@@ -648,6 +659,7 @@ class TestDeadline:
         monkeypatch.setattr(sequencer, "build_dependency_graph", graph)
         res = plan_rearrangement(sc, PlannerConfig(seed=0))
         assert res.status == "timeout" and graphs == [120.0, 120.0]
+        assert res.reason == "timeout while regenerating the sequence (1)"
         # the plans and sequence of the pass before the regeneration
         assert res.regenerations == 1
         assert res.plans and res.plans == full.plans[: len(res.plans)] and len(res.plans) < len(full.plans)
@@ -673,6 +685,7 @@ class TestPlanRearrangement:
     def test_success_simple(self, simple_scene):
         res = plan_rearrangement(simple_scene)
         assert res.status == "success"
+        assert res.reason is None
         assert res.sequence == ("g1",)
         assert res.metrics.pnp >= 1
         assert verify_placements(res.scene, 0.15) == {"g1"}
@@ -704,10 +717,32 @@ class TestPlanRearrangement:
         )
         res = plan_rearrangement(sc)
         assert res.status == "infeasible"
+        assert res.reason == "g1 has no route to its goal past the walls"
 
     def test_timeout(self, simple_scene):
         res = plan_rearrangement(simple_scene, PlannerConfig(time_limit=0.0))
         assert res.status == "timeout"
+        assert res.reason.startswith("timeout ")
+
+    def test_exhausted_run_names_its_failing_object(self):
+        # m_block_16@3: o15's pick leg has no grasp side a relocation can
+        # free, so every attempt ends with its searches exhausted
+        sc = bench.make_scene("m_block_16", 3)
+        res = plan_rearrangement(sc, PlannerConfig(seed=3))
+        assert res.status == "iter-exhausted"
+        assert res.reason == (
+            "o15: relocation search exhausted (last relocation search: no critical subset unblocks the task); "
+            "unplaced after 17 passes: o15"
+        )
+
+    def test_exhausted_run_without_a_failed_attempt_names_the_unplaced(self, monkeypatch):
+        # every attempt reports success but leaves its object where it was
+        monkeypatch.setattr(
+            planner, "gen_motion_plan", lambda scene, *a, **k: planner.GenPlanOutcome(True, (), scene),
+        )
+        res = plan_rearrangement(_three_goal_scene())
+        assert res.status == "iter-exhausted"
+        assert res.reason == "unplaced after 4 passes: a, b, c"
 
     @pytest.mark.parametrize("limit,status", [(-1.0, "timeout"), (math.inf, "success")])
     def test_time_limit_keeps_negative_and_inf(self, simple_scene, limit, status):
@@ -842,8 +877,9 @@ class TestCli:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["status"] == "success"
+        assert "reason:" not in capsys.readouterr().err
 
-    def test_plan_failure_exit_code(self, tmp_path):
+    def test_plan_failure_exit_code(self, tmp_path, capsys):
         sc = scene(
             [robot(1, 5), goal_obj("g1", 3, 5), wall("bar", 6, 5, 0.4, 10.0)],
             {"g1": Pose2(8, 5)},
@@ -851,6 +887,23 @@ class TestCli:
         path = self._write_scene(tmp_path, sc)
         rc = cli.main(["plan", path, "--out", str(path) + ".out"])
         assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("infeasible: ")
+        assert err[1:] == ["reason: g1 has no route to its goal past the walls"]
+        # the result JSON holds no reason: serialize_result is unchanged
+        assert "reason" not in json.loads(FilePath(path + ".out").read_text())
+
+    def test_bench_rejects_a_run_of_nothing(self, tmp_path, capsys):
+        # no seeds, or a scenario list that names no scenario, is bad input,
+        # not an empty CSV
+        out = tmp_path / "rows.csv"
+        for argv, why in ((["--suite", "four_blocks", "--seeds", "0"], "--seeds must be at least 1, got 0"),
+                          (["--suite", "four_blocks", "--seeds", "-2"], "--seeds must be at least 1, got -2"),
+                          (["--suite", " , ", "--seeds", "1"], "suite ' , ' names no scenario"),
+                          (["--suite", "", "--seeds", "1"], "suite '' names no scenario")):
+            assert cli.main(["bench", *argv, "--out", str(out)]) == 2, argv
+            assert capsys.readouterr().err == f"error: {why}\n", argv
+            assert not out.exists(), argv
 
     def test_bad_input_exit_code(self, tmp_path, capsys):
         assert cli.main(["plan", str(tmp_path / "missing.json")]) == 2

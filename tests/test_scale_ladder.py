@@ -5,7 +5,9 @@ seed, as ``rearrange2d bench`` does.  Every run must replay cleanly, its
 replayed final poses must equal the result's, and a success must leave
 every goal object on its goal.  Only the seeds named in ``OPEN_DEFECTS``
 may fail: each one is a known failure still to be fixed, and it stays on
-the ladder.  Failures carry no reason yet, so none is checked.
+the ladder.  Every failure must carry a reason (``PlanResult.reason``)
+that names one of the scene's goal objects; the script prints each
+failing seed's reason under its rung.
 
 Tier-1 climbs the M = 16 rung (a few seconds) but checks no digest.  The
 M = 20, 24 and 32 rungs take about half a minute together (M = 32 alone
@@ -23,6 +25,7 @@ to 32 goal objects), so its pin guards that search's answers too.
 """
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -47,10 +50,15 @@ def _poses(scene):
     return {b.id: (b.pose.x, b.pose.y) for b in scene.bodies}
 
 
-def climb(m: int) -> tuple[list[str], set[int], str]:
-    """Plan one rung: the problems found, the failing seeds and the digest."""
+def names_an_object(reason, scene) -> bool:
+    return reason is not None and any(re.search(rf"\b{re.escape(o)}\b", reason) for o in scene.goals)
+
+
+def climb(m: int) -> tuple[list[str], dict[int, str], str]:
+    """Plan one rung: the problems found, each failing seed's reason and the
+    digest."""
     problems = []
-    failed = set()
+    failed = {}
     lines = []
     for s in SEEDS:
         scene = make_scene(f"m_block_{m}", s)
@@ -60,12 +68,14 @@ def climb(m: int) -> tuple[list[str], set[int], str]:
         if _poses(final) != _poses(result.scene):
             problems.append(f"m_block_{m}@{s}: replayed final poses differ from the result's")
         if result.status != "success":
-            failed.add(s)
+            failed[s] = result.reason
+            if not names_an_object(result.reason, scene):
+                problems.append(f"m_block_{m}@{s}: {result.status} with reason {result.reason!r}, which names no object")
         elif not set(scene.goals) <= verify_placements(final, default_tolerance(scene)):
             problems.append(f"m_block_{m}@{s}: success with a goal object off its goal")
         lines.append(json.dumps(planner.serialize_result(result), sort_keys=True))
-    if not failed <= OPEN_DEFECTS[m]:
-        problems.append(f"m_block_{m}: seeds {sorted(failed - OPEN_DEFECTS[m])} fail, not open defects")
+    if not failed.keys() <= OPEN_DEFECTS[m]:
+        problems.append(f"m_block_{m}: seeds {sorted(failed.keys() - OPEN_DEFECTS[m])} fail, not open defects")
     return problems, failed, hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -88,6 +98,8 @@ if __name__ == "__main__":
             f"m_block_{m}: {ok}/{len(SEEDS)} succeed, failing seeds {sorted(failed)}, digest {digest}, "
             f"{cpu:.1f} s CPU"
         )
+        for s, reason in sorted(failed.items()):
+            print(f"  seed {s}: {reason}")
         for p in problems:
             print(f"  {p}")
         status |= bool(problems)
