@@ -323,19 +323,20 @@ def run_suite(
     *,
     progress=None,
 ) -> list[SuiteRow]:
-    """Run every scenario for every seed; one row per run."""
+    """Run every scenario for every seed; one row per run.  Every scene is
+    built before the first plan, so a bad name raises BenchError before
+    any planning."""
     if cfg is None:
         cfg = PlannerConfig()
+    runs = [(name, seed, make_scene(name, seed)) for name in names for seed in seeds]
     rows: list[SuiteRow] = []
-    for name in names:
-        for seed in seeds:
-            scene = make_scene(name, seed)
-            run_cfg = cfg.merged({"seed": seed}, "suite")
-            t0 = time.monotonic()
-            result = plan_rearrangement(scene, run_cfg)
-            if progress is not None:
-                progress(name, seed, result.status, time.monotonic() - t0)
-            rows.append(SuiteRow(name, seed, result))
+    for name, seed, scene in runs:
+        run_cfg = cfg.merged({"seed": seed}, "suite")
+        t0 = time.monotonic()
+        result = plan_rearrangement(scene, run_cfg)
+        if progress is not None:
+            progress(name, seed, result.status, time.monotonic() - t0)
+        rows.append(SuiteRow(name, seed, result))
     return rows
 
 

@@ -40,10 +40,14 @@ SHORTCUT_ATTEMPTS = 100
 # iterations, then blocks of LOOKAHEAD_BLOCK samples doubling up to
 # LOOKAHEAD_BLOCK_MAX, and shorter where one block pass would exceed
 # LOOKAHEAD_CELLS (query, node) pairs; short calls grow their trees fast
-# and would pay for blocks whose new nodes they scan anyway
+# and would pay for blocks whose new nodes they scan anyway.  The cap is
+# 256: every row scans the nodes appended since its block began, and a
+# bridge inside a block discards the samples drawn past it and redraws
+# the ones before it, so both costs grow with the block, while shorter
+# blocks pay for more numpy passes
 LOOKAHEAD_WARMUP = 256
 LOOKAHEAD_BLOCK = 64
-LOOKAHEAD_BLOCK_MAX = 1024
+LOOKAHEAD_BLOCK_MAX = 256
 LOOKAHEAD_CELLS = 1 << 18
 # select_subgoals' step: KAPPA times the static clearance
 KAPPA = 2.0
@@ -364,22 +368,24 @@ def birrt(
     with a strict < finds.
 
     Past LOOKAHEAD_WARMUP iterations the extend step's scans are answered
-    a block at a time, with the same result.  The sample stream does not
-    depend on the trees: each iteration draws rng.random() and, unless
-    goal-biased, two uniform draws; a goal-biased sample is the other
-    tree's root, which never changes; and the trees swap every iteration.
-    So a block's samples, and the tree each one queries, are drawn ahead
-    through the same rng methods (a random.Random subclass still drives
-    them), and _block_nearest finds each query's nearest node among the
-    nodes each tree has when the block starts.  Trees only grow by
-    appending, so at query time a node appended since then wins only when
-    its exact distance is strictly smaller than that node's (the strict <
-    keeps ties at the lowest index).  A row whose squared distances leave
-    a second node within _block_nearest's margin of the minimum is
-    ambiguous and takes the full _nearest scan.  On a bridge inside a
-    block, the generator is rewound to the block's start and exactly the
-    consumed iterations are drawn again, so shortcut smoothing sees the
-    state per-iteration draws leave.
+    a block at a time, with the same result; any block schedule gives the
+    same paths.  The sample stream does not depend on the trees: each
+    iteration draws rng.random() and, unless goal-biased, x and then y,
+    each with random.uniform's own arithmetic, a + (b - a) * rng.random(),
+    so the stream and the samples are uniform's; a goal-biased sample is
+    the other tree's root, which never changes; and the trees swap every
+    iteration.  So a block's samples, and the tree each one queries, are
+    drawn ahead through the bound rng.random (a random.Random subclass
+    still drives them), and _block_nearest finds each query's nearest
+    node among the nodes each tree has when the block starts.  Trees only
+    grow by appending, so at query time a node appended since then wins
+    only when its exact distance is strictly smaller than that node's (the
+    strict < keeps ties at the lowest index).  A row whose squared
+    distances leave a second node within _block_nearest's margin of the
+    minimum is ambiguous and takes the full _nearest scan.  On a bridge
+    inside a block, the generator is rewound to the block's start and
+    exactly the consumed iterations are drawn again, so shortcut smoothing
+    sees the state per-iteration draws leave.
 
     A block also decides, with _steps_collide on the same node and sample
     arrays, whether the step from each row's node toward its sample ends
@@ -431,8 +437,11 @@ def birrt(
         return DeferredLeg(scene, parts, start, goal, seed, max_iters, ignore, spec)
 
     rng = random.Random(seed)
-    uniform = rng.uniform
+    # uniform's arithmetic, a + (b - a) * random(), on the bound random
+    rand = rng.random
     ws = scene.workspace
+    x0, y0 = ws.xmin, ws.ymin
+    dx, dy = ws.xmax - ws.xmin, ws.ymax - ws.ymin
 
     # a tree is its packed (x, y) points and their parent indices
     ta = ([(sx, sy)], [-1])
@@ -478,9 +487,9 @@ def birrt(
 
     def draw(k):
         """Iteration k's sample; the draws never depend on the trees."""
-        if rng.random() < GOAL_BIAS:
+        if rand() < GOAL_BIAS:
             return roots[k & 1]
-        return (uniform(ws.xmin, ws.xmax), uniform(ws.ymin, ws.ymax))
+        return (x0 + dx * rand(), y0 + dy * rand())
 
     def iterate(k, q, i, d):
         """Iteration k: extend its tree from node i, at distance d, toward q,

@@ -505,13 +505,19 @@ def test_deferral_fails_to_resolve_when_the_grid_route_is_blocked():
 
 
 class LatticeRandom(random.Random):
-    """random.Random whose uniform draws land on a 1/16 grid of the range.
+    """random.Random whose random() lands on a 1/16 grid of [0, 1], so
+    uniform draws, and birrt's samples, land on a 1/16 grid of the range.
     On an 8x8 workspace the samples are then multiples of 0.5, a step that
     reaches its sample puts a node on them, and a sample often lies at the
-    same distance from two nodes."""
+    same distance from two nodes.  getrandbits is passed through so that
+    randrange draws bits, as random.Random's does, rather than calling
+    random()."""
 
-    def uniform(self, a, b):
-        return a + (b - a) * self.randrange(0, 17) / 16
+    def random(self):
+        return self.randrange(0, 17) / 16
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
 
 
 def test_lattice_samples_tie_inside_birrt(monkeypatch):
@@ -560,11 +566,13 @@ def test_lattice_samples_tie_inside_blocks(monkeypatch):
 
 class BlockRows:
     """Counts the rows motion._block_nearest answers, the ambiguous ones,
-    and the length of each block (its two calls, one per tree)."""
+    and the length of each block (its two calls, one per tree); nodes holds
+    each call's tree size."""
 
     def __init__(self, monkeypatch):
         self.total = self.ambiguous = 0
         self.calls = []
+        self.nodes = []
         inner = motion._block_nearest
 
         def spy(p, q):
@@ -572,6 +580,7 @@ class BlockRows:
             self.total += len(out)
             self.ambiguous += out.count(-1)
             self.calls.append(q.shape[1])
+            self.nodes.append(p.shape[1])
             return out
 
         monkeypatch.setattr(motion, "_block_nearest", spy)
@@ -585,11 +594,11 @@ class BlockRows:
 @pytest.fixture
 def counting(monkeypatch):
     """Makes random.Random a generator that counts its draws: every random()
-    call (uniform draws through it) and every uniform() call.  The counts
-    travel with getstate and setstate, so a rewound generator counts as if
-    the rewound draws were never made; each randrange call (shortcut
-    smoothing) marks the counts it finds.  Returns the list of generators
-    made."""
+    call (birrt's samples call it directly, the reference's uniform draws
+    through it) and, apart, every uniform() call.  The counts travel with
+    getstate and setstate, so a rewound generator counts as if the rewound
+    draws were never made; each randrange call (shortcut smoothing) marks
+    the counts it finds.  Returns the list of generators made."""
     made = []
 
     class CountingRandom(random.Random):
@@ -623,35 +632,43 @@ def counting(monkeypatch):
 
 
 def assert_counts_agree(made, sc, parts, start, goal, seed, max_iters, ignore, spec):
-    """assert_agrees, and the same draws from both generators when the
-    sampling loop ends (at the first smoothing draw, else at the end of the
-    call).  Smoothing may stop sooner than the reference's, never later:
-    its marks are a prefix of the reference's and it draws no more in all.
-    Returns the path and the iterations run (0 when the call drew
+    """assert_agrees, and the same random() draws from both generators when
+    the sampling loop ends (at the first smoothing draw, else at the end of
+    the call).  Smoothing may stop sooner than the reference's, never
+    later: the draws its marks found are a prefix of the reference's and it
+    draws no more in all.  Returns the path and the iterations run, the
+    reference's draws less its uniform calls (0 when the call drew
     nothing)."""
     n = len(made)
     got = assert_agrees(sc, parts, start, goal, seed, max_iters, ignore, spec)
     if len(made) == n:
         return got, 0
     assert len(made) == n + 2
-    counts = []
-    for rng in made[n:]:
-        draws, uniforms = rng.marks[0] if rng.marks else (rng.draws, rng.uniforms)
-        counts.append((draws - uniforms, draws, uniforms))
-    assert counts[0] == counts[1], (seed, max_iters)
     mine, ref = made[n:]
-    assert mine.marks == ref.marks[: len(mine.marks)], (seed, max_iters)
+
+    def at_loop_end(rng):
+        return rng.marks[0] if rng.marks else (rng.draws, rng.uniforms)
+
+    (draws, _), (ref_draws, uniforms) = at_loop_end(mine), at_loop_end(ref)
+    assert draws == ref_draws, (seed, max_iters)
+    assert [d for d, _ in mine.marks] == [d for d, _ in ref.marks[: len(mine.marks)]], (seed, max_iters)
     assert mine.draws <= ref.draws, (seed, max_iters)
-    return got, counts[0][0]
+    return got, ref_draws - uniforms
 
 
-def door_scene(thickness: float = 3.0, gap: float = 0.6) -> Scene:
+def door_scene(thickness: float = 3.0, gap: float = 0.6, origin=(0.0, 0.0)) -> Scene:
     """A wall across x = 5 with a gap at y = 5, for a robot of side 0.4.
     Through the default 0.6 gap in a 3-unit wall, Bi-RRT queries from (2, 2)
     to (8, 8) take from tens to thousands of iterations (seeds 6, 7, 12 and
-    16 more than 3000)."""
+    16 more than 3000).  origin moves the 10x10 workspace's lower corner,
+    and every body with it."""
     h = 5.0 - gap / 2
-    return scene([robot(2.0, 2.0), wall("wn", 5.0, 10.0 - h / 2, thickness, h), wall("ws", 5.0, h / 2, thickness, h)])
+    ox, oy = origin
+    return scene(
+        [robot(ox + 2.0, oy + 2.0), wall("wn", ox + 5.0, oy + 10.0 - h / 2, thickness, h),
+         wall("ws", ox + 5.0, oy + h / 2, thickness, h)],
+        ws=Rect(ox, oy, ox + 10.0, oy + 10.0),
+    )
 
 
 def block_starts(count: int) -> list[int]:
@@ -742,6 +759,46 @@ def test_blocked_block_rows_skip_the_kernel(monkeypatch):
     assert assert_agrees(sc, square(0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), 7, 5000, frozenset({"robot"}), spec)
     assert rows.total > 3000
     assert calls[0] <= 3596
+
+
+def test_offset_workspaces_match_reference(counting):
+    # workspaces whose lower corner is off the origin, where another
+    # spelling of uniform's arithmetic, such as a * (1 - r) + b * r, rounds
+    # otherwise; some door queries run past the warm-up into blocks
+    found = longest = 0
+    for ox, oy in ((0.3, -1.7), (-4.1, 2.9), (12.7, 0.1)):
+        sc = door_scene(origin=(ox, oy))
+        spec = GridSpec.from_scene(sc)
+        for seed in range(4):
+            got, iterations = assert_counts_agree(
+                counting, sc, square(0.4), Pose2(ox + 2.0, oy + 2.0), Pose2(ox + 8.0, oy + 8.0), seed, 1500,
+                frozenset({"robot"}), spec,
+            )
+            found += got is not None
+            longest = max(longest, iterations)
+    assert found == 12
+    assert longest > motion.LOOKAHEAD_WARMUP
+
+
+def test_blocks_run_at_the_cap(monkeypatch):
+    # a door query past 3000 iterations: after the 64, 128 ramp every
+    # block is LOOKAHEAD_BLOCK_MAX rows long unless max_iters or the cell
+    # bound on the larger tree cuts it, and the path is the reference's
+    sc = door_scene()
+    spec = GridSpec.from_scene(sc)
+    rows = BlockRows(monkeypatch)
+    max_iters = 5000
+    assert assert_agrees(sc, square(0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), 7, max_iters, frozenset({"robot"}), spec)
+    blocks = rows.take_blocks()
+    trees = [max(a, b) for a, b in zip(rows.nodes[::2], rows.nodes[1::2])]
+    full = motion.LOOKAHEAD_BLOCK_MAX
+    assert full == 256
+    assert blocks[:2] == [64, 128]
+    k = motion.LOOKAHEAD_WARMUP + sum(blocks[:2])
+    for n, nodes in zip(blocks[2:], trees[2:]):
+        assert n == min(full, max_iters - k, max(1, motion.LOOKAHEAD_CELLS // nodes)), (k, nodes)
+        k += n
+    assert blocks.count(full) >= 8
 
 
 # -- blocked steps ----------------------------------------------------------

@@ -905,6 +905,16 @@ class TestCli:
             assert capsys.readouterr().err == f"error: {why}\n", argv
             assert not out.exists(), argv
 
+    def test_bench_rejects_a_bad_name_before_planning(self, tmp_path, capsys):
+        # a bad scenario anywhere in the list is bad input before any run
+        # is planned: no progress line, no CSV
+        out = tmp_path / "rows.csv"
+        for suite, why in (("four_blocks,m_block_8,nope", "unknown scenario 'nope'"),
+                           ("four_blocks,m_block_0", "m must be positive")):
+            assert cli.main(["bench", "--suite", suite, "--seeds", "2", "--out", str(out)]) == 2, suite
+            assert capsys.readouterr().err == f"error: {why}\n", suite
+            assert not out.exists(), suite
+
     def test_bad_input_exit_code(self, tmp_path, capsys):
         assert cli.main(["plan", str(tmp_path / "missing.json")]) == 2
         p = tmp_path / "bad.json"
