@@ -90,10 +90,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "m-block":
-        scene = bench.gen_m_block(args.m, args.seed or 0)
-    else:
-        scene = bench.make_scene(args.kind, args.seed or 0)
+    scene = bench.make_scene(args.kind, args.seed)
     text = scenario.scene_to_json(scene)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -131,11 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate a scenario file")
-    p_gen.add_argument("kind", help="m-block or a built-in scenario name")
-    p_gen.add_argument("--m", type=int, default=4, help="object count for m-block")
-    p_gen.add_argument(
-        "--seed", type=int, default=0, help="m-block generator seed; built-in scenes ignore it"
-    )
+    p_gen.add_argument("kind", help="a built-in scenario name or m_block_<M>")
+    p_gen.add_argument("--seed", type=int, default=0, help="m_block_<M> generator seed; built-in scenes ignore it")
     p_gen.add_argument("--out", help="output path (default stdout)")
     p_gen.set_defaults(fn=_cmd_gen)
 

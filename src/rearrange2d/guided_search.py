@@ -160,20 +160,12 @@ def select_critical(
     feasible subsets are passed over.  Beyond CARDINALITY_CAP only
     growing prefixes of the collider list are considered."""
     colliders = list(colliders)
-    seen = 0
-    for size in range(1, min(CARDINALITY_CAP, len(colliders)) + 1):
-        for combo in itertools.combinations(colliders, size):
-            if task_feasible(scene, task, frozenset(combo), spec):
-                if seen == skip_count:
-                    return combo
-                seen += 1
-    for size in range(CARDINALITY_CAP + 1, len(colliders) + 1):
-        prefix = tuple(colliders[:size])
-        if task_feasible(scene, task, frozenset(prefix), spec):
-            if seen == skip_count:
-                return prefix
-            seen += 1
-    return None
+    subsets = itertools.chain(
+        *(itertools.combinations(colliders, size) for size in range(1, CARDINALITY_CAP + 1)),
+        (tuple(colliders[:size]) for size in range(CARDINALITY_CAP + 1, len(colliders) + 1)),
+    )
+    feasible = (sub for sub in subsets if task_feasible(scene, task, frozenset(sub), spec))
+    return next(itertools.islice(feasible, skip_count, None), None)
 
 
 def score_scene(gom, reach) -> float:

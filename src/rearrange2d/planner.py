@@ -35,10 +35,6 @@ SKIP_MAX_DIVISOR = 4
 # a key's kind is its PlannerConfig annotation: "int", "float", "bool" or
 # _OPTIONAL; a None default reads as "derived from the scene"
 _OPTIONAL = "float | None"
-# ranges the planner needs: a grid size of 0 divides by zero, and
-# verify_placements rejects a tolerance of 0 or less, so an _OPTIONAL key
-# must be positive when set
-_AT_LEAST_ONE = ("grid_n",)
 
 
 @dataclass(frozen=True)
@@ -55,15 +51,13 @@ class PlannerConfig:
     greedy_cycles: bool = False
 
     def __post_init__(self):
-        # merged builds every layered config, so this one check covers them all
-        for name in _AT_LEAST_ONE:
-            v = getattr(self, name)
-            if not v >= 1:
-                raise ConfigError(f"config key {name!r} must be at least 1, got {v!r}")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == _OPTIONAL and v is not None and not v > 0:
-                raise ConfigError(f"config key {f.name!r} must be positive when set, got {v!r}")
+        # merged builds every layered config, so this one check covers them
+        # all: a grid size of 0 divides by zero, and verify_placements
+        # rejects a tolerance of 0 or less
+        if not self.grid_n >= 1:
+            raise ConfigError(f"config key 'grid_n' must be at least 1, got {self.grid_n!r}")
+        if self.tol is not None and not self.tol > 0:
+            raise ConfigError(f"config key 'tol' must be positive when set, got {self.tol!r}")
         # t0 + nan is a deadline no time passes, so NaN would mean no limit;
         # 0 or less (time out at once) and inf (never) are meant as given
         if math.isnan(self.time_limit):
@@ -167,7 +161,6 @@ class GenPlanOutcome:
     plans: tuple[MotionPlan, ...]
     scene: Scene
     failures: int = 0
-    relocated: tuple[str, ...] = ()
     reason: str | None = None
     # the reason of the last relocation search the call ran ("succeeded"
     # when that search moved its blockers); None when it ran none
@@ -206,7 +199,6 @@ def gen_motion_plan(
     )
     cur = scene
     plans: list[MotionPlan] = []
-    relocated: list[str] = []
     failures = 0
     skip = 0
     guard = 0
@@ -246,7 +238,7 @@ def gen_motion_plan(
                         cur, object_id, subgoals, seed=pp_seed, max_iters=cfg.rrt_max_iters, spec=spec,
                     )
             plans.append(plan)
-            return GenPlanOutcome(True, tuple(plans), after, failures, tuple(relocated))
+            return GenPlanOutcome(True, tuple(plans), after, failures)
         except SubgoalBlocked as e:
             return fail(str(e))
         except InfeasibleLeg as e:
@@ -269,7 +261,6 @@ def gen_motion_plan(
             if res.success:
                 cur = res.scene
                 plans.extend(res.plans)
-                relocated.extend(p.object_id for p in res.plans)
                 continue
             skip += 1
             if skip >= ALT_CRIT_LIMIT:
@@ -355,11 +346,6 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
         m.sequence_time = seq_time
         return PlanResult(status, cur, tuple(executed), m, seq.order if seq else (), regen_count, reason)
 
-    def exhausted() -> PlanResult:
-        left = [o for o in failed if o in unplaced]
-        why = f"{left[-1]}: {failed[left[-1]]}; " if left else ""
-        return finish("iter-exhausted", f"{why}unplaced after {iter_max} passes: {', '.join(unplaced)}")
-
     def gen_sequence(s: Scene, unplaced, regen_idx: int) -> PlacementSequence:
         nonlocal seq_time
         st = time.monotonic()
@@ -388,26 +374,27 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
     unplaced = [o for o in goal_ids if o not in placed]
     seq: PlacementSequence | None = None
     if not unplaced:
-        seq = PlacementSequence((), 0.0)
         return finish("success")
     skip_max = len(unplaced) // SKIP_MAX_DIVISOR
     iter_max = len(unplaced) + 1
 
-    try:
-        seq = gen_sequence(cur, unplaced, 0)
-    except SequenceInfeasible as e:
-        seq = PlacementSequence((), 0.0)
-        return finish("infeasible", str(e))
-    except SequenceTimeout:
-        seq = PlacementSequence((), 0.0)
-        return finish("timeout", "timeout while making the first sequence")
-
     iters = 0
     skip = 0
+    regen = True  # the first sequence is regeneration 0
     while True:
+        if regen:
+            try:
+                seq = gen_sequence(cur, unplaced, regen_count)
+            except SequenceInfeasible as e:
+                return finish("infeasible", str(e))
+            except SequenceTimeout:
+                where = f"regenerating the sequence ({regen_count})" if regen_count else "making the first sequence"
+                return finish("timeout", f"timeout while {where}")
         iters += 1
         if iters > iter_max:
-            return exhausted()
+            left = [o for o in failed if o in unplaced]
+            why = f"{left[-1]}: {failed[left[-1]]}; " if left else ""
+            return finish("iter-exhausted", f"{why}unplaced after {iter_max} passes: {', '.join(unplaced)}")
         if out_of_time():
             return finish("timeout", f"timeout before pass {iters}")
 
@@ -432,8 +419,9 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
                 executed.extend(outcome.plans)
                 cur = outcome.scene
                 progress = True
-                if any(cur.body(r).kind == KIND_GOAL for r in outcome.relocated):
-                    goal_reloc = True
+                goal_reloc = goal_reloc or any(
+                    p.purpose == "relocation" and cur.body(p.object_id).kind == KIND_GOAL for p in outcome.plans
+                )
             else:
                 failed[oid] = outcome.reason
                 if outcome.search_reason is not None:
@@ -446,24 +434,13 @@ def plan_rearrangement(scene: Scene, cfg: PlannerConfig | None = None) -> PlanRe
         if not unplaced:
             return finish("success")
 
-        regen = False
-        if progress:
-            skip = 0
-            if goal_reloc:
-                regen = True
-        else:
-            skip += 1
-            if skip > skip_max:
-                regen = True
-                skip = 0
+        # a relocated goal object changes the dependencies, and more than
+        # skip_max passes without progress mean the order itself is stuck
+        skip = 0 if progress else skip + 1
+        regen = goal_reloc or skip > skip_max
         if regen:
+            skip = 0
             regen_count += 1
-            try:
-                seq = gen_sequence(cur, unplaced, regen_count)
-            except SequenceInfeasible as e:
-                return finish("infeasible", str(e))
-            except SequenceTimeout:
-                return finish("timeout", f"timeout while regenerating the sequence ({regen_count})")
 
 
 def serialize_result(result: PlanResult) -> dict:

@@ -311,7 +311,7 @@ class TestGenMotionPlan:
         out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
         assert out.success
         assert out.scene.body("g1").pose == Pose2(8.0, 8.0)
-        assert out.relocated == ()
+        assert [p.purpose for p in out.plans] == ["goal"]
         assert all(p.object_id == "g1" for p in out.plans)
 
     def test_relocation_inserted(self):
@@ -327,7 +327,7 @@ class TestGenMotionPlan:
         )
         out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
         assert out.success
-        assert "b1" in out.relocated
+        assert "b1" in [p.object_id for p in out.plans if p.purpose == "relocation"]
         assert out.plans[-1].object_id == "g1"
         assert out.plans[0].purpose == "relocation"
         assert out.scene.body("g1").pose == Pose2(8.0, 5.0)
@@ -468,7 +468,7 @@ def test_subgoals_and_place_task_are_made_once_per_object_attempt(monkeypatch):
         assert f["places"] <= 1
     # calls that retried after a relocation search, and so would select
     # their subgoals again
-    assert any(f["outcome"].failures and f["outcome"].relocated for f in frames)
+    assert any(f["outcome"].failures and len(f["outcome"].plans) > 1 for f in frames)
 
 
 def _gap_scene():
@@ -760,6 +760,71 @@ class TestPlanRearrangement:
         assert verify_placements(res.scene, 0.15) == {"a", "b"}
 
 
+def _eight_goal_scene():
+    """Eight goal objects, so skip_max is 2 and iter_max 9, and one obstacle."""
+    bodies = [robot(1, 1), obstacle("b", 9, 9)] + [goal_obj(f"g{i}", 2 + i, 3) for i in range(8)]
+    return scene(bodies, {f"g{i}": Pose2(2 + i, 7) for i in range(8)})
+
+
+class TestRegenerationRule:
+    """The pass loop under scripted gen_motion_plan outcomes.  script(k, oid)
+    says how oid's attempt in pass k ends: "fail", "ok", "goal" (ok after
+    relocating another goal object) or "obstacle" (ok after relocating the
+    obstacle).  Nothing is ever placed, so every pass plans all eight
+    objects and each run ends iter-exhausted."""
+
+    def run(self, monkeypatch, script):
+        """The result, the passes completed whenever a sequence was made,
+        and the failed attempts."""
+        calls, made, failed = {}, [], []
+
+        def gen(cur, oid, *args):
+            calls[oid] = k = calls.get(oid, 0) + 1
+            what = script(k, oid)
+            if what == "fail":
+                failed.append((k, oid))
+                return planner.GenPlanOutcome(False, (), cur, failures=1, reason="scripted")
+            plans = (MotionPlan(oid, ()),)
+            if what != "ok":
+                moved = "b" if what == "obstacle" else "g1" if oid == "g0" else "g0"
+                plans = (MotionPlan(moved, (), "relocation"),) + plans
+            return planner.GenPlanOutcome(True, plans, cur)
+
+        inner = sequencer.build_dependency_graph
+
+        def spy(*args, **kwargs):
+            made.append(max(calls.values(), default=0))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "gen_motion_plan", gen)
+        monkeypatch.setattr(sequencer, "build_dependency_graph", spy)
+        res = plan_rearrangement(_eight_goal_scene())
+        assert res.status == "iter-exhausted"
+        # the first sequence is not a regeneration; each later one counts
+        # once in regenerations and once in replanning
+        assert res.regenerations == len(made) - 1
+        assert res.metrics.replanning == len(failed) + res.regenerations
+        return res, made, failed
+
+    def test_skip_max_plus_one_passes_without_progress_regenerate(self, monkeypatch):
+        # the ninth pass regenerates too, before the run ends on iter_max
+        _, made, _ = self.run(monkeypatch, lambda k, oid: "fail")
+        assert made == [0, 3, 6, 9]
+
+    def test_a_goal_relocation_regenerates(self, monkeypatch):
+        _, made, _ = self.run(monkeypatch, lambda k, oid: "goal" if (k, oid) == (1, "g0") else "fail")
+        assert made == [0, 1, 4, 7]
+
+    def test_an_obstacle_relocation_is_progress_only(self, monkeypatch):
+        _, made, _ = self.run(monkeypatch, lambda k, oid: "obstacle" if (k, oid) == (1, "g0") else "fail")
+        assert made == [0, 4, 7]
+
+    def test_progress_resets_the_stall_count(self, monkeypatch):
+        # without the reset, the stalls of passes 1, 3 and 4 would regenerate after pass 4
+        _, made, _ = self.run(monkeypatch, lambda k, oid: "ok" if (k, oid) == (2, "g3") else "fail")
+        assert made == [0, 5, 8]
+
+
 class TestSerializeResult:
     def test_deterministic_bytes(self, simple_scene):
         r1 = plan_rearrangement(simple_scene)
@@ -865,7 +930,7 @@ class TestCli:
         assert len(sc.goals) == 4
 
     def test_gen_m_block(self, capsys):
-        rc = cli.main(["gen", "m-block", "--m", "2", "--seed", "3"])
+        rc = cli.main(["gen", "m_block_2", "--seed", "3"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["movables"]) == 2
