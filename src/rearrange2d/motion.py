@@ -291,14 +291,14 @@ def _block_nearest(p, q) -> list[int]:
 
 def _steps_collide(scene: Scene, parts, ignore, step: float, a, q, d) -> list[bool]:
     """Per column, whether footprint_collides_xy(scene, parts, bx, by,
-    ignore) holds at the point (bx, by) birrt's grow steps to from node a
-    toward sample q, at distance d (math.dist(a, q)); a and q are
+    ignore) holds at the point (bx, by) birrt's extend step ends at from
+    node a toward sample q, at distance d (math.dist(a, q)); a and q are
     _columns arrays.
 
-    Each ufunc is one Python operation of grow, in the same order, so
+    Each ufunc is one Python operation of that step, in the same order, so
     every endpoint is the same double; world.footprints_collide_xy then
-    tests them.  A d below 1e-12, where grow adds nothing without a test,
-    is raised to 1e-12 to keep the division finite.
+    tests them.  A d below 1e-12, where no step is taken or tested, is
+    raised to 1e-12 to keep the division finite.
     """
     t = np.minimum(1.0, step / np.maximum(d, 1e-12))
     bx = a[0] + (q[0] - a[0]) * t
@@ -361,11 +361,16 @@ def birrt(
     only for the returned path, whose ends are the caller's start and goal
     objects.  The nearest-node scan is one _nearest pass and is exact:
     every distance is the double Pose2.dist gives (math.dist), and ties go
-    to the lowest node index.  A connect step scans once and then updates
-    its nearest node incrementally: the target is fixed and each step adds
-    the tree's last node, which is nearer only when its distance is
-    strictly smaller.  So the path is the one a per-step Pose2.dist loop
-    with a strict < finds.
+    to the lowest node index.  A step from node a toward q, at distance
+    d >= 1e-12, ends at a + (q - a) * min(1.0, step / d) and is taken when
+    the footprint there is free and then the segment from a is (that test
+    is exact, so containment follows from the endpoints'); iterate's
+    extend step and connect's loop spell it out, as the hottest path.
+    connect scans once and then updates its nearest node incrementally:
+    the target is fixed and each step adds the tree's last node, which is
+    nearer only when its distance is strictly smaller, so the path is the
+    one a per-step Pose2.dist loop with a strict < finds.  It reports a
+    node, the bridge, only when a step ends within 1e-9 of the target.
 
     Past LOOKAHEAD_WARMUP iterations the extend step's scans are answered
     a block at a time, with the same result; any block schedule gives the
@@ -390,17 +395,17 @@ def birrt(
     A block also decides, with _steps_collide on the same node and sample
     arrays, whether the step from each row's node toward its sample ends
     in collision.  A row whose node is still the nearest after the scan of
-    appended nodes, and whose step is blocked, is skipped: grow would find
-    that endpoint blocked and add nothing, and iterate would change no
-    tree and draw nothing.  Ambiguous rows, rows an appended node
+    appended nodes, and whose step is blocked, is skipped: the extend step
+    would find that endpoint blocked and add nothing, and iterate would
+    change no tree and draw nothing.  Ambiguous rows, rows an appended node
     overtook and free steps go through iterate as before, so every path
     and every draw is the same.
 
     Smoothing draws two waypoint indices per attempt and cuts the path
     between them when the segment test allows.  Every waypoint was already
-    found free (the start, the goal, or the far end of an edge_free test),
-    so edge_free's footprint test at the far end would always pass and the
-    segment test alone gives its answer.  That test is a pure function of
+    found free (the start, the goal, or the far end of a step or of a grid
+    route's edge, each footprint-tested), so the segment test alone gives
+    the answer a step's two tests would.  That test is a pure function of
     its two points, so a point pair it rejected once in the call is not
     tested again.  Once every index pair the draws can reach (the
     (m - 1)(m - 2) / 2 pairs at least two apart among the first m
@@ -409,22 +414,14 @@ def birrt(
     where no such pair exists.  rng is not read after the loop, so ending
     it early returns the path all SHORTCUT_ATTEMPTS attempts would.
     """
-    step = 0.5 * scene.robot.w
-    obstacles = inflate(scene, parts, ignore)
-
-    def edge_free(ax, ay, bx, by) -> bool:
-        # a is always a point already tested; the segment test is exact, so
-        # workspace containment follows from endpoint containment
-        return not footprint_collides_xy(scene, parts, bx, by, ignore) and not segment_hits_xy(
-            obstacles, ax, ay, bx, by
-        )
-
     sx, sy, gx, gy = start.x, start.y, goal.x, goal.y
     if footprint_collides_xy(scene, parts, sx, sy, ignore) or footprint_collides_xy(
         scene, parts, gx, gy, ignore
     ):
         return None
-    if start.dist(goal) < 1e-12 or edge_free(sx, sy, gx, gy):
+    step = 0.5 * scene.robot.w
+    obstacles = inflate(scene, parts, ignore)
+    if start.dist(goal) < 1e-12 or not segment_hits_xy(obstacles, sx, sy, gx, gy):
         return Path((start, goal))
 
     free = grids.fit_mask(scene, spec, parts, ignore)
@@ -447,38 +444,28 @@ def birrt(
     ta = ([(sx, sy)], [-1])
     tb = ([(gx, gy)], [-1])
 
-    def grow(tree, q, i, d):
-        """One step from node i, at distance d, toward q; new index or -1."""
-        if d < 1e-12:
-            return -1
-        pts, parents = tree
-        ax, ay = pts[i]
-        qx, qy = q
-        t = min(1.0, step / d)
-        bx = ax + (qx - ax) * t
-        by = ay + (qy - ay) * t
-        if not edge_free(ax, ay, bx, by):
-            return -1
-        pts.append((bx, by))
-        parents.append(i)
-        return len(pts) - 1
-
     def connect(tree, q):
         # q stays fixed and each step adds one node, the last, so the nearest
         # node after a step is that node if strictly closer (a step toward q
         # always ends closer), else unchanged
-        i, d = _nearest(tree[0], q)
-        last = -1
-        while True:
-            j = grow(tree, q, i, d)
-            if j < 0:
-                return last
-            last = j
-            dj = math.dist(tree[0][j], q)
+        pts, parents = tree
+        qx, qy = q
+        i, d = _nearest(pts, q)
+        while d >= 1e-12:
+            ax, ay = pts[i]
+            t = step / d if step < d else 1.0  # min(1.0, step / d)
+            bx = ax + (qx - ax) * t
+            by = ay + (qy - ay) * t
+            if footprint_collides_xy(scene, parts, bx, by, ignore) or segment_hits_xy(obstacles, ax, ay, bx, by):
+                break
+            pts.append((bx, by))
+            parents.append(i)
+            dj = math.dist((bx, by), q)
             if dj < 1e-9:
-                return j
+                return len(pts) - 1
             if dj < d:
-                i, d = j, dj
+                i, d = len(pts) - 1, dj
+        return -1
 
     # iteration k extends trees[k & 1]; a goal-biased sample is the other
     # tree's root
@@ -494,13 +481,22 @@ def birrt(
     def iterate(k, q, i, d):
         """Iteration k: extend its tree from node i, at distance d, toward q,
         then connect the other tree to the new node; the bridge or None."""
-        a, b = trees[k & 1], trees[1 - (k & 1)]
-        i = grow(a, q, i, d)
-        if i >= 0:
-            p = a[0][i]
-            j = connect(b, p)
-            if j >= 0 and math.dist(b[0][j], p) < 1e-9:
-                return (j, i) if k & 1 else (i, j)
+        if d < 1e-12:
+            return None
+        pts, parents = trees[k & 1]
+        ax, ay = pts[i]
+        qx, qy = q
+        t = step / d if step < d else 1.0  # min(1.0, step / d)
+        bx = ax + (qx - ax) * t
+        by = ay + (qy - ay) * t
+        if footprint_collides_xy(scene, parts, bx, by, ignore) or segment_hits_xy(obstacles, ax, ay, bx, by):
+            return None
+        p = (bx, by)
+        pts.append(p)
+        parents.append(i)
+        j = connect(trees[1 - (k & 1)], p)
+        if j >= 0:
+            return (j, len(pts) - 1) if k & 1 else (len(pts) - 1, j)
         return None
 
     def block(pts, qs):
@@ -517,7 +513,8 @@ def birrt(
     k = 0
     warm = min(max_iters, LOOKAHEAD_WARMUP)
     while k < warm and bridge is None:
-        q = draw(k)
+        # draw(k), spelled out
+        q = roots[k & 1] if rand() < GOAL_BIAS else (x0 + dx * rand(), y0 + dy * rand())
         bridge = iterate(k, q, *_nearest(trees[k & 1][0], q))
         k += 1
     size = LOOKAHEAD_BLOCK
@@ -526,7 +523,8 @@ def birrt(
         n = min(size, max_iters - k, max(1, LOOKAHEAD_CELLS // max(n0)))
         size = min(2 * size, LOOKAHEAD_BLOCK_MAX)
         state = rng.getstate()
-        qs = [draw(k + o) for o in range(n)]
+        # draw(k + o) per offset o, spelled out
+        qs = [roots[(k + o) & 1] if rand() < GOAL_BIAS else (x0 + dx * rand(), y0 + dy * rand()) for o in range(n)]
         # block offset o queries trees[(k + o) & 1], as row o >> 1
         rows, hits = zip(block(ta[0], qs[k & 1::2]), block(tb[0], qs[1 - (k & 1)::2]))
         for o, q in enumerate(qs):
@@ -534,7 +532,7 @@ def birrt(
             row = rows[t][o >> 1]
             i, d = _nearest_since(trees[t][0], q, row, n0[t])
             if i == row and hits[t][o >> 1]:
-                # grow would add nothing, so iterate would return None
+                # the extend step would add nothing, so iterate would return None
                 continue
             bridge = iterate(k + o, q, i, d)
             if bridge is not None:
@@ -561,7 +559,7 @@ def birrt(
             waypoints.pop()
         waypoints.append((gx, gy))
         for (ax, ay), (bx, by) in zip(waypoints, waypoints[1:]):
-            if not edge_free(ax, ay, bx, by):
+            if footprint_collides_xy(scene, parts, bx, by, ignore) or segment_hits_xy(obstacles, ax, ay, bx, by):
                 return None
     else:
         ia, ib = bridge

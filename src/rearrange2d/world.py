@@ -6,8 +6,9 @@ reduces to interval arithmetic on the two axes.
 
 Packed rows.  Each Body carries its bounds ``(xmin, ymin, xmax, ymax)``,
 computed once with ``rect_at``'s arithmetic; each Scene carries one row
-``(id, xmin, ymin, xmax, ymax)`` per body, in body order, rebuilt whenever a
-successor scene is made.  Every collision test runs on these rows through
+``(id, xmin, ymin, xmax, ymax)`` per body, in body order; a successor scene
+copies its parent's, with the moved body's row replaced or the dropped
+bodies' rows left out.  Every collision test runs on these rows through
 two loops that allocate no Rect or Pose2, and one batch entry:
 
 - box overlap (``footprint_collides_xy``; ``collides`` is its one-part case
@@ -40,7 +41,7 @@ interval is longer than 1e-9, so grazing a boundary is free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,7 +156,15 @@ class SceneError(ValueError):
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable world state.  Successor states are built, never mutated."""
+    """Immutable world state.  Successor states are built, never mutated.
+
+    The constructor checks the scene's invariants: unique body ids, exactly
+    one robot and it square, positive extents, and goals only for goal
+    bodies.  The successors ``with_pose``, ``without`` and ``statics_only``
+    come from ``_successor``, which copies the parent's rows and id table,
+    replacing or filtering entries, and runs no check again: moving one
+    body or dropping bodies other than the robot keeps every one of them.
+    """
 
     workspace: Rect
     bodies: tuple[Body, ...]
@@ -164,6 +173,8 @@ class Scene:
     rows: tuple[tuple[str, float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
+    # the one body of KIND_ROBOT
+    robot: Body = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [b.id for b in self.bodies]
@@ -184,6 +195,7 @@ class Scene:
                 raise SceneError(f"goal assigned to non-goal body {gid!r}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "rows", tuple((b.id, *b.bounds) for b in self.bodies))
+        object.__setattr__(self, "robot", robots[0])
         ws = self.workspace
         # Rect.contains_rect's bounds, loosened by EPS
         object.__setattr__(
@@ -202,13 +214,6 @@ class Scene:
         return body_id in self._by_id
 
     @property
-    def robot(self) -> Body:
-        for b in self.bodies:
-            if b.kind == KIND_ROBOT:
-                return b
-        raise SceneError("no robot in scene")
-
-    @property
     def walls(self) -> tuple[Body, ...]:
         return tuple(b for b in self.bodies if b.kind == KIND_WALL)
 
@@ -224,26 +229,55 @@ class Scene:
 
     # -- successors -------------------------------------------------------
 
+    def _successor(self, bodies, goals, by_id, rows, robot) -> "Scene":
+        """A scene of this workspace with the given parts, built without
+        __post_init__: the caller derives them from this scene's own."""
+        s = object.__new__(Scene)
+        vars(s).update(
+            workspace=self.workspace, bodies=bodies, goals=goals, rows=rows, robot=robot,
+            _by_id=by_id, _ws_loose=self._ws_loose,
+        )
+        return s
+
     def with_pose(self, body_id: str, pose: Pose2) -> "Scene":
-        self.body(body_id)
-        bodies = tuple(replace(b, pose=pose) if b.id == body_id else b for b in self.bodies)
-        return Scene(self.workspace, bodies, self.goals)
+        old = self.body(body_id)
+        new = Body(old.id, old.w, old.h, old.kind, pose)
+        for i, b in enumerate(self.bodies):
+            if b is old:
+                break
+        by_id = dict(self._by_id)
+        by_id[body_id] = new
+        return self._successor(
+            self.bodies[:i] + (new,) + self.bodies[i + 1 :],
+            self.goals,
+            by_id,
+            self.rows[:i] + ((body_id, *new.bounds),) + self.rows[i + 1 :],
+            new if old is self.robot else self.robot,
+        )
 
     def without(self, ids) -> "Scene":
         drop = set(ids)
         if KIND_ROBOT in {self.body(i).kind for i in drop}:
             raise SceneError("cannot remove the robot")
-        bodies = tuple(b for b in self.bodies if b.id not in drop)
-        goals = {k: v for k, v in self.goals.items() if k not in drop}
-        return Scene(self.workspace, bodies, goals)
+        return self._keeping(self._by_id.keys() - drop)
 
     def statics_only(self, keep: str | None = None) -> "Scene":
         """Walls and the robot only; optionally keep one movable body."""
-        bodies = tuple(
-            b for b in self.bodies if b.kind == KIND_WALL or b.kind == KIND_ROBOT or b.id == keep
+        return self._keeping(
+            {b.id for b in self.bodies if b.kind == KIND_WALL or b.kind == KIND_ROBOT or b.id == keep}
         )
-        goals = {k: v for k, v in self.goals.items() if k == keep}
-        return Scene(self.workspace, bodies, goals)
+
+    def _keeping(self, ids) -> "Scene":
+        """The successor with the bodies whose ids are in ids, and their
+        goals; ids holds the robot's."""
+        bodies = tuple(b for b in self.bodies if b.id in ids)
+        return self._successor(
+            bodies,
+            {k: v for k, v in self.goals.items() if k in ids},
+            {b.id: b for b in bodies},
+            tuple(r for r in self.rows if r[0] in ids),
+            self.robot,
+        )
 
     def validate(self) -> list[str]:
         """Scene-invariant audit; returns a list of violation messages."""

@@ -36,6 +36,7 @@ from rearrange2d.world import (
     Pose2,
     Rect,
     Scene,
+    SceneError,
     collides,
     footprint_collides,
     footprint_collides_xy,
@@ -443,24 +444,58 @@ def test_collides_never_ignores_walls():
     assert checked > 100
 
 
+def assert_successor(got, want):
+    """got, a successor scene, is want, the Scene built afresh from the
+    bodies and goals it should hold: equal, with the same rows, lookups,
+    robot and loosened workspace bounds."""
+    assert got == want
+    assert got.rows == want.rows == rows_of(want)
+    assert [got.body(b.id) for b in want.bodies] == list(want.bodies)
+    assert all(got.body(b.id) is b for b in got.bodies)
+    assert got.robot == want.robot and got.robot is got.body(want.robot.id)
+    assert got._ws_loose == want._ws_loose
+
+
 def test_rows_track_bodies_through_successors():
     rng = random.Random(3)
     for _ in range(200):
-        scene = random_scene(rng)
-        assert scene.rows == rows_of(scene)
-        for b in scene.bodies:
+        base = random_scene(rng)
+        for b in base.bodies:
             r = rect_at(b.pose, b.w, b.h)
             assert b.bounds == (r.xmin, r.ymin, r.xmax, r.ymax)
-        moved_id = rng.choice(scene.bodies).id
-        moved = scene.with_pose(moved_id, lattice_pose(rng))
-        assert moved.rows == rows_of(moved)
-        assert moved.rows != scene.rows or moved.body(moved_id).pose == scene.body(moved_id).pose
-        drop = [b.id for b in scene.bodies if b.kind != KIND_ROBOT and rng.random() < 0.4]
-        assert scene.without(drop).rows == rows_of(scene.without(drop))
-        keep = rng.choice([None] + [b.id for b in scene.bodies])
-        statics = scene.statics_only(keep=keep)
-        assert statics.rows == rows_of(statics)
+        goals = {b.id: lattice_pose(rng) for b in base.bodies if b.kind == KIND_GOAL and rng.random() < 0.7}
+        scene = Scene(base.workspace, base.bodies, goals)
         assert scene.rows == rows_of(scene)
+        # a chain of successors, each checked against a scene built afresh
+        for _ in range(4):
+            ids = [b.id for b in scene.bodies]
+            roll = rng.random()
+            if roll < 0.5:
+                moved_id, pose = rng.choice(ids), lattice_pose(rng)
+                succ = scene.with_pose(moved_id, pose)
+                bodies = tuple(Body(b.id, b.w, b.h, b.kind, pose) if b.id == moved_id else b for b in scene.bodies)
+                want = Scene(scene.workspace, bodies, scene.goals)
+                assert succ.rows != scene.rows or pose == scene.body(moved_id).pose
+            elif roll < 0.75:
+                drop = {i for i in ids if i != "robot" and rng.random() < 0.4}
+                succ = scene.without(drop)
+                bodies = tuple(b for b in scene.bodies if b.id not in drop)
+                want = Scene(scene.workspace, bodies, {k: v for k, v in scene.goals.items() if k not in drop})
+            else:
+                keep = rng.choice([None, *ids])
+                succ = scene.statics_only(keep=keep)
+                bodies = tuple(b for b in scene.bodies if b.kind in (KIND_WALL, KIND_ROBOT) or b.id == keep)
+                want = Scene(scene.workspace, bodies, {k: v for k, v in scene.goals.items() if k == keep})
+            before = (scene.bodies, dict(scene.goals), scene.rows)
+            assert_successor(succ, want)
+            assert (scene.bodies, scene.goals, scene.rows) == before
+            scene = succ
+        with pytest.raises(SceneError):
+            scene.with_pose("nope", Pose2(1.0, 1.0))
+        with pytest.raises(SceneError):
+            scene.without({"robot"})
+        with pytest.raises(SceneError):
+            scene.without({"nope"})
 
 
 # -- batch entry --------------------------------------------------------------

@@ -194,6 +194,25 @@ class TestBirrt:
         assert p is None
 
 
+    def test_inflates_only_past_the_endpoint_tests(self, simple_scene, monkeypatch):
+        calls = []
+        inner = motion.inflate
+
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(motion, "inflate", spy)
+        sc = simple_scene
+        kw = dict(ignore=frozenset({"robot"}), spec=GridSpec.from_scene(sc))
+        # the start, then the goal, inside obstacle b1
+        for a, b in ((Pose2(6, 6), Pose2(9, 9)), (Pose2(9, 9), Pose2(6, 6))):
+            assert birrt(sc, sc.robot.footprint, a, b, 0, **kw) is None
+        assert calls == []
+        a, b = Pose2(1, 1), Pose2(1, 5)
+        assert birrt(sc, sc.robot.footprint, a, b, 0, **kw).waypoints == (a, b)
+        assert len(calls) == 1
+
 class TestSolvePickConfig:
     def test_picks_nearest_side(self, simple_scene):
         # robot at (1, 1), object b1 at (6, 6): W and S tie by distance, W sorts first

@@ -155,6 +155,26 @@ def test_statics_only(walled_scene):
     assert kept.has_body("g1")
 
 
+@pytest.mark.parametrize("name", [*bench.BUILTIN_SCENES, "m_block_8"])
+def test_robot_is_the_robot_body_through_successors(name):
+    sc = bench.make_scene(name)
+    rid = sc.robot.id
+    moved = Pose2(sc.robot.pose.x + 0.1, sc.robot.pose.y)
+    obj = sc.movables[0]
+    successors = [
+        sc.with_pose(rid, moved),
+        sc.with_pose(obj.id, Pose2(obj.pose.x, obj.pose.y + 0.1)),
+        sc.without({obj.id}),
+        sc.statics_only(),
+        sc.statics_only(keep=obj.id),
+    ]
+    for s in [sc, *successors, successors[0].without({obj.id}).with_pose(rid, sc.robot.pose)]:
+        assert s.robot is s.body(rid)
+        assert [b for b in s.bodies if b.kind == KIND_ROBOT] == [s.robot]
+    assert successors[0].robot.pose == moved
+    assert successors[1].robot is sc.robot
+
+
 def test_validate_reports_problems():
     ok = scene([robot(1, 1), obstacle("a", 5, 5)])
     assert ok.validate() == []
