@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .motion import _mix_seed
+from .motion import SIDES, _mix_seed, grasp_pose
 from .planner import PlannerConfig, PlanResult, plan_rearrangement
 from .world import (
     KIND_GOAL,
@@ -31,6 +31,8 @@ from .world import (
 WORKSPACE = Rect(0.0, 0.0, 10.0, 10.0)
 ROBOT_SIDE = 0.4
 OBJ_SIDE = 0.6
+# samples gen_m_block draws for one start or goal before it gives up
+M_BLOCK_TRIES = 10000
 
 
 class BenchError(RuntimeError):
@@ -160,7 +162,7 @@ _M_BLOCK_WALLS = (
 )
 
 
-def gen_m_block(m: int, seed: int = 0, max_tries: int = 10000) -> Scene:
+def gen_m_block(m: int, seed: int = 0) -> Scene:
     """Randomized m-object instance on a fixed sparse wall layout.
 
     Starts and goals are rejection-sampled: mutually disjoint, clear of
@@ -180,16 +182,14 @@ def gen_m_block(m: int, seed: int = 0, max_tries: int = 10000) -> Scene:
         return not any(rects_overlap(grown, s) for s in statics)
 
     def side_free(center: Pose2) -> bool:
-        for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-            gx = center.x + dx * (OBJ_SIDE + ROBOT_SIDE) / 2
-            gy = center.y + dy * (OBJ_SIDE + ROBOT_SIDE) / 2
-            rr = rect_at(Pose2(gx, gy), ROBOT_SIDE, ROBOT_SIDE)
+        for side in SIDES:
+            rr = rect_at(grasp_pose(center, side, OBJ_SIDE, OBJ_SIDE, ROBOT_SIDE), ROBOT_SIDE, ROBOT_SIDE)
             if WORKSPACE.contains_rect(rr) and clear_of_walls(rr, 0.05):
                 return True
         return False
 
     def sample(existing: list[Rect]) -> Pose2 | None:
-        for _ in range(max_tries):
+        for _ in range(M_BLOCK_TRIES):
             p = Pose2(rng.uniform(margin, 10 - margin), rng.uniform(margin, 10 - margin))
             r = rect_at(p, OBJ_SIDE, OBJ_SIDE)
             grown = Rect(r.xmin - 0.2, r.ymin - 0.2, r.xmax + 0.2, r.ymax + 0.2)
@@ -210,14 +210,14 @@ def gen_m_block(m: int, seed: int = 0, max_tries: int = 10000) -> Scene:
     for i in range(m):
         s = sample(taken)
         if s is None:
-            raise BenchError(f"could not place start {i} after {max_tries} tries")
+            raise BenchError(f"could not place start {i} after {M_BLOCK_TRIES} tries")
         starts.append(s)
         taken.append(rect_at(s, OBJ_SIDE, OBJ_SIDE))
     goal_taken: list[Rect] = list(taken)
     for i in range(m):
         g = sample(goal_taken)
         if g is None:
-            raise BenchError(f"could not place goal {i} after {max_tries} tries")
+            raise BenchError(f"could not place goal {i} after {M_BLOCK_TRIES} tries")
         goals.append(g)
         goal_taken.append(rect_at(g, OBJ_SIDE, OBJ_SIDE))
 
@@ -235,11 +235,11 @@ def gen_m_block(m: int, seed: int = 0, max_tries: int = 10000) -> Scene:
     free = grids.fit_mask(statics_scene, spec, ((0.0, 0.0, OBJ_SIDE, OBJ_SIDE),), frozenset({"robot"}))
     for i in range(m):
         if not grids.grid_connected(free, spec.cell_of(starts[i]), spec.cell_of(goals[i]), spec):
-            return gen_m_block(m, seed + 7919, max_tries)
+            return gen_m_block(m, seed + 7919)
     rfree = grids.fit_mask(statics_scene, spec, robot.footprint, frozenset({"robot"}))
     for i in range(m):
         if not grids.grid_connected(rfree, spec.cell_of(robot.pose), spec.cell_of(starts[i]), spec):
-            return gen_m_block(m, seed + 7919, max_tries)
+            return gen_m_block(m, seed + 7919)
     return scene
 
 

@@ -463,7 +463,7 @@ def search_relocations(
         reached = False
 
         for oid in list(crit):
-            if not node.scene.has_body(oid) or not reachable_sides(node.scene, oid, spec):
+            if not reachable_sides(node.scene, oid, spec):
                 continue
             reached = True
             budget = max(1, math.ceil(weights.get(oid, 1.0) * K_MAX))

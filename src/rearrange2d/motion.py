@@ -37,17 +37,16 @@ GOAL_BIAS = 0.1
 # random shortcut tries that smooth each Bi-RRT path
 SHORTCUT_ATTEMPTS = 100
 # Bi-RRT nearest-node lookahead: plain scans for the first LOOKAHEAD_WARMUP
-# iterations, then blocks of LOOKAHEAD_BLOCK samples doubling up to
-# LOOKAHEAD_BLOCK_MAX, and shorter where one block pass would exceed
-# LOOKAHEAD_CELLS (query, node) pairs; short calls grow their trees fast
-# and would pay for blocks whose new nodes they scan anyway.  The cap is
-# 256: every row scans the nodes appended since its block began, and a
+# iterations, where short calls grow their trees fast and would pay for
+# blocks whose new nodes they scan anyway; then blocks of LOOKAHEAD_BLOCK
+# samples, shorter where max_iters ends first or where one block pass
+# would exceed LOOKAHEAD_CELLS (query, node) pairs.  The block is 256
+# rows: every row scans the nodes appended since its block began, and a
 # bridge inside a block discards the samples drawn past it and redraws
 # the ones before it, so both costs grow with the block, while shorter
 # blocks pay for more numpy passes
 LOOKAHEAD_WARMUP = 256
-LOOKAHEAD_BLOCK = 64
-LOOKAHEAD_BLOCK_MAX = 256
+LOOKAHEAD_BLOCK = 256
 LOOKAHEAD_CELLS = 1 << 18
 # select_subgoals' step: KAPPA times the static clearance
 KAPPA = 2.0
@@ -517,11 +516,9 @@ def birrt(
         q = roots[k & 1] if rand() < GOAL_BIAS else (x0 + dx * rand(), y0 + dy * rand())
         bridge = iterate(k, q, *_nearest(trees[k & 1][0], q))
         k += 1
-    size = LOOKAHEAD_BLOCK
     while k < max_iters and bridge is None:
         n0 = (len(ta[0]), len(tb[0]))
-        n = min(size, max_iters - k, max(1, LOOKAHEAD_CELLS // max(n0)))
-        size = min(2 * size, LOOKAHEAD_BLOCK_MAX)
+        n = min(LOOKAHEAD_BLOCK, max_iters - k, max(1, LOOKAHEAD_CELLS // max(n0)))
         state = rng.getstate()
         # draw(k + o) per offset o, spelled out
         qs = [roots[(k + o) & 1] if rand() < GOAL_BIAS else (x0 + dx * rand(), y0 + dy * rand()) for o in range(n)]
@@ -852,22 +849,21 @@ def plan_pick_place(
                 continue
             # settle the transport route first: a hopeless place leg should
             # not cost a full pick plan (the compound query fast-fails on
-            # its grid precheck when a blocker cuts the route)
+            # its grid precheck when a blocker cuts the route).  A leg with
+            # via points must follow them; one without goes to birrt alone,
+            # whose prechecks are sweep_clear's tests on its two poses
             parts = compound_parts(side, body.w, body.h, rs)
             ignore = frozenset({object_id, robot.id})
-            if sweep_clear(cur_scene, parts, poly_obj, ignore):
-                route = Path(poly_obj)
-            elif cur.via:
-                last_fail = ("place", side, prev.object_pose, cur.object_pose)
-                continue
+            if cur.via:
+                route = Path(poly_obj) if sweep_clear(cur_scene, parts, poly_obj, ignore) else None
             else:
                 route = birrt(
                     cur_scene, parts, prev.object_pose, cur.object_pose, _mix_seed(seed, k, side, 1), max_iters,
                     ignore=ignore, spec=spec, defer=defer,
                 )
-                if route is None:
-                    last_fail = ("place", side, prev.object_pose, cur.object_pose)
-                    continue
+            if route is None:
+                last_fail = ("place", side, prev.object_pose, cur.object_pose)
+                continue
             pick = birrt(
                 cur_scene, robot.footprint, cur_robot, gp, _mix_seed(seed, k, side, 0), max_iters,
                 ignore=frozenset({robot.id}), spec=spec, defer=defer,

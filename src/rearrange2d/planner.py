@@ -56,6 +56,10 @@ class PlannerConfig:
         # rejects a tolerance of 0 or less
         if not self.grid_n >= 1:
             raise ConfigError(f"config key 'grid_n' must be at least 1, got {self.grid_n!r}")
+        # budgets of 0 are legal: grid-only routes, Euclidean costs, one cycle
+        for key in ("rrt_max_iters", "lazy_rounds", "cycle_cap"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"config key {key!r} must be at least 0, got {getattr(self, key)!r}")
         if self.tol is not None and not self.tol > 0:
             raise ConfigError(f"config key 'tol' must be positive when set, got {self.tol!r}")
         # t0 + nan is a deadline no time passes, so NaN would mean no limit;

@@ -446,8 +446,8 @@ def solve_patsp(costs: CostMatrix, precedence=(), *, warm=None) -> PlacementSequ
       and puts it at position k, in (i, k) order and takes the first whose
       folded cost c satisfies c < cost - 1e-9.  seq always honours
       precedence, so a k outside the positions strictly between seq[i]'s
-      last predecessor and its first successor makes it jump one of them,
-      and _respects would reject the move; those k are not visited.  A move
+      last predecessor and its first successor makes it jump one of them;
+      those k are not visited, and every k between keeps each pair.  A move
       whose delta (the three legs it adds minus the three it drops, each
       leg an entry of start or between, or 0 at the open end) exceeds
       -1e-9 + slack cannot pass either: with M the largest |entry| the
@@ -456,7 +456,7 @@ def solve_patsp(costs: CostMatrix, precedence=(), *, warm=None) -> PlacementSequ
       u (n M + 1e-9), so slack = 2^-50 ((n + 4)^2 M + 1e-9) covers all of
       it with room for the rounding of slack and of the threshold.  An
       infinite entry makes slack infinite, and then nothing is screened.
-      Every other move still goes through _respects, the fold and the
+      Every other move still goes through the fold and the
       c < cost - 1e-9 test.
     """
     ids = costs.ids
@@ -581,8 +581,6 @@ def solve_patsp(costs: CostMatrix, precedence=(), *, warm=None) -> PlacementSequ
                         continue
                     cand = seq[:i] + seq[i + 1 :]
                     cand = cand[:k] + [seq[i]] + cand[k:]
-                    if not _respects(cand, pred):
-                        continue
                     c = seq_cost(cand)
                     if c < cost - 1e-9:
                         cost, seq = c, cand
@@ -628,7 +626,9 @@ def lazy_refine(
     incumbent survives with every leg upgraded it is optimal under costs
     at least as large as any competitor's true costs, provided solve_patsp
     searched exactly: up to EXACT_LIMIT objects.  Above that the incumbent
-    is solve_patsp's heuristic answer and carries no such guarantee.
+    is solve_patsp's heuristic answer and carries no such guarantee.  The
+    incumbent is always solved on the final costs, so it comes back with
+    the cost solve_patsp gave it, which is costs.order_cost of its order.
     Raises SequenceTimeout when time.monotonic() has passed deadline before
     a leg is upgraded.
     """
@@ -686,4 +686,4 @@ def lazy_refine(
         if not changed:
             break
         incumbent = solve_patsp(costs, precedence, warm=incumbent.order)
-    return PlacementSequence(incumbent.order, costs.order_cost(incumbent.order)), used_rounds
+    return incumbent, used_rounds

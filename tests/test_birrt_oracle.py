@@ -41,6 +41,13 @@ deferred one must plan to the reference's path, or raise where the
 reference finds none (the narrow slot below), and any other must give
 the reference's answer.
 
+Every query checked against the reference, deferred ones aside, also
+requires ``birrt`` to return the two-pose route exactly when
+``sweep_clear`` passes on its two poses: ``plan_pick_place`` routes a leg
+without via points through ``birrt`` alone on that ground.  Endpoints
+flush with a wall, a few ulps into it, and across sliver walls EPS wide
+and one ulp either side add inputs for that check.
+
 The reference keeps one known defect: when the last grid cell center lies
 within 1e-12 of the goal, its grid route ends at that center.
 ``test_grid_route_ends_at_goal_itself`` pins the fix; no other query here
@@ -264,10 +271,20 @@ class FallbackCounter:
         monkeypatch.setattr(grids, "grid_path", spy)
 
 
+def assert_straight_iff_clear(got, sc, parts, start, goal, ignore):
+    """birrt's answer is the two-pose route exactly when sweep_clear passes
+    on those two poses: plan_pick_place routes a leg without via points
+    through birrt alone on that ground."""
+    straight = got is not None and got.waypoints == (start, goal)
+    assert straight == motion.sweep_clear(sc, parts, (start, goal), ignore), (parts, start, goal, ignore)
+    return straight
+
+
 def assert_agrees(sc, parts, start, goal, seed, max_iters, ignore, spec):
     got = motion.birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec)
     want = ref_birrt(sc, parts, start, goal, seed, max_iters, ignore=ignore, spec=spec)
     assert waypoints(got) == waypoints(want), (parts, start, goal, seed, max_iters, ignore)
+    assert_straight_iff_clear(got, sc, parts, start, goal, ignore)
     return got
 
 
@@ -431,6 +448,61 @@ def test_lattice_queries_match_reference(seed):
     assert found
 
 
+# -- straight legs ----------------------------------------------------------
+
+
+def nudged(c: float, n: int) -> list[float]:
+    """c and the n doubles above it."""
+    out = [c]
+    for _ in range(n):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+def test_straight_legs_exactly_when_the_sweep_is_clear():
+    # robot, compound and object-alone footprints with endpoints flush with
+    # a wall's left and top edges and up to 2 ulps into them, and across
+    # sliver walls EPS wide and one ulp either side; assert_agrees checks
+    # each query against the reference and the straight route against
+    # sweep_clear
+    outcomes = []
+    sc = scene([robot(1.0, 1.0, 0.5), wall("w", 6.0, 5.0, 1.0, 4.0), obstacle("b", 2.0, 8.0, 0.5, 0.5)])
+    aux = sc.statics_only(keep="b")
+    spec = GridSpec.from_scene(sc)
+    robot_only = frozenset({"robot"})
+    # (scene, parts, ignore, center x flush with the wall's left edge
+    # x = 5.5, center y flush with its top edge y = 7)
+    kinds = [
+        (sc, square(0.5), robot_only, 5.25, 7.25),
+        (sc, compound_parts("E", 0.5, 0.5, 0.5), robot_only, 4.75, 7.25),
+        (sc, compound_parts("N", 0.5, 0.5, 0.5), robot_only, 5.25, 6.75),
+        (aux, aux.body("b").footprint, frozenset({"b", "robot"}), 5.25, 7.25),
+    ]
+    for seed, (qsc, parts, ignore, fx, fy) in enumerate(kinds):
+        queries = []
+        for x in nudged(fx, 2):
+            # slide flush along the wall's side, leave it, and pass its top
+            queries += [((x, 4.0), (x, 6.0)), ((x, 5.0), (1.0, 5.0)), ((x, 5.0), (x, 9.0))]
+        for y in nudged(math.nextafter(fy, 0.0), 3):
+            # slide flush over the wall's top, and drop onto it
+            queries += [((5.0, y), (7.0, y)), ((3.0, 9.0), (6.0, y))]
+        for (ax, ay), (bx, by) in queries:
+            got = assert_agrees(qsc, parts, Pose2(ax, ay), Pose2(bx, by), seed, 20, ignore, spec)
+            outcomes.append(got is not None and len(got.waypoints) == 2)
+
+    # a footprint across a sliver wall overlaps it by the wall's width:
+    # exactly EPS is free, one ulp wider collides
+    ws = Rect(-5.0, -5.0, 5.0, 5.0)
+    for w in (math.nextafter(EPS, 0.0), EPS, math.nextafter(EPS, 1.0)):
+        sc = scene([robot(-3.0, -3.0, 0.5), wall("s", w / 2, 0.0, w, 2.0)], ws=ws)
+        spec = GridSpec.from_scene(sc)
+        for parts in (square(0.5), compound_parts("W", 0.5, 0.5, 0.5)):
+            for a, b in [((0.0, -0.5), (0.0, 0.5)), ((-2.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 3.0))]:
+                got = assert_agrees(sc, parts, Pose2(*a), Pose2(*b), 7, 20, robot_only, spec)
+                outcomes.append(got is not None and len(got.waypoints) == 2)
+    assert any(outcomes) and not all(outcomes)
+
+
 # -- deferred queries -------------------------------------------------------
 
 
@@ -457,6 +529,7 @@ def assert_decision_agrees(outcomes, sc, parts, start, goal, seed, max_iters, ig
     deferred = isinstance(got, motion.DeferredLeg)
     assert deferred == passes_prechecks(sc, parts, start, goal, ignore, spec), query
     if not deferred:
+        assert_straight_iff_clear(got, sc, parts, start, goal, ignore)
         assert waypoints(got) == want, query
         outcomes["failed" if got is None else "straight"] += 1
     elif want is None:
@@ -680,22 +753,16 @@ def door_scene(thickness: float = 3.0, gap: float = 0.6, origin=(0.0, 0.0)) -> S
 def block_starts(count: int) -> list[int]:
     """The iterations at which the first count lookahead blocks start, for
     trees small enough that no block is cut short."""
-    starts, k, size = [], motion.LOOKAHEAD_WARMUP, motion.LOOKAHEAD_BLOCK
-    while len(starts) < count:
-        starts.append(k)
-        k += size
-        size = min(2 * size, motion.LOOKAHEAD_BLOCK_MAX)
-    return starts
+    return [motion.LOOKAHEAD_WARMUP + i * motion.LOOKAHEAD_BLOCK for i in range(count)]
 
 
 @pytest.fixture
 def dense_lookahead(monkeypatch):
-    """Blocks from the third iteration on, of 1, 2, 4 and then 8 samples,
-    cut short once a tree passes 48 nodes: every lookahead path is taken
-    within a few dozen iterations."""
+    """Blocks of 8 samples from the third iteration on, cut short once a
+    tree passes 48 nodes: every lookahead path is taken within a few dozen
+    iterations."""
     monkeypatch.setattr(motion, "LOOKAHEAD_WARMUP", 2)
-    monkeypatch.setattr(motion, "LOOKAHEAD_BLOCK", 1)
-    monkeypatch.setattr(motion, "LOOKAHEAD_BLOCK_MAX", 8)
+    monkeypatch.setattr(motion, "LOOKAHEAD_BLOCK", 8)
     monkeypatch.setattr(motion, "LOOKAHEAD_CELLS", 384)
 
 
@@ -730,7 +797,7 @@ def test_bridge_at_every_block_offset(monkeypatch, counting, dense_lookahead):
     rng = random.Random(7700)
     offsets = set()
     cut = False
-    full = motion.LOOKAHEAD_BLOCK_MAX
+    full = motion.LOOKAHEAD_BLOCK
     for seed in range(80):
         start = Pose2(rng.uniform(0.5, 3.0), rng.uniform(0.5, 9.5))
         goal = Pose2(rng.uniform(7.0, 9.5), rng.uniform(0.5, 9.5))
@@ -740,9 +807,9 @@ def test_bridge_at_every_block_offset(monkeypatch, counting, dense_lookahead):
         k = motion.LOOKAHEAD_WARMUP + sum(blocks[:-1])
         if iterations < 300 and blocks and iterations > k:
             offsets.add((blocks[-1], iterations - 1 - k))
-        # past the 1, 2, 4 ramp, a block shorter than full was cut short
-        # by the cell bound
-        cut |= any(n < full for n in blocks[3:-1])
+        # a block shorter than full before the last was cut short by the
+        # cell bound
+        cut |= any(n < full for n in blocks[:-1])
     assert {(full, o) for o in range(full)} <= offsets
     assert cut
 
@@ -787,9 +854,9 @@ def test_offset_workspaces_match_reference(counting):
 
 
 def test_blocks_run_at_the_cap(monkeypatch):
-    # a door query past 3000 iterations: after the 64, 128 ramp every
-    # block is LOOKAHEAD_BLOCK_MAX rows long unless max_iters or the cell
-    # bound on the larger tree cuts it, and the path is the reference's
+    # a door query past 3000 iterations: every block is LOOKAHEAD_BLOCK
+    # rows long unless max_iters or the cell bound on the larger tree cuts
+    # it, and the path is the reference's
     sc = door_scene()
     spec = GridSpec.from_scene(sc)
     rows = BlockRows(monkeypatch)
@@ -797,11 +864,11 @@ def test_blocks_run_at_the_cap(monkeypatch):
     assert assert_agrees(sc, square(0.4), Pose2(2.0, 2.0), Pose2(8.0, 8.0), 7, max_iters, frozenset({"robot"}), spec)
     blocks = rows.take_blocks()
     trees = [max(a, b) for a, b in zip(rows.nodes[::2], rows.nodes[1::2])]
-    full = motion.LOOKAHEAD_BLOCK_MAX
+    full = motion.LOOKAHEAD_BLOCK
     assert full == 256
-    assert blocks[:2] == [64, 128]
-    k = motion.LOOKAHEAD_WARMUP + sum(blocks[:2])
-    for n, nodes in zip(blocks[2:], trees[2:]):
+    assert blocks[0] == full
+    k = motion.LOOKAHEAD_WARMUP
+    for n, nodes in zip(blocks, trees):
         assert n == min(full, max_iters - k, max(1, motion.LOOKAHEAD_CELLS // nodes)), (k, nodes)
         k += n
     assert blocks.count(full) >= 8

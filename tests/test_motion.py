@@ -553,6 +553,40 @@ class TestPlanPickPlace:
         assert ei.value.kind in ("pick", "place")
 
 
+    def test_sweeps_only_legs_with_via_points(self, monkeypatch):
+        # a leg with via points takes one sweep_clear per side tried; one
+        # without goes to birrt alone, straight (the first) or around the
+        # wall (the second)
+        sc = scene([robot(1, 1), goal_obj("o", 2, 5), wall("w", 5, 5, 0.4, 2.0)], {"o": Pose2(5, 8.5)})
+        sgs = [
+            Subgoal(Pose2(2, 5), "W"),
+            Subgoal(Pose2(3.5, 5), "W"),
+            Subgoal(Pose2(6.5, 5), "W"),
+            Subgoal(Pose2(8, 8), "S", via=(Pose2(8, 5),)),
+            Subgoal(Pose2(5, 8.5), "E", via=(Pose2(6.5, 8.5),)),
+        ]
+        sweeps, routes = [], []
+        sweep, route = motion.sweep_clear, motion.birrt
+
+        def sweep_spy(scene, parts, poses, ignore=frozenset()):
+            sweeps.append(tuple(poses))
+            return sweep(scene, parts, poses, ignore)
+
+        def birrt_spy(scene, parts, start, goal, *args, **kwargs):
+            if len(parts) == 2:
+                routes.append((start, goal))
+            return route(scene, parts, start, goal, *args, **kwargs)
+
+        monkeypatch.setattr(motion, "sweep_clear", sweep_spy)
+        monkeypatch.setattr(motion, "birrt", birrt_spy)
+        plan, final = plan_pick_place(sc, "o", sgs, spec=GridSpec.from_scene(sc))
+        assert sweeps == [(Pose2(6.5, 5), Pose2(8, 5), Pose2(8, 8)), (Pose2(8, 8), Pose2(6.5, 8.5), Pose2(5, 8.5))]
+        assert routes == [(Pose2(2, 5), Pose2(3.5, 5)), (Pose2(3.5, 5), Pose2(6.5, 5))]
+        assert plan.pairs[0].object_waypoints == (Pose2(2, 5), Pose2(3.5, 5))
+        assert len(plan.pairs[1].object_waypoints) > 2
+        assert final.body("o").pose == Pose2(5, 8.5)
+
+
 class TestDeferredLegs:
     """A relocation of an object behind a 0.6 door in a 3-unit wall: the
     pick leg takes from tens to thousands of Bi-RRT iterations, and at

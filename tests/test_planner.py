@@ -102,6 +102,9 @@ RANGE_RULES = [
     ("grid_n", (0, -3), 1),
     ("tol", (0.0, -1.0), 1e-3),
     ("time_limit", (math.nan,), 0.0),
+    ("rrt_max_iters", (-1,), 0),
+    ("lazy_rounds", (-2,), 0),
+    ("cycle_cap", (-5,), 0),
 ]
 
 

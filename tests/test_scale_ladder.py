@@ -1,7 +1,7 @@
-"""The scale ladder: m_block scenes at seeds 0-9, every run replayed.
+"""The scale ladder: m_block scenes at seeds 0-29, every run replayed.
 
-Each rung plans ``m_block_<M>`` at seeds 0-9 with the seed as the planner
-seed, as ``rearrange2d bench`` does.  Every run must replay cleanly, its
+Each rung plans ``m_block_<M>`` at seeds 0-29 (``SEEDS``) with the seed as
+the planner seed, as ``rearrange2d bench`` does.  Every run must replay cleanly, its
 replayed final poses must equal the result's, and a success must leave
 every goal object on its goal.  Only the seeds named in ``OPEN_DEFECTS``
 may fail: each one is a known failure still to be fixed, and it stays on
@@ -9,10 +9,11 @@ the ladder.  Every failure must carry a reason (``PlanResult.reason``)
 that names one of the scene's goal objects; the script prints each
 failing seed's reason under its rung.
 
-Tier-1 climbs the M = 16 rung (a few seconds) but checks no digest.  The
-M = 20, 24 and 32 rungs take about half a minute together (M = 32 alone
-about 25 s of CPU), so they run as a script, which also checks each rung's
-results against a pinned digest; CI runs it on every rung:
+Tier-1 climbs the M = 16 rung at seeds 0-9 (``TIER1_SEEDS``, a few
+seconds) but checks no digest.  The script climbs every seed, checks each
+rung's results against a pinned digest, and CI runs it on every rung; on
+Python 3.11 the four rungs take about 3, 6, 14 and 70 s of CPU (M = 16,
+20, 24 and 32):
 
     PYTHONPATH=src python tests/test_scale_ladder.py 16 20 24 32
 
@@ -33,16 +34,22 @@ from rearrange2d import planner
 from rearrange2d.bench import make_scene
 from rearrange2d.world import default_tolerance, verify_placements
 
-SEEDS = range(10)
+SEEDS = range(30)
+TIER1_SEEDS = range(10)
 # seeds at which each rung still fails
-OPEN_DEFECTS = {16: {3}, 20: {1}, 24: {5, 6}, 32: {1, 2, 4}}
+OPEN_DEFECTS = {
+    16: {3},
+    20: {1, 18},
+    24: {5, 6, 10, 16, 18, 21, 23, 26},
+    32: {1, 2, 4, 10, 11, 12, 13, 18, 19, 24, 25, 27, 28, 29},
+}
 # SHA-256 of a rung's serialize_result JSON (sorted keys), one line per
 # seed in seed order; taken on Python 3.11
 DIGESTS = {
-    16: "4d6f6c1cee86ebe38dfeff340169b598c92c8fa4645b7f68e8c41c8854ed860e",
-    20: "fc63afa235a3a1ab6e20850a41c83cfbb4c8b6993f932170183bcf3606d4d4de",
-    24: "49733e3f9c947434043dcf9691569d4d434eb4190c29d6c02d5f72e6d2ef2782",
-    32: "a4ff144448df65147233e6859e39b20926175461f9a125f225a2a829e744b723",
+    16: "a1076a0335c04e62a93442e06f20c6cc6b40317112743114bea782c8e3258559",
+    20: "1ff1f6ca932f7f61f1ab90cf72bf4508949310d9eff7c9bba182bd05461d4d2a",
+    24: "04f3ebb4e6d7d26b289951b2d92b2cf4680feeaf104f9a87d1daffc096ea575c",
+    32: "d0df180eddb0f16a226f2de555418b19874e2fff4d7bf39d0ae16549e4c62d63",
 }
 
 
@@ -54,13 +61,13 @@ def names_an_object(reason, scene) -> bool:
     return reason is not None and any(re.search(rf"\b{re.escape(o)}\b", reason) for o in scene.goals)
 
 
-def climb(m: int) -> tuple[list[str], dict[int, str], str]:
-    """Plan one rung: the problems found, each failing seed's reason and the
-    digest."""
+def climb(m: int, seeds=SEEDS) -> tuple[list[str], dict[int, str], str]:
+    """Plan one rung at seeds: the problems found, each failing seed's
+    reason and the digest."""
     problems = []
     failed = {}
     lines = []
-    for s in SEEDS:
+    for s in seeds:
         scene = make_scene(f"m_block_{m}", s)
         result = planner.plan_rearrangement(scene, planner.PlannerConfig(seed=s))
         bad, final = planner.replay_plans(scene, result.plans)
@@ -80,9 +87,9 @@ def climb(m: int) -> tuple[list[str], dict[int, str], str]:
 
 
 def test_m_block_16():
-    problems, failed, _ = climb(16)
+    problems, failed, _ = climb(16, TIER1_SEEDS)
     assert problems == []
-    assert len(SEEDS) - len(failed) >= 9
+    assert len(TIER1_SEEDS) - len(failed) >= 9
 
 
 if __name__ == "__main__":

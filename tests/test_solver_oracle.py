@@ -325,6 +325,27 @@ def test_warm_starts_match_reference(n, fam):
     _same(costs, prec, warm=valid + ("stranger",))
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", ["m_block_20", "m_block_24"])
+def test_lazy_refine_cost_is_the_order_cost(name, seed):
+    # the sequence benchmark's instances: lazy_refine returns its incumbent
+    # with the cost solve_patsp gave it, which must be the final costs'
+    # fold over the order to the last bit
+    sc = make_scene(name, seed)
+    spec = GridSpec.from_scene(sc)
+    tol = default_tolerance(sc)
+    unplaced = tuple(sorted(set(sc.goals) - verify_placements(sc, tol)))
+    graph = build_dependency_graph(sc, unplaced=unplaced, tol=tol, seed=seed, spec=spec)
+    broke = sequencer.break_cycles(graph)
+    costs = CostMatrix.euclidean(sc, broke.graph.vertices)
+    seq, rounds = sequencer.lazy_refine(
+        costs, sc, seed, precedence=[(e.src, e.dst) for e in broke.graph.edges], spec=spec,
+        caches=sequencer.SequencerCaches(),
+    )
+    assert rounds >= 1
+    assert float.hex(seq.cost) == float.hex(costs.order_cost(seq.order))
+
+
 # -- dependency edges -----------------------------------------------------------
 
 
