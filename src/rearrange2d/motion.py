@@ -211,16 +211,21 @@ class SubgoalBlocked(Exception):
 
 
 class InfeasibleLeg(Exception):
-    """A pick or place leg could not be planned in the current scene."""
+    """A transport leg could not be planned with any grasp side.
 
-    def __init__(self, kind: str, object_id: str, leg: int, side: str, start: Pose2, goal: Pose2):
-        super().__init__(f"{kind} leg {leg} ({side}) infeasible for {object_id}")
-        self.kind = kind
+    tried holds one (part, side, start, goal) record per side tried, in
+    the order tried.  part names what failed: "grasp" (the robot footprint
+    collides at the grasp pose; start is the robot pose, goal the grasp),
+    "place" (the object route; start and goal are object poses) or "pick"
+    (the robot route to the grasp; start is the robot pose, goal the grasp).
+    """
+
+    def __init__(self, object_id: str, leg: int, tried: tuple[tuple[str, str, Pose2, Pose2], ...]):
+        parts = ", ".join(f"{side} {part}" for part, side, _, _ in tried)
+        super().__init__(f"leg {leg} infeasible for {object_id}: {parts}")
         self.object_id = object_id
         self.leg = leg
-        self.side = side
-        self.start = start
-        self.goal = goal
+        self.tried = tried
 
 
 def sweep_clear(scene: Scene, parts, poses, ignore=frozenset()) -> bool:
@@ -811,7 +816,13 @@ def plan_pick_place(
     """Chain pick and place legs through the subgoal list.
 
     Raises InfeasibleLeg when a leg cannot be planned with any usable
-    grasp side (the relocation search consumes that).
+    grasp side.  It records every side tried, in _side_order, with the part
+    that failed: the grasp footprint, then the place route (the object's
+    transport), then the pick route (the robot's way to the grasp), each
+    side stopping at its first failure.  planner.gen_motion_plan serves
+    these records in a fixed order: the place task when any side failed on
+    its place route, then a pick task per side that failed on its pick
+    route, in the order the sides were tried.
 
     With defer, a Bi-RRT leg that passes birrt's prechecks is not sampled
     (DeferredLeg): it counts as planned when the grasp side is chosen, and
@@ -842,10 +853,11 @@ def plan_pick_place(
         poly_obj = (prev.object_pose, *cur.via, cur.object_pose)
         # side preference: the planned side, then the side already grasped
         held = legs[-1][4] if legs else None
+        tried = []
         for side in _side_order(cur.grasp_side, held):
             gp = grasp_pose(prev.object_pose, side, body.w, body.h, rs)
             if footprint_collides(cur_scene, robot.footprint, gp, frozenset({robot.id})):
-                last_fail = ("pick", side, cur_robot, gp)
+                tried.append(("grasp", side, cur_robot, gp))
                 continue
             # settle the transport route first: a hopeless place leg should
             # not cost a full pick plan (the compound query fast-fails on
@@ -862,21 +874,19 @@ def plan_pick_place(
                     ignore=ignore, spec=spec, defer=defer,
                 )
             if route is None:
-                last_fail = ("place", side, prev.object_pose, cur.object_pose)
+                tried.append(("place", side, prev.object_pose, cur.object_pose))
                 continue
             pick = birrt(
                 cur_scene, robot.footprint, cur_robot, gp, _mix_seed(seed, k, side, 0), max_iters,
                 ignore=frozenset({robot.id}), spec=spec, defer=defer,
             )
             if pick is None:
-                last_fail = ("pick", side, cur_robot, gp)
+                tried.append(("pick", side, cur_robot, gp))
                 continue
             legs.append((gp, side_offset(side, body.w, body.h, rs), pick, route, side))
             break
         else:
-            # no side admits the leg; report the last side tried
-            kind, side, start, goal = last_fail
-            raise InfeasibleLeg(kind, object_id, k, side, start, goal)
+            raise InfeasibleLeg(object_id, k, tuple(tried))
 
         # where the place leg leaves the robot: every route ends at its goal
         cur_robot = grasp_pose(cur.object_pose, side, body.w, body.h, rs)

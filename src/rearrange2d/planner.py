@@ -7,6 +7,7 @@ and regenerate the sequence when relocations move goal objects around.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -166,8 +167,9 @@ class GenPlanOutcome:
     scene: Scene
     failures: int = 0
     reason: str | None = None
-    # the reason of the last relocation search the call ran ("succeeded"
-    # when that search moved its blockers); None when it ran none
+    # the reason of the last relocation search the call served
+    # ("succeeded" when that search moved its blockers); None when it
+    # served none
     search_reason: str | None = None
 
 
@@ -181,10 +183,17 @@ def gen_motion_plan(
 ) -> GenPlanOutcome:
     """Plan the full transport of one goal object in the current scene.
 
-    Blocked legs trigger the relocation search; each exhausted search is
-    retried with the next alternative critical subset until
-    ALT_CRIT_LIMIT runs out.  Once time.monotonic() passes deadline, no
-    further attempt starts and the outcome fails with reason "timeout".
+    A blocked leg (motion.InfeasibleLeg) is served by one relocation
+    search.  The candidate tasks, in order: the place task over mu when
+    some side failed on its place route, then a pick task toward the grasp
+    of each side that failed on its pick route, in the order the sides
+    were tried, each made only when reached.  The first candidate whose
+    search chooses a critical subset is served.  When none does, the place
+    task's search is served if there was one; otherwise the attempt ends
+    with reason "no relocation serves the leg".  Each exhausted search is
+    retried with the next alternative critical subset until ALT_CRIT_LIMIT
+    runs out.  Once time.monotonic() passes deadline, no further attempt
+    starts and the outcome fails with reason "timeout".
 
     Each attempt plans with defer (motion.plan_pick_place), so an attempt
     that ends in InfeasibleLeg samples none of its earlier legs that passed
@@ -194,8 +203,8 @@ def gen_motion_plan(
     defer exactly.  An InfeasibleLeg is the one planning without defer
     raises unless an earlier deferred leg would have found no path.
 
-    A failed outcome keeps the reason of its last relocation search in
-    search_reason, next to its own reason.
+    A failed outcome keeps the reason of its last served relocation
+    search in search_reason, next to its own reason.
     """
     mu = motion.plan_object_path(
         scene, object_id, scene.goal_of(object_id), _mix_seed(seed, "mu", object_id),
@@ -247,18 +256,30 @@ def gen_motion_plan(
             return fail(str(e))
         except InfeasibleLeg as e:
             failures += 1
-            if e.kind == "pick":
-                task = pick_task(
-                    cur, object_id, e.goal, _mix_seed(seed, "task", guard), spec, cfg.rrt_max_iters,
-                )
-            else:
+            tasks = []
+            if any(part == "place" for part, _, _, _ in e.tried):
                 if place is None:
                     place = place_task(cur, object_id, mu.waypoints, spec)
-                task = place
-            res = search_relocations(
-                cur, task, skip, seed=_mix_seed(seed, "reloc", object_id, guard),
-                spec=spec, rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
+                tasks.append(place)
+            picks = (
+                pick_task(cur, object_id, goal, _mix_seed(seed, "task", guard), spec, cfg.rrt_max_iters)
+                for part, _, _, goal in e.tried
+                if part == "pick"
             )
+            res = fallback = None
+            for task in itertools.chain(tasks, picks):
+                found = search_relocations(
+                    cur, task, skip, seed=_mix_seed(seed, "reloc", object_id, guard),
+                    spec=spec, rrt_max_iters=cfg.rrt_max_iters, deadline=deadline,
+                )
+                if "initial_crit" in found.trace:
+                    res = found
+                    break
+                if task is place:
+                    fallback = found
+            res = res or fallback
+            if res is None:
+                return fail("no relocation serves the leg")
             searched = res.reason or "succeeded"
             if res.reason == "timeout":
                 return fail("timeout")

@@ -124,11 +124,11 @@ class TestRunSuite:
         assert out.read_text() == text
 
     def test_csv_carries_the_reason(self):
-        rows = run_suite(["m_block_16"], [3], PlannerConfig())
+        rows = run_suite(["m_block_24"], [10], PlannerConfig())
         (rec,) = csv.DictReader(io.StringIO(rows_to_csv(rows)))
         assert rec["status"] == "iter-exhausted"
         assert rec["reason"] == rows[0].result.reason
-        assert rec["reason"].startswith("o15: relocation search exhausted")
+        assert rec["reason"].startswith("o13: relocation loop guard")
 
     def test_per_seed_config(self):
         # the suite reseeds the planner per run, so a fixed-seed config

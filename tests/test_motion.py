@@ -549,8 +549,19 @@ class TestPlanPickPlace:
         sgs = select_subgoals(mu, sc, object_id="o", spec=GridSpec.from_scene(sc))
         with pytest.raises(InfeasibleLeg) as ei:
             plan_pick_place(sc, "o", sgs, spec=GridSpec.from_scene(sc))
-        assert ei.value.object_id == "o"
-        assert ei.value.kind in ("pick", "place")
+        e = ei.value
+        assert (e.object_id, e.leg) == ("o", 3)
+        # one record per side, in the order tried: W's transport runs into
+        # blk, and blk or a wall covers the other sides' grasps
+        assert [(part, side) for part, side, _, _ in e.tried] == [
+            ("place", "W"), ("grasp", "N"), ("grasp", "E"), ("grasp", "S"),
+        ]
+        prev, cur = sgs[2].object_pose, sgs[3].object_pose
+        assert e.tried[0][2:] == (prev, cur)
+        for _, side, start, goal in e.tried[1:]:
+            assert start == e.tried[1][2]
+            assert goal == grasp_pose(prev, side, 0.6, 0.6, 0.4)
+            assert footprint_collides(sc, sc.robot.footprint, goal, frozenset({"robot"}))
 
 
     def test_sweeps_only_legs_with_via_points(self, monkeypatch):

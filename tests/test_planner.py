@@ -252,7 +252,7 @@ def test_every_birrt_call_gets_rrt_max_iters(monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(motion, "birrt", spy)
-    plan_rearrangement(bench.make_scene("m_block_12", 1), PlannerConfig(seed=1, rrt_max_iters=4999))
+    plan_rearrangement(_pocket_scene(), PlannerConfig(seed=1, rrt_max_iters=4999))
     assert "pick_task" in {caller for caller, _ in calls}
     assert {iters for _, iters in calls} == {4999}
 
@@ -354,13 +354,138 @@ class TestGenMotionPlan:
         assert (out.success, out.reason, out.search_reason) == (False, "relocation loop guard", "succeeded")
 
 
+def _served_searches(monkeypatch):
+    """Spy on gen_motion_plan's relocation searches: the returned list
+    gets each search's task and result, in call order."""
+    inner = planner.search_relocations
+    log = []
+
+    def spy(scene, task, *args, **kwargs):
+        res = inner(scene, task, *args, **kwargs)
+        log.append((task, res))
+        return res
+
+    monkeypatch.setattr(planner, "search_relocations", spy)
+    return log
+
+
+def _leg_failure(sc, object_id):
+    """The InfeasibleLeg of object_id's first goal attempt in sc."""
+    spec = GridSpec.from_scene(sc)
+    mu = motion.plan_object_path(sc, object_id, sc.goal_of(object_id), 0, spec=spec)
+    subgoals = motion.select_subgoals(mu, sc, object_id=object_id, spec=spec)
+    with pytest.raises(InfeasibleLeg) as ei:
+        motion.plan_pick_place(sc, object_id, subgoals, spec=spec)
+    return ei.value
+
+
+def _west_edge_scene():
+    """g1 lies against the west edge, so its W grasp is outside the
+    workspace, and its first leg must pass a gap in a wall that b1 blocks:
+    N, E and S fail on their place routes, and W, tried last, on its grasp."""
+    return scene(
+        [
+            robot(0.6, 8.5),
+            wall("wn", 1.5, 7.9, 0.4, 4.2),
+            wall("ws", 1.5, 2.1, 0.4, 4.2),
+            goal_obj("g1", 0.35, 5.0),
+            obstacle("b1", 1.5, 5.0),
+        ],
+        {"g1": Pose2(8.0, 5.0)},
+    )
+
+
+def _pocket_scene(door=obstacle):
+    """The robot stands in a pocket whose one opening the door seals, and
+    g1 and its goal lie out in the open: every side fails on its pick
+    route and none on its place route.  door makes the door's body."""
+    return scene(
+        [
+            robot(1.0, 5.0),
+            wall("pn", 1.25, 5.9, 2.5, 0.4),
+            wall("ps", 1.25, 4.1, 2.5, 0.4),
+            door("door", 2.8, 5.0, 0.6, 1.4),
+            goal_obj("g1", 6.0, 2.0),
+        ],
+        {"g1": Pose2(8.0, 8.0)},
+    )
+
+
+def _boxed_in_scene():
+    """A movable covers each of g1's four grasp poses: every side fails on
+    its grasp."""
+    return scene(
+        [
+            robot(1.0, 1.0),
+            goal_obj("g1", 5.0, 5.0),
+            obstacle("n", 5.0, 5.75),
+            obstacle("s", 5.0, 4.25),
+            obstacle("e", 5.75, 5.0),
+            obstacle("w", 4.25, 5.0),
+        ],
+        {"g1": Pose2(8.0, 8.0)},
+    )
+
+
+class TestServedLegFailure:
+    """gen_motion_plan serves the place task when a side failed on its
+    place route, then a pick task per side that failed on its pick route,
+    and serves the first whose search chose a critical subset."""
+
+    def test_a_place_failure_is_served_before_a_last_side_grasp(self, monkeypatch):
+        sc = _west_edge_scene()
+        e = _leg_failure(sc, "g1")
+        assert [(part, side) for part, side, _, _ in e.tried] == [
+            ("place", "N"), ("place", "E"), ("place", "S"), ("grasp", "W"),
+        ]
+        # W's grasp pose puts the robot's footprint (side 0.4) past the edge
+        assert e.tried[-1][3].x - 0.2 < sc.workspace.xmin
+        searches = _served_searches(monkeypatch)
+        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
+        assert [(task.kind, res.trace.get("initial_crit")) for task, res in searches] == [("place", ["b1"])]
+        assert out.success
+        assert [(p.object_id, p.purpose) for p in out.plans] == [("b1", "relocation"), ("g1", "goal")]
+        assert out.scene.body("b1").pose != sc.body("b1").pose
+
+    def test_pick_failures_alone_serve_a_pick_task(self, monkeypatch):
+        sc = _pocket_scene()
+        e = _leg_failure(sc, "g1")
+        assert {part for part, _, _, _ in e.tried} == {"pick"}
+        assert len(e.tried) == 4
+        searches = _served_searches(monkeypatch)
+        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
+        ((task, res),) = searches
+        assert (task.kind, task.waypoints[-1]) == ("pick", e.tried[0][3])
+        assert res.trace["initial_crit"] == ["door"]
+        assert out.success
+        assert [(p.object_id, p.purpose) for p in out.plans] == [("door", "relocation"), ("g1", "goal")]
+
+    @pytest.mark.parametrize("make,parts,searched", [
+        # no side failed on a route, so there is nothing to search: the
+        # movables on the grasps go unserved, though moving one would
+        # free its side
+        (_boxed_in_scene, {"grasp"}, 0),
+        # a wall for a door: each pick task's search finds it blocked by statics
+        (lambda: _pocket_scene(wall), {"pick"}, 4),
+    ])
+    def test_no_search_to_serve_ends_the_attempt(self, monkeypatch, make, parts, searched):
+        sc = make()
+        assert {part for part, _, _, _ in _leg_failure(sc, "g1").tried} == parts
+        searches = _served_searches(monkeypatch)
+        out = gen_motion_plan(sc, "g1", PlannerConfig(), seed=0, spec=GridSpec.from_scene(sc))
+        assert len(searches) == searched
+        assert not any("initial_crit" in res.trace for _, res in searches)
+        assert (out.success, out.plans, out.failures) == (False, (), 1)
+        assert (out.reason, out.search_reason) == ("no relocation serves the leg", None)
+
+
 def goal_attempt(call):
     """A plan_pick_place call's outcome: the plan and the scene it leaves,
     or the InfeasibleLeg it raises, as comparable values."""
     try:
         plan, after = call()
     except InfeasibleLeg as e:
-        return ("infeasible", e.kind, e.object_id, e.leg, e.side, e.start, e.goal)
+        return ("infeasible", e.object_id, e.leg, e.tried)
     if isinstance(plan, PendingPlan):
         try:
             plan = plan.resolve()
@@ -728,14 +853,14 @@ class TestPlanRearrangement:
         assert res.reason.startswith("timeout ")
 
     def test_exhausted_run_names_its_failing_object(self):
-        # m_block_16@3: o15's pick leg has no grasp side a relocation can
-        # free, so every attempt ends with its searches exhausted
-        sc = bench.make_scene("m_block_16", 3)
-        res = plan_rearrangement(sc, PlannerConfig(seed=3))
+        # m_block_24@10: o13's place task has no colliders and passes its
+        # check before any move, yet its leg fails on every side, so each
+        # attempt serves a search that moves nothing until the loop guard
+        sc = bench.make_scene("m_block_24", 10)
+        res = plan_rearrangement(sc, PlannerConfig(seed=10))
         assert res.status == "iter-exhausted"
         assert res.reason == (
-            "o15: relocation search exhausted (last relocation search: no critical subset unblocks the task); "
-            "unplaced after 17 passes: o15"
+            "o13: relocation loop guard (last relocation search: succeeded); unplaced after 25 passes: o13"
         )
 
     def test_exhausted_run_without_a_failed_attempt_names_the_unplaced(self, monkeypatch):
